@@ -19,13 +19,13 @@
 // workload through its own session and the table reports aggregate plus
 // per-session throughput. --write-json records everything machine-readably.
 //
-// --rtt-ms M adds the RTT-amortization sweep for the wire-v3 word protocol:
-// the same workload through a chaos proxy that delays every chunk ~M ms, once
-// per protocol shape — per-symbol (--batch 0), word-level (batch 1), and
+// --rtt-ms M adds the RTT-amortization sweep for the word protocol: the same
+// workload through a chaos proxy that delays every chunk ~M ms, once per
+// protocol shape — word-level (batch 1: one kQueryWord per query) and
 // batched (the negotiated batch, default 16). On loopback the RTT is ~zero
-// and all three shapes tie; with a real RTT the per-symbol shape pays
-// 2·(|word|+1) delays per query and the batched shape amortizes two delays
-// across a whole batch, which is the point of wire v3.
+// and both shapes tie; with a real RTT the word-level shape pays two delays
+// per query and the batched shape amortizes two delays across a whole
+// batch, which is the point of batching.
 //
 // --journal measures what the crash-safe learn journal (DESIGN.md §15) costs
 // where it matters: a full supervised learn over the word protocol through a
@@ -157,7 +157,7 @@ ClientsSample run_clients(int clients, const Workload& w,
 }
 
 struct RttRow {
-  int batch = 0;  // 0 = per-symbol v2 protocol, 1 = one kQueryWord per word
+  int batch = 0;  // 1 = one kQueryWord per word
   double seconds = 0;
   double queries_per_sec = 0;
   long server_resets = 0;  // what prefix-sorted execution actually saved
@@ -467,9 +467,8 @@ int main(int argc, char** argv) {
                 s.aggregate_qps, s.per_session_qps, s.server_sessions);
   }
 
-  // RTT-amortization sweep (wire v3). A smaller sub-workload keeps the
-  // per-symbol row tolerable: at M ms per chunk it pays ~2·(|word|+1)·M ms
-  // per query.
+  // RTT-amortization sweep. A smaller sub-workload keeps the word-level row
+  // short: at M ms per chunk it pays ~2·M ms per query.
   std::vector<RttRow> rtt_rows;
   if (rtt_ms > 0) {
     Workload rw = w;
@@ -483,16 +482,14 @@ int main(int argc, char** argv) {
                 rw.words.size());
     std::printf("%-22s %10s %12s %10s %10s %9s\n", "protocol shape", "seconds",
                 "queries/s", "resets", "steps", "speedup");
-    const std::vector<int> shapes = {0, 1, batch_size > 1 ? batch_size : 16};
+    const std::vector<int> shapes = {1, batch_size > 1 ? batch_size : 16};
     double base_qps = 0;
     for (int b : shapes) {
       rtt_rows.push_back(run_rtt_row(b, rtt_ms, rw, profile));
       const RttRow& r = rtt_rows.back();
-      if (b == 0) base_qps = r.queries_per_sec;
+      if (b == 1) base_qps = r.queries_per_sec;
       char name[48];
-      if (b == 0) {
-        std::snprintf(name, sizeof(name), "per-symbol (batch=0)");
-      } else if (b == 1) {
+      if (b == 1) {
         std::snprintf(name, sizeof(name), "word-level (batch=1)");
       } else {
         std::snprintf(name, sizeof(name), "batched    (batch=%d)", b);

@@ -98,8 +98,8 @@ int usage() {
                " [--seed <S>] [--dot] [--batch <N>]\n"
                "        [--journal <file>] [--resume <file>] [--arbitrate <k/n>]"
                " [--deadline <S>] [--retries <N>]\n"
-               "        (--batch 0 forces the per-symbol v2 protocol; default offers"
-               " a 16-word batch;\n"
+               "        (--batch 0 sends one word query per membership query; default"
+               " offers a 16-word batch;\n"
                "         --resume continues a killed run from its journal;"
                " --arbitrate 0/0 disables k-of-n re-querying)\n"
                "  diff <left> <right> [--json] [--dot] [--jobs <N>] [--psk <key>]"
@@ -232,8 +232,8 @@ int cmd_instrument(const Args& args) {
   return 0;
 }
 
-// --batch N: words offered per kQueryBatch in the v3 hello (0 = force the
-// per-symbol v2 protocol). nullopt on a malformed value.
+// --batch N: words offered per kQueryBatch in the hello (0 = no batches, one
+// kQueryWord per query). nullopt on a malformed value.
 std::optional<int> parse_batch(const Args& args, int dflt) {
   if (!args.has("batch")) return dflt;
   auto v = parse_u64(args.get("batch"));
@@ -567,20 +567,17 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
     run = learner::learn_supervised(sul, sup);
     net::RemoteSulStats stats = sul.stats();
     std::fprintf(stderr,
-                 "transport: %ld connects (%ld re), %ld framing errors, %ld timeouts,"
-                 " %ld nondeterministic queries\n",
-                 stats.connects, stats.reconnects, stats.framing_errors, stats.rpc_timeouts,
-                 stats.nondeterministic_queries);
+                 "transport: %ld connects (%ld re), %ld framing errors, %ld timeouts\n",
+                 stats.connects, stats.reconnects, stats.framing_errors, stats.rpc_timeouts);
     std::fprintf(stderr,
-                 "breaker: %s (%ld opens, %ld half-open probes, %ld cache fallbacks,"
-                 " %ld unavailable answers)\n",
+                 "breaker: %s (%ld opens, %ld half-open probes, %ld unavailable answers)\n",
                  std::string(net::to_string(sul.breaker())).c_str(), stats.breaker_opens,
-                 stats.breaker_probes, stats.cache_fallbacks, stats.unavailable_answers);
+                 stats.breaker_probes, stats.unavailable_answers);
     std::fprintf(stderr,
                  "batching: negotiated %d words, %ld batches (%ld words), %ld word"
-                 " queries, %ld word resyncs\n",
+                 " queries\n",
                  sul.negotiated_batch_words(), stats.batch_queries, stats.batched_words,
-                 stats.word_queries, stats.word_resyncs);
+                 stats.word_queries);
     // Structured server refusals (busy, draining, auth_failed, quota trips,
     // upgrade_required) surface here so an inconclusive run names its cause.
     const std::string reason = sul.last_close_reason();

@@ -12,7 +12,8 @@
 // Determinism contract: the first observation of an edge wins. A later
 // insert that disagrees on an edge output does not overwrite it (the cached
 // answer stays stable run-to-run) but is counted in stats().nondeterministic
-// — the same flag-don't-flap policy as the transport's majority-vote cache.
+// — flag, don't flap; settling the conflict is the learning supervisor's
+// k-of-n arbitration (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>

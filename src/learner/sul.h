@@ -66,7 +66,7 @@ class Sul {
   /// Answers one whole membership query (reset + the word's symbols). The
   /// base implementation is the sequential fallback — reset() then step()
   /// per symbol — so every Sul supports it; transport-backed SULs override
-  /// it to ship the word in a single round trip (wire v3, DESIGN.md §14).
+  /// it to ship the word in a single round trip (DESIGN.md §14).
   virtual std::vector<std::string> query_word(const std::vector<std::string>& word);
 
   /// Answers many membership queries. Base fallback: query_word() per item,
@@ -75,12 +75,11 @@ class Sul {
   virtual std::vector<std::vector<std::string>> query_batch(
       const std::vector<std::vector<std::string>>& words);
 
-  /// Answers one membership query with a *fresh* execution, bypassing any
-  /// answer cache the implementation keeps. The learning supervisor's
-  /// nondeterminism arbitration samples contested words k-of-n through this
-  /// path — a vote cache that echoed one cached answer n times would rig
-  /// the vote. Base implementation: query_word() (the in-process harness
-  /// has no cache, so every query is already fresh).
+  /// Answers one membership query with a *fresh* execution: the sample the
+  /// learning supervisor's k-of-n nondeterminism arbitration takes of a
+  /// contested word. Base implementation: query_word() — no Sul here keeps
+  /// an answer cache, so every query is already fresh. Decorators override
+  /// it to observe arbitration traffic separately.
   virtual std::vector<std::string> query_word_fresh(
       const std::vector<std::string>& word);
 

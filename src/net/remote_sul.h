@@ -7,20 +7,24 @@
 //   * per-call deadlines — no call ever blocks past its budget;
 //   * reconnect with jittered exponential backoff, bumping the epoch so a
 //     stale answer from a dead link is discarded, never consumed;
-//   * state resync after reconnect: reset() is lazy (no I/O), and the live
-//     query path replays reset + the current word prefix on a fresh link,
-//     reconstructing the deterministic server state exactly — which is why
-//     learning over a lossy-but-not-lying channel stays byte-identical to an
-//     in-process run;
+//   * one query shape: every query is a whole word from the initial state,
+//     sent as one kQueryWord (or one slot of a kQueryBatch). step() sends
+//     the word since the last reset(), which the server continues from the
+//     word it just ran; after a reconnect the fresh session simply replays
+//     it, reconstructing the deterministic server state exactly — which is
+//     why learning over a lossy-but-not-lying channel stays byte-identical
+//     to an in-process run;
 //   * a circuit breaker (closed → open → half-open probe) that stops
 //     hammering a dead server and degrades to the structured
 //     learner::kSulUnavailable output symbol — learners converge to an
 //     explicit inconclusive verdict instead of hanging or throwing;
-//   * a majority-vote answer cache keyed by the word prefix: repeated
-//     queries vote, disagreement flags the SUT as nondeterministic in the
-//     stats, and replays during reconnect storms can be answered from cache;
 //   * an optional heartbeat thread that pings the idle link so a silently
 //     dead connection is detected before the next query stalls on it.
+//
+// Answers are returned exactly as the server sent them: a nondeterministic
+// SUT is the learning supervisor's to arbitrate (DESIGN.md §15), not the
+// transport's. A word the v3 codec cannot carry (over kMaxWordSymbols, or a
+// symbol outside its charset) degrades to kSulUnavailable.
 //
 // Thread-safety: all client state lives under one mutex shared by the query
 // path and the heartbeat thread; the TSan suite pins this.
@@ -29,6 +33,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -61,7 +66,7 @@ struct RemoteSulOptions {
   /// Reconnect backoff: base * 2^attempt, jittered, capped at max.
   double backoff_base_seconds = 0.01;
   double backoff_max_seconds = 0.25;
-  /// Transport attempts per step() before degrading to kSulUnavailable.
+  /// Transport attempts per query before degrading to kSulUnavailable.
   int attempts_per_query = 3;
 
   /// Circuit breaker: consecutive transport failures before opening, and how
@@ -72,11 +77,10 @@ struct RemoteSulOptions {
   /// Heartbeat period for the keepalive thread; 0 disables it.
   double heartbeat_seconds = 0.0;
 
-  /// Words offered per kQueryBatch in the hello negotiation; 0 disables the
-  /// v3 word protocol entirely (pure per-symbol v2 behavior). The server
-  /// grants min(offer, its own cap) and echoes the grant in the hello-ack;
-  /// a server that echoes no grant (v2, or a test fake) silently keeps the
-  /// client on the per-symbol path.
+  /// Words offered per kQueryBatch in the hello negotiation; 0 offers none,
+  /// so every query is its own kQueryWord. The server grants min(offer, its
+  /// own cap) and echoes the grant in the hello-ack; a server that echoes no
+  /// grant leaves the client on one kQueryWord per query too.
   int max_batch_words = kDefaultBatchWords;
   /// Batch frames allowed in flight before query_batch waits on an ack
   /// (acks come back in request order, so the window just hides RTTs).
@@ -95,18 +99,15 @@ struct RemoteSulStats {
   long stale_frames = 0;        // answers from a previous epoch, discarded
   long breaker_opens = 0;
   long breaker_probes = 0;      // half-open trial queries
-  long unavailable_answers = 0; // steps degraded to kSulUnavailable
-  long cache_fallbacks = 0;     // answered from the vote cache during outage
-  long nondeterministic_queries = 0;  // votes disagreed for a word prefix
+  long unavailable_answers = 0; // queries degraded to kSulUnavailable
   long heartbeats = 0;
   long heartbeat_failures = 0;
   long auth_challenges = 0;     // kChallenge frames answered
   long busy_rejects = 0;        // kServerBusy rejects (admission/drain)
   long server_closes = 0;       // structured kClose frames received
-  long word_queries = 0;        // whole words answered over kQueryWord
+  long word_queries = 0;        // words answered over kQueryWord (steps too)
   long batch_queries = 0;       // kQueryBatch frames acked
   long batched_words = 0;       // words answered inside those batches
-  long word_resyncs = 0;        // reconnect resyncs collapsed to one word RPC
 };
 
 /// Circuit-breaker state (exposed for tests and status lines).
@@ -121,41 +122,32 @@ class RemoteUeSul final : public learner::Sul {
   RemoteUeSul(const RemoteUeSul&) = delete;
   RemoteUeSul& operator=(const RemoteUeSul&) = delete;
 
-  /// Lazy: clears the logical word and marks the server out-of-sync; the
-  /// actual reset frame rides with the next step (no I/O here, so a dead
-  /// server cannot stall reset storms).
+  /// Lazy: clears the logical word (no I/O here, so a dead server cannot
+  /// stall reset storms).
   void reset() override;
 
-  /// One abstract input. Never throws, never blocks past the attempt budget;
-  /// degrades to learner::kSulUnavailable when the transport is beyond help.
+  /// Appends `input` to the word since the last reset() and sends that whole
+  /// word as one kQueryWord; the server continues from the word it last ran,
+  /// so only the new symbol executes. Returns the last output. Never throws,
+  /// never blocks past the attempt budget; degrades to
+  /// learner::kSulUnavailable when the transport is beyond help.
   std::string step(const std::string& input) override;
 
-  /// Whole membership query in one kQueryWord round trip when the server
-  /// granted the word protocol; otherwise (or on transport failure) it falls
-  /// back to the per-symbol path, which already encodes every retry, vote,
-  /// and degradation rule — so answers are byte-identical either way.
+  /// One whole membership query in one kQueryWord round trip, under the same
+  /// retry and degradation rules as step().
   std::vector<std::string> query_word(const std::vector<std::string>& word) override;
 
   /// Deduplicates the words, ships the distinct ones as pipelined kQueryBatch
   /// frames (up to max_inflight_batches in the air), and finishes any word a
-  /// failed batch left unanswered through query_word's fallback chain.
+  /// batch left unanswered with its own kQueryWord.
   std::vector<std::vector<std::string>> query_batch(
       const std::vector<std::vector<std::string>>& words) override;
-
-  /// One fresh kQueryWord round trip whose raw server answer is returned
-  /// as-is — it neither consults nor feeds the majority-vote cache. The
-  /// learning supervisor's k-of-n arbitration samples through this: the
-  /// cache's job is to *smooth* flapping, which is exactly what a vote must
-  /// not see. Falls back to the per-symbol path when the server never
-  /// granted the word protocol.
-  std::vector<std::string> query_word_fresh(
-      const std::vector<std::string>& word) override;
 
   long resets() const override;
   long steps() const override;
 
   /// Batch capacity granted by the server in the last hello-ack (0 before
-  /// first contact or when the server kept us on the per-symbol path).
+  /// first contact, or when no batch was offered or granted).
   int negotiated_batch_words() const;
 
   RemoteSulStats stats() const;
@@ -171,11 +163,6 @@ class RemoteUeSul final : public learner::Sul {
   std::string unavailable_reason() const override;
 
  private:
-  struct VoteBox {
-    std::map<std::string, int> votes;
-    bool disagreed = false;
-  };
-
   // All private helpers assume mu_ is held.
   bool breaker_allows_locked();
   void record_failure_locked();
@@ -185,25 +172,20 @@ class RemoteUeSul final : public learner::Sul {
   bool send_frame_locked(FrameType type, const std::string& payload, std::uint32_t* seq_out);
   std::optional<Frame> await_ack_locked(std::uint32_t seq);
   std::optional<Frame> rpc_locked(FrameType type, const std::string& payload);
-  std::optional<std::string> live_step_locked(double backoff_scale);
-  std::string vote_and_answer_locked(const std::string& observed);
-  std::optional<std::string> cached_answer_locked() const;
 
-  /// Feeds every proper prefix's observed output into the vote cache and
-  /// returns the majority answer per position — exactly what a per-symbol
-  /// run of the same word would have produced (the byte-identity invariant).
-  std::vector<std::string> vote_word_locked(const std::vector<std::string>& word,
-                                            const std::vector<std::string>& outputs);
+  /// The transport attempt loop every query shape runs under: up to
+  /// attempts_per_query tries, each redialing (after jittered exponential
+  /// backoff) when the link is down and then running `exchange` on the live
+  /// link, with every outcome fed to the breaker. True once an exchange
+  /// succeeds.
+  bool attempt_locked(const std::function<bool()>& exchange);
 
-  /// One word over kQueryWord, with the step() retry/backoff/breaker rules.
-  /// `raw` skips the vote cache entirely (arbitration sampling); the default
-  /// feeds the observed outputs through it for run-to-run answer stability.
-  enum class WordRpc : std::uint8_t { kOk, kDenied, kFailed };
-  WordRpc word_query_locked(const std::vector<std::string>& word,
-                            std::vector<std::string>* answers, bool raw = false);
+  /// One word over kQueryWord; all kSulUnavailable when the transport is
+  /// beyond help or the codec cannot carry the word.
+  std::vector<std::string> word_query_locked(const std::vector<std::string>& word);
   /// Best-effort pipelined batches over the distinct `words`; every answered
-  /// word lands in `*answered`. Words left behind (denied protocol, failed
-  /// link, unencodable symbols) are the caller's to finish per-word.
+  /// word lands in `*answered`. Words left behind (no grant, failed link,
+  /// unencodable symbols) are the caller's to finish one word at a time.
   void batch_rpc_locked(const std::vector<std::vector<std::string>>& words,
                         std::map<std::vector<std::string>, std::vector<std::string>>* answered);
 
@@ -216,7 +198,6 @@ class RemoteUeSul final : public learner::Sul {
   FrameReader reader_;
   std::uint32_t epoch_ = 0;
   std::uint32_t seq_ = 0;
-  bool server_synced_ = false;  // server holds reset+word_ state for epoch_
   std::vector<std::string> word_;  // inputs since the last reset()
   std::string server_profile_;
   std::string last_close_reason_;
@@ -226,7 +207,6 @@ class RemoteUeSul final : public learner::Sul {
   int consecutive_failures_ = 0;
   std::chrono::steady_clock::time_point breaker_opened_at_{};
 
-  std::map<std::vector<std::string>, VoteBox> vote_cache_;
   Rng jitter_;
 
   long resets_ = 0;

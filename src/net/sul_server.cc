@@ -74,29 +74,6 @@ void SulServer::drain() {
   draining_.store(true, std::memory_order_release);
 }
 
-void SulServer::serve() {
-  if (!listener_.valid()) {
-    if (!is_loopback(options_.bind_host) && options_.psk.empty()) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      start_error_ = "refusing non-loopback bind (" + options_.bind_host +
-                     ") without a PSK: pass --psk to authenticate sessions";
-      return;
-    }
-    auto listener = TcpListener::listen(options_.bind_host, options_.port);
-    if (!listener) return;
-    listener_ = std::move(*listener);
-    port_ = listener_.port();
-  }
-  if (!pool_) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(options_.max_sessions < 1 ? 1 : options_.max_sessions));
-  }
-  running_.store(true, std::memory_order_release);
-  serve_loop();
-  pool_.reset();
-  running_.store(false, std::memory_order_release);
-}
-
 std::string SulServer::start_error() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return start_error_;
@@ -322,10 +299,10 @@ bool SulServer::handshake(TcpConn& conn, long session_id, FrameReader& reader,
     *close_reason = "protocol_error";
     return false;
   }
-  // Version gate: a legacy (pre-auth) v1 client gets a structured upgrade
-  // notice and a closed socket — never a half-open connection. v2 clients
-  // are served per-symbol; a v3 hello may additionally offer a batch
-  // capacity, granted below and echoed in the hello-ack.
+  // Version gate: a v1 (pre-auth) or v2 (per-symbol) client gets a
+  // structured upgrade notice and a closed socket — never a half-open
+  // connection. A v3 hello may offer a batch capacity, granted below and
+  // echoed in the hello-ack.
   if (hello.version < kMinServedVersion) {
     send_control(conn, session_id, FrameType::kClose, kReasonUpgradeRequired, hello.epoch,
                  hello.seq);
@@ -334,12 +311,8 @@ bool SulServer::handshake(TcpConn& conn, long session_id, FrameReader& reader,
     *close_reason = kReasonUpgradeRequired;
     return false;
   }
-  if (hello.version >= 3) {
-    const int offered = parse_batch_token(hello.payload);
-    if (offered > 0) {
-      *batch_words = std::min(offered, kDefaultBatchWords);
-    }
-  }
+  const int offered = parse_batch_token(hello.payload);
+  if (offered > 0) *batch_words = std::min(offered, kDefaultBatchWords);
 
   // The final hello-ack answers the last client frame of the handshake — the
   // hello in open mode, the auth response in PSK mode — so the client's
@@ -384,8 +357,8 @@ bool SulServer::handshake(TcpConn& conn, long session_id, FrameReader& reader,
     ack_seq = auth.seq;
   }
 
-  // The ack payload is exactly the profile name for v2 clients; a granted
-  // batch offer rides as a " batch=N" suffix the v3 client strips back off.
+  // The ack payload is the profile name; a granted batch offer rides as a
+  // " batch=N" suffix the client strips back off.
   send_control(conn, session_id, FrameType::kHelloAck,
                with_batch_token(profile_.name, *batch_words), ack_epoch, ack_seq);
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -404,11 +377,12 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
   const auto session_started = Clock::now();
   auto last_activity = Clock::now();
 
-  // Word-execution state (wire v3): the inputs applied to `sul` since its
-  // last reset, with their outputs. A batch sorted into prefix order makes
-  // consecutive words share prefixes, so a word whose predecessor is a full
-  // prefix continues stepping from the live state instead of resetting —
-  // that's the reset amortization the prefix_hits counter measures.
+  // Word-execution state: the inputs applied to `sul` since its last reset,
+  // with their outputs. A batch sorted into prefix order makes consecutive
+  // words share prefixes, and a client's step() extends the word it sent
+  // last, so a word whose predecessor is a full prefix continues stepping
+  // from the live state instead of resetting — that's the reset
+  // amortization the prefix_hits counter measures.
   std::vector<std::string> exec_inputs;
   std::vector<std::string> exec_outputs;
   bool exec_valid = false;  // sul state == initial state + exec_inputs applied
@@ -439,7 +413,7 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
     return outputs;
   };
 
-  // Malformed or oversized v3 payloads get a structured per-request refusal;
+  // Malformed or oversized payloads get a structured per-request refusal;
   // the session survives — a refused request touched no SUL state.
   auto refuse = [&](const Frame& req, const char* reason) {
     send_control(conn, session_id, FrameType::kError, reason, req.epoch, req.seq);
@@ -458,8 +432,8 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
       ++stats_.quota_trips;
       return kReasonQuotaWall;
     }
-    const bool draining = draining_.load(std::memory_order_acquire);
-    if (draining && seconds_since(drain_started_) > options_.drain_deadline_seconds) {
+    if (draining_.load(std::memory_order_acquire) &&
+        seconds_since(drain_started_) > options_.drain_deadline_seconds) {
       send_control(conn, session_id, FrameType::kClose, kReasonDrained, 0, 0);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.drained_closes;
@@ -494,15 +468,13 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
     last_activity = Clock::now();
 
     const bool is_app_request =
-        req.type == FrameType::kReset || req.type == FrameType::kStep ||
         req.type == FrameType::kQueryWord || req.type == FrameType::kQueryBatch;
 
-    // Drain: the next word boundary is where an in-flight word is provably
-    // finished — for the per-symbol protocol that's the next reset, for the
-    // word protocol every word/batch frame *is* a boundary. Close there with
-    // a structured reason instead of starting another word.
-    if (draining && (req.type == FrameType::kReset || req.type == FrameType::kQueryWord ||
-                     req.type == FrameType::kQueryBatch)) {
+    // Drain: every word/batch frame is a word boundary — the words before it
+    // have provably finished. Close there with a structured reason instead
+    // of starting another word. Read the flag after the frame arrived, so a
+    // drain that began while this loop waited still applies to it.
+    if (is_app_request && draining_.load(std::memory_order_acquire)) {
       send_control(conn, session_id, FrameType::kClose, kReasonDrained, req.epoch, req.seq);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.drained_closes;
@@ -541,16 +513,14 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
     }
 
     // Per-request execution tallies: quota/kill accounting runs in logical
-    // reset+step units (a word costs 1 + its length regardless of how many
-    // resets the prefix-sorted execution actually saved), while resets_done/
-    // steps_done count the SUL work really performed.
+    // units (a word costs 1 + its length regardless of how many resets the
+    // prefix continuation actually saved), while resets_done/steps_done
+    // count the SUL work really performed.
     long app_cost = 0;
     long resets_done = 0;
     long steps_done = 0;
     long prefix_continuations = 0;
     long words_served = 0;
-    bool is_word_query = false;
-    bool is_batch_query = false;
 
     Frame ack;
     ack.epoch = req.epoch;
@@ -561,32 +531,12 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
         ack.type = FrameType::kHelloAck;
         ack.payload = with_batch_token(profile_.name, batch_words);
         break;
-      case FrameType::kReset:
-        sul.reset();
-        exec_inputs.clear();
-        exec_outputs.clear();
-        exec_valid = true;
-        app_cost = 1;
-        resets_done = 1;
-        ack.type = FrameType::kResetAck;
-        break;
-      case FrameType::kStep:
-        ack.type = FrameType::kStepAck;
-        ack.payload = sul.step(req.payload);
-        if (exec_valid) {
-          exec_inputs.push_back(req.payload);
-          exec_outputs.push_back(ack.payload);
-        }
-        app_cost = 1;
-        steps_done = 1;
-        break;
       case FrameType::kQueryWord: {
         const auto word = decode_word(req.payload);
         if (!word) {
           refuse(req, kReasonBadWord);
           continue;
         }
-        is_word_query = true;
         app_cost = 1 + static_cast<long>(word->size());
         ack.type = FrameType::kWordAck;
         ack.payload =
@@ -611,7 +561,6 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
           refuse(req, too_large ? kReasonBatchTooLarge : kReasonBadBatch);
           continue;
         }
-        is_batch_query = true;
         words_served = static_cast<long>(words->size());
         // Prefix-sorted execution: lexicographic order lands every word right
         // after its longest batched prefix, so run_word continues stepping
@@ -639,9 +588,9 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
       case FrameType::kBye:
         return "bye";  // orderly end; no ack expected
       default: {
-        // A client-side frame type the server never expects (acks, pongs,
-        // control frames): answer with a structured refusal and drop the
-        // session.
+        // A frame type the server never expects (acks, pongs, control
+        // frames, the retired per-symbol reset/step): answer with a
+        // structured refusal and drop the session.
         send_control(conn, session_id, FrameType::kError,
                      "unexpected frame type: " + std::string(to_string(req.type)),
                      req.epoch, req.seq);
@@ -666,11 +615,10 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
         s.steps += steps_done;
         stats_.prefix_hits += prefix_continuations;
         s.prefix_hits += prefix_continuations;
-        if (is_word_query) {
+        if (req.type == FrameType::kQueryWord) {
           ++stats_.word_queries;
           ++s.word_queries;
-        }
-        if (is_batch_query) {
+        } else {
           ++stats_.batch_queries;
           ++s.batch_queries;
           stats_.batched_words += words_served;

@@ -7,37 +7,39 @@
 // session crash, quota trip, poisoned FrameReader, or deadline only tears
 // down that session (with a structured kClose frame) and never the listener
 // or sibling sessions. The SUL is deterministic and rebuilt from scratch on
-// reset, so a reconnecting client reconstructs its exact state by replaying
-// reset + its word prefix into a fresh session.
+// reset, and every request is a whole word from the initial state, so a
+// reconnecting client reconstructs its exact state by re-sending its word
+// into a fresh session.
 //
 // Robustness layers:
 //   * admission control — at most `max_sessions` concurrent sessions; beyond
 //     the cap (or while draining) connections receive a structured
 //     kServerBusy reject instead of hanging in the accept backlog, which the
-//     client maps onto its circuit-breaker/vote-cache degradation path;
+//     client maps onto its circuit-breaker degradation path;
 //   * PSK authentication with anti-replay — when a PSK is configured the
 //     hello is answered with a fresh per-connection nonce challenge; the
 //     client proves key possession with a MAC over (nonce, epoch), compared
 //     in constant time. Failed or replayed handshakes close with
 //     kClose(auth_failed) before any SUL state exists. A non-loopback
 //     `bind_host` *requires* a PSK (start() refuses otherwise);
-//   * version gating — a legacy v1 hello gets a structured
-//     kClose(upgrade_required), not a silent half-open socket; v2 per-symbol
-//     clients are served unchanged, and a v3 hello additionally negotiates
-//     the word-batch capacity (DESIGN.md §14) echoed in the hello-ack;
-//   * word-level execution (wire v3) — kQueryWord runs a whole membership
-//     query per frame and kQueryBatch up to the negotiated number of words,
-//     executed in prefix-sorted order so a word that extends the previous
-//     one continues stepping instead of resetting (the prefix_hits counter);
-//     malformed or oversized word/batch payloads get a structured kError
-//     refusal and the session lives on — a refused request touched no SUL
-//     state;
+//   * version gating — a v1 or v2 hello gets a structured
+//     kClose(upgrade_required), not a silent half-open socket; a v3 hello
+//     may negotiate the word-batch capacity (DESIGN.md §14) echoed in the
+//     hello-ack;
+//   * word-level execution — kQueryWord runs a whole membership query per
+//     frame and kQueryBatch up to the negotiated number of words, executed
+//     in prefix-sorted order; a word that extends the previous one continues
+//     stepping instead of resetting (the prefix_hits counter). Malformed or
+//     oversized word/batch payloads get a structured kError refusal and the
+//     session lives on — a refused request touched no SUL state. Any other
+//     request type (the retired per-symbol kReset/kStep included) is a
+//     protocol error that closes the session;
 //   * per-session quotas — query count, received bytes, and wall clock;
 //     tripping one closes that session with a structured reason;
 //   * graceful drain — drain() admits no new sessions (kServerBusy
 //     "draining") and lets in-flight words finish: each session closes with
-//     kClose(drained) at its next word boundary (the next kReset) or at the
-//     drain deadline, whichever comes first;
+//     kClose(drained) at its next word boundary (its next word or batch
+//     frame) or at the drain deadline, whichever comes first;
 //   * idle reaping — sessions quiet longer than `idle_timeout_seconds`
 //     (keepalive pings count as activity) are closed with
 //     kClose(idle_timeout);
@@ -45,10 +47,11 @@
 //     counters, rendered deterministically by render_stats() for
 //     `serve-sul --stats` and asserted in the session suite.
 //
-// Test hooks: `kill_after_requests` drops a connection right after the Nth
-// application request (reset/step); `kill_before_reply` additionally
-// suppresses the ack. With `kill_session < 0` the count is cumulative across
-// all sessions (the PR-4 kill-at-every-message sweep); with
+// Test hooks: `kill_after_requests` drops a connection right after the
+// request that crosses the Nth logical request unit (a word counts 1 + its
+// length); `kill_before_reply` additionally suppresses the ack. With
+// `kill_session < 0` the count is cumulative across all sessions (the
+// kill-at-every-message sweep); with
 // `kill_session = j` it counts within the j-th accepted session only, which
 // the cross-session isolation sweep uses to kill one session at every
 // message while siblings must stay byte-identical.
@@ -86,7 +89,7 @@ struct SulServerOptions {
   /// Budget for the whole hello/auth handshake of one connection.
   double handshake_timeout_seconds = 2.0;
   /// Per-session quotas; 0 disables the respective limit.
-  long max_session_queries = 0;   // reset+step frames per session
+  long max_session_queries = 0;   // logical units per session (1 + len per word)
   long max_session_bytes = 0;     // raw bytes received per session
   double max_session_seconds = 0; // wall clock per session (post-handshake)
   /// Reap sessions with no inbound traffic (pings count) for this long;
@@ -99,14 +102,15 @@ struct SulServerOptions {
   /// reproducible challenges (uniqueness per connection is what anti-replay
   /// needs, and holds either way).
   std::uint64_t nonce_seed = 0;
-  /// Drop a connection right after the Nth application request (reset/step);
-  /// < 0 disables the hook. See `kill_session` for scope.
+  /// Drop a connection right after the request that crosses the Nth logical
+  /// request unit (1 + len per word); < 0 disables the hook. See
+  /// `kill_session` for scope.
   long kill_after_requests = -1;
   /// With the kill hook: crash *before* sending the ack.
   bool kill_before_reply = false;
   /// < 0: `kill_after_requests` counts across the server's lifetime and
-  /// fires once (PR-4 sweep semantics). >= 0: counts within the session with
-  /// this accept index only — kill one session, spare its siblings.
+  /// fires once. >= 0: counts within the session with this accept index
+  /// only — kill one session, spare its siblings.
   int kill_session = -1;
 };
 
@@ -118,17 +122,17 @@ struct SulServerStats {
   long rejected_busy = 0;           // kServerBusy: cap reached
   long rejected_draining = 0;       // kServerBusy: drain in progress
   long auth_failures = 0;           // bad/replayed MAC, missing auth frame
-  long upgrade_rejects = 0;         // v1 hello answered with upgrade_required
+  long upgrade_rejects = 0;         // v1/v2 hello answered with upgrade_required
   long quota_trips = 0;
   long reaped_idle = 0;
   long drained_closes = 0;
   long session_errors = 0;   // sessions torn down by an exception (isolated)
-  long requests = 0;         // application requests, in reset+step units
+  long requests = 0;         // application requests, in logical 1 + len units
   long resets = 0;           // SUL resets actually executed
   long steps = 0;            // SUL steps actually executed
   long pings = 0;
-  long word_queries = 0;     // v3 kQueryWord frames served
-  long batch_queries = 0;    // v3 kQueryBatch frames served
+  long word_queries = 0;     // kQueryWord frames served
+  long batch_queries = 0;    // kQueryBatch frames served
   long batched_words = 0;    // words carried by those batches
   long prefix_hits = 0;      // words continued from the previous word's state
                              // (prefix-sorted execution amortized the reset)
@@ -145,7 +149,7 @@ struct SulServerStats {
 struct SessionStats {
   long id = 0;  // accept order among *admitted* sessions, 0-based
   bool authenticated = false;
-  long requests = 0;  // reset+step units (a word counts 1 + its length)
+  long requests = 0;  // logical units (a word counts 1 + its length)
   long resets = 0;
   long steps = 0;
   long word_queries = 0;
@@ -179,9 +183,6 @@ class SulServer {
   /// poll active_sessions() (or call stop()) to finish shutdown.
   void drain();
 
-  /// Serves on the calling thread until stop() (CLI `serve-sul` mode).
-  void serve();
-
   std::uint16_t port() const { return port_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
   bool draining() const { return draining_.load(std::memory_order_acquire); }
@@ -202,9 +203,9 @@ class SulServer {
   /// a pool worker; never throws out.
   void run_session(std::shared_ptr<TcpConn> conn, long session_id);
   /// Handshake half of run_session. True when the session is admitted to
-  /// the request loop (sets *close_reason on refusal). A v3 hello may carry
-  /// a "batch=N" offer; the granted per-batch word capacity (0 for v2
-  /// clients) is returned through *batch_words and echoed in the hello-ack.
+  /// the request loop (sets *close_reason on refusal). The hello may carry
+  /// a "batch=N" offer; the granted per-batch word capacity (0 when none was
+  /// offered) is returned through *batch_words and echoed in the hello-ack.
   bool handshake(TcpConn& conn, long session_id, FrameReader& reader,
                  std::string* close_reason, int* batch_words);
   /// Request loop half; returns the close reason.

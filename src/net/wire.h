@@ -4,14 +4,14 @@
 //
 //   u32  length L           (bytes that follow the prefix; bounds-checked)
 //   u16  magic  0x50C5
-//   u8   version (kWireVersion; v1 frames still decode so a legacy hello
-//                 can be answered with a structured "upgrade required"
-//                 close instead of a silent framing drop)
+//   u8   version (kWireVersion; v1 and v2 frames still decode so a legacy
+//                 hello can be answered with a structured "upgrade
+//                 required" close instead of a silent framing drop)
 //   u8   type    (FrameType)
 //   u32  epoch   (connection generation — bumped on every reconnect so a
 //                 stale answer from a previous link can never interleave)
 //   u32  seq     (per-request counter within the epoch; acks echo it)
-//   ...  payload (L - 16 bytes: the input/output symbol or error text)
+//   ...  payload (L - 16 bytes: a word, its outputs, or error text)
 //   u32  crc32   (IEEE, over magic..payload)
 //
 // All integers big-endian. The decoder is *total*: any byte stream either
@@ -32,8 +32,9 @@
 // query_word/word_ack ship a whole membership query (reset + word) in one
 // round trip; query_batch/batch_ack ship up to a negotiated number of words
 // per round trip with per-item status. Batch capacity is negotiated in the
-// hello exchange ("batch=N" suffixes on the hello payload / hello-ack);
-// v2 clients that never offer a batch keep working unchanged.
+// hello exchange ("batch=N" suffixes on the hello payload / hello-ack). v3
+// is also the only version served: the v1/v2 per-symbol reset/step frames
+// keep their type numbers but are no longer answered.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +51,12 @@ inline constexpr std::uint16_t kWireMagic = 0x50C5;
 /// Current protocol generation: v3 = word-level batched queries on top of
 /// the v2 authenticated multi-session handshake.
 inline constexpr std::uint8_t kWireVersion = 3;
-/// Oldest version a server still *serves* (v2 per-symbol sessions keep
-/// working; only the pre-auth v1 hello is refused with upgrade_required).
-inline constexpr std::uint8_t kMinServedVersion = 2;
-/// Oldest version the decoder still *parses* (so the server can answer a v1
-/// hello with a structured upgrade-required close rather than mis-framing).
+/// Oldest version a server still *serves*: a v1 or v2 hello is refused with
+/// upgrade_required.
+inline constexpr std::uint8_t kMinServedVersion = 3;
+/// Oldest version the decoder still *parses* (so the server can answer a
+/// legacy hello with a structured upgrade-required close rather than
+/// mis-framing).
 inline constexpr std::uint8_t kMinWireVersion = 1;
 /// Fixed body bytes besides the payload (magic..seq + trailing CRC).
 inline constexpr std::size_t kFrameOverhead = 16;
@@ -68,10 +70,10 @@ inline constexpr std::size_t kMaxFramePayload = 16384;
 enum class FrameType : std::uint8_t {
   kHello = 1,     // client → server: open a session (payload: client note)
   kHelloAck,      // server → client: session admitted (payload: profile name)
-  kReset,         // client → server: reset the SUL to its initial state
-  kResetAck,      // server → client
-  kStep,          // client → server: one input symbol (payload)
-  kStepAck,       // server → client: the output symbol (payload)
+  kReset,         // retired v2 per-symbol reset (no longer served)
+  kResetAck,      // retired
+  kStep,          // retired v2 per-symbol step (no longer served)
+  kStepAck,       // retired
   kPing,          // keepalive probe
   kPong,          //
   kBye,           // orderly session end
@@ -130,7 +132,7 @@ std::optional<std::vector<BatchItem>> decode_batch_ack(std::string_view text,
 
 /// "name batch=N" suffix handling for the hello negotiation: appends the
 /// offer/grant to a hello or hello-ack payload, and parses it back out.
-/// parse returns 0 when no batch token is present (a v2 peer).
+/// parse returns 0 when no batch token is present (no offer or grant).
 std::string with_batch_token(const std::string& base, int batch_words);
 int parse_batch_token(std::string_view payload);
 /// The payload with any " batch=N" suffix removed (the profile name / note).
@@ -142,14 +144,14 @@ inline constexpr const char* kReasonServerBusy = "server_busy";
 inline constexpr const char* kReasonDraining = "draining";
 inline constexpr const char* kReasonAuthFailed = "auth_failed";
 inline constexpr const char* kReasonUpgradeRequired =
-    "upgrade_required: protocol v2 with PSK handshake; rebuild your client";
+    "upgrade_required: protocol v3 word queries; rebuild your client";
 inline constexpr const char* kReasonQuotaQueries = "quota_exceeded: queries";
 inline constexpr const char* kReasonQuotaBytes = "quota_exceeded: bytes";
 inline constexpr const char* kReasonQuotaWall = "quota_exceeded: wall_clock";
 inline constexpr const char* kReasonIdleTimeout = "idle_timeout";
 inline constexpr const char* kReasonDrained = "drained";
 inline constexpr const char* kReasonSessionError = "session_error";
-// Per-request refusal tokens for v3 word/batch queries (kError payloads; the
+// Per-request refusal tokens for word/batch queries (kError payloads; the
 // session survives them — a refused request mutated no SUL state).
 inline constexpr const char* kReasonBadWord = "bad_word";
 inline constexpr const char* kReasonBadBatch = "bad_batch";

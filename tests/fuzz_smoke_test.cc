@@ -557,14 +557,15 @@ TEST(FuzzSmoke, MutatedHandshakesNeverCrashOrAuthenticate) {
     auto ack = handshake::read_one(*conn, reader, 2.0);
     ASSERT_TRUE(ack.has_value());
     ASSERT_EQ(ack->type, net::FrameType::kHelloAck);
-    net::Frame reset;
-    reset.type = net::FrameType::kReset;
-    reset.epoch = 1;
-    reset.seq = 3;
-    ASSERT_TRUE(handshake::send_bytes(*conn, net::encode_frame(reset)));
-    auto reset_ack = handshake::read_one(*conn, reader, 2.0);
-    ASSERT_TRUE(reset_ack.has_value());
-    EXPECT_EQ(reset_ack->type, net::FrameType::kResetAck);
+    net::Frame query;
+    query.type = net::FrameType::kQueryWord;
+    query.epoch = 1;
+    query.seq = 3;
+    query.payload = net::encode_word({"power_on"});
+    ASSERT_TRUE(handshake::send_bytes(*conn, net::encode_frame(query)));
+    auto word_ack = handshake::read_one(*conn, reader, 2.0);
+    ASSERT_TRUE(word_ack.has_value());
+    EXPECT_EQ(word_ack->type, net::FrameType::kWordAck);
   }
 
   server.stop();

@@ -715,8 +715,9 @@ TEST(LearnSupervisorRemote, KillResumeByteIdenticalBatched) {
   run_remote_sweep("batched", net::kDefaultBatchWords, nullptr);
 }
 
-TEST(LearnSupervisorRemote, KillResumeByteIdenticalPerSymbol) {
-  run_remote_sweep("v2", 0, nullptr);
+TEST(LearnSupervisorRemote, KillResumeByteIdenticalUnbatched) {
+  // No batch offered: every membership query is its own kQueryWord.
+  run_remote_sweep("unbatched", 0, nullptr);
 }
 
 TEST(LearnSupervisorRemote, KillResumeUnderLosslessChaos) {
@@ -728,6 +729,32 @@ TEST(LearnSupervisorRemote, KillResumeUnderLosslessChaos) {
   faults.fragment = 0.15;
   faults.reorder = 0.1;
   run_remote_sweep("chaos", net::kDefaultBatchWords, &faults);
+}
+
+// One client, many learns: the transport keeps no answer state between
+// queries, so a long-lived RemoteUeSul serves run after run on one session
+// and every run still equals its seed's in-process learn.
+TEST(LearnSupervisorRemote, OneClientServesConsecutiveLearns) {
+  net::SulServer server(ue::StackProfile::cls());
+  ASSERT_TRUE(server.start());
+  net::RemoteUeSul sul(remote_options(server.port(), net::kDefaultBatchWords));
+  for (const std::uint64_t seed : {0xBEEFULL, 0x5EEDULL, 0xC0FFEEULL}) {
+    LearnOptions learn = tiny_options();
+    learn.seed = seed;
+    UeSul local(ue::StackProfile::cls());
+    const LearnResult expected = learn_mealy(local, learn);
+    LearnSupervisorOptions o;
+    o.learn = learn;
+    const SupervisedLearn run = learn_supervised(sul, o);
+    EXPECT_EQ(run.failure, LearnFailure::kNone) << "seed " << seed << ": " << run.diagnostics;
+    ASSERT_TRUE(run.result.converged) << "seed " << seed << ": " << run.result.note;
+    EXPECT_EQ(fsm_text(run.result), fsm_text(expected)) << "seed " << seed;
+    EXPECT_EQ(run.result.membership_queries, expected.membership_queries) << "seed " << seed;
+  }
+  EXPECT_EQ(sul.stats().connects, 1) << "one session served all three learns";
+  server.stop();
+  EXPECT_EQ(server.stats().sessions_admitted, 1);
+  EXPECT_EQ(server.stats().session_errors, 0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Remote-SUL transport suite (DESIGN.md §12): wire codec contracts, the
 // fault-tolerant client against a real loopback server, every chaos-proxy
-// regime, the circuit breaker's full state walk, nondeterminism detection,
-// and the kill-the-server-at-every-message determinism sweep.
+// regime, the circuit breaker's full state walk, raw answers from a
+// nondeterministic server (arbitrated by the learning supervisor), and the
+// kill-the-server-at-every-message determinism sweep.
 //
 // The load-bearing invariants, end to end:
 //   * lossless chaos (delay / fragmentation / byte reorder / connection
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "learner/learn_supervisor.h"
 #include "learner/lstar.h"
 #include "learner/sul.h"
 #include "net/chaos_proxy.h"
@@ -44,14 +46,6 @@ RemoteSulOptions client_options(std::uint16_t port) {
   o.attempts_per_query = 4;
   o.breaker_failure_threshold = 4;
   o.breaker_open_seconds = 0.1;
-  return o;
-}
-
-// Same budgets with the word/batch protocol disabled: the client never
-// offers a batch in its hello, so every query walks the v2 per-symbol path.
-RemoteSulOptions per_symbol_options(std::uint16_t port) {
-  RemoteSulOptions o = client_options(port);
-  o.max_batch_words = 0;
   return o;
 }
 
@@ -363,133 +357,38 @@ TEST(NetTransport, BreakerHalfOpenProbeRecoversWhenServerReturns) {
   EXPECT_GT(remote.stats().breaker_probes, 0);
 }
 
-// --- Reconnect / resync / vote cache -------------------------------------------
+// --- Reconnect / replay --------------------------------------------------------
 
 TEST(NetTransport, ReconnectMidWordReplaysAndStaysCorrect) {
   SulServerOptions sopts;
-  sopts.kill_after_requests = 3;  // dies mid-word, exactly once
+  // Every step() ships the word so far (1 + len units): the first step costs
+  // 2, the second crosses unit 3, so the session dies right after acking the
+  // second step, exactly once. The third step must redial and replay the
+  // whole word into a fresh session.
+  sopts.kill_after_requests = 3;
   SulServer server(ue::StackProfile::cls(), sopts);
   ASSERT_TRUE(server.start());
-  RemoteSulOptions copts = client_options(server.port());
-  copts.max_batch_words = 0;  // pin the per-symbol v2 replay path specifically
-  RemoteUeSul remote(copts);
+  RemoteUeSul remote(client_options(server.port()));
   learner::UeSul local(ue::StackProfile::cls());
 
   const std::vector<std::string> word = {"power_on", "authentication_request",
                                          "security_mode_command", "attach_accept"};
-  EXPECT_EQ(remote.run(word), local.run(word));
+  remote.reset();
+  local.reset();
+  for (const std::string& input : word) {
+    EXPECT_EQ(remote.step(input), local.step(input)) << input;
+  }
   EXPECT_GT(remote.stats().reconnects, 0);
   EXPECT_EQ(remote.stats().unavailable_answers, 0);
+  server.stop();
+  EXPECT_EQ(server.stats().kills, 1);
 }
 
-TEST(NetTransport, VoteCacheAnswersReplaysDuringOutage) {
-  auto server = std::make_unique<SulServer>(ue::StackProfile::cls());
-  ASSERT_TRUE(server->start());
-  std::uint16_t port = server->port();
-  RemoteUeSul remote(client_options(port));
-  learner::UeSul local(ue::StackProfile::cls());
+// --- Nondeterministic server ---------------------------------------------------
 
-  const std::vector<std::string> word = {"power_on", "authentication_request"};
-  std::vector<std::string> live = remote.run(word);
-  EXPECT_EQ(live, local.run(word));
-
-  server.reset();  // outage
-
-  // The replayed word is answered from the vote cache, bit-for-bit.
-  EXPECT_EQ(remote.run(word), live);
-  EXPECT_GT(remote.stats().cache_fallbacks, 0);
-  // A novel word cannot be served from cache: structured degradation.
-  std::vector<std::string> novel =
-      remote.run({"power_on", "authentication_request", "security_mode_command"});
-  EXPECT_EQ(novel.back(), learner::kSulUnavailable);
-}
-
-// A minimal hand-rolled server that answers step queries *nondeterministically*
-// (alternating outputs), exercising the majority-vote detector.
-class FlakyAnswerServer {
- public:
-  FlakyAnswerServer() {
-    auto listener = TcpListener::listen(0);
-    EXPECT_TRUE(listener.has_value());
-    listener_ = std::move(*listener);
-    thread_ = std::thread([this] { loop(); });
-  }
-  ~FlakyAnswerServer() {
-    stop_.store(true);
-    if (thread_.joinable()) thread_.join();
-  }
-  std::uint16_t port() const { return listener_.port(); }
-
- private:
-  void loop() {
-    while (!stop_.load()) {
-      auto conn = listener_.accept(0.05);
-      if (!conn) continue;
-      FrameReader reader;
-      Bytes chunk;
-      long step_no = 0;
-      while (!stop_.load()) {
-        Decoded d = reader.next();
-        if (d.status == DecodeStatus::kBadFrame) break;
-        if (d.status == DecodeStatus::kNeedMore) {
-          chunk.clear();
-          auto st = conn->recv_some(chunk, 4096, 0.05);
-          if (st == TcpConn::RecvStatus::kTimeout) continue;
-          if (st != TcpConn::RecvStatus::kData) break;
-          reader.feed(chunk);
-          continue;
-        }
-        Frame ack;
-        ack.epoch = d.frame.epoch;
-        ack.seq = d.frame.seq;
-        switch (d.frame.type) {
-          case FrameType::kHello:
-            ack.type = FrameType::kHelloAck;
-            ack.payload = "flaky";
-            break;
-          case FrameType::kReset:
-            ack.type = FrameType::kResetAck;
-            break;
-          case FrameType::kStep:
-            ack.type = FrameType::kStepAck;
-            // The lie: the same query gets different answers on different
-            // visits. (Alternates per step count, not per word.)
-            ack.payload = (++step_no % 2 == 0) ? "null" : "attach_request";
-            break;
-          case FrameType::kPing:
-            ack.type = FrameType::kPong;
-            break;
-          default:
-            ack.type = FrameType::kError;
-            break;
-        }
-        if (!conn->send_all(encode_frame(ack), 0.5)) break;
-      }
-    }
-  }
-
-  TcpListener listener_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-};
-
-TEST(NetTransport, MajorityVoteFlagsNondeterministicServer) {
-  FlakyAnswerServer server;
-  RemoteUeSul remote(client_options(server.port()));
-  const std::vector<std::string> word = {"power_on"};
-
-  std::vector<std::string> first = remote.run(word);
-  std::vector<std::string> second = remote.run(word);
-  std::vector<std::string> third = remote.run(word);
-  EXPECT_GT(remote.stats().nondeterministic_queries, 0)
-      << "a lying SUT must be flagged, not silently learned from";
-  // After disagreement, the majority answer is stable and deterministic.
-  EXPECT_EQ(second, third);
-}
-
-// Like FlakyAnswerServer, but speaks the v3 word protocol: the hello-ack
-// grants a batch so the client routes query_word over kQueryWord, and every
-// kWordAck alternates the first output symbol.
+// A minimal hand-rolled server that answers kQueryWord *nondeterministically*:
+// every kWordAck alternates the first output symbol. It serves one
+// connection at a time.
 class FlakyWordServer {
  public:
   FlakyWordServer() {
@@ -530,9 +429,6 @@ class FlakyWordServer {
             ack.type = FrameType::kHelloAck;
             ack.payload = with_batch_token("flaky", kDefaultBatchWords);
             break;
-          case FrameType::kReset:
-            ack.type = FrameType::kResetAck;
-            break;
           case FrameType::kQueryWord: {
             ack.type = FrameType::kWordAck;
             auto word = decode_word(d.frame.payload);
@@ -559,23 +455,36 @@ class FlakyWordServer {
   long word_no_ = 0;
 };
 
-TEST(NetTransport, QueryWordFreshBypassesTheVoteCache) {
+TEST(NetTransport, FlakyServerAnswersRawAndArbitrationQuarantines) {
   FlakyWordServer server;
-  RemoteUeSul remote(client_options(server.port()));
-  const std::vector<std::string> word = {"power_on", "paging"};
+  RemoteSulOptions opts = client_options(server.port());
+  opts.max_batch_words = 0;  // the fake answers kQueryWord only
+  {
+    // The transport smooths nothing: consecutive queries of one word
+    // surface the alternation exactly as the server sent it.
+    RemoteUeSul remote(opts);
+    const std::vector<std::string> word = {"power_on", "paging"};
+    EXPECT_EQ(remote.query_word(word), (std::vector<std::string>{"attach_request", "null"}));
+    EXPECT_EQ(remote.query_word(word), (std::vector<std::string>{"null", "null"}));
+    EXPECT_EQ(remote.stats().word_queries, 2);
+  }  // hang up: the fake serves one connection at a time
 
-  // The arbitration sampling path sees every raw lie: consecutive fresh
-  // queries of the same word surface the alternation unvoted.
-  std::vector<std::string> fresh_a = remote.query_word_fresh(word);
-  std::vector<std::string> fresh_b = remote.query_word_fresh(word);
-  EXPECT_NE(fresh_a, fresh_b) << "fresh samples must bypass the vote cache";
-
-  // The learner-facing path stays vote-stable on the majority answer
-  // ("attach_request" wins ties toward the smallest symbol) despite the
-  // server alternating underneath.
-  std::vector<std::string> voted = remote.query_word(word);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(remote.query_word(word), voted);
-  EXPECT_GT(remote.stats().nondeterministic_queries, 0);
+  // The learning supervisor's k-of-n arbitration owns the lie. A first
+  // output that flips on every query keeps overturning committed edges
+  // until the override bound trips: a structured contested inconclusive,
+  // never a machine built on the lie.
+  RemoteUeSul remote(opts);
+  learner::LearnSupervisorOptions o;
+  o.learn = quick_learn_options();
+  const learner::SupervisedLearn run = learner::learn_supervised(remote, o);
+  EXPECT_EQ(run.failure, learner::LearnFailure::kContested);
+  EXPECT_TRUE(run.result.inconclusive);
+  EXPECT_FALSE(run.result.converged);
+  ASSERT_EQ(run.result.quarantined.size(), 1u);
+  EXPECT_NE(run.result.quarantined.front().find("override bound"), std::string::npos)
+      << run.result.quarantined.front();
+  EXPECT_EQ(run.result.arbitrations, 13);
+  EXPECT_EQ(run.result.arbitration_requeries, 65);
 }
 
 // --- Heartbeat -----------------------------------------------------------------
@@ -625,39 +534,6 @@ TEST(ChaosProxyNet, InertProxyIsByteTransparent) {
   EXPECT_GT(proxy.stats().chunks, 0);
 }
 
-// The acceptance pin: under every *lossless* fault regime, remote learning
-// produces an FSM byte-identical to the clean in-process run. Pinned to the
-// v2 per-symbol protocol; BatchedProtocol.LearnByteIdenticalUnderLosslessChaos
-// runs the same regimes over the v3 word/batch path.
-TEST(ChaosProxyNet, LosslessRegimesLearnByteIdentical) {
-  learner::UeSul local(ue::StackProfile::cls());
-  const std::string clean = fsm_text(learner::learn_mealy(local, quick_learn_options()));
-
-  struct Regime {
-    const char* name;
-    ProxyFaultProfile faults;
-  };
-  const Regime regimes[] = {
-      {"delay", {.delay = 0.2}},
-      {"fragment", {.fragment = 0.15}},
-      {"reorder", {.reorder = 0.1}},
-      {"combined", {.delay = 0.1, .fragment = 0.1, .reorder = 0.05}},
-  };
-  for (const Regime& regime : regimes) {
-    SulServer server(ue::StackProfile::cls());
-    ASSERT_TRUE(server.start());
-    ChaosProxy proxy(proxy_options(server.port(), regime.faults));
-    ASSERT_TRUE(proxy.start());
-
-    RemoteUeSul remote(per_symbol_options(proxy.port()));
-    learner::LearnResult result = learner::learn_mealy(remote, quick_learn_options());
-    ASSERT_TRUE(result.converged) << regime.name;
-    ASSERT_FALSE(result.inconclusive) << regime.name;
-    EXPECT_EQ(fsm_text(result), clean) << regime.name;
-    EXPECT_GT(proxy.stats().faults(), 0) << regime.name << ": regime never fired";
-  }
-}
-
 TEST(ChaosProxyNet, CorruptionIsDetectedNeverConsumed) {
   SulServer server(ue::StackProfile::cls());
   ASSERT_TRUE(server.start());
@@ -687,10 +563,10 @@ TEST(ChaosProxyNet, ConnectionKillRegimeTerminatesStructured) {
   // Kills are recoverable (reconnect + replay), so scenarios either pass or
   // exhaust the budget into inconclusive — never FAIL, never hang.
   EXPECT_EQ(report.failed(), 0);
-  EXPECT_GT(remote.stats().reconnects + remote.stats().cache_fallbacks, 0);
+  EXPECT_GT(remote.stats().reconnects, 0);
 }
 
-// --- Batched word protocol (wire v3) ---------------------------------------------
+// --- Batched word protocol -------------------------------------------------------
 
 // Satellite (a): identical words inside one query_batch() are shipped to the
 // server exactly once and every duplicate position still gets the answer.
@@ -740,24 +616,12 @@ TEST(BatchedProtocol, SortedBatchContinuesSharedPrefixesOnServer) {
   EXPECT_EQ(server.stats().resets, 1) << "a prefix chain needs exactly one reset";
 }
 
-// Satellite (c): batched learning renders byte-identical to the per-symbol
-// remote run and to the in-process run, with the same query schedule.
-TEST(BatchedProtocol, LearnByteIdenticalToPerSymbolAndInProcess) {
+// Batched learning renders byte-identical to the in-process run, with the
+// same query schedule.
+TEST(BatchedProtocol, LearnByteIdenticalToInProcess) {
   learner::UeSul local(ue::StackProfile::cls());
   learner::LearnResult clean = learner::learn_mealy(local, quick_learn_options());
   ASSERT_TRUE(clean.converged);
-
-  learner::LearnResult per_symbol;
-  {
-    SulServer server(ue::StackProfile::cls());
-    ASSERT_TRUE(server.start());
-    RemoteUeSul remote(per_symbol_options(server.port()));
-    per_symbol = learner::learn_mealy(remote, quick_learn_options());
-    EXPECT_EQ(remote.negotiated_batch_words(), 0);
-    EXPECT_EQ(remote.stats().batch_queries, 0);
-  }
-  ASSERT_TRUE(per_symbol.converged);
-  EXPECT_EQ(fsm_text(per_symbol), fsm_text(clean));
 
   learner::LearnResult batched;
   {
@@ -777,14 +641,13 @@ TEST(BatchedProtocol, LearnByteIdenticalToPerSymbolAndInProcess) {
   // The trie cache and dedupe are learner-side and deterministic, so the
   // query schedule — not just the answer set — is identical transport-free.
   EXPECT_EQ(batched.membership_queries, clean.membership_queries);
-  EXPECT_EQ(batched.membership_queries, per_symbol.membership_queries);
   EXPECT_EQ(batched.cache_hits, clean.cache_hits);
   EXPECT_EQ(batched.cache_prefix_hits, clean.cache_prefix_hits);
   EXPECT_EQ(batched.nondeterministic_cached, 0);
 }
 
-// Satellite (c): the batched path survives every lossless chaos regime with a
-// byte-identical FSM, exactly like the per-symbol acceptance pin above.
+// The acceptance pin: under every *lossless* fault regime, remote learning
+// produces an FSM byte-identical to the clean in-process run.
 TEST(BatchedProtocol, LearnByteIdenticalUnderLosslessChaos) {
   learner::UeSul local(ue::StackProfile::cls());
   const std::string clean = fsm_text(learner::learn_mealy(local, quick_learn_options()));
@@ -817,15 +680,15 @@ TEST(BatchedProtocol, LearnByteIdenticalUnderLosslessChaos) {
 
 // --- Kill-at-every-message sweep -------------------------------------------------
 
-// Satellite (f): for every possible server-crash point k (after the k-th
-// application request, both before and after the ack goes out), a
-// reconnected remote-conformance run must render byte-identical to the
-// uninterrupted in-process reference. This pins the replay/resync design:
-// no interruption point leaks, duplicates, or reorders an observation.
-// Runs once over the v2 per-symbol protocol (each frame is one request) and
-// once over the v3 word protocol (one kQueryWord is 1+len logical requests,
-// so a kill can land mid-word on the server and the whole word replays).
-void kill_sweep(const ue::StackProfile& profile, bool batched) {
+// For every possible server-crash point k (at the request crossing logical
+// unit k, both before and after the ack goes out), a reconnected
+// remote-conformance run must render byte-identical to the uninterrupted
+// in-process reference. This pins the replay design: no interruption point
+// leaks, duplicates, or reorders an observation. One kQueryWord is 1 + len
+// logical units, so a kill can land mid-word on the server and the whole
+// word replays.
+TEST(KillSweep, WordProtocolByteIdenticalAtEveryKillPoint) {
+  const ue::StackProfile profile = ue::StackProfile::cls();
   // Reference: clean remote run (== in-process by RemoteConformanceAllPass),
   // plus the total request count R that bounds the sweep.
   std::string reference;
@@ -833,8 +696,7 @@ void kill_sweep(const ue::StackProfile& profile, bool batched) {
   {
     SulServer server(profile);
     ASSERT_TRUE(server.start());
-    RemoteUeSul remote(batched ? client_options(server.port())
-                               : per_symbol_options(server.port()));
+    RemoteUeSul remote(client_options(server.port()));
     reference = run_remote_conformance(profile, remote).render();
     server.stop();
     total_requests = server.stats().requests;
@@ -848,8 +710,7 @@ void kill_sweep(const ue::StackProfile& profile, bool batched) {
       sopts.kill_before_reply = before_reply == 1;
       SulServer server(profile, sopts);
       ASSERT_TRUE(server.start());
-      RemoteUeSul remote(batched ? client_options(server.port())
-                                 : per_symbol_options(server.port()));
+      RemoteUeSul remote(client_options(server.port()));
       RemoteConformanceReport report = run_remote_conformance(profile, remote);
       ASSERT_EQ(report.render(), reference)
           << "kill at request " << k << (before_reply ? " (before reply)" : " (after reply)");
@@ -857,14 +718,6 @@ void kill_sweep(const ue::StackProfile& profile, bool batched) {
       ASSERT_EQ(server.stats().kills, 1) << "kill point " << k << " never fired";
     }
   }
-}
-
-TEST(KillSweep, ConformanceByteIdenticalAtEveryKillPoint) {
-  kill_sweep(ue::StackProfile::cls(), /*batched=*/false);
-}
-
-TEST(KillSweep, WordProtocolByteIdenticalAtEveryKillPoint) {
-  kill_sweep(ue::StackProfile::cls(), /*batched=*/true);
 }
 
 // --- TSan-focused concurrency tests ----------------------------------------------

@@ -325,22 +325,63 @@ TEST(Session, LegacyV1HelloGetsStructuredUpgradeClose) {
   SulServer server(ue::StackProfile::cls());
   ASSERT_TRUE(server.start());
 
+  // v1: a pre-auth client; v2: a per-symbol reset/step client.
+  for (const int version : {1, 2}) {
+    auto conn = TcpConn::connect("127.0.0.1", server.port(), 1.0);
+    ASSERT_TRUE(conn.has_value());
+    Frame hello = hello_frame();
+    hello.version = static_cast<std::uint8_t>(version);
+    FrameReader reader;
+    ASSERT_TRUE(send_raw(*conn, hello));
+    auto close = read_raw(*conn, reader);
+    ASSERT_TRUE(close.has_value()) << "v" << version;
+    EXPECT_EQ(close->type, FrameType::kClose) << "v" << version;
+    EXPECT_NE(close->payload.find("upgrade_required"), std::string::npos) << close->payload;
+    // The server closed the socket — not a half-open connection.
+    Bytes chunk;
+    EXPECT_EQ(conn->recv_some(chunk, 64, 1.0), TcpConn::RecvStatus::kEof) << "v" << version;
+  }
+
+  server.stop();
+  EXPECT_EQ(server.stats().upgrade_rejects, 2);
+  EXPECT_EQ(server.stats().sessions_authenticated, 0);
+}
+
+// A stale client that gets past the hello but still speaks the retired
+// per-symbol frames is a protocol error: a structured kError naming the
+// frame, then a closed socket — never a crash, never a half-served word.
+TEST(Session, RetiredPerSymbolFrameGetsProtocolErrorAndClose) {
+  SulServer server(ue::StackProfile::cls());
+  ASSERT_TRUE(server.start());
+
   auto conn = TcpConn::connect("127.0.0.1", server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
-  Frame hello = hello_frame();
-  hello.version = 1;  // a pre-auth client
   FrameReader reader;
-  ASSERT_TRUE(send_raw(*conn, hello));
-  auto close = read_raw(*conn, reader);
-  ASSERT_TRUE(close.has_value());
-  EXPECT_EQ(close->type, FrameType::kClose);
-  EXPECT_NE(close->payload.find("upgrade_required"), std::string::npos) << close->payload;
-  // The server closed the socket — not a half-open connection.
+  ASSERT_TRUE(send_raw(*conn, hello_frame()));
+  auto ack = read_raw(*conn, reader);
+  ASSERT_TRUE(ack.has_value());
+  ASSERT_EQ(ack->type, FrameType::kHelloAck);
+
+  Frame step;
+  step.type = FrameType::kStep;
+  step.epoch = 1;
+  step.seq = 2;
+  step.payload = "power_on";
+  ASSERT_TRUE(send_raw(*conn, step));
+  auto error = read_raw(*conn, reader);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->type, FrameType::kError);
+  EXPECT_EQ(error->payload.rfind("unexpected frame type", 0), 0u) << error->payload;
   Bytes chunk;
   EXPECT_EQ(conn->recv_some(chunk, 64, 1.0), TcpConn::RecvStatus::kEof);
 
   server.stop();
-  EXPECT_EQ(server.stats().upgrade_rejects, 1);
+  EXPECT_EQ(server.stats().protocol_errors, 1);
+  EXPECT_EQ(server.stats().session_errors, 0);
+  EXPECT_EQ(server.stats().requests, 0);
+  std::vector<SessionStats> sessions = server.session_stats();
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0].close_reason, "protocol_error");
 }
 
 // --- Batched word protocol at the session layer (wire v3) --------------------
@@ -496,22 +537,31 @@ TEST(Session, BatchCountersSurfaceInRegistryAndRender) {
 
 TEST(Session, QueryQuotaTripsWithStructuredClose) {
   SulServerOptions sopts;
-  sopts.max_session_queries = 4;  // reset + 3 steps per session
+  sopts.max_session_queries = 4;  // logical units: a word counts 1 + its length
   SulServer server(ue::StackProfile::cls(), sopts);
   ASSERT_TRUE(server.start());
 
   RemoteUeSul remote(client_options(server.port()));
+  learner::UeSul local(ue::StackProfile::cls());
   remote.reset();
-  // Word longer than the quota: once replaying reset + prefix alone exceeds
-  // the per-session budget, every fresh session trips too and the client
-  // degrades to the structured unavailable symbol.
-  std::string last;
-  for (int i = 0; i < 8; ++i) last = remote.step("authentication_request");
-  EXPECT_EQ(last, learner::kSulUnavailable);
+  local.reset();
+  // Each step() is one word of the inputs so far. The quota is checked
+  // before each word against the session's earlier count, so a session
+  // serves words until it has spent its 4 units, then closes with a
+  // structured reason at the next one — and the fresh session the client
+  // redials always serves its first word. The answers stay correct; the
+  // cost is a reconnect per quota.
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(remote.step("authentication_request"), local.step("authentication_request"))
+        << "step " << i;
+  }
   EXPECT_EQ(remote.last_close_reason(), kReasonQuotaQueries);
+  EXPECT_GT(remote.stats().reconnects, 0);
+  EXPECT_EQ(remote.stats().unavailable_answers, 0);
 
   server.stop();
   EXPECT_GT(server.stats().quota_trips, 0);
+  EXPECT_EQ(server.stats().quota_trips, remote.stats().server_closes);
 }
 
 TEST(Session, ByteQuotaTripsWithStructuredClose) {
@@ -533,23 +583,19 @@ TEST(Session, ByteQuotaTripsWithStructuredClose) {
 
 // --- Graceful drain ----------------------------------------------------------
 
-TEST(Session, DrainFinishesInFlightWordThenClosesAndShedsNewcomers) {
+TEST(Session, DrainClosesAtNextWordAndShedsNewcomers) {
   SulServer server(ue::StackProfile::cls());
   ASSERT_TRUE(server.start());
 
   learner::UeSul local(ue::StackProfile::cls());
-  learner::UeSul local2(ue::StackProfile::cls());
   RemoteUeSul inflight(client_options(server.port()));
   inflight.reset();
   local.reset();
   ASSERT_EQ(inflight.step("power_on"), local.step("power_on"));
+  ASSERT_EQ(inflight.step("authentication_request"), local.step("authentication_request"));
 
   server.drain();
   EXPECT_TRUE(server.draining());
-
-  // The in-flight word finishes under drain — same answers as in-process.
-  EXPECT_EQ(inflight.step("authentication_request"), local.step("authentication_request"));
-  EXPECT_EQ(inflight.step("security_mode_command"), local.step("security_mode_command"));
 
   // A newcomer is shed with a structured "draining" reject.
   RemoteUeSul newcomer(client_options(server.port()));
@@ -557,14 +603,21 @@ TEST(Session, DrainFinishesInFlightWordThenClosesAndShedsNewcomers) {
   EXPECT_EQ(newcomer.step("power_on"), learner::kSulUnavailable);
   EXPECT_EQ(newcomer.last_close_reason(), kReasonDraining);
 
-  // The next word boundary closes the in-flight session with kClose(drained),
-  // and its reconnect attempts are shed too (fresh symbol: no cached answer).
-  inflight.reset();
-  EXPECT_EQ(inflight.step("identity_request"), learner::kSulUnavailable);
+  // Every word is one frame, and every word frame is a word boundary: the
+  // words answered before the drain are complete, and the session closes
+  // with kClose(drained) at its next frame — even a step() continuing the
+  // same logical word. Its reconnect attempts are shed like the newcomer's.
+  EXPECT_EQ(inflight.step("security_mode_command"), learner::kSulUnavailable);
+  EXPECT_EQ(inflight.last_close_reason(), kReasonDraining);
+  EXPECT_GT(inflight.stats().server_closes, 0);
 
   server.stop();
-  EXPECT_GT(server.stats().drained_closes, 0);
+  EXPECT_EQ(server.stats().drained_closes, 1);
   EXPECT_GT(server.stats().rejected_draining, 0);
+  std::vector<SessionStats> sessions = server.session_stats();
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0].close_reason, kReasonDrained);
+  EXPECT_EQ(sessions[0].word_queries, 2) << "both pre-drain words were served";
 }
 
 // --- Idle reaping ------------------------------------------------------------
