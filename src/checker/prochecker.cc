@@ -1,7 +1,6 @@
 #include "checker/prochecker.h"
 
 #include <chrono>
-#include <cstdio>
 
 #include "checker/baseline.h"
 #include "common/rng.h"
@@ -72,11 +71,7 @@ std::string analysis_options_hash(const AnalysisOptions& options,
     canon += id;
     canon += ',';
   }
-  Bytes data(canon.begin(), canon.end());
-  std::uint64_t h = prf64(0x0A75BA5E, data);
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
-  return hex;
+  return hex64(prf64(0x0A75BA5E, Bytes(canon.begin(), canon.end())));
 }
 
 ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,

@@ -1,42 +1,14 @@
 #include "checker/supervisor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "common/journal.h"
 #include "common/json.h"
 
 namespace procheck::checker {
-
-std::string_view to_string(FailureClass f) {
-  switch (f) {
-    case FailureClass::kNone:
-      return "none";
-    case FailureClass::kException:
-      return "exception";
-    case FailureClass::kDeadline:
-      return "deadline";
-    case FailureClass::kMemCeiling:
-      return "mem-ceiling";
-    case FailureClass::kBudget:
-      return "budget";
-    case FailureClass::kCancelled:
-      return "cancelled";
-  }
-  return "?";
-}
-
-// Journal record codec: JSON via the shared minimal parser/encoder in
-// common/json.h. The parser is strict — any malformation fails the whole
-// record, which the resume path treats as "absent" (the property is simply
-// re-verified).
-
-namespace {
 
 std::string_view status_token(PropertyResult::Status s) {
   switch (s) {
@@ -52,47 +24,19 @@ std::string_view status_token(PropertyResult::Status s) {
   return "?";
 }
 
+// Journal record codec: JSON via the shared minimal parser/encoder in
+// common/json.h. The parser is strict — any malformation fails the whole
+// record, which the resume path treats as "absent" (the property is simply
+// re-verified).
+
+namespace {
+
 std::optional<PropertyResult::Status> status_from_token(std::string_view t) {
   if (t == "verified") return PropertyResult::Status::kVerified;
   if (t == "attack") return PropertyResult::Status::kAttack;
   if (t == "not_applicable") return PropertyResult::Status::kNotApplicable;
   if (t == "inconclusive") return PropertyResult::Status::kInconclusive;
   return std::nullopt;
-}
-
-std::optional<FailureClass> failure_from_token(std::string_view t) {
-  for (FailureClass f : {FailureClass::kNone, FailureClass::kException, FailureClass::kDeadline,
-                         FailureClass::kMemCeiling, FailureClass::kBudget,
-                         FailureClass::kCancelled}) {
-    if (t == to_string(f)) return f;
-  }
-  return std::nullopt;
-}
-
-// v2 adds "opts": the jobs-independent analysis-options fingerprint. A v1
-// journal (no fingerprint) fails the version check and is discarded like any
-// foreign journal — its verdicts may have been produced under different
-// budgets, which is exactly what the fingerprint exists to rule out.
-constexpr int kJournalVersion = 2;
-
-std::string encode_header(const std::string& tag, const std::string& opts) {
-  return std::string("{\"kind\":\"header\",\"v\":") + std::to_string(kJournalVersion) +
-         ",\"tag\":" + json_quote(tag) + ",\"opts\":" + json_quote(opts) + "}";
-}
-
-struct Header {
-  std::string tag;
-  std::string opts;
-};
-
-/// Returns the header fields, or nullopt if the payload is not a valid
-/// current-version header.
-std::optional<Header> decode_header(std::string_view payload) {
-  std::optional<Json> v = json_parse(payload);
-  if (!v || !v->is(Json::Type::kObject)) return std::nullopt;
-  if (v->get_str("kind") != "header") return std::nullopt;
-  if (v->get_int("v") != kJournalVersion) return std::nullopt;
-  return Header{v->get_str("tag"), v->get_str("opts")};
 }
 
 }  // namespace
@@ -106,7 +50,7 @@ std::string encode_outcome(const PropertyOutcome& outcome) {
   out += ",\"note\":" + json_quote(r.note);
   out += ",\"iters\":" + std::to_string(r.iterations);
   out += ",\"attempts\":" + std::to_string(outcome.attempts);
-  out += ",\"failure\":\"" + std::string(to_string(outcome.failure)) + "\"";
+  out += ",\"failure\":\"" + std::string(supervise::to_string(outcome.failure)) + "\"";
   out += ",\"diag\":" + json_quote(outcome.diagnostics);
   out += ",\"refs\":" + json_quote_array(r.refinements);
   if (r.equivalence) {
@@ -161,7 +105,7 @@ std::optional<PropertyOutcome> decode_outcome(std::string_view json) {
   r.note = v->get_str("note");
   r.iterations = static_cast<int>(v->get_int("iters"));
   out.attempts = static_cast<int>(v->get_int("attempts", 1));
-  std::optional<FailureClass> failure = failure_from_token(v->get_str("failure"));
+  std::optional<FailureClass> failure = supervise::failure_from_token(v->get_str("failure"));
   if (!failure) return std::nullopt;
   out.failure = *failure;
   out.diagnostics = v->get_str("diag");
@@ -221,6 +165,12 @@ std::optional<PropertyOutcome> decode_outcome(std::string_view json) {
 
 namespace {
 
+// The degrade ladder's step: each retry after a resource trip halves the
+// state bound and the deadline, down to these floors.
+constexpr double kDegradeFactor = 0.5;
+constexpr double kDegradeFloorStates = 4096;
+constexpr double kDegradeFloorSeconds = 0.01;
+
 /// min over the positive operands (0 = "unbounded" on either side).
 double min_deadline(double a, double b) {
   if (a <= 0) return b;
@@ -272,61 +222,43 @@ PropertyOutcome cancelled_outcome(const PropertyDef& prop) {
   return out;
 }
 
-/// One property under the watchdog + retry/degrade ladder. Exceptions from
-/// the MC/CEGAR loop (or the test fault hook) never escape.
+/// One property under the watchdog + the shared retry/degrade ladder.
+/// Exceptions from the MC/CEGAR loop (or the test fault hook) never escape.
 PropertyOutcome run_one_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                                  const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                                  const CegarOptions& base, const SupervisorOptions& options) {
-  const int total_attempts = 1 + std::max(0, options.retries);
-  std::size_t max_states = base.max_states;
-  double deadline = min_deadline(base.max_seconds, options.deadline_per_property);
-  const std::size_t ceiling = min_ceiling(base.max_visited_bytes, options.mem_ceiling_bytes);
+  CegarOptions per_attempt = base;
+  per_attempt.max_seconds = min_deadline(base.max_seconds, options.deadline_per_property);
+  per_attempt.max_visited_bytes = min_ceiling(base.max_visited_bytes, options.mem_ceiling_bytes);
+  per_attempt.cancel = options.cancel;
 
   PropertyOutcome out;
-  for (int attempt = 1; attempt <= total_attempts; ++attempt) {
-    out.attempts = attempt;
-    CegarOptions per_attempt = base;
-    per_attempt.max_states = max_states;
-    per_attempt.max_seconds = deadline;
-    per_attempt.max_visited_bytes = ceiling;
-    per_attempt.cancel = options.cancel;
-    try {
-      if (options.fault_hook) options.fault_hook(prop.id, attempt);
-      out.result = check_property(tm, ue_fsm, prop, crypto, per_attempt);
-      out.failure = classify(out.result);
-      out.diagnostics = out.failure == FailureClass::kNone ? std::string() : out.result.note;
-    } catch (const std::exception& e) {
-      out = exception_outcome(prop, attempt, e.what());
-    } catch (...) {
-      out = exception_outcome(prop, attempt, "unknown exception type");
-    }
-    if (out.failure == FailureClass::kNone || out.failure == FailureClass::kCancelled) {
-      return out;
-    }
-    if (attempt == total_attempts) break;
-    // Degrade ladder: each retry after a *resource* trip gets a smaller
-    // search so a property that OOMs or wedges converges to an explicit
-    // kInconclusive instead of failing identically N times. A transient
-    // exception keeps its full budget — the search size wasn't the problem.
-    if (out.failure != FailureClass::kException) {
-      max_states = std::max<std::size_t>(
-          options.degrade_floor_states,
-          static_cast<std::size_t>(static_cast<double>(max_states) * options.degrade_factor));
-      if (deadline > 0) deadline = std::max(0.01, deadline * options.degrade_factor);
-    }
-    if (options.backoff_seconds > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          options.backoff_seconds * static_cast<double>(1 << (attempt - 1))));
-    }
+  const supervise::Outcome ladder = supervise::run_attempts(
+      {options.retries, options.backoff_seconds},
+      [&](int attempt) -> supervise::Attempt {
+        if (options.fault_hook) options.fault_hook(prop.id, attempt);
+        out.result = check_property(tm, ue_fsm, prop, crypto, per_attempt);
+        const FailureClass failure = classify(out.result);
+        return {failure, failure == FailureClass::kNone ? std::string() : out.result.note};
+      },
+      [&] {
+        // A property that OOMs or wedges converges to an explicit
+        // kInconclusive instead of failing identically N times.
+        per_attempt.max_states = static_cast<std::size_t>(supervise::shrink(
+            static_cast<double>(per_attempt.max_states), kDegradeFactor, kDegradeFloorStates));
+        per_attempt.max_seconds =
+            supervise::shrink(per_attempt.max_seconds, kDegradeFactor, kDegradeFloorSeconds);
+      });
+  if (ladder.failure == FailureClass::kException) {
+    out = exception_outcome(prop, ladder.attempts, ladder.diagnostics);
+  } else {
+    out.attempts = ladder.attempts;
+    out.failure = ladder.failure;
+    out.diagnostics = ladder.diagnostics;
   }
-
   // Retries exhausted: the last attempt's result stands as a structured
   // kInconclusive with the failure class embedded (never a propagated error).
-  out.result.status = PropertyResult::Status::kInconclusive;
-  if (total_attempts > 1) {
-    out.result.note += " [supervisor: " + std::string(to_string(out.failure)) +
-                       " persisted through " + std::to_string(out.attempts) + " attempts]";
-  }
+  out.result.note += ladder.exhausted_note;
   return out;
 }
 
@@ -338,75 +270,32 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
                              const CegarOptions& cegar, const SupervisorOptions& options) {
   SupervisedRun run;
 
-  // --- Journal single-writer lock ------------------------------------------
-  // Two concurrent runs against the same journal would interleave commits and
-  // corrupt the resume state; the second one must fail fast and structured —
-  // before any outcome slot exists (a refused run verifies nothing).
-  JournalLock lock;
-  if (!options.journal_path.empty() && !lock.acquire(options.journal_path)) {
+  // Lock, header check and (on resume) the candidate records. A refused run
+  // — journal held by a live process, or written under other options —
+  // verifies nothing.
+  RunJournal journal(options.journal_path, options.resume,
+                     {"analyze", options.run_tag, options.options_hash});
+  if (!journal.refusal().empty()) {
     run.aborted = true;
-    run.abort_reason = "concurrent analyze run: " + lock.error();
+    run.abort_reason = journal.refusal();
     return run;
   }
+  run.journal_error = journal.note();
 
   run.outcomes.resize(selected.size());
   std::vector<char> done(selected.size(), 0);
 
   // --- Journal adoption (resume) -------------------------------------------
   std::map<std::string, PropertyOutcome> adopted;
-  if (!options.journal_path.empty()) {
-    if (options.resume) {
-      JournalLoad load = load_journal(options.journal_path);
-      bool header_ok = false;
-      for (std::size_t k = 0; k < load.payloads.size(); ++k) {
-        if (k == 0) {
-          std::optional<Header> header = decode_header(load.payloads[k]);
-          header_ok = header && (options.run_tag.empty() || header->tag == options.run_tag);
-          if (!header_ok) break;
-          if (!options.options_hash.empty() && header->opts != options.options_hash) {
-            // The journal's verdicts were produced under different analysis
-            // budgets/selection. Adopting them would mix incompatible runs;
-            // discarding them would silently throw away work the user asked
-            // to keep. Refuse, loudly.
-            run.aborted = true;
-            run.abort_reason = "resume refused: journal " + options.journal_path +
-                               " was written with options hash " +
-                               (header->opts.empty() ? std::string("<none>") : header->opts) +
-                               " but this run has " + options.options_hash +
-                               "; re-run with matching options or delete the journal";
-            run.outcomes.clear();  // a refused run verifies nothing
-            return run;
-          }
-          continue;
-        }
-        std::optional<PropertyOutcome> outcome = decode_outcome(load.payloads[k]);
-        if (outcome) adopted[outcome->result.property_id] = std::move(*outcome);
-      }
-      if (!header_ok && !load.payloads.empty()) {
-        // A journal from a different profile (or version) must never leak
-        // verdicts into this run: discard it wholesale.
-        run.journal_error = "journal header mismatch; re-verifying every property";
-        adopted.clear();
-        std::remove(options.journal_path.c_str());
-      }
-    } else {
-      std::remove(options.journal_path.c_str());
-    }
+  std::vector<std::string> kept;
+  for (const std::string& payload : journal.records()) {
+    std::optional<PropertyOutcome> outcome = decode_outcome(payload);
+    if (!outcome) continue;
+    adopted[outcome->result.property_id] = std::move(*outcome);
+    kept.push_back(payload);
   }
-
-  std::unique_ptr<JournalWriter> journal;
+  journal.start(kept);
   std::mutex journal_mutex;
-  if (!options.journal_path.empty()) {
-    journal = std::make_unique<JournalWriter>(options.journal_path);
-    if (journal->records() == 0) {
-      journal->append(encode_header(options.run_tag, options.options_hash));
-      if (!journal->commit()) {
-        run.journal_error = "cannot write journal at " + options.journal_path +
-                            "; continuing without durability";
-        journal.reset();
-      }
-    }
-  }
 
   std::vector<std::size_t> work;
   for (std::size_t i = 0; i < selected.size(); ++i) {
@@ -426,16 +315,10 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
   // at most the in-flight property. Cancelled outcomes are interruptions,
   // not verdicts — they are never journaled, so resume re-verifies them.
   auto record = [&](std::size_t i, PropertyOutcome outcome) {
-    if (outcome.failure != FailureClass::kCancelled) {
+    if (outcome.failure != FailureClass::kCancelled && journal.enabled()) {
       std::lock_guard<std::mutex> lock(journal_mutex);
-      if (journal) {
-        journal->append(encode_outcome(outcome));
-        if (!journal->commit()) {
-          run.journal_error =
-              "journal write failed mid-run; continuing without durability";
-          journal.reset();
-        }
-      }
+      journal.append(encode_outcome(outcome));
+      journal.commit();
     }
     run.outcomes[i] = std::move(outcome);
     done[i] = 1;
@@ -500,10 +383,8 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
   for (const PropertyOutcome& outcome : run.outcomes) {
     if (outcome.failure == FailureClass::kCancelled) ++run.cancelled;
   }
-  if (journal) {
-    // Exclude the header line from the record count.
-    run.journal_records = journal->records() > 0 ? journal->records() - 1 : 0;
-  }
+  run.journal_records = journal.committed();
+  if (!journal.error().empty()) run.journal_error = journal.error();
   return run;
 }
 

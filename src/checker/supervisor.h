@@ -5,12 +5,13 @@
 // deadline + approximate memory ceiling polled in the MC hot loop), so any
 // single property can throw, trip a budget, or be cancelled and the catalog
 // run still completes with a structured outcome for every property. Failed
-// or inconclusive properties are retried on a degrade ladder (shrinking
-// state/deadline budgets, exponential backoff); the final attempt falls back
-// to kInconclusive with the failure class embedded. Every completed outcome
-// is appended to a crash-safe JSONL journal (common/journal.h), and a
-// resumed run adopts journaled outcomes instead of re-verifying them —
-// reproducing a verdict report byte-identical to an uninterrupted run.
+// or inconclusive properties are retried on the shared degrade ladder
+// (common/supervise.h: shrinking state/deadline budgets, exponential
+// backoff); the final attempt falls back to kInconclusive with the failure
+// class embedded. Every completed outcome is appended to a crash-safe JSONL
+// run journal (common/journal.h), and a resumed run adopts journaled
+// outcomes instead of re-verifying them — reproducing a verdict report
+// byte-identical to an uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 
 #include "checker/cegar.h"
 #include "checker/property.h"
+#include "common/supervise.h"
 #include "common/thread_pool.h"
 #include "cpv/lte_crypto.h"
 #include "fsm/fsm.h"
@@ -29,22 +31,14 @@
 
 namespace procheck::checker {
 
-/// How a property's verification failed to reach a clean verdict. The
-/// classes mirror the containment paths: kException (a worker threw),
-/// kDeadline (watchdog wall-clock), kMemCeiling (approximate visited-set
-/// ceiling), kBudget (state bound / CEGAR iteration cap), kCancelled (the
-/// run's CancelToken fired — the property was interrupted, not concluded,
-/// so it is never journaled and a resumed run re-verifies it).
-enum class FailureClass : std::uint8_t {
-  kNone,
-  kException,
-  kDeadline,
-  kMemCeiling,
-  kBudget,
-  kCancelled,
-};
+/// How a property's verification failed to reach a clean verdict: one of
+/// kException, kDeadline, kMemCeiling, kBudget, or kCancelled (the run's
+/// CancelToken fired — the property was interrupted, not concluded, so it is
+/// never journaled and a resumed run re-verifies it).
+using FailureClass = supervise::Failure;
 
-std::string_view to_string(FailureClass f);
+/// Stable lower-case token of a verdict (journal records, diff reports).
+std::string_view status_token(PropertyResult::Status s);
 
 /// The supervisor's structured per-property outcome: the verdict plus the
 /// containment metadata (what failed, how many attempts were consumed).
@@ -62,13 +56,10 @@ struct SupervisorOptions {
   /// Extra attempts after the first for failed/inconclusive properties.
   int retries = 0;
   /// Base of the exponential retry backoff (seconds): attempt k sleeps
-  /// backoff * 2^(k-1) before re-running. 0 disables the sleep.
+  /// backoff * 2^(k-1) before re-running. 0 disables the sleep. Each retry
+  /// after a resource trip halves max_states and the per-attempt deadline
+  /// (floored at 4096 states / 0.01 s, never above the previous attempt).
   double backoff_seconds = 0.05;
-  /// Degrade ladder: max_states and the per-attempt deadline shrink by this
-  /// factor on every retry, so a property that OOMs or wedges converges to
-  /// an explicit kInconclusive instead of failing the same way N times.
-  double degrade_factor = 0.5;
-  std::size_t degrade_floor_states = 4096;
 
   /// Per-attempt watchdog wall-clock deadline (seconds); 0 = none.
   double deadline_per_property = 0.0;
@@ -89,8 +80,7 @@ struct SupervisorOptions {
   /// checker::analysis_options_hash). Recorded in the journal header; a
   /// --resume against a journal written under a *different* fingerprint is
   /// refused outright (aborted run) — adopting those verdicts would silently
-  /// mix incompatible budgets into one report. "" disables the check
-  /// (legacy callers).
+  /// mix incompatible budgets into one report.
   std::string options_hash;
 
   std::size_t jobs = 1;
@@ -108,8 +98,8 @@ struct SupervisedRun {
   std::size_t resumed = 0;    // outcomes adopted from the journal
   std::size_t cancelled = 0;  // properties interrupted by the CancelToken
   std::size_t journal_records = 0;
-  /// Non-empty when journaling failed mid-run: the analysis continued
-  /// (containment), but the journal is no longer extending.
+  /// Non-empty when --resume discarded a foreign journal, or journaling
+  /// failed mid-run: the analysis continued (containment) either way.
   std::string journal_error;
   /// True when the run refused to start (journal locked by a live process,
   /// or --resume against an options-hash-incompatible journal). No property

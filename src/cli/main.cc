@@ -46,10 +46,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "checker/prochecker.h"
@@ -199,13 +201,32 @@ int bad_option(const char* flag, const std::string& value) {
   return 2;
 }
 
-// --jobs N: worker threads for property/regime fan-out. Defaults to one per
-// hardware thread; 0 or garbage is a usage error like the other numerics.
-std::optional<std::size_t> parse_jobs(const Args& args) {
-  if (!args.has("jobs")) return ThreadPool::default_parallelism();
-  auto v = parse_u64(args.get("jobs"));
-  if (!v || *v == 0 || *v > 1024) return std::nullopt;
-  return static_cast<std::size_t>(*v);
+// A numeric flag parses as an unsigned integer, or as a real for double
+// fields.
+template <typename T>
+using FlagValue = std::conditional_t<std::is_floating_point_v<T>, double, std::uint64_t>;
+constexpr std::uint64_t kAnyCount = std::numeric_limits<std::uint64_t>::max();
+constexpr double kAnyReal = std::numeric_limits<double>::infinity();
+
+// Reads numeric flag --key into *field when it is given. A malformed value,
+// or one outside [lo, hi], is a usage error, not a crash: false means the
+// diagnostic is printed and the caller exits 2.
+template <typename T>
+bool read_flag(const Args& args, const char* key, FlagValue<T> lo, FlagValue<T> hi, T* field) {
+  if (!args.has(key)) return true;
+  const std::string text = args.get(key);
+  std::optional<FlagValue<T>> v;
+  if constexpr (std::is_floating_point_v<T>) {
+    v = parse_double(text);
+  } else {
+    v = parse_u64(text);
+  }
+  if (!v || *v < lo || *v > hi) {
+    bad_option(key, text);
+    return false;
+  }
+  *field = static_cast<T>(*v);
+  return true;
 }
 
 int cmd_instrument(const Args& args) {
@@ -230,15 +251,6 @@ int cmd_instrument(const Args& args) {
                out.stats.global_probes, out.stats.local_probes);
   std::printf("%s", out.text.c_str());
   return 0;
-}
-
-// --batch N: words offered per kQueryBatch in the hello (0 = no batches, one
-// kQueryWord per query). nullopt on a malformed value.
-std::optional<int> parse_batch(const Args& args, int dflt) {
-  if (!args.has("batch")) return dflt;
-  auto v = parse_u64(args.get("batch"));
-  if (!v || *v > net::kMaxBatchWords) return std::nullopt;
-  return static_cast<int>(*v);
 }
 
 // --remote host:port: differential conformance against a serve-sul endpoint
@@ -268,9 +280,11 @@ int cmd_remote_conformance(const ue::StackProfile& profile, const std::string& e
 
 int cmd_conformance(ue::StackProfile profile, const Args& args) {
   if (args.has("remote")) {
-    auto batch = parse_batch(args, net::kDefaultBatchWords);
-    if (!batch) return bad_option("batch", args.get("batch"));
-    return cmd_remote_conformance(profile, args.get("remote"), args.get("psk"), *batch);
+    // --batch N: words offered per kQueryBatch in the hello (0 = no
+    // batches, one kQueryWord per query).
+    int batch = net::kDefaultBatchWords;
+    if (!read_flag(args, "batch", 0, net::kMaxBatchWords, &batch)) return 2;
+    return cmd_remote_conformance(profile, args.get("remote"), args.get("psk"), batch);
   }
   instrument::TraceLogger trace;
   testing::ConformanceReport report = testing::run_conformance(profile, trace);
@@ -341,50 +355,27 @@ int cmd_extract(ue::StackProfile profile, const Args& args) {
 }
 
 int cmd_analyze(ue::StackProfile profile, const Args& args) {
-  if (args.has("freshness-limit")) {
-    auto v = parse_u64(args.get("freshness-limit"));
-    if (!v) return bad_option("freshness-limit", args.get("freshness-limit"));
-    profile.sqn_freshness_limit = *v;
-  }
   checker::AnalysisOptions options;
-  if (args.has("max-states")) {
-    auto v = parse_u64(args.get("max-states"));
-    if (!v) return bad_option("max-states", args.get("max-states"));
-    options.max_states = *v;
+  options.jobs = static_cast<int>(ThreadPool::default_parallelism());
+  std::uint64_t freshness_limit = 0;
+  std::size_t mem_ceiling_mb = 0;
+  // Budgets, the property fan-out, and the supervisor knobs (watchdogs,
+  // retries, journal/resume — DESIGN.md §11).
+  if (!read_flag(args, "freshness-limit", 0, kAnyCount, &freshness_limit) ||
+      !read_flag(args, "max-states", 0, kAnyCount, &options.max_states) ||
+      !read_flag(args, "budget-seconds", 0, kAnyReal, &options.max_seconds_per_property) ||
+      !read_flag(args, "jobs", 1, 1024, &options.jobs) ||
+      !read_flag(args, "retries", 0, 16, &options.retries) ||
+      !read_flag(args, "deadline-per-property", 0, kAnyReal, &options.deadline_per_property) ||
+      !read_flag(args, "mem-ceiling-mb", 1, 1u << 20, &mem_ceiling_mb)) {
+    return 2;
   }
-  if (args.has("budget-seconds")) {
-    auto v = parse_double(args.get("budget-seconds"));
-    if (!v || *v < 0) return bad_option("budget-seconds", args.get("budget-seconds"));
-    options.max_seconds_per_property = *v;
-  }
+  if (args.has("freshness-limit")) profile.sqn_freshness_limit = freshness_limit;
+  options.mem_ceiling_bytes = mem_ceiling_mb * 1024 * 1024;
   if (args.has("properties")) {
     for (const std::string& id : split(args.get("properties"), ',')) {
       options.only_properties.insert(std::string(trim(id)));
     }
-  }
-  auto jobs = parse_jobs(args);
-  if (!jobs) return bad_option("jobs", args.get("jobs"));
-  options.jobs = static_cast<int>(*jobs);
-
-  // Supervisor knobs (watchdogs, retries, journal/resume — DESIGN.md §11).
-  if (args.has("retries")) {
-    auto v = parse_u64(args.get("retries"));
-    if (!v || *v > 16) return bad_option("retries", args.get("retries"));
-    options.retries = static_cast<int>(*v);
-  }
-  if (args.has("deadline-per-property")) {
-    auto v = parse_double(args.get("deadline-per-property"));
-    if (!v || *v < 0) {
-      return bad_option("deadline-per-property", args.get("deadline-per-property"));
-    }
-    options.deadline_per_property = *v;
-  }
-  if (args.has("mem-ceiling-mb")) {
-    auto v = parse_u64(args.get("mem-ceiling-mb"));
-    if (!v || *v == 0 || *v > (1u << 20)) {
-      return bad_option("mem-ceiling-mb", args.get("mem-ceiling-mb"));
-    }
-    options.mem_ceiling_bytes = *v * 1024 * 1024;
   }
   if (args.has("journal")) options.journal_path = args.get("journal");
   if (args.has("resume")) {
@@ -434,43 +425,17 @@ std::sig_atomic_t volatile g_interrupted = 0;
 
 int cmd_serve_sul(ue::StackProfile profile, const Args& args) {
   net::SulServerOptions options;
-  if (args.has("port")) {
-    auto v = parse_u64(args.get("port"));
-    if (!v || *v > 65535) return bad_option("port", args.get("port"));
-    options.port = static_cast<std::uint16_t>(*v);
+  if (!read_flag(args, "port", 0, 65535, &options.port) ||
+      !read_flag(args, "max-sessions", 1, 64, &options.max_sessions) ||
+      !read_flag(args, "quota-queries", 0, kAnyCount, &options.max_session_queries) ||
+      !read_flag(args, "quota-bytes", 0, kAnyCount, &options.max_session_bytes) ||
+      !read_flag(args, "quota-seconds", 0, kAnyReal, &options.max_session_seconds) ||
+      !read_flag(args, "idle-timeout", 0, kAnyReal, &options.idle_timeout_seconds) ||
+      !read_flag(args, "drain-seconds", 0, kAnyReal, &options.drain_deadline_seconds)) {
+    return 2;
   }
   if (args.has("bind")) options.bind_host = args.get("bind");
   if (args.has("psk")) options.psk = args.get("psk");
-  if (args.has("max-sessions")) {
-    auto v = parse_u64(args.get("max-sessions"));
-    if (!v || *v == 0 || *v > 64) return bad_option("max-sessions", args.get("max-sessions"));
-    options.max_sessions = static_cast<int>(*v);
-  }
-  if (args.has("quota-queries")) {
-    auto v = parse_u64(args.get("quota-queries"));
-    if (!v) return bad_option("quota-queries", args.get("quota-queries"));
-    options.max_session_queries = static_cast<long>(*v);
-  }
-  if (args.has("quota-bytes")) {
-    auto v = parse_u64(args.get("quota-bytes"));
-    if (!v) return bad_option("quota-bytes", args.get("quota-bytes"));
-    options.max_session_bytes = static_cast<long>(*v);
-  }
-  if (args.has("quota-seconds")) {
-    auto v = parse_double(args.get("quota-seconds"));
-    if (!v || *v < 0) return bad_option("quota-seconds", args.get("quota-seconds"));
-    options.max_session_seconds = *v;
-  }
-  if (args.has("idle-timeout")) {
-    auto v = parse_double(args.get("idle-timeout"));
-    if (!v || *v < 0) return bad_option("idle-timeout", args.get("idle-timeout"));
-    options.idle_timeout_seconds = *v;
-  }
-  if (args.has("drain-seconds")) {
-    auto v = parse_double(args.get("drain-seconds"));
-    if (!v || *v < 0) return bad_option("drain-seconds", args.get("drain-seconds"));
-    options.drain_deadline_seconds = *v;
-  }
 
   net::SulServer server(profile, options);
   if (!server.start()) {
@@ -511,11 +476,7 @@ int cmd_serve_sul(ue::StackProfile profile, const Args& args) {
 int cmd_learn(ue::StackProfile profile, const Args& args) {
   learner::LearnSupervisorOptions sup;
   sup.run_tag = profile.name;
-  if (args.has("seed")) {
-    auto v = parse_u64(args.get("seed"));
-    if (!v) return bad_option("seed", args.get("seed"));
-    sup.learn.seed = *v;
-  }
+  if (!read_flag(args, "seed", 0, kAnyCount, &sup.learn.seed)) return 2;
 
   // Supervisor knobs (crash-safe journal, arbitration, watchdogs —
   // DESIGN.md §15), mirroring analyze's journal/resume discipline.
@@ -540,15 +501,9 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
     sup.arbitration_k = static_cast<int>(*k);
     sup.arbitration_n = static_cast<int>(*n);
   }
-  if (args.has("deadline")) {
-    auto v = parse_double(args.get("deadline"));
-    if (!v || *v < 0) return bad_option("deadline", args.get("deadline"));
-    sup.deadline_seconds = *v;
-  }
-  if (args.has("retries")) {
-    auto v = parse_u64(args.get("retries"));
-    if (!v || *v > 16) return bad_option("retries", args.get("retries"));
-    sup.retries = static_cast<int>(*v);
+  if (!read_flag(args, "deadline", 0, kAnyReal, &sup.deadline_seconds) ||
+      !read_flag(args, "retries", 0, 16, &sup.retries)) {
+    return 2;
   }
 
   learner::SupervisedLearn run;
@@ -560,9 +515,7 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
     ropts.port = ep->second;
     ropts.psk = args.get("psk");
     ropts.heartbeat_seconds = 0.5;
-    auto batch = parse_batch(args, net::kDefaultBatchWords);
-    if (!batch) return bad_option("batch", args.get("batch"));
-    ropts.max_batch_words = *batch;
+    if (!read_flag(args, "batch", 0, net::kMaxBatchWords, &ropts.max_batch_words)) return 2;
     net::RemoteUeSul sul(ropts);
     run = learner::learn_supervised(sul, sup);
     net::RemoteSulStats stats = sul.stats();
@@ -610,7 +563,7 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
   }
   if (run.attempts > 1 || run.failure != learner::LearnFailure::kNone) {
     std::fprintf(stderr, "supervisor: %d attempt(s), last failure: %s%s%s\n", run.attempts,
-                 std::string(learner::to_string(run.failure)).c_str(),
+                 std::string(supervise::to_string(run.failure)).c_str(),
                  run.diagnostics.empty() ? "" : " — ", run.diagnostics.c_str());
   }
   if (result.arbitrations > 0 || !result.quarantined.empty()) {
@@ -662,16 +615,13 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
 
 int cmd_chaos(ue::StackProfile profile, const Args& args) {
   double intensity = 0.1;
-  if (args.has("intensity")) {
-    auto v = parse_double(args.get("intensity"));
-    if (!v || *v < 0 || *v > 1) return bad_option("intensity", args.get("intensity"));
-    intensity = *v;
+  std::size_t jobs = ThreadPool::default_parallelism();
+  if (!read_flag(args, "intensity", 0, 1, &intensity) ||
+      !read_flag(args, "jobs", 1, 1024, &jobs)) {
+    return 2;
   }
-  auto jobs = parse_jobs(args);
-  if (!jobs) return bad_option("jobs", args.get("jobs"));
 
-  std::vector<testing::ChaosReport> reports =
-      testing::run_chaos_matrix(profile, intensity, *jobs);
+  std::vector<testing::ChaosReport> reports = testing::run_chaos_matrix(profile, intensity, jobs);
   bool all_explained = true;
   for (const testing::ChaosReport& rep : reports) {
     std::printf("%-14s %2d/%2d passed (baseline %2d/%2d), %zu channel faults, FSM %s%s\n",
@@ -701,15 +651,17 @@ int cmd_diff(const Args& args) {
 
   diff::SourceOptions src;
   src.psk = args.get("psk");
-  if (args.has("batch")) {
-    auto batch = parse_batch(args, -1);
-    if (!batch) return bad_option("batch", args.get("batch"));
-    src.batch_words = *batch;
-  }
-  if (args.has("seed")) {
-    auto v = parse_u64(args.get("seed"));
-    if (!v) return bad_option("seed", args.get("seed"));
-    src.learn_seed = *v;
+  diff::DiffOptions dopts;
+  diff::TriageOptions topts;
+  topts.jobs = ThreadPool::default_parallelism();
+  if (!read_flag(args, "batch", 0, net::kMaxBatchWords, &src.batch_words) ||
+      !read_flag(args, "seed", 0, kAnyCount, &src.learn_seed) ||
+      !read_flag(args, "max-pairs", 1, kAnyCount, &dopts.max_product_pairs) ||
+      !read_flag(args, "jobs", 1, 1024, &topts.jobs) ||
+      !read_flag(args, "max-states", 1, kAnyCount, &topts.max_states) ||
+      !read_flag(args, "deadline-per-property", 0, kAnyReal, &topts.deadline_per_property) ||
+      !read_flag(args, "retries", 0, 16, &topts.retries)) {
+    return 2;
   }
 
   diff::SideResult left = diff::resolve_side(left_spec, src);
@@ -720,35 +672,6 @@ int cmd_diff(const Args& args) {
     // A degraded-but-well-formed side (remote down, learning inconclusive)
     // is an inconclusive comparison, not a usage error.
     return (left.inconclusive || right.inconclusive) ? 3 : usage();
-  }
-
-  diff::DiffOptions dopts;
-  if (args.has("max-pairs")) {
-    auto v = parse_u64(args.get("max-pairs"));
-    if (!v || *v == 0) return bad_option("max-pairs", args.get("max-pairs"));
-    dopts.max_product_pairs = static_cast<std::size_t>(*v);
-  }
-
-  diff::TriageOptions topts;
-  auto jobs = parse_jobs(args);
-  if (!jobs) return bad_option("jobs", args.get("jobs"));
-  topts.jobs = *jobs;
-  if (args.has("max-states")) {
-    auto v = parse_u64(args.get("max-states"));
-    if (!v || *v == 0) return bad_option("max-states", args.get("max-states"));
-    topts.max_states = static_cast<std::size_t>(*v);
-  }
-  if (args.has("deadline-per-property")) {
-    auto v = parse_double(args.get("deadline-per-property"));
-    if (!v || *v < 0) {
-      return bad_option("deadline-per-property", args.get("deadline-per-property"));
-    }
-    topts.deadline_per_property = *v;
-  }
-  if (args.has("retries")) {
-    auto v = parse_u64(args.get("retries"));
-    if (!v || *v > 16) return bad_option("retries", args.get("retries"));
-    topts.retries = static_cast<int>(*v);
   }
 
   diff::DiffReport report = diff::diff_machines(left.side, right.side, dopts);

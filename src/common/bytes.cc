@@ -1,5 +1,7 @@
 #include "common/bytes.h"
 
+#include <cstdio>
+
 namespace procheck {
 
 namespace {
@@ -21,6 +23,12 @@ std::string to_hex(const Bytes& data) {
     out.push_back(kHexDigits[b & 0xF]);
   }
   return out;
+}
+
+std::string hex64(std::uint64_t v) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(v));
+  return hex;
 }
 
 std::optional<Bytes> from_hex(std::string_view hex) {

@@ -17,6 +17,9 @@ using Bytes = std::vector<std::uint8_t>;
 /// Renders `data` as lowercase hex (two digits per octet, no separators).
 std::string to_hex(const Bytes& data);
 
+/// Renders `v` as 16 lowercase hex digits (fingerprints, nonces, MACs).
+std::string hex64(std::uint64_t v);
+
 /// Parses lowercase/uppercase hex into octets. Returns std::nullopt on odd
 /// length or non-hex characters.
 std::optional<Bytes> from_hex(std::string_view hex);

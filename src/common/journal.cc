@@ -4,12 +4,15 @@
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
+
+#include "common/strings.h"
 
 namespace procheck {
 
@@ -90,7 +93,6 @@ JournalLoad load_journal(const std::string& path) {
     bool terminated = nl != std::string::npos;
     std::string_view line(text.data() + pos, (terminated ? nl : text.size()) - pos);
     pos = terminated ? nl + 1 : text.size();
-    ++load.lines;
     std::string payload;
     if (tail || !terminated || !check_line(line, &payload)) {
       tail = true;
@@ -100,24 +102,6 @@ JournalLoad load_journal(const std::string& path) {
     load.payloads.push_back(std::move(payload));
   }
   return load;
-}
-
-JournalLock::JournalLock(JournalLock&& other) noexcept
-    : lock_path_(std::move(other.lock_path_)),
-      error_(std::move(other.error_)),
-      held_(other.held_) {
-  other.held_ = false;
-}
-
-JournalLock& JournalLock::operator=(JournalLock&& other) noexcept {
-  if (this != &other) {
-    release();
-    lock_path_ = std::move(other.lock_path_);
-    error_ = std::move(other.error_);
-    held_ = other.held_;
-    other.held_ = false;
-  }
-  return *this;
 }
 
 namespace {
@@ -177,14 +161,6 @@ void JournalLock::release() {
   }
 }
 
-JournalWriter::JournalWriter(std::string path) : path_(std::move(path)) {
-  JournalLoad load = load_journal(path_);
-  for (const std::string& payload : load.payloads) {
-    committed_ += render_line(payload);
-  }
-  records_ = load.payloads.size();
-}
-
 void JournalWriter::append(std::string_view payload) {
   pending_.emplace_back(payload);
 }
@@ -214,6 +190,74 @@ bool JournalWriter::commit() {
   records_ += pending_.size();
   pending_.clear();
   return true;
+}
+
+std::string encode_journal_header(const JournalHeader& header) {
+  return "journal v=1 kind=" + header.kind + " tag=" + header.tag + " opts=" + header.opts;
+}
+
+std::optional<JournalHeader> decode_journal_header(std::string_view payload) {
+  const std::vector<std::string> t = split(payload, ' ');
+  if (t.size() != 5 || t[0] != "journal" || t[1] != "v=1" || !starts_with(t[2], "kind=") ||
+      t[2].size() == 5 || !starts_with(t[3], "tag=") || !starts_with(t[4], "opts=")) {
+    return std::nullopt;
+  }
+  return JournalHeader{t[2].substr(5), t[3].substr(4), t[4].substr(5)};
+}
+
+RunJournal::RunJournal(std::string path, bool resume, const JournalHeader& header)
+    : path_(std::move(path)), header_line_(encode_journal_header(header)) {
+  if (path_.empty()) return;
+  if (!lock_.acquire(path_)) {
+    refusal_ = "concurrent " + header.kind + " run: " + lock_.error();
+    return;
+  }
+  if (!resume) return;
+  JournalLoad load = load_journal(path_);
+  if (load.payloads.empty()) return;
+  const std::optional<JournalHeader> found = decode_journal_header(load.payloads.front());
+  if (!found) {
+    note_ = "journal header malformed; starting fresh";
+  } else if (found->kind != header.kind || found->tag != header.tag) {
+    note_ = "journal header mismatch (journal is kind=" + found->kind + " tag=" + found->tag +
+            ", this run is kind=" + header.kind + " tag=" + header.tag + "); starting fresh";
+  } else if (found->opts != header.opts) {
+    // The journal's records were produced under different verdict-shaping
+    // options. Adopting them would mix incompatible runs; discarding them
+    // would silently throw away work the user asked to keep. Refuse, loudly.
+    refusal_ = "resume refused: journal " + path_ + " was written with options hash " +
+               found->opts + " but this run has " + header.opts +
+               "; re-run with matching options or delete the journal";
+  } else {
+    records_.assign(std::make_move_iterator(load.payloads.begin() + 1),
+                    std::make_move_iterator(load.payloads.end()));
+  }
+}
+
+void RunJournal::start(const std::vector<std::string>& adopted) {
+  if (path_.empty() || !refusal_.empty()) return;
+  writer_.emplace(path_);
+  writer_->append(header_line_);
+  for (const std::string& record : adopted) writer_->append(record);
+  check(writer_->commit());
+}
+
+void RunJournal::append(std::string_view payload) {
+  if (writer_) writer_->append(payload);
+}
+
+void RunJournal::commit() {
+  if (writer_) check(writer_->commit());
+}
+
+std::size_t RunJournal::committed() const {
+  return writer_ && writer_->records() > 0 ? writer_->records() - 1 : 0;
+}
+
+void RunJournal::check(bool ok) {
+  if (!ok && error_.empty()) {
+    error_ = "journal commit failed at " + path_ + "; continuing without durability";
+  }
 }
 
 }  // namespace procheck

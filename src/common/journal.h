@@ -1,7 +1,8 @@
-// Crash-safe JSONL run journal (DESIGN.md §11).
+// Crash-safe run journal (DESIGN.md §11, §15).
 //
-// The analysis supervisor appends one record per completed property so an
-// interrupted `analyze` run can resume without re-verifying finished work.
+// The analysis supervisor appends one record per completed property and the
+// learning supervisor one per answered membership query, so an interrupted
+// `analyze` or `learn` run can resume without redoing finished work.
 // Durability contract:
 //   - every commit writes the full journal to `<path>.tmp`, fsyncs it, and
 //     atomically renames it over `<path>` — a crash leaves either the old or
@@ -11,11 +12,14 @@
 //     copy) is detected on reload: the valid prefix is kept, everything
 //     from the first damaged line on is dropped.
 //
-// The journal is a line transport: payloads are opaque single-line strings
-// (the supervisor stores JSON objects; see checker/supervisor.h).
+// The journal is a line transport: payloads are opaque single-line strings.
+// Line 0 is the shared header (`journal v=1 kind=<k> tag=<t> opts=<o>`);
+// RunJournal owns it, together with the single-writer lock and the resume
+// checks, for both supervisors.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,7 +32,6 @@ std::uint32_t crc32(std::string_view data);
 struct JournalLoad {
   /// Valid record payloads, in file order (CRC prefix stripped).
   std::vector<std::string> payloads;
-  std::size_t lines = 0;    // physical lines seen
   std::size_t dropped = 0;  // lines discarded (torn tail / CRC mismatch)
   bool existed = false;     // the file was present and readable
 };
@@ -39,7 +42,7 @@ struct JournalLoad {
 JournalLoad load_journal(const std::string& path);
 
 /// Advisory single-writer lock for a journal path. Two concurrent
-/// `analyze --journal` runs against the same file would interleave commits
+/// journaled runs against the same file would interleave commits
 /// and corrupt the resume state; the lock makes the second run fail fast
 /// with a structured diagnostic instead.
 ///
@@ -51,8 +54,6 @@ class JournalLock {
  public:
   JournalLock() = default;
   ~JournalLock() { release(); }
-  JournalLock(JournalLock&& other) noexcept;
-  JournalLock& operator=(JournalLock&& other) noexcept;
   JournalLock(const JournalLock&) = delete;
   JournalLock& operator=(const JournalLock&) = delete;
 
@@ -64,8 +65,6 @@ class JournalLock {
 
   bool held() const { return held_; }
   const std::string& error() const { return error_; }
-  /// The lock file path (`<journal>.lock`).
-  const std::string& lock_path() const { return lock_path_; }
 
  private:
   std::string lock_path_;
@@ -75,23 +74,21 @@ class JournalLock {
 
 class JournalWriter {
  public:
-  /// Binds the writer to `path`. If the file exists, its valid prefix is
-  /// adopted (resume case) so subsequent commits extend rather than clobber
-  /// the surviving records. Nothing is written until commit().
-  explicit JournalWriter(std::string path);
+  /// Binds the writer to `path`. Nothing is written until commit(), which
+  /// replaces whatever the file held.
+  explicit JournalWriter(std::string path) : path_(std::move(path)) {}
 
   /// Queues one record payload (must not contain '\n'). Not yet durable.
   void append(std::string_view payload);
 
-  /// Flushes every queued record: writes the complete journal (adopted
-  /// prefix + queued records) to `<path>.tmp`, fsyncs, renames over
+  /// Flushes every queued record: writes the complete journal (committed
+  /// records + queued records) to `<path>.tmp`, fsyncs, renames over
   /// `<path>`. Returns false on any I/O failure — the caller decides
   /// whether to continue without durability; queued records are retained
   /// for a later retry either way.
   bool commit();
 
-  const std::string& path() const { return path_; }
-  /// Records adopted from disk plus records committed by this writer.
+  /// Records committed by this writer.
   std::size_t records() const { return records_; }
   std::size_t pending() const { return pending_.size(); }
 
@@ -100,6 +97,70 @@ class JournalWriter {
   std::string committed_;  // full text of the durable journal
   std::vector<std::string> pending_;
   std::size_t records_ = 0;
+};
+
+/// The journal's first line: which supervisor wrote it, for which run tag
+/// (the profile), under which verdict-shaping options fingerprint.
+struct JournalHeader {
+  std::string kind;  // "analyze" or "learn"
+  std::string tag;
+  std::string opts;
+};
+
+/// `journal v=1 kind=<kind> tag=<tag> opts=<opts>`.
+std::string encode_journal_header(const JournalHeader& header);
+/// Strict inverse: exactly those five single-space-separated tokens, kind
+/// non-empty; nullopt otherwise.
+std::optional<JournalHeader> decode_journal_header(std::string_view payload);
+
+/// One supervised run's journal: single-writer lock, resume checks, and the
+/// durable writer. On construction (an empty path turns journaling off):
+///   - a live lock holder refuses the run: `concurrent <kind> run: ...`;
+///   - without `resume`, nothing is read;
+///   - with `resume`, a journal whose header is malformed or of another kind
+///     or tag is discarded with a note (nothing adopted, fresh start);
+///   - the same kind and tag under different opts refuses the run, naming
+///     both fingerprints, and leaves the file untouched;
+///   - otherwise records() holds the payloads after the header.
+/// Nothing is written until start().
+class RunJournal {
+ public:
+  RunJournal(std::string path, bool resume, const JournalHeader& header);
+  RunJournal(const RunJournal&) = delete;
+  RunJournal& operator=(const RunJournal&) = delete;
+
+  /// Non-empty when the run must not start; start() then writes nothing.
+  const std::string& refusal() const { return refusal_; }
+  /// Non-empty when --resume discarded the journal it found.
+  const std::string& note() const { return note_; }
+  /// Candidate records after a matching header, in file order; the caller
+  /// decides which to adopt.
+  const std::vector<std::string>& records() const { return records_; }
+
+  /// Atomically replaces the file with the header plus `adopted` (no window
+  /// in which the file is missing). Also used to rewrite history.
+  void start(const std::vector<std::string>& adopted);
+  /// Queues one record; commit() makes it durable.
+  void append(std::string_view payload);
+  void commit();
+  /// Durable records, header excluded.
+  std::size_t committed() const;
+  bool enabled() const { return !path_.empty(); }
+  /// Non-empty after the first failed write (records stay queued and are
+  /// retried by the next commit; the run continues without durability).
+  const std::string& error() const { return error_; }
+
+ private:
+  void check(bool ok);
+
+  std::string path_;
+  std::string header_line_;
+  JournalLock lock_;
+  std::optional<JournalWriter> writer_;
+  std::vector<std::string> records_;
+  std::string refusal_;
+  std::string note_;
+  std::string error_;
 };
 
 }  // namespace procheck

@@ -67,20 +67,6 @@ bool names_deviation_atom(const checker::MetaMatch& match) {
   return false;
 }
 
-std::string_view status_token(checker::PropertyResult::Status s) {
-  switch (s) {
-    case checker::PropertyResult::Status::kVerified:
-      return "verified";
-    case checker::PropertyResult::Status::kAttack:
-      return "attack";
-    case checker::PropertyResult::Status::kNotApplicable:
-      return "not_applicable";
-    case checker::PropertyResult::Status::kInconclusive:
-      return "inconclusive";
-  }
-  return "?";
-}
-
 }  // namespace
 
 void triage(DiffReport& report, const Side& left, const Side& right,
@@ -190,8 +176,8 @@ void triage(DiffReport& report, const Side& left, const Side& right,
     Finding f;
     f.property_id = selected[k]->id;
     f.attack_id = selected[k]->attack_id;
-    f.left_status = status_token(lr.status);
-    f.right_status = status_token(rr.status);
+    f.left_status = checker::status_token(lr.status);
+    f.right_status = checker::status_token(rr.status);
     if (linc || rinc) {
       f.cls = Finding::Class::kInconclusive;
       f.note = linc ? lr.note : rr.note;

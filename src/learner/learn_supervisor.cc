@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <exception>
 #include <map>
-#include <memory>
-#include <thread>
 #include <utility>
 
 #include "common/bytes.h"
@@ -26,6 +22,10 @@ using Clock = std::chrono::steady_clock;
 // the round count and eq_test_max_length); anything near this cap in a
 // journal is damage, not data.
 constexpr std::size_t kMaxObservationLength = 1024;
+
+// Committed-edge overrides per run before a contradiction is declared
+// contested: each override restarts the learn, so this bounds the restarts.
+constexpr int kMaxOverrides = 8;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -84,13 +84,9 @@ std::string word_text(const Word& w) {
 /// a structured inconclusive without further SUL contact.
 class JournaledSul final : public Sul {
  public:
-  JournaledSul(Sul& inner, const LearnSupervisorOptions& options,
-               std::unique_ptr<JournalWriter> writer, std::string header_line,
+  JournaledSul(Sul& inner, const LearnSupervisorOptions& options, RunJournal& journal,
                std::vector<LearnObservation> adopted)
-      : inner_(inner),
-        options_(options),
-        writer_(std::move(writer)),
-        header_line_(std::move(header_line)) {
+      : inner_(inner), options_(options), journal_(journal) {
     for (LearnObservation& obs : adopted) {
       trie_.insert(obs.word, obs.outputs);
       replay_[obs.word] = obs.outputs;
@@ -115,7 +111,11 @@ class JournaledSul final : public Sul {
     attempt_start_ = Clock::now();
   }
 
-  void finish_attempt() { flush_journal(); }
+  /// Makes every queued observation durable.
+  void flush_journal() {
+    appended_since_flush_ = 0;
+    journal_.commit();
+  }
 
   bool restart_requested() const { return restart_; }
   LearnFailure failure() const { return failure_; }
@@ -125,13 +125,6 @@ class JournaledSul final : public Sul {
   long arbitration_overrides() const { return arbitration_overrides_; }
   const std::vector<std::string>& quarantined() const { return quarantined_; }
   std::size_t replayed_total() const { return replayed_total_; }
-  const std::string& journal_error() const { return journal_error_; }
-
-  std::size_t journal_records() const {
-    if (!writer_) return 0;
-    const std::size_t r = writer_->records();
-    return r > 0 ? r - 1 : 0;  // exclude the header line
-  }
 
   // --- Sul ----------------------------------------------------------------
   void reset() override { pending_.clear(); }
@@ -150,32 +143,7 @@ class JournaledSul final : public Sul {
     return inner_.unavailable_reason();
   }
 
-  Word query_word(const Word& word) override {
-    poll_external_cancel();
-    if (poisoned_) return unavailable_word(word.size());
-    if (std::optional<Word> hit = replay_answer(word)) {
-      count_served(word);
-      ++replayed_total_;
-      return *std::move(hit);
-    }
-    if (!admit_fresh(1, static_cast<long>(word.size()))) {
-      return unavailable_word(word.size());
-    }
-    fire_hook();
-    const Clock::time_point start = Clock::now();
-    Word outs = inner_.query_word(word);
-    ++fresh_queries_;
-    fresh_bytes_ += static_cast<long>(word.size());
-    fire_hook();
-    count_served(word);
-    if (!answer_ok(outs, word.size())) {
-      poison(LearnFailure::kUnavailable, unavailable_diag(word));
-      return unavailable_word(word.size());
-    }
-    Word committed = commit(word, outs);
-    check_query_deadline(start, 1);
-    return committed;
-  }
+  Word query_word(const Word& word) override { return query_batch({word}).front(); }
 
   std::vector<Word> query_batch(const std::vector<Word>& words) override {
     poll_external_cancel();
@@ -439,9 +407,8 @@ class JournaledSul final : public Sul {
       return majority;
     }
     ++overrides_total_;
-    if (overrides_total_ > options_.max_overrides) {
-      std::string detail = "arbitration override bound (" +
-                           std::to_string(options_.max_overrides) +
+    if (overrides_total_ > kMaxOverrides) {
+      std::string detail = "arbitration override bound (" + std::to_string(kMaxOverrides) +
                            ") exceeded at word " + word_text(word) +
                            "; the SUL is too nondeterministic to learn";
       quarantined_.push_back(detail);
@@ -464,7 +431,14 @@ class JournaledSul final : public Sul {
     }
     records_.push_back({word, majority});
     rebuild_cache();
-    rewrite_journal();
+    // Already-durable lines changed: replace the journal atomically with the
+    // header plus the corrected record set.
+    std::vector<std::string> lines;
+    for (const LearnObservation& r : records_) {
+      lines.push_back(encode_observation(r.word, r.outputs));
+    }
+    journal_.start(lines);
+    appended_since_flush_ = 0;
     // The running attempt's observation table was built on the losing edge:
     // discard it and re-learn from the corrected journal. This is progress,
     // not failure — the supervisor restarts without consuming an attempt.
@@ -479,17 +453,11 @@ class JournaledSul final : public Sul {
     trie_.insert(word, outs);
     replay_[word] = outs;
     records_.push_back({word, outs});
-    if (!writer_) return;
-    writer_->append(encode_observation(word, outs));
+    if (!journal_.enabled()) return;
+    journal_.append(encode_observation(word, outs));
     if (++appended_since_flush_ >= std::max(1, options_.journal_commit_every)) {
       flush_journal();
     }
-  }
-
-  void flush_journal() {
-    if (!writer_ || writer_->pending() == 0) return;
-    appended_since_flush_ = 0;
-    if (!writer_->commit()) note_journal_error();
   }
 
   void rebuild_cache() {
@@ -501,34 +469,9 @@ class JournaledSul final : public Sul {
     }
   }
 
-  /// An override changed already-durable lines, so the journal is rebuilt
-  /// from scratch: header + the corrected record set, atomically.
-  void rewrite_journal() {
-    if (!writer_) return;
-    const std::string path = writer_->path();
-    writer_.reset();
-    std::remove(path.c_str());
-    writer_ = std::make_unique<JournalWriter>(path);
-    writer_->append(header_line_);
-    for (const LearnObservation& r : records_) {
-      writer_->append(encode_observation(r.word, r.outputs));
-    }
-    appended_since_flush_ = 0;
-    if (!writer_->commit()) note_journal_error();
-  }
-
-  void note_journal_error() {
-    if (journal_error_.empty() && writer_) {
-      journal_error_ = "journal commit failed at " + writer_->path() +
-                       "; learning continued without durability";
-    }
-  }
-
   Sul& inner_;
   const LearnSupervisorOptions& options_;
-  std::unique_ptr<JournalWriter> writer_;
-  std::string header_line_;
-  std::string journal_error_;
+  RunJournal& journal_;
   int appended_since_flush_ = 0;
 
   std::vector<LearnObservation> records_;  // journal order
@@ -560,20 +503,6 @@ class JournaledSul final : public Sul {
 
 }  // namespace
 
-std::string_view to_string(LearnFailure f) {
-  switch (f) {
-    case LearnFailure::kNone: return "none";
-    case LearnFailure::kException: return "exception";
-    case LearnFailure::kDeadline: return "deadline";
-    case LearnFailure::kQueryBudget: return "query_budget";
-    case LearnFailure::kByteBudget: return "byte_budget";
-    case LearnFailure::kCancelled: return "cancelled";
-    case LearnFailure::kContested: return "contested";
-    case LearnFailure::kUnavailable: return "sul_unavailable";
-  }
-  return "unknown";
-}
-
 std::string learn_options_hash(const LearnOptions& learn, int arbitration_k,
                                int arbitration_n) {
   std::string canon = "alphabet=";
@@ -588,30 +517,7 @@ std::string learn_options_hash(const LearnOptions& learn, int arbitration_k,
   canon += ";rounds=" + std::to_string(learn.max_rounds);
   canon += ";arbitrate=" + std::to_string(arbitration_k) + "/" +
            std::to_string(arbitration_n) + ";";
-  const Bytes bytes(canon.begin(), canon.end());
-  const std::uint64_t h = prf64(0x13AD0CA7, bytes);
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
-  return hex;
-}
-
-std::string encode_learn_header(const std::string& tag, const std::string& opts_hash) {
-  return "learn-header v=1 tag=" + tag + " opts=" + opts_hash;
-}
-
-std::optional<LearnJournalHeader> decode_learn_header(std::string_view payload) {
-  const std::vector<std::string> t = split_tokens(payload);
-  if (t.size() != 4 || t[0] != "learn-header" || t[1] != "v=1") return std::nullopt;
-  if (t[2].rfind("tag=", 0) != 0 || t[3].rfind("opts=", 0) != 0) return std::nullopt;
-  LearnJournalHeader h;
-  h.tag = t[2].substr(4);
-  h.opts = t[3].substr(5);
-  if (h.tag.empty() || h.opts.size() != 16) return std::nullopt;
-  for (char c : h.opts) {
-    const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-    if (!hex) return std::nullopt;
-  }
-  return h;
+  return hex64(prf64(0x13AD0CA7, Bytes(canon.begin(), canon.end())));
 }
 
 std::string encode_observation(const std::vector<std::string>& word,
@@ -667,188 +573,109 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
     run.result.note = run.abort_reason;
     return run;
   }
-  const std::string opts_hash = learn_options_hash(options.learn, k, n);
   const std::string tag = options.run_tag.empty() ? "learn" : options.run_tag;
-  const std::string header_line = encode_learn_header(tag, opts_hash);
+  RunJournal journal(options.journal_path, options.resume,
+                     {"learn", tag, learn_options_hash(options.learn, k, n)});
+  if (!journal.refusal().empty()) {
+    run.aborted = true;
+    run.abort_reason = journal.refusal();
+    run.result.inconclusive = true;
+    run.result.note = run.abort_reason;
+    return run;
+  }
+  run.journal_note = journal.note();
 
-  JournalLock lock;
-  std::unique_ptr<JournalWriter> writer;
+  // Adopt records through a validation trie: a malformed record or one
+  // contradicting an earlier record ends adoption at the valid prefix —
+  // resume never guesses at damage. The journal is then rewritten from
+  // exactly what was adopted, so it and the replay cache agree on the
+  // durable state.
+  const std::vector<std::string>& records = journal.records();
   std::vector<LearnObservation> adopted;
-  if (!options.journal_path.empty()) {
-    if (!lock.acquire(options.journal_path)) {
-      run.aborted = true;
-      run.abort_reason = "concurrent learn run: " + lock.error();
-      run.result.inconclusive = true;
-      run.result.note = run.abort_reason;
-      return run;
-    }
-    if (options.resume) {
-      const JournalLoad load = load_journal(options.journal_path);
-      if (!load.payloads.empty()) {
-        const std::optional<LearnJournalHeader> header =
-            decode_learn_header(load.payloads.front());
-        if (!header) {
-          run.journal_note = "journal header malformed; starting fresh";
-        } else if (header->tag != tag) {
-          run.journal_note = "journal header mismatch (tag '" + header->tag +
-                             "' vs '" + tag + "'); starting fresh";
-        } else if (header->opts != opts_hash) {
-          run.aborted = true;
-          run.abort_reason =
-              "resume refused: journal " + options.journal_path +
-              " was written with options hash " + header->opts +
-              " but this run has " + opts_hash +
-              "; re-run with matching options or delete the journal";
-          run.result.inconclusive = true;
-          run.result.note = run.abort_reason;
-          return run;
-        } else {
-          // Adopt records through a validation trie: a malformed record or
-          // one contradicting an earlier record ends adoption at the valid
-          // prefix — resume never guesses at damage.
-          OutputTrie vtrie;
-          for (std::size_t i = 1; i < load.payloads.size(); ++i) {
-            const std::optional<LearnObservation> obs =
-                decode_observation(load.payloads[i]);
-            bool ok = obs.has_value();
-            if (ok) {
-              const std::size_t known = vtrie.known_prefix_length(obs->word);
-              if (known > 0) {
-                const Word prefix(obs->word.begin(),
-                                  obs->word.begin() + static_cast<std::ptrdiff_t>(known));
-                const Word committed = *vtrie.lookup(prefix);
-                for (std::size_t p = 0; p < known; ++p) {
-                  if (obs->outputs[p] != committed[p]) {
-                    ok = false;
-                    break;
-                  }
-                }
-              }
-            }
-            if (!ok) {
-              run.journal_note =
-                  "journal record " + std::to_string(i) +
-                  (obs ? " contradicts an earlier record" : " is malformed") +
-                  "; adopted the valid prefix (" + std::to_string(adopted.size()) +
-                  " observations)";
-              break;
-            }
-            vtrie.insert(obs->word, obs->outputs);
-            adopted.push_back(*obs);
-          }
-        }
+  OutputTrie vtrie;
+  for (const std::string& payload : records) {
+    const std::optional<LearnObservation> obs = decode_observation(payload);
+    bool ok = obs.has_value();
+    if (ok) {
+      const std::size_t known = vtrie.known_prefix_length(obs->word);
+      if (known > 0) {
+        const Word prefix(obs->word.begin(),
+                          obs->word.begin() + static_cast<std::ptrdiff_t>(known));
+        const Word committed = *vtrie.lookup(prefix);
+        ok = std::equal(committed.begin(), committed.end(), obs->outputs.begin());
       }
     }
-    // Rebuild the journal deterministically from exactly what was adopted,
-    // so the writer and the replay cache agree byte-for-byte on the durable
-    // state (JournalWriter's own adoption is CRC-level only — it would keep
-    // lines the strict codec above rejected).
-    std::remove(options.journal_path.c_str());
-    writer = std::make_unique<JournalWriter>(options.journal_path);
-    writer->append(header_line);
-    for (const LearnObservation& obs : adopted) {
-      writer->append(encode_observation(obs.word, obs.outputs));
+    if (!ok) {
+      run.journal_note = "journal record " + std::to_string(adopted.size() + 1) +
+                         (obs ? " contradicts an earlier record" : " is malformed") +
+                         "; adopted the valid prefix (" + std::to_string(adopted.size()) +
+                         " observations)";
+      break;
     }
-    if (!writer->commit()) {
-      run.journal_error = "journal commit failed at " + options.journal_path +
-                          "; learning continued without durability";
-    }
+    vtrie.insert(obs->word, obs->outputs);
+    adopted.push_back(*obs);
   }
+  journal.start({records.begin(), records.begin() + static_cast<std::ptrdiff_t>(adopted.size())});
   run.adopted = adopted.size();
 
-  JournaledSul wrapper(sul, options, std::move(writer), header_line,
-                       std::move(adopted));
+  JournaledSul wrapper(sul, options, journal, std::move(adopted));
   LearnOptions eff = options.learn;
   eff.cancel = wrapper.token();
 
-  const int max_attempts = 1 + std::max(0, options.retries);
-  int attempts_used = 0;
   LearnResult result;
-  LearnFailure cls = LearnFailure::kNone;
-  std::string diag;
-  for (;;) {
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      cls = LearnFailure::kCancelled;
-      diag = "learning cancelled by caller";
-      result.inconclusive = true;
-      result.converged = false;
-      break;
-    }
-    wrapper.begin_attempt();
-    bool threw = false;
-    std::string what;
-    try {
-      result = learn_mealy(wrapper, eff);
-    } catch (const std::exception& e) {
-      threw = true;
-      what = e.what();
-    } catch (...) {
-      threw = true;
-      what = "unknown exception";
-    }
-    wrapper.finish_attempt();
-    if (wrapper.restart_requested()) continue;  // override: re-learn, no attempt spent
-    ++attempts_used;
-    if (threw) {
-      cls = LearnFailure::kException;
-      diag = "worker exception: " + what;
-      result = LearnResult();
-      result.inconclusive = true;
-      result.note = diag;
-    } else if (result.converged) {
-      cls = LearnFailure::kNone;
-      diag.clear();
-    } else if (wrapper.failure() != LearnFailure::kNone) {
-      cls = wrapper.failure();
-      diag = wrapper.diagnostics();
-    } else if (result.inconclusive) {
-      cls = LearnFailure::kUnavailable;
-      diag = result.note;
-    } else {
-      cls = LearnFailure::kNone;  // max_rounds exhausted: honest non-convergence
-      diag.clear();
-    }
-    if (cls == LearnFailure::kNone || cls == LearnFailure::kContested ||
-        cls == LearnFailure::kCancelled) {
-      break;
-    }
-    if (attempts_used >= max_attempts) {
-      result.inconclusive = true;
-      result.converged = false;
-      if (!result.note.empty()) result.note += " ";
-      result.note += "[learn supervisor: " + std::string(to_string(cls)) +
-                     " persisted through " + std::to_string(attempts_used) +
-                     " attempts]";
-      break;
-    }
-    if (cls == LearnFailure::kDeadline || cls == LearnFailure::kQueryBudget ||
-        cls == LearnFailure::kByteBudget) {
-      eff.eq_test_words = std::max(
-          1, static_cast<int>(static_cast<double>(eff.eq_test_words) * options.degrade_factor));
-      eff.eq_test_max_length = std::max(
-          1, static_cast<int>(static_cast<double>(eff.eq_test_max_length) * options.degrade_factor));
-    }
-    if (options.backoff_seconds > 0) {
-      const double delay = options.backoff_seconds * std::ldexp(1.0, attempts_used - 1);
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    }
+  const supervise::Outcome ladder = supervise::run_attempts(
+      {options.retries, options.backoff_seconds},
+      [&](int) -> supervise::Attempt {
+        do {
+          if (options.cancel != nullptr && options.cancel->cancelled()) {
+            return {LearnFailure::kCancelled, "learning cancelled by caller"};
+          }
+          wrapper.begin_attempt();
+          result = learn_mealy(wrapper, eff);
+          wrapper.flush_journal();
+          // An arbitration override is progress, not failure: re-learn from
+          // the corrected journal without consuming an attempt.
+        } while (wrapper.restart_requested());
+        if (result.converged) return {};
+        if (wrapper.failure() != LearnFailure::kNone) {
+          return {wrapper.failure(), wrapper.diagnostics()};
+        }
+        if (result.inconclusive) return {LearnFailure::kUnavailable, result.note};
+        return {};  // max_rounds exhausted: honest non-convergence
+      },
+      [&] {
+        eff.eq_test_words = static_cast<int>(
+            supervise::shrink(eff.eq_test_words, options.degrade_factor, 1));
+        eff.eq_test_max_length = static_cast<int>(
+            supervise::shrink(eff.eq_test_max_length, options.degrade_factor, 1));
+      });
+  wrapper.flush_journal();  // a throwing last attempt left records queued
+  std::string diag = ladder.diagnostics;
+  if (ladder.failure == LearnFailure::kException) {
+    diag = "worker exception: " + diag;
+    result = LearnResult();
+    result.note = diag;
   }
-  if (cls == LearnFailure::kContested || cls == LearnFailure::kCancelled) {
+  if (ladder.failure != LearnFailure::kNone) {
     result.inconclusive = true;
     result.converged = false;
-    if (!diag.empty()) result.note = diag;
   }
+  if ((ladder.failure == LearnFailure::kContested || ladder.failure == LearnFailure::kCancelled) &&
+      !diag.empty()) {
+    result.note = diag;
+  }
+  result.note += ladder.exhausted_note;
   result.arbitrations = wrapper.arbitrations();
   result.arbitration_requeries = wrapper.arbitration_requeries();
   result.arbitration_overrides = wrapper.arbitration_overrides();
   result.quarantined = wrapper.quarantined();
   run.result = std::move(result);
-  run.attempts = std::max(1, attempts_used);
-  run.failure = cls;
+  run.attempts = ladder.attempts;
+  run.failure = ladder.failure;
   run.diagnostics = diag;
   run.replayed = wrapper.replayed_total();
-  run.journal_records = wrapper.journal_records();
-  if (run.journal_error.empty()) run.journal_error = wrapper.journal_error();
+  run.journal_records = journal.committed();
+  run.journal_error = journal.error();
   return run;
 }
 

@@ -6,8 +6,9 @@
 // hang a query, answer nondeterministically — is absorbed by a decorator
 // around the Sul plus a retry ladder around the whole learn:
 //
-//   * a crash-safe learn journal (common/journal.h) records the
-//     alphabet/options fingerprint in its header and every resolved
+//   * a crash-safe learn journal (common/journal.h's RunJournal, the same
+//     lock and header as analyze's) records the alphabet/options
+//     fingerprint in its header and every resolved
 //     (word → outputs) observation as a CRC-tagged line, so
 //     `learn --journal X --resume` replays the surviving observations and
 //     continues byte-identically from any kill point;
@@ -21,9 +22,10 @@
 //     keeping the first observation;
 //   * per-query and per-attempt watchdogs (wall-clock deadline, fresh-query
 //     and input-symbol budgets) poison the SUL cooperatively (CancelToken +
-//     the structured kSulUnavailable symbol), and a retry ladder degrades
-//     the equivalence-oracle effort before giving up — learn_supervised can
-//     never hang and never lets an exception escape.
+//     the structured kSulUnavailable symbol), and the shared retry ladder
+//     (common/supervise.h) degrades the equivalence-oracle effort before
+//     giving up — learn_supervised can never hang and never lets an
+//     exception escape.
 #pragma once
 
 #include <cstdint>
@@ -33,29 +35,20 @@
 #include <string_view>
 #include <vector>
 
+#include "common/supervise.h"
 #include "common/thread_pool.h"
 #include "learner/lstar.h"
 #include "learner/sul.h"
 
 namespace procheck::learner {
 
-/// How a supervised learn failed to converge cleanly. kContested (no
-/// k-majority for a cell, or the override bound tripped) and kCancelled are
-/// terminal; the resource classes retry on the degrade ladder; kException
-/// and kUnavailable retry at full budget (the search size was not the
-/// problem — the environment was).
-enum class LearnFailure : std::uint8_t {
-  kNone,
-  kException,
-  kDeadline,
-  kQueryBudget,
-  kByteBudget,
-  kCancelled,
-  kContested,
-  kUnavailable,
-};
-
-std::string_view to_string(LearnFailure f);
+/// How a supervised learn failed to converge cleanly: kException,
+/// kDeadline, kQueryBudget, kByteBudget, kCancelled, kContested (no
+/// k-majority for a cell, or the override bound tripped) or kUnavailable.
+/// kContested and kCancelled are terminal; the resource classes retry on the
+/// degrade ladder; kException and kUnavailable retry at full budget (the
+/// search size was not the problem — the environment was).
+using LearnFailure = supervise::Failure;
 
 struct LearnSupervisorOptions {
   LearnOptions learn;
@@ -73,13 +66,12 @@ struct LearnSupervisorOptions {
   /// arbitration_n times fresh and commit any symbol reaching
   /// arbitration_k votes per position (k must satisfy n/2 < k <= n so a
   /// majority is unique). arbitration_n = 0 disables arbitration
-  /// (first-observation-wins, the pre-supervisor behavior).
+  /// (first-observation-wins, the pre-supervisor behavior). At most 8
+  /// committed-edge overrides are allowed per run before the contradiction
+  /// is declared contested (each override restarts the learn from the
+  /// corrected journal, so this bounds the restart loop).
   int arbitration_k = 3;
   int arbitration_n = 5;
-  /// Committed-edge overrides allowed per run before the contradiction is
-  /// declared contested (each override restarts the learn from the
-  /// corrected journal, so this bounds the restart loop).
-  int max_overrides = 8;
 
   /// Per-attempt wall-clock deadline (seconds); 0 = none. Replayed words
   /// are free — only fresh SUL contact is gated — so a resumed attempt
@@ -156,25 +148,17 @@ std::string learn_options_hash(const LearnOptions& learn, int arbitration_k,
 // --- Journal record codec (exposed for tests and the fuzz corpus) -----------
 //
 // The learn journal is a line journal (common/journal.h adds the CRC tags):
-//   line 0:  learn-header v=1 tag=<profile> opts=<16-hex fingerprint>
+//   line 0:  journal v=1 kind=learn tag=<profile> opts=<16-hex fingerprint>
 //   line k:  obs <len> <in_1> ... <in_len> <out_1> ... <out_len>
 // Decoding is strict: inputs must be alphabet symbols, outputs non-empty
 // space-free tokens other than kSulUnavailable, counts must match. A
 // malformed record stops adoption at the valid prefix; it is never guessed
 // at.
 
-struct LearnJournalHeader {
-  std::string tag;
-  std::string opts;
-};
-
 struct LearnObservation {
   std::vector<std::string> word;
   std::vector<std::string> outputs;
 };
-
-std::string encode_learn_header(const std::string& tag, const std::string& opts_hash);
-std::optional<LearnJournalHeader> decode_learn_header(std::string_view payload);
 
 std::string encode_observation(const std::vector<std::string>& word,
                                const std::vector<std::string>& outputs);

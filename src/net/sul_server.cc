@@ -132,10 +132,7 @@ std::string SulServer::render_stats() const {
 std::string SulServer::next_nonce() {
   const std::uint64_t n = static_cast<std::uint64_t>(
       nonce_counter_.fetch_add(1, std::memory_order_relaxed));
-  const std::uint64_t raw = splitmix64(nonce_seed_ ^ (n * 0x9E3779B97F4A7C15ULL));
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(raw));
-  return hex;
+  return hex64(splitmix64(nonce_seed_ ^ (n * 0x9E3779B97F4A7C15ULL)));
 }
 
 void SulServer::set_close_reason(long session_id, const std::string& reason) {

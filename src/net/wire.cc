@@ -1,7 +1,5 @@
 #include "net/wire.h"
 
-#include <cstdio>
-
 #include "common/journal.h"  // crc32
 #include "common/rng.h"      // prf64 (simulation-grade keyed MAC)
 
@@ -254,10 +252,7 @@ std::string auth_mac(const std::string& psk, const std::string& nonce_hex,
   const std::uint64_t key = prf64(0x50C5A117u, key_material);
   Bytes data(nonce_hex.begin(), nonce_hex.end());
   put_u32(data, epoch);
-  const std::uint64_t mac = prf64(key, data);
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(mac));
-  return hex;
+  return hex64(prf64(key, data));
 }
 
 bool constant_time_equal(std::string_view a, std::string_view b) {

@@ -10,6 +10,7 @@
 #include "checker/property.h"
 #include "common/strings.h"
 #include "fsm/refinement.h"
+#include "profile_printer.h"
 
 namespace procheck::checker {
 namespace {

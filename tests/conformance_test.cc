@@ -6,6 +6,7 @@
 #include <map>
 
 #include "instrument/trace_log.h"
+#include "profile_printer.h"
 #include "testing/conformance.h"
 
 namespace procheck::testing {

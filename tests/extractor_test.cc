@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "extractor/extractor.h"
+#include "profile_printer.h"
 #include "testing/conformance.h"
 
 namespace procheck::extractor {

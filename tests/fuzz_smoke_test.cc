@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "checker/prochecker.h"
+#include "checker/supervisor.h"
 #include "common/rng.h"
 #include "diff/report_json.h"
 #include "instrument/trace_log.h"
@@ -870,6 +872,85 @@ TEST(FuzzSmoke, MutatedLearnJournalsResumeOrRefuseNeverLie) {
   EXPECT_GT(converged, 0u) << "the mutator starved the resume path of valid prefixes";
   std::printf("[fuzz] learn journals: %zu converged, %zu refused, %zu inconclusive\n", converged,
               refused, inconclusive);
+}
+
+// The analysis journal shares the learn journal's lock, header and resume
+// checks: every mutated journal must resume to the reference outcomes (a
+// valid prefix adopted, the rest re-verified) or a structured refusal —
+// never a crash, and never an adopted verdict a fresh run would not give.
+TEST(FuzzSmoke, MutatedAnalysisJournalsResumeOrRefuseNeverLie) {
+  instrument::TraceLogger trace;
+  testing::run_conformance(ue::StackProfile::cls(), trace);
+  extractor::ExtractionOptions eopts;
+  eopts.initial_state = "EMM_DEREGISTERED";
+  eopts.chain_substates = false;
+  const fsm::Fsm flat = extractor::extract_basic(
+      trace.records(), extractor::ue_signatures(ue::StackProfile::cls()), eopts);
+  const threat::ThreatModel tm = checker::ProChecker::build_threat_model(flat);
+  std::vector<const checker::PropertyDef*> selected;
+  for (const checker::PropertyDef& p : checker::property_catalog()) {
+    if (p.id == "S01" || p.id == "S02" || p.id == "S05" || p.id == "P04") selected.push_back(&p);
+  }
+  ASSERT_EQ(selected.size(), 4u);
+  checker::CegarOptions cegar;
+  cegar.max_states = 300;
+
+  const std::string path = ::testing::TempDir() + "fuzz_analysis.journal";
+  auto scrub = [&path] {
+    std::remove(path.c_str());
+    std::remove((path + ".lock").c_str());
+    std::remove((path + ".tmp").c_str());
+  };
+  auto supervised = [&](bool resume) {
+    checker::SupervisorOptions o;
+    o.journal_path = path;
+    o.resume = resume;
+    o.run_tag = "cls";
+    o.options_hash = "0123456789abcdef";
+    return checker::run_supervised(tm, flat, selected, {}, cegar, o);
+  };
+  scrub();
+  const checker::SupervisedRun reference = supervised(false);
+  ASSERT_EQ(reference.outcomes.size(), selected.size());
+  std::string corpus;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    corpus = ss.str();
+  }
+  ASSERT_FALSE(corpus.empty());
+
+  Rng rng(0xA11A7E5ULL);
+  std::size_t adopted = 0, fresh = 0, refused = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::string text = corpus;
+    const std::uint64_t depth = 1 + rng.next_below(4);
+    for (std::uint64_t d = 0; d < depth; ++d) text = mutate_journal(text, rng);
+
+    scrub();
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    const checker::SupervisedRun run = supervised(true);
+    if (run.aborted) {
+      EXPECT_FALSE(run.abort_reason.empty()) << "refusal without a reason";
+      ++refused;
+      continue;
+    }
+    ASSERT_EQ(run.outcomes.size(), selected.size()) << "round " << round;
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      EXPECT_EQ(checker::encode_outcome(run.outcomes[i]),
+                checker::encode_outcome(reference.outcomes[i]))
+          << "round " << round << " resumed " << selected[i]->id << " to a different outcome";
+    }
+    ++(run.resumed > 0 ? adopted : fresh);
+  }
+  scrub();
+  EXPECT_GT(adopted, 0u) << "the mutator starved the resume path of valid prefixes";
+  std::printf("[fuzz] analysis journals: %zu adopted a prefix, %zu re-verified all, %zu refused\n",
+              adopted, fresh, refused);
 }
 
 // --- Diff-report JSON codec (DESIGN.md §16) ----------------------------------

@@ -135,23 +135,29 @@ void expect_matches_reference(const SupervisedLearn& run, const char* where) {
 // Journal codec
 
 TEST(LearnJournalCodec, HeaderRoundTrip) {
-  const std::string line = encode_learn_header("cls", "0123456789abcdef");
-  const auto h = decode_learn_header(line);
+  const std::string line = encode_journal_header({"learn", "cls", "0123456789abcdef"});
+  EXPECT_EQ(line, "journal v=1 kind=learn tag=cls opts=0123456789abcdef");
+  const auto h = decode_journal_header(line);
   ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->kind, "learn");
   EXPECT_EQ(h->tag, "cls");
   EXPECT_EQ(h->opts, "0123456789abcdef");
 }
 
 TEST(LearnJournalCodec, HeaderRejectsDamage) {
-  EXPECT_FALSE(decode_learn_header(""));
-  EXPECT_FALSE(decode_learn_header("learn-header"));
-  EXPECT_FALSE(decode_learn_header("learn-header v=2 tag=cls opts=0123456789abcdef"));
-  EXPECT_FALSE(decode_learn_header("learn-header v=1 tag= opts=0123456789abcdef"));
-  EXPECT_FALSE(decode_learn_header("learn-header v=1 tag=cls opts=0123456789abcde"));
-  EXPECT_FALSE(decode_learn_header("learn-header v=1 tag=cls opts=0123456789ABCDEF"));
-  EXPECT_FALSE(decode_learn_header("learn-header v=1 tag=cls opts=0123456789abcdef "));
-  EXPECT_FALSE(decode_learn_header("learn-header  v=1 tag=cls opts=0123456789abcdef"));
-  EXPECT_FALSE(decode_learn_header("obs 1 power_on attach_request"));
+  EXPECT_FALSE(decode_journal_header(""));
+  EXPECT_FALSE(decode_journal_header("journal"));
+  EXPECT_FALSE(decode_journal_header("journal v=2 kind=learn tag=cls opts=0123456789abcdef"));
+  EXPECT_FALSE(decode_journal_header("journal v=1 kind= tag=cls opts=0123456789abcdef"));
+  EXPECT_FALSE(decode_journal_header("journal v=1 kind=learn opts=0123456789abcdef"));
+  EXPECT_FALSE(decode_journal_header("journal v=1 tag=cls kind=learn opts=0123456789abcdef"));
+  EXPECT_FALSE(decode_journal_header("journal v=1 kind=learn tag=cls opts=0123456789abcdef "));
+  EXPECT_FALSE(decode_journal_header("journal  v=1 kind=learn tag=cls opts=0123456789abcdef"));
+  // Earlier header formats are foreign: a resume over them starts fresh.
+  EXPECT_FALSE(decode_journal_header("learn-header v=1 tag=cls opts=0123456789abcdef"));
+  EXPECT_FALSE(decode_journal_header(
+      "{\"kind\":\"header\",\"v\":2,\"tag\":\"cls\",\"opts\":\"0123456789abcdef\"}"));
+  EXPECT_FALSE(decode_journal_header("obs 1 power_on attach_request"));
 }
 
 TEST(LearnJournalCodec, ObservationRoundTrip) {
@@ -354,7 +360,8 @@ TEST(LearnSupervisor, MalformedRecordStopsAdoptionAtValidPrefix) {
 }
 
 TEST(LearnSupervisor, ContradictingRecordStopsAdoptionAtValidPrefix) {
-  const std::string header = encode_learn_header("cls", learn_options_hash(tiny_options(), 3, 5));
+  const std::string header =
+      encode_journal_header({"learn", "cls", learn_options_hash(tiny_options(), 3, 5)});
   const std::string path = temp_path("learn_contradict.journal");
   craft_journal(path, {header, "obs 1 power_on attach_request",
                        "obs 2 power_on paging bogus_output service_request"});

@@ -20,6 +20,7 @@
 #include "checker/supervisor.h"
 #include "common/journal.h"
 #include "common/strings.h"
+#include "learner/learn_supervisor.h"
 
 namespace procheck::checker {
 namespace {
@@ -104,13 +105,6 @@ TEST(Journal, RoundTripsPayloadsThroughCommit) {
   ASSERT_EQ(load.payloads.size(), 2u);
   EXPECT_EQ(load.payloads[0], "{\"a\":1}");
   EXPECT_EQ(load.payloads[1], "payload with spaces and \"quotes\"");
-
-  // A new writer adopts the valid prefix and extends it.
-  JournalWriter writer(path);
-  EXPECT_EQ(writer.records(), 2u);
-  writer.append("third");
-  ASSERT_TRUE(writer.commit());
-  EXPECT_EQ(load_journal(path).payloads.size(), 3u);
 }
 
 TEST(Journal, TornTailAndCorruptionPoisonTheRest) {
@@ -325,13 +319,14 @@ TEST(Supervisor, ExhaustedRetriesFallBackToStructuredInconclusive) {
   SupervisorOptions opts;
   opts.retries = 2;
   opts.backoff_seconds = 0;
-  opts.degrade_floor_states = 2;
   SupervisedRun run = run_sup(sel, opts, cegar);
   ASSERT_EQ(run.outcomes.size(), 1u);
   const PropertyOutcome& o = run.outcomes[0];
   EXPECT_EQ(o.result.status, PropertyResult::Status::kInconclusive);
   EXPECT_EQ(o.failure, FailureClass::kBudget);
   EXPECT_EQ(o.attempts, 3);
+  // A degraded retry never gets a bigger budget than the attempt before it.
+  EXPECT_LE(o.result.last_stats.states_explored, 3u);
   EXPECT_TRUE(contains(o.result.note, "budget persisted through 3 attempts"))
       << o.result.note;
 }
@@ -396,6 +391,44 @@ TEST(Supervisor, HeaderTagMismatchDiscardsForeignJournal) {
   EXPECT_EQ(run.resumed, 0u);  // foreign verdicts never leak in
   EXPECT_TRUE(contains(run.journal_error, "mismatch"));
   EXPECT_EQ(run.journal_records, sel.size());
+}
+
+TEST(Supervisor, CrossKindJournalIsDiscardedNeverAdopted) {
+  const std::string path = tmp_path("journal_cross_kind");
+  std::remove(path.c_str());
+  learner::LearnSupervisorOptions learn;
+  learn.learn.eq_test_words = 8;
+  learn.learn.eq_test_max_length = 3;
+  learn.journal_path = path;
+  learn.run_tag = "cls";
+  {
+    learner::UeSul sul(ue::StackProfile::cls());
+    ASSERT_TRUE(learner::learn_supervised(sul, learn).result.converged);
+  }
+
+  // A learn journal handed to an analysis resume: same tag, other kind.
+  auto sel = select({"P04"});
+  SupervisorOptions analyze;
+  analyze.journal_path = path;
+  analyze.resume = true;
+  analyze.run_tag = "cls";
+  SupervisedRun run = run_sup(sel, analyze, {});
+  EXPECT_FALSE(run.aborted) << run.abort_reason;
+  EXPECT_EQ(run.resumed, 0u);
+  EXPECT_TRUE(contains(run.journal_error, "kind=learn")) << run.journal_error;
+  EXPECT_TRUE(contains(run.journal_error, "kind=analyze")) << run.journal_error;
+  EXPECT_EQ(run.journal_records, sel.size());
+
+  // The analysis journal that replaced it, handed to a learn resume.
+  learn.resume = true;
+  learner::UeSul sul(ue::StackProfile::cls());
+  const learner::SupervisedLearn learned = learner::learn_supervised(sul, learn);
+  EXPECT_FALSE(learned.aborted) << learned.abort_reason;
+  EXPECT_EQ(learned.adopted, 0u);
+  EXPECT_EQ(learned.replayed, 0u);
+  EXPECT_TRUE(contains(learned.journal_note, "kind=analyze")) << learned.journal_note;
+  EXPECT_TRUE(contains(learned.journal_note, "kind=learn")) << learned.journal_note;
+  EXPECT_TRUE(learned.result.converged) << learned.result.note;
 }
 
 // --- Journal lock and options-hash guards ------------------------------------
@@ -530,6 +563,33 @@ TEST(Supervisor, KillPointResumeAtEveryByteOffset) {
   full.run_tag = "cls";
   SupervisedRun adopted = run_sup(sel, full, cegar);
   EXPECT_EQ(adopted.resumed, sel.size());
+}
+
+// Pool workers commit to the journal concurrently; a resume at jobs=4 from
+// the header plus the first two records reproduces every outcome (the
+// supervisor_tsan ctest entry runs this under ThreadSanitizer).
+TEST(Supervisor, ParallelJournaledResume) {
+  auto sel = select({"S01", "S02", "S05", "P01", "P04"});
+  CegarOptions cegar;
+  cegar.max_states = 300;
+  const std::string path = tmp_path("journal_parallel.jsonl");
+  std::remove(path.c_str());
+  SupervisorOptions opts;
+  opts.journal_path = path;
+  opts.run_tag = "cls";
+  opts.jobs = 4;
+  SupervisedRun reference = run_sup(sel, opts, cegar);
+  ASSERT_EQ(reference.journal_records, sel.size());
+
+  const std::string bytes = slurp(path);
+  std::size_t cut = 0;
+  for (int line = 0; line < 3; ++line) cut = bytes.find('\n', cut) + 1;
+  spill(path, bytes.substr(0, cut));
+  opts.resume = true;
+  SupervisedRun resumed = run_sup(sel, opts, cegar);
+  EXPECT_EQ(resumed.resumed, 2u);
+  EXPECT_EQ(resumed.journal_records, sel.size());
+  expect_outcomes_equal(resumed.outcomes, reference.outcomes);
 }
 
 // --- End-to-end: analyze --resume reproduces the report ----------------------

@@ -3,6 +3,7 @@
 // are validated against.
 #include <gtest/gtest.h>
 
+#include "profile_printer.h"
 #include "testing/conformance.h"
 #include "testing/testbed.h"
 #include "ue/emm_state.h"
