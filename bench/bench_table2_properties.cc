@@ -31,10 +31,10 @@ void BM_PropertyCompile(benchmark::State& state) {
   for (auto _ : state) {
     for (const PropertyDef* p : common_properties()) {
       if (p->kind == PropertyDef::Kind::kEdgeNever) {
-        benchmark::DoNotOptimize(p->bad.compile(tm));
+        benchmark::DoNotOptimize(p->bad.compile(tm.model));
       } else {
-        benchmark::DoNotOptimize(p->trigger.compile(tm));
-        benchmark::DoNotOptimize(p->response.compile(tm));
+        benchmark::DoNotOptimize(p->trigger.compile(tm.model));
+        benchmark::DoNotOptimize(p->response.compile(tm.model));
       }
     }
   }

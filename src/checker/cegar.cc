@@ -5,10 +5,6 @@
 
 namespace procheck::checker {
 
-namespace {
-
-/// Applicability: every atom in requires_atoms must appear somewhere in the
-/// UE FSM's condition or action vocabulary.
 bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm) {
   for (const std::string& atom : prop.requires_atoms) {
     if (ue_fsm.conditions().count(atom) == 0 && ue_fsm.actions().count(atom) == 0) {
@@ -18,9 +14,26 @@ bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm) {
   return true;
 }
 
-}  // namespace
-
 PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
+                              const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
+                              const CegarOptions& options) {
+  // An inapplicable property never touches the graph, so it skips the build.
+  mc::ReachGraph graph;
+  if (applicable(prop, ue_fsm)) {
+    mc::CheckOptions budget;
+    budget.max_states = options.max_states;
+    budget.max_seconds = options.max_seconds;
+    budget.max_visited_bytes = options.max_visited_bytes;
+    budget.cancel = options.cancel;
+    graph = mc::ReachGraph::build(tm.model, budget);
+  }
+  PropertyResult result = check_property(graph, ue_fsm, prop, crypto, options);
+  result.total_seconds += graph.stats().seconds;
+  result.peak_visited_bytes += graph.stats().visited_bytes;
+  return result;
+}
+
+PropertyResult check_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
                               const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                               const CegarOptions& options) {
   PropertyResult result;
@@ -33,19 +46,18 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
     return result;
   }
 
-  mc::Checker checker(tm.model);
-  std::set<std::string> banned;
-  // Indexed view of `banned` for the hot path: the allowed-filter then costs
-  // one byte load per edge instead of a string-set lookup.
-  std::vector<std::uint8_t> allowed_cmd(tm.model.commands().size(), 1);
-
-  mc::EdgePred bad, trigger, response;
+  const mc::Model& model = graph.model();
+  mc::EdgeMatch bad, trigger, response;
   if (prop.kind == PropertyDef::Kind::kEdgeNever) {
-    bad = prop.bad.compile(tm);
+    bad = prop.bad.compile(model);
   } else {
-    trigger = prop.trigger.compile(tm);
-    response = prop.response.compile(tm);
+    trigger = prop.trigger.compile(model);
+    response = prop.response.compile(model);
   }
+  mc::CheckOptions mc_options;
+  mc_options.max_states = options.max_states;
+  mc_options.max_visited_bytes = options.max_visited_bytes;
+  mc_options.cancel = options.cancel;
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     if (options.cancel && options.cancel->cancelled()) {
@@ -54,10 +66,6 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
       return result;
     }
     ++result.iterations;
-    mc::CheckOptions mc_options;
-    mc_options.max_states = options.max_states;
-    mc_options.max_visited_bytes = options.max_visited_bytes;
-    mc_options.cancel = options.cancel;
     if (options.max_seconds > 0) {
       const double remaining = options.max_seconds - result.total_seconds;
       if (remaining <= 0) {
@@ -68,21 +76,11 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
       }
       mc_options.max_seconds = remaining;
     }
-    if (!banned.empty()) {
-      mc_options.allowed = [&allowed_cmd, &banned](const mc::State&, const mc::Command& cmd,
-                                                   const mc::State&) {
-        if (cmd.index >= 0 && static_cast<std::size_t>(cmd.index) < allowed_cmd.size()) {
-          return allowed_cmd[cmd.index] != 0;
-        }
-        return banned.count(cmd.label) == 0;
-      };
-    }
-
     mc::CheckStats stats;
     std::optional<mc::CounterExample> cex =
         prop.kind == PropertyDef::Kind::kEdgeNever
-            ? checker.check_edge_never(bad, &stats, mc_options)
-            : checker.check_response(trigger, response, &stats, mc_options);
+            ? graph.check_edge_never(bad, &stats, mc_options)
+            : graph.check_response(trigger, response, &stats, mc_options);
     result.last_stats = stats;
     result.total_seconds += stats.seconds;
     result.total_states += stats.states_explored;
@@ -103,7 +101,8 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
         return result;
       }
       result.status = PropertyResult::Status::kVerified;
-      result.note = banned.empty() ? "verified" : "verified after CEGAR refinement";
+      result.note =
+          result.refinements.empty() ? "verified" : "verified after CEGAR refinement";
       return result;
     }
 
@@ -117,12 +116,16 @@ PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_
     }
 
     if (!infeasible.empty()) {
+      // Ban every command carrying an infeasible step's label: the next
+      // traversal skips their edges.
+      std::set<std::string> labels;
       for (const auto& [label, reason] : infeasible) {
-        banned.insert(label);
+        labels.insert(label);
         result.refinements.push_back("banned " + label + ": " + reason);
       }
-      for (const mc::Command& cmd : tm.model.commands()) {
-        if (banned.count(cmd.label) > 0) allowed_cmd[cmd.index] = 0;
+      mc_options.banned.resize(model.commands().size(), 0);
+      for (const mc::Command& cmd : model.commands()) {
+        if (labels.count(cmd.label) > 0) mc_options.banned[cmd.index] = 1;
       }
       continue;  // spurious counterexample ruled out; re-verify
     }

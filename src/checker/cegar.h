@@ -40,10 +40,11 @@ struct PropertyResult {
   std::optional<cpv::EquivalenceVerdict> equivalence;
 
   int iterations = 0;       // MC runs (1 = no refinement needed)
-  double total_seconds = 0; // cumulative MC time
+  double total_seconds = 0; // cumulative MC (graph traversal) time
   /// States explored summed across all MC iterations (throughput metric).
   std::size_t total_states = 0;
-  /// Largest visited-set footprint any iteration reached (bytes).
+  /// Largest traversal footprint any iteration reached (bytes; the shared
+  /// graph is counted once, by its build).
   std::size_t peak_visited_bytes = 0;
   mc::CheckStats last_stats;
   std::string note;  // human-readable outcome detail
@@ -68,8 +69,23 @@ struct CegarOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// Runs the full MC ⇄ CPV loop for one property. `ue_fsm` is the extracted
-/// machine used for observational-equivalence queries.
+/// Whether the UE machine implements the procedure `prop` is about: every
+/// atom in requires_atoms appears in its condition or action vocabulary.
+/// An inapplicable property is reported kNotApplicable without a check.
+bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm);
+
+/// Runs the full MC ⇄ CPV loop for one property as traversals of `graph`,
+/// the reachable graph of the threat model (built once and shared by every
+/// property). `ue_fsm` is the extracted machine used for observational-
+/// equivalence queries. The options' state cap, deadline, memory ceiling
+/// and cancellation apply to each traversal.
+PropertyResult check_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
+                              const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
+                              const CegarOptions& options = {});
+
+/// One-property convenience: builds the reachable graph of `tm` under the
+/// options' budgets for this call alone (its seconds and bytes are folded
+/// into the result), then runs the loop above.
 PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                               const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                               const CegarOptions& options = {});

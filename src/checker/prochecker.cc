@@ -106,7 +106,8 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
   //
   // The unit of parallelism is one property's whole CEGAR loop: refinement
   // state (banned commands) is strictly per-property, so workers share only
-  // immutables — the ThreatModel, the extracted FSM, and the catalog. The
+  // immutables — the ThreatModel and its reachable graph (built once by the
+  // supervisor), the extracted FSM, and the catalog. The
   // cryptographic verifier is NOT shared: cpv::Knowledge saturates lazily
   // behind a const interface (mutable cache), so the supervisor hands each
   // concurrent worker its own LteCryptoModel (reused via a free-list).
@@ -151,6 +152,7 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
   }
   report.resumed_count = run.resumed;
   report.cancelled_count = run.cancelled;
+  report.graph_stats = run.graph_stats;
   report.journal_error = std::move(run.journal_error);
 
   for (PropertyOutcome& outcome : run.outcomes) {

@@ -99,6 +99,9 @@ struct ImplementationReport {
   /// and `abort_reason` carries the structured diagnostic.
   bool aborted = false;
   std::string abort_reason;
+  /// The threat model's reachable-graph build (SupervisedRun::graph_stats):
+  /// all zero when no property needed checking.
+  mc::CheckStats graph_stats;
 
   int verified_count() const;
   int attack_count() const;

@@ -55,35 +55,25 @@ bool MetaMatch::matches_meta(const CommandMeta& m) const {
   return true;
 }
 
-mc::EdgePred MetaMatch::compile(const threat::ThreatModel& tm) const {
-  // Resolve pre-state constraints once against the model.
-  std::vector<std::pair<int, std::int32_t>> pre;
-  for (const auto& [var_name, value_name] : pre_equals) {
-    int var = tm.model.var(var_name);
-    std::int32_t value = var >= 0 ? tm.model.value_index(var, value_name) : -1;
-    pre.emplace_back(var, value);
-  }
+mc::EdgeMatch MetaMatch::compile(const mc::Model& model) const {
   // The metadata half of the match depends only on the command, never on
   // the states, so it is decided once per command here rather than once per
-  // explored edge (the checker visits each command millions of times).
-  auto meta_ok = std::make_shared<std::vector<std::uint8_t>>();
-  meta_ok->reserve(tm.model.commands().size());
-  for (const mc::Command& cmd : tm.model.commands()) {
-    meta_ok->push_back(matches_meta(cmd.meta) ? 1 : 0);
+  // explored edge (a traversal visits each command hundreds of thousands of
+  // times). A constraint naming a variable or value the model lacks never
+  // holds.
+  mc::EdgeMatch out;
+  bool resolved = true;
+  for (const auto& [var_name, value_name] : pre_equals) {
+    const int var = model.var(var_name);
+    const std::int32_t value = var >= 0 ? model.value_index(var, value_name) : -1;
+    resolved = resolved && value >= 0;
+    out.pre_equals.emplace_back(var, value);
   }
-  MetaMatch self = *this;
-  return [self = std::move(self), pre, meta_ok](const mc::State& before,
-                                                const mc::Command& cmd, const mc::State&) {
-    if (cmd.index >= 0 && static_cast<std::size_t>(cmd.index) < meta_ok->size()) {
-      if (!(*meta_ok)[cmd.index]) return false;
-    } else if (!self.matches_meta(cmd.meta)) {  // command outside the compiled model
-      return false;
-    }
-    for (const auto& [var, value] : pre) {
-      if (var < 0 || value < 0 || before[var] != value) return false;
-    }
-    return true;
-  };
+  out.commands.reserve(model.commands().size());
+  for (const mc::Command& cmd : model.commands()) {
+    out.commands.push_back(resolved && matches_meta(cmd.meta) ? 1 : 0);
+  }
+  return out;
 }
 
 namespace {

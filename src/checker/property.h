@@ -25,12 +25,11 @@
 
 #include "mc/checker.h"
 #include "mc/model.h"
-#include "threat/compose.h"
 
 namespace procheck::checker {
 
 /// Declarative matcher over a command's metadata plus optional pre-state
-/// variable constraints; compiled to an mc::EdgePred against a ThreatModel.
+/// variable constraints; compiled to an mc::EdgeMatch against a model.
 struct MetaMatch {
   std::optional<mc::CommandMeta::Actor> actor;
   std::optional<mc::CommandMeta::Kind> kind;
@@ -48,7 +47,7 @@ struct MetaMatch {
   std::vector<std::pair<std::string, std::string>> pre_equals;
 
   bool matches_meta(const mc::CommandMeta& m) const;
-  mc::EdgePred compile(const threat::ThreatModel& tm) const;
+  mc::EdgeMatch compile(const mc::Model& model) const;
 };
 
 struct PropertyDef {

@@ -224,7 +224,7 @@ PropertyOutcome cancelled_outcome(const PropertyDef& prop) {
 
 /// One property under the watchdog + the shared retry/degrade ladder.
 /// Exceptions from the MC/CEGAR loop (or the test fault hook) never escape.
-PropertyOutcome run_one_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
+PropertyOutcome run_one_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
                                  const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                                  const CegarOptions& base, const SupervisorOptions& options) {
   CegarOptions per_attempt = base;
@@ -237,7 +237,7 @@ PropertyOutcome run_one_property(const threat::ThreatModel& tm, const fsm::Fsm& 
       {options.retries, options.backoff_seconds},
       [&](int attempt) -> supervise::Attempt {
         if (options.fault_hook) options.fault_hook(prop.id, attempt);
-        out.result = check_property(tm, ue_fsm, prop, crypto, per_attempt);
+        out.result = check_property(graph, ue_fsm, prop, crypto, per_attempt);
         const FailureClass failure = classify(out.result);
         return {failure, failure == FailureClass::kNone ? std::string() : out.result.note};
       },
@@ -262,12 +262,13 @@ PropertyOutcome run_one_property(const threat::ThreatModel& tm, const fsm::Fsm& 
   return out;
 }
 
-}  // namespace
-
-SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
-                             const std::vector<const PropertyDef*>& selected,
-                             const cpv::LteCryptoModel::Options& crypto_options,
-                             const CegarOptions& cegar, const SupervisorOptions& options) {
+/// run_supervised proper: checks against `shared`, or, when that is null,
+/// against a graph of `model` it builds once no journaled outcome can stand
+/// in for the work.
+SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
+                        const fsm::Fsm& ue_fsm, const std::vector<const PropertyDef*>& selected,
+                        const cpv::LteCryptoModel::Options& crypto_options,
+                        const CegarOptions& cegar, const SupervisorOptions& options) {
   SupervisedRun run;
 
   // Lock, header check and (on resume) the candidate records. A refused run
@@ -324,12 +325,35 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
     done[i] = 1;
   };
 
+  // One reachable graph serves the whole fan-out, read-only. Adopted and
+  // inapplicable properties never touch it, so when nothing else is left
+  // the build is skipped.
+  mc::ReachGraph built;
+  const mc::ReachGraph& graph = shared ? *shared : built;
+  const bool needed = std::any_of(work.begin(), work.end(), [&](std::size_t i) {
+    return applicable(*selected[i], ue_fsm);
+  });
+  if (!shared && needed) {
+    mc::CheckOptions budget;
+    budget.max_states = cegar.max_states;
+    budget.max_visited_bytes = min_ceiling(cegar.max_visited_bytes, options.mem_ceiling_bytes);
+    budget.cancel = options.cancel;
+    try {
+      built = mc::ReachGraph::build(*model, budget);
+    } catch (const std::exception& e) {
+      // Contained like a worker crash: every property still gets an outcome.
+      for (std::size_t i : work) record(i, exception_outcome(*selected[i], 1, e.what()));
+      work.clear();
+    }
+    run.graph_stats = built.stats();
+  }
+
   const std::size_t jobs = std::max<std::size_t>(1, options.jobs);
   if (jobs <= 1 || work.size() <= 1) {
     cpv::LteCryptoModel crypto(crypto_options);
     for (std::size_t i : work) {
       if (options.cancel && options.cancel->cancelled()) break;
-      record(i, run_one_property(tm, ue_fsm, *selected[i], crypto, cegar, options));
+      record(i, run_one_property(graph, ue_fsm, *selected[i], crypto, cegar, options));
     }
   } else {
     ThreadPool pool(std::min(jobs, work.size()));
@@ -359,7 +383,7 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
           }
           if (!crypto) crypto = std::make_unique<cpv::LteCryptoModel>(crypto_options);
           PropertyOutcome outcome =
-              run_one_property(tm, ue_fsm, *selected[i], *crypto, cegar, options);
+              run_one_property(graph, ue_fsm, *selected[i], *crypto, cegar, options);
           {
             std::lock_guard<std::mutex> lock(crypto_mutex);
             idle_verifiers.push_back(std::move(crypto));
@@ -386,6 +410,22 @@ SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_f
   run.journal_records = journal.committed();
   if (!journal.error().empty()) run.journal_error = journal.error();
   return run;
+}
+
+}  // namespace
+
+SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
+                             const std::vector<const PropertyDef*>& selected,
+                             const cpv::LteCryptoModel::Options& crypto_options,
+                             const CegarOptions& cegar, const SupervisorOptions& options) {
+  return supervise(&tm.model, nullptr, ue_fsm, selected, crypto_options, cegar, options);
+}
+
+SupervisedRun run_supervised(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
+                             const std::vector<const PropertyDef*>& selected,
+                             const cpv::LteCryptoModel::Options& crypto_options,
+                             const CegarOptions& cegar, const SupervisorOptions& options) {
+  return supervise(nullptr, &graph, ue_fsm, selected, crypto_options, cegar, options);
 }
 
 }  // namespace procheck::checker

@@ -1,10 +1,12 @@
 // Analysis supervisor (DESIGN.md §11 "Failure containment & resume").
 //
-// Layered between ProChecker::analyze and the per-property CEGAR workers:
-// each property runs crash-isolated under a cooperative watchdog (wall-clock
-// deadline + approximate memory ceiling polled in the MC hot loop), so any
-// single property can throw, trip a budget, or be cancelled and the catalog
-// run still completes with a structured outcome for every property. Failed
+// Layered between ProChecker::analyze and the per-property CEGAR workers.
+// The threat model's reachable graph is built once, before the fan-out, and
+// every worker checks its property against it read-only. Each property runs
+// crash-isolated under a cooperative watchdog (wall-clock deadline +
+// approximate memory ceiling polled in the MC hot loop), so any single
+// property can throw, trip a budget, or be cancelled and the catalog run
+// still completes with a structured outcome for every property. Failed
 // or inconclusive properties are retried on the shared degrade ladder
 // (common/supervise.h: shrinking state/deadline budgets, exponential
 // backoff); the final attempt falls back to kInconclusive with the failure
@@ -106,13 +108,27 @@ struct SupervisedRun {
   /// was verified; `abort_reason` carries the structured diagnostic.
   bool aborted = false;
   std::string abort_reason;
+  /// The reachable-graph build this run did before the fan-out: states,
+  /// edges, retained bytes, seconds and truncation. All zero when it built
+  /// none (every selected property adopted from the journal or not
+  /// applicable, or the caller supplied the graph).
+  mc::CheckStats graph_stats;
 };
 
 /// Runs `selected` under supervision. Exceptions never escape a worker:
 /// every property produces a PropertyOutcome. The verdicts are byte-for-byte
 /// deterministic across jobs levels and across interrupt/resume cycles for
 /// deterministic budgets (see DESIGN.md §11 for the determinism argument).
+/// Builds the reachable graph of `tm` under the run's state cap, memory
+/// ceiling and cancel token, unless no selected property needs checking.
 SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
+                             const std::vector<const PropertyDef*>& selected,
+                             const cpv::LteCryptoModel::Options& crypto_options,
+                             const CegarOptions& cegar, const SupervisorOptions& options);
+
+/// The same, checking against a graph the caller built (and may share
+/// across runs on the same threat model).
+SupervisedRun run_supervised(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
                              const std::vector<const PropertyDef*>& selected,
                              const cpv::LteCryptoModel::Options& crypto_options,
                              const CegarOptions& cegar, const SupervisorOptions& options);

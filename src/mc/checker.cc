@@ -1,8 +1,10 @@
 #include "mc/checker.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 
 namespace procheck::mc {
 
@@ -19,7 +21,8 @@ class Timer {
   std::chrono::steady_clock::time_point start_;
 };
 
-constexpr std::uint32_t kNoId = 0xFFFFFFFFu;
+/// "No state": an unset slot, an undiscovered state, or a rejected target.
+constexpr std::uint32_t kNoId = ReachGraph::kMissing;
 
 std::uint64_t hash_state(const std::int32_t* s, std::size_t n) {
   std::uint64_t h = 0x9E3779B97F4A7C15ull;
@@ -31,7 +34,7 @@ std::uint64_t hash_state(const std::int32_t* s, std::size_t n) {
   return h;
 }
 
-/// Interned visited-state set: every distinct state lives exactly once in a
+/// The graph build's visited-state set: every distinct state lives exactly once in a
 /// bump-allocated arena of `stride` int32 slots, identified by a dense
 /// uint32 id; membership is an open-addressing table over those ids keyed
 /// by a 64-bit hash. Replaces unordered_map<State, ...> buckets holding
@@ -102,11 +105,6 @@ class StateSpace {
     return arena_.data() + std::size_t(id) * stride_;
   }
 
-  State state(std::uint32_t id) const {
-    const std::int32_t* p = state_data(id);
-    return State(p, p + stride_);
-  }
-
   void copy_state(std::uint32_t id, State& out) const {
     const std::int32_t* p = state_data(id);
     out.assign(p, p + stride_);
@@ -116,6 +114,9 @@ class StateSpace {
     const std::uint64_t* p = guard_bits_.data() + std::size_t(id) * blocks_;
     out.assign(p, p + blocks_);
   }
+
+  /// Hands the interned states over, in id order (the set is spent).
+  std::vector<std::int32_t> release_arena() { return std::move(arena_); }
 
  private:
   void append_guard_bits(const State& s, const std::uint64_t* parent_bits,
@@ -248,173 +249,171 @@ std::vector<const TraceStep*> CounterExample::adversary_steps() const {
   return out;
 }
 
-// --- Safety --------------------------------------------------------------
+// --- The reachable graph ----------------------------------------------------
 
 namespace {
 
-/// Shared BFS core: explores until `stop(pre, cmd, post)` says the offending
-/// edge was found (post may equal pre for state-violations encoded as edge
-/// checks on arrival).
-///
-/// Per-node bookkeeping is two ints (BFS parent + incoming command index);
-/// the trace's labels/metadata are copied out of the model's commands only
-/// when a counterexample is actually reconstructed, never per visited state.
-std::optional<CounterExample> bfs_search(
-    const Model& model, const CheckOptions& options, CheckStats* stats,
-    const std::function<bool(const State&)>& bad_state,
-    const EdgePred* bad_edge) {
-  Timer timer;
-  struct NodeInfo {
-    std::uint32_t parent = kNoId;
-    std::int32_t cmd = -1;  // index into model.commands(); -1 for the root
-  };
-  const std::vector<Command>& commands = model.commands();
-  StateSpace space(model);
-  std::vector<NodeInfo> info;
-  std::vector<std::uint32_t> frontier;  // FIFO: consumed from `head`
-  std::size_t head = 0;
+/// The per-dequeue budget poll shared by the build and every traversal:
+/// true when the search must stop, with the reason recorded in `stats`.
+bool budget_exhausted(const CheckOptions& options, const Timer& timer, std::size_t bytes,
+                      CheckStats& stats) {
+  if (options.cancel && options.cancel->cancelled()) {
+    stats.cancelled = true;
+    return true;
+  }
+  if (options.max_seconds > 0 && timer.seconds() > options.max_seconds) {
+    stats.deadline_hit = true;
+    return true;
+  }
+  if (options.max_visited_bytes > 0 && bytes > options.max_visited_bytes) {
+    stats.mem_hit = true;
+    return true;
+  }
+  return false;
+}
 
-  auto build_trace = [&](std::uint32_t node, std::optional<TraceStep> extra) {
+/// A traversal reached a state whose out-edges the build never stored: it
+/// stopped for the same reason the build did.
+void inherit_stop(const CheckStats& build, CheckStats& stats) {
+  stats.deadline_hit = stats.deadline_hit || build.deadline_hit;
+  stats.mem_hit = stats.mem_hit || build.mem_hit;
+  stats.cancelled = stats.cancelled || build.cancelled;
+}
+
+template <typename T>
+std::size_t capacity_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+/// The CEGAR ban table, or null when nothing is banned. Traversals index it
+/// by command, so a table of the wrong size is refused, not read past.
+const std::uint8_t* banned_table(const ReachGraph& g, const CheckOptions& options) {
+  if (options.banned.empty()) return nullptr;
+  if (options.banned.size() != g.model().commands().size()) {
+    throw std::invalid_argument("CheckOptions::banned needs one entry per command");
+  }
+  return options.banned.data();
+}
+
+/// Likewise for a compiled predicate: one entry per command, and equalities
+/// only on variables the model has.
+void require_fits(const ReachGraph& g, const EdgeMatch& match) {
+  bool fits = match.commands.size() == g.model().commands().size();
+  for (const auto& [var, value] : match.pre_equals) {
+    fits = fits && var >= 0 && static_cast<std::size_t>(var) < g.model().var_count();
+  }
+  if (!fits) throw std::invalid_argument("EdgeMatch does not fit the graph's model");
+}
+
+/// Breadth-first traversal of the graph's allowed edges: FIFO over states,
+/// each state's edges in command order — the order the build discovered
+/// them, so parents and the first bad edge are the ones a breadth-first
+/// search of the model itself finds, and traces stay the same whichever
+/// properties share the graph. The state cap applies to this traversal's
+/// discoveries. `bad_state(id)` and `bad_edge(id, edge)` say what violates.
+template <typename BadState, typename BadEdge>
+std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& options,
+                                  CheckStats* out, BadState&& bad_state, BadEdge&& bad_edge) {
+  Timer timer;
+  CheckStats stats;
+  const std::vector<Command>& commands = g.model().commands();
+  const std::uint8_t* banned = banned_table(g, options);
+  std::vector<std::uint32_t> parent(g.states(), kNoId);  // the root is its own parent
+  std::vector<std::uint16_t> via(g.states());              // discovering command
+  std::vector<std::uint32_t> queue;                        // discovery order
+  queue.reserve(std::min(options.max_states, g.states()));
+
+  auto trace_to = [&](std::uint32_t node) {
     std::vector<TraceStep> rev;
-    for (std::uint32_t at = node; at != kNoId && info[at].cmd >= 0; at = info[at].parent) {
-      const Command& cmd = commands[info[at].cmd];
-      rev.push_back({cmd.label, cmd.meta, space.state(at)});
+    for (std::uint32_t at = node; at != 0; at = parent[at]) {
+      const Command& cmd = commands[via[at]];
+      rev.push_back({cmd.label, cmd.meta, g.state(at)});
     }
     CounterExample cex;
-    cex.steps.assign(std::make_move_iterator(rev.rbegin()),
-                     std::make_move_iterator(rev.rend()));
-    if (extra) cex.steps.push_back(std::move(*extra));
+    cex.steps.assign(std::make_move_iterator(rev.rbegin()), std::make_move_iterator(rev.rend()));
+    return cex;
+  };
+  auto bytes = [&] { return capacity_bytes(parent) + capacity_bytes(via) + capacity_bytes(queue); };
+  auto finish = [&](std::optional<CounterExample> cex) {
+    stats.states_explored = queue.size();
+    stats.visited_bytes = bytes();
+    stats.seconds = timer.seconds();
+    if (out) *out = stats;
     return cex;
   };
 
-  auto current_bytes = [&] {
-    return space.bytes() + info.capacity() * sizeof(NodeInfo) +
-           frontier.capacity() * sizeof(std::uint32_t);
-  };
-  auto finish_stats = [&] {
-    if (stats) {
-      stats->states_explored = space.size();
-      stats->visited_bytes = current_bytes();
-      stats->seconds = timer.seconds();
+  parent[0] = 0;
+  queue.push_back(0);
+  if (bad_state(0)) return finish(CounterExample{});
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    if (budget_exhausted(options, timer, bytes(), stats)) break;
+    const std::uint32_t at = queue[head];
+    if (at >= g.expanded()) {
+      inherit_stop(g.stats(), stats);
+      continue;
     }
-  };
-
-  State init = model.initial();
-  bool inserted = false;
-  space.intern(init, options.max_states, &inserted, nullptr, 0);
-  info.push_back({});
-  frontier.push_back(0);
-
-  if (bad_state && bad_state(init)) {
-    finish_stats();
-    return CounterExample{};
+    for (std::size_t e = g.edge_begin(at); e < g.edge_end(at); ++e) {
+      const std::size_t j = g.command(e);
+      if (banned && banned[j]) continue;
+      ++stats.edges_explored;
+      if (bad_edge(at, e)) {
+        CounterExample cex = trace_to(at);
+        cex.steps.push_back({commands[j].label, commands[j].meta, g.post(at, e)});
+        return finish(std::move(cex));
+      }
+      const std::uint32_t to = g.target(e);
+      if (to == ReachGraph::kMissing) {
+        stats.bound_hit = true;
+        continue;
+      }
+      if (parent[to] != kNoId) continue;
+      if (queue.size() >= options.max_states) {
+        stats.bound_hit = true;
+        continue;
+      }
+      parent[to] = at;
+      via[to] = static_cast<std::uint16_t>(j);
+      queue.push_back(to);
+      if (bad_state(to)) return finish(trace_to(to));
+    }
   }
-
-  State pre(model.var_count(), 0);
-  State next(model.var_count(), 0);
-  std::vector<std::uint64_t> pre_bits(space.blocks(), 0);
-
-  std::optional<CounterExample> result;
-  while (head < frontier.size() && !result) {
-    if (options.cancel && options.cancel->cancelled()) {
-      if (stats) stats->cancelled = true;
-      break;
-    }
-    if (options.max_seconds > 0 && timer.seconds() > options.max_seconds) {
-      if (stats) stats->deadline_hit = true;
-      break;
-    }
-    if (options.max_visited_bytes > 0 && current_bytes() > options.max_visited_bytes) {
-      if (stats) stats->mem_hit = true;
-      break;
-    }
-    std::uint32_t at = frontier[head++];
-    // Local copies: the arena and guard cache may reallocate on insert.
-    space.copy_state(at, pre);
-    space.copy_guard_bits(at, pre_bits);
-    for_enabled(pre_bits, commands.size(), [&](std::size_t j) {
-      if (result) return;
-      const Command& cmd = commands[j];
-      next = pre;
-      std::uint64_t changed = apply_command(cmd, pre, next);
-      if (options.allowed && !options.allowed(pre, cmd, next)) return;
-      if (stats) ++stats->edges_explored;
-      if (bad_edge && (*bad_edge)(pre, cmd, next)) {
-        result = build_trace(at, TraceStep{cmd.label, cmd.meta, next});
-        return;
-      }
-      bool fresh = false;
-      std::uint32_t id =
-          space.intern(next, options.max_states, &fresh, pre_bits.data(), changed);
-      if (id == kNoId) {
-        if (stats) stats->bound_hit = true;
-        return;
-      }
-      if (!fresh) return;
-      info.push_back({at, static_cast<std::int32_t>(j)});
-      if (bad_state && bad_state(next)) {
-        result = build_trace(id, std::nullopt);
-        return;
-      }
-      frontier.push_back(id);
-    });
-  }
-
-  finish_stats();
-  return result;
+  return finish(std::nullopt);
 }
 
-}  // namespace
-
-std::optional<CounterExample> Checker::check_invariant(const Expr& good, CheckStats* stats,
-                                                       const CheckOptions& options) const {
-  return bfs_search(
-      model_, options, stats, [&](const State& s) { return !good.eval(s); }, nullptr);
-}
-
-std::optional<CounterExample> Checker::check_edge_never(const EdgePred& bad, CheckStats* stats,
-                                                        const CheckOptions& options) const {
-  return bfs_search(model_, options, stats, nullptr, &bad);
-}
-
-// --- Liveness --------------------------------------------------------------
+// Liveness: product construction with a one-bit monitor: pending :=
+// (pending ∨ trigger(edge)) ∧ ¬response(edge). A violation of G(trigger → F
+// response) is a reachable cycle lying entirely inside pending=true nodes
+// (any response inside the cycle would clear the bit). Deadlocked model
+// states stutter, so a dead end with a pending obligation is also a
+// violation.
 //
-// Product construction with a one-bit monitor: pending := (pending ∨
-// trigger(edge)) ∧ ¬response(edge). A violation of G(trigger → F response)
-// is a reachable cycle lying entirely inside pending=true nodes (any
-// response inside the cycle would clear the bit). Deadlocked model states
-// stutter, so a dead end with a pending obligation is also a violation.
-//
-// Model states are interned once in the StateSpace; product nodes reference
-// them by id, and the product index is a dense per-state pair of node ids
-// (pending=0/1) — no hashing of state vectors anywhere in the product.
-
-std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
-                                                      const EdgePred& response,
-                                                      CheckStats* stats,
-                                                      const CheckOptions& options) const {
+// Product nodes reference graph states by id, and the product index is a
+// dense per-state pair of node ids (pending=0/1). The state cap bounds both
+// the distinct graph states the product touches and its node count, as a
+// product built from the model itself would be bounded.
+// `labels(id, edge)` returns {trigger, response}.
+template <typename Labels>
+std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& options,
+                                    CheckStats* out, Labels&& labels) {
   Timer timer;
+  CheckStats stats;
   constexpr std::int32_t kStutter = -1;
-  struct Node {
-    std::uint32_t state;
-    bool pending;
-  };
-  struct NodeInfo {
-    std::uint32_t parent = kNoId;
-    std::int32_t cmd = -1;
-  };
-  const std::vector<Command>& commands = model_.commands();
-  StateSpace space(model_);
+  const std::vector<Command>& commands = g.model().commands();
+  const std::uint8_t* banned = banned_table(g, options);
 
-  std::vector<Node> nodes;
-  std::vector<NodeInfo> info;
-  /// node_of[state_id][pending] — product index without hashing.
-  std::vector<std::array<std::uint32_t, 2>> node_of;
-  // Edges among pending=true nodes (candidates for the violating cycle):
-  // (target node, command index or kStutter).
-  std::vector<std::vector<std::pair<std::uint32_t, std::int32_t>>> pending_edges;
-  std::vector<std::uint32_t> frontier;
-  std::size_t head = 0;
+  // Product nodes in discovery order, which is also the order the BFS
+  // expands them.
+  std::vector<std::uint32_t> node_state;
+  std::vector<std::uint8_t> node_pending;
+  std::vector<std::uint32_t> node_parent;
+  std::vector<std::int32_t> node_via;  // command index; -1 for the root
+  std::vector<std::array<std::uint32_t, 2>> node_of(g.states(), {kNoId, kNoId});
+  std::vector<std::uint8_t> seen(g.states(), 0);  // graph states counted against the cap
+  std::size_t distinct = 0;
+  // Edges among pending=true nodes (candidates for the violating cycle),
+  // CSR by expanded node: (target node, command index or kStutter).
+  std::vector<std::size_t> pending_begin{0};
+  std::vector<std::pair<std::uint32_t, std::int32_t>> pending_edges;
 
   auto edge_label = [&](std::int32_t cmd) -> std::string {
     return cmd == kStutter ? "(stutter)" : commands[cmd].label;
@@ -422,133 +421,108 @@ std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
   auto edge_meta = [&](std::int32_t cmd) -> CommandMeta {
     return cmd == kStutter ? CommandMeta{} : commands[cmd].meta;
   };
-
-  auto current_bytes = [&] {
-    return space.bytes() + nodes.capacity() * sizeof(Node) +
-           info.capacity() * sizeof(NodeInfo) +
-           node_of.capacity() * sizeof(std::array<std::uint32_t, 2>) +
-           pending_edges.capacity() *
-               sizeof(std::vector<std::pair<std::uint32_t, std::int32_t>>) +
-           frontier.capacity() * sizeof(std::uint32_t);
+  auto bytes = [&] {
+    return capacity_bytes(node_state) + capacity_bytes(node_pending) +
+           capacity_bytes(node_parent) + capacity_bytes(node_via) + capacity_bytes(node_of) +
+           capacity_bytes(seen) + capacity_bytes(pending_begin) + capacity_bytes(pending_edges);
   };
-  auto finish_stats = [&] {
-    if (stats) {
-      stats->states_explored = nodes.size();
-      stats->visited_bytes = current_bytes();
-      stats->seconds = timer.seconds();
-    }
+  auto finish = [&](std::optional<CounterExample> cex) {
+    stats.states_explored = node_state.size();
+    stats.visited_bytes = bytes();
+    stats.seconds = timer.seconds();
+    if (out) *out = stats;
+    return cex;
   };
 
-  // Interns the model state, then adds/returns the product node for
-  // (state, pending). Returns kNoId when a budget rejects it.
-  auto add_node = [&](const State& s, const std::uint64_t* parent_bits,
-                      std::uint64_t changed, bool pending, std::uint32_t parent,
-                      std::int32_t cmd) -> std::uint32_t {
-    bool fresh = false;
-    std::uint32_t sid = space.intern(s, options.max_states, &fresh, parent_bits, changed);
-    if (sid == kNoId) {
-      if (stats) stats->bound_hit = true;
+  // Adds/returns the product node for (state, pending); kNoId when the
+  // graph lacks the state or a cap rejects it.
+  auto add_node = [&](std::uint32_t state, bool pending, std::uint32_t parent,
+                      std::int32_t via) -> std::uint32_t {
+    if (state == ReachGraph::kMissing) {
+      stats.bound_hit = true;
       return kNoId;
     }
-    if (fresh) node_of.push_back({kNoId, kNoId});
-    std::uint32_t& slot = node_of[sid][pending ? 1 : 0];
+    if (!seen[state]) {
+      if (distinct >= options.max_states) {
+        stats.bound_hit = true;
+        return kNoId;
+      }
+      seen[state] = 1;
+      ++distinct;
+    }
+    std::uint32_t& slot = node_of[state][pending ? 1 : 0];
     if (slot != kNoId) return slot;
-    if (nodes.size() >= options.max_states) {
-      if (stats) stats->bound_hit = true;
+    if (node_state.size() >= options.max_states) {
+      stats.bound_hit = true;
       return kNoId;
     }
-    slot = static_cast<std::uint32_t>(nodes.size());
-    nodes.push_back({sid, pending});
-    info.push_back({parent, cmd});
-    pending_edges.emplace_back();
-    frontier.push_back(slot);
+    slot = static_cast<std::uint32_t>(node_state.size());
+    node_state.push_back(state);
+    node_pending.push_back(pending ? 1 : 0);
+    node_parent.push_back(parent);
+    node_via.push_back(via);
     return slot;
   };
 
-  State init = model_.initial();
-  add_node(init, nullptr, 0, false, kNoId, -1);
-
-  State pre(model_.var_count(), 0);
-  State next(model_.var_count(), 0);
-  std::vector<std::uint64_t> pre_bits(space.blocks(), 0);
-
-  while (head < frontier.size()) {
-    if (options.cancel && options.cancel->cancelled()) {
-      if (stats) stats->cancelled = true;
-      break;
+  add_node(0, false, kNoId, -1);
+  for (std::uint32_t at = 0; at < node_state.size(); ++at) {
+    if (budget_exhausted(options, timer, bytes(), stats)) break;
+    const std::uint32_t state = node_state[at];
+    const bool pending = node_pending[at] != 0;
+    if (state >= g.expanded()) {
+      inherit_stop(g.stats(), stats);
+      pending_begin.push_back(pending_edges.size());
+      continue;
     }
-    if (options.max_seconds > 0 && timer.seconds() > options.max_seconds) {
-      if (stats) stats->deadline_hit = true;
-      break;
-    }
-    if (options.max_visited_bytes > 0 && current_bytes() > options.max_visited_bytes) {
-      if (stats) stats->mem_hit = true;
-      break;
-    }
-    std::uint32_t at = frontier[head++];
-    const bool pending = nodes[at].pending;
-    space.copy_state(nodes[at].state, pre);
-    space.copy_guard_bits(nodes[at].state, pre_bits);
-
     bool any_successor = false;
-    for_enabled(pre_bits, commands.size(), [&](std::size_t j) {
-      const Command& cmd = commands[j];
-      next = pre;
-      std::uint64_t changed = apply_command(cmd, pre, next);
-      if (options.allowed && !options.allowed(pre, cmd, next)) return;
+    for (std::size_t e = g.edge_begin(state); e < g.edge_end(state); ++e) {
+      const std::int32_t j = static_cast<std::int32_t>(g.command(e));
+      if (banned && banned[j]) continue;
       any_successor = true;
-      if (stats) ++stats->edges_explored;
-      bool trig = trigger(pre, cmd, next);
-      bool resp = response(pre, cmd, next);
-      bool next_pending = (pending || trig) && !resp;
-      std::uint32_t to = add_node(next, pre_bits.data(), changed, next_pending, at,
-                                  static_cast<std::int32_t>(j));
-      if (to == kNoId) return;
-      if (pending && next_pending) {
-        pending_edges[at].push_back({to, static_cast<std::int32_t>(j)});
-      }
-    });
+      ++stats.edges_explored;
+      const auto [trig, resp] = labels(state, e);
+      const bool next_pending = (pending || trig) && !resp;
+      const std::uint32_t to = add_node(g.target(e), next_pending, at, j);
+      if (to == kNoId) continue;
+      if (pending && next_pending) pending_edges.push_back({to, j});
+    }
     if (!any_successor && pending) {
       // Deadlock with an unanswered trigger: stutter self-loop.
-      pending_edges[at].push_back({at, kStutter});
+      pending_edges.push_back({at, kStutter});
     }
+    pending_begin.push_back(pending_edges.size());
   }
+  // Nodes the BFS never expanded (it stopped at a budget) have no edges.
+  pending_begin.resize(node_state.size() + 1, pending_edges.size());
 
-  // Cycle detection restricted to pending=true nodes (iterative DFS).
-  std::vector<std::uint8_t> color(nodes.size(), 0);  // 0 white, 1 grey, 2 black
-  for (std::uint32_t root = 0; root < nodes.size(); ++root) {
-    if (options.cancel && options.cancel->cancelled()) {
-      if (stats) stats->cancelled = true;
-      break;
-    }
-    if (options.max_seconds > 0 && timer.seconds() > options.max_seconds) {
-      if (stats) stats->deadline_hit = true;
-      break;
-    }
-    if (!nodes[root].pending || color[root] != 0) continue;
+  // Cycle detection restricted to pending=true nodes (iterative DFS). The
+  // memory ceiling is not polled here: the DFS adds only its colour array.
+  std::vector<std::uint8_t> color(node_state.size(), 0);  // 0 white, 1 grey, 2 black
+  for (std::uint32_t root = 0; root < node_state.size(); ++root) {
+    if (budget_exhausted(options, timer, 0, stats)) break;
+    if (!node_pending[root] || color[root] != 0) continue;
     struct Frame {
       std::uint32_t node;
-      std::size_t next_edge = 0;
-      std::int32_t via_cmd = kStutter;  // edge used to reach this node
+      std::size_t next_edge;
+      std::int32_t via_cmd;  // edge used to reach this node
     };
-    std::vector<Frame> stack{{root, 0, kStutter}};
+    std::vector<Frame> stack{{root, pending_begin[root], kStutter}};
     color[root] = 1;
     while (!stack.empty()) {
       Frame& f = stack.back();
-      if (f.next_edge >= pending_edges[f.node].size()) {
+      if (f.next_edge >= pending_begin[f.node + 1]) {
         color[f.node] = 2;
         stack.pop_back();
         continue;
       }
-      auto [to, via] = pending_edges[f.node][f.next_edge++];
+      auto [to, via] = pending_edges[f.next_edge++];
       if (color[to] == 1) {
-        // Found a cycle: stack from `to` upward + the closing edge.
+        // Found a cycle. Prefix: initial -> `to` via BFS parents.
         CounterExample cex;
-        // Prefix: initial -> `to` via BFS parents.
         std::vector<TraceStep> rev;
-        for (std::uint32_t n = to; n != kNoId && info[n].cmd >= 0; n = info[n].parent) {
-          const Command& cmd = commands[info[n].cmd];
-          rev.push_back({cmd.label, cmd.meta, space.state(nodes[n].state)});
+        for (std::uint32_t n = to; node_via[n] >= 0; n = node_parent[n]) {
+          const Command& cmd = commands[node_via[n]];
+          rev.push_back({cmd.label, cmd.meta, g.state(node_state[n])});
         }
         cex.steps.assign(std::make_move_iterator(rev.rbegin()),
                          std::make_move_iterator(rev.rend()));
@@ -560,21 +534,179 @@ std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
         }
         for (std::size_t i = start + 1; i < stack.size(); ++i) {
           cex.steps.push_back({edge_label(stack[i].via_cmd), edge_meta(stack[i].via_cmd),
-                               space.state(nodes[stack[i].node].state)});
+                               g.state(node_state[stack[i].node])});
         }
-        cex.steps.push_back({edge_label(via), edge_meta(via), space.state(nodes[to].state)});
-        finish_stats();
-        return cex;
+        cex.steps.push_back({edge_label(via), edge_meta(via), g.state(node_state[to])});
+        return finish(std::move(cex));
       }
       if (color[to] == 0) {
         color[to] = 1;
-        stack.push_back({to, 0, via});
+        stack.push_back({to, pending_begin[to], via});
       }
     }
   }
+  return finish(std::nullopt);
+}
 
-  finish_stats();
-  return std::nullopt;
+/// Evaluates a generic EdgePred on stored edges, materializing the pre- and
+/// post-states (the pre-state is reused across one state's edges).
+class EdgeStates {
+ public:
+  explicit EdgeStates(const ReachGraph& g) : g_(g) {}
+
+  bool operator()(const EdgePred& pred, std::uint32_t id, std::size_t edge) {
+    if (id != id_) {
+      pre_ = g_.state(id);
+      id_ = id;
+    }
+    post_ = g_.post(id, edge);
+    return pred(pre_, g_.model().commands()[g_.command(edge)], post_);
+  }
+
+ private:
+  const ReachGraph& g_;
+  std::uint32_t id_ = kNoId;
+  State pre_, post_;
+};
+
+/// Checker's one-call shape: build the graph under `options`, traverse it
+/// once, and report the two as one search.
+template <typename Traverse>
+std::optional<CounterExample> build_and_check(const Model& model, const CheckOptions& options,
+                                              CheckStats* stats, Traverse&& traverse) {
+  const ReachGraph graph = ReachGraph::build(model, options);
+  CheckStats own;
+  std::optional<CounterExample> cex = traverse(graph, &own);
+  own.seconds += graph.stats().seconds;
+  own.visited_bytes += graph.stats().visited_bytes;
+  if (stats) *stats = own;
+  return cex;
+}
+
+}  // namespace
+
+ReachGraph ReachGraph::build(const Model& model, const CheckOptions& options) {
+  Timer timer;
+  const std::vector<Command>& commands = model.commands();
+  if (commands.size() > 0x10000) {
+    throw std::length_error("reachable graph: more than 65536 commands");
+  }
+  ReachGraph g;
+  g.model_ = &model;
+  g.stride_ = model.var_count();
+  StateSpace space(model);
+  bool fresh = false;
+  space.intern(model.initial(), std::max<std::size_t>(1, options.max_states), &fresh, nullptr, 0);
+  g.offsets_.push_back(0);
+
+  auto bytes = [&] {
+    return space.bytes() + capacity_bytes(g.offsets_) + capacity_bytes(g.targets_) +
+           capacity_bytes(g.commands_);
+  };
+  State pre(g.stride_, 0);
+  State next(g.stride_, 0);
+  std::vector<std::uint64_t> pre_bits(space.blocks(), 0);
+  // Discovery order is BFS order, so the arena itself is the FIFO frontier.
+  for (std::uint32_t at = 0; at < space.size(); ++at) {
+    if (budget_exhausted(options, timer, bytes(), g.stats_)) break;
+    // Local copies: the arena and guard cache may reallocate on insert.
+    space.copy_state(at, pre);
+    space.copy_guard_bits(at, pre_bits);
+    for_enabled(pre_bits, commands.size(), [&](std::size_t j) {
+      next = pre;
+      const std::uint64_t changed = apply_command(commands[j], pre, next);
+      bool inserted = false;
+      const std::uint32_t id =
+          space.intern(next, options.max_states, &inserted, pre_bits.data(), changed);
+      if (id == kMissing) g.stats_.bound_hit = true;
+      g.targets_.push_back(id);
+      g.commands_.push_back(static_cast<std::uint16_t>(j));
+    });
+    if (g.targets_.size() > 0xFFFFFFFFu) {
+      throw std::length_error("reachable graph: more than 2^32 edges");
+    }
+    g.offsets_.push_back(static_cast<std::uint32_t>(g.targets_.size()));
+  }
+
+  // Keep exactly what traversals read; the hash table and guard cache go
+  // with `space`.
+  g.stats_.states_explored = space.size();
+  g.states_ = space.release_arena();
+  g.states_.shrink_to_fit();
+  g.offsets_.shrink_to_fit();
+  g.targets_.shrink_to_fit();
+  g.commands_.shrink_to_fit();
+  g.stats_.edges_explored = g.targets_.size();
+  g.stats_.visited_bytes = capacity_bytes(g.states_) + capacity_bytes(g.offsets_) +
+                           capacity_bytes(g.targets_) + capacity_bytes(g.commands_);
+  g.stats_.seconds = timer.seconds();
+  return g;
+}
+
+State ReachGraph::state(std::uint32_t id) const {
+  const std::int32_t* p = state_data(id);
+  return State(p, p + stride_);
+}
+
+State ReachGraph::post(std::uint32_t id, std::size_t edge) const {
+  if (targets_[edge] != kMissing) return state(targets_[edge]);
+  const State pre = state(id);
+  State next = pre;
+  apply_command(model_->commands()[commands_[edge]], pre, next);
+  return next;
+}
+
+std::optional<CounterExample> ReachGraph::check_edge_never(const EdgeMatch& bad,
+                                                           CheckStats* stats,
+                                                           const CheckOptions& options) const {
+  require_fits(*this, bad);
+  return bfs(
+      *this, options, stats, [](std::uint32_t) { return false; },
+      [&](std::uint32_t id, std::size_t edge) { return bad.matches(state_data(id), command(edge)); });
+}
+
+std::optional<CounterExample> ReachGraph::check_response(const EdgeMatch& trigger,
+                                                         const EdgeMatch& response,
+                                                         CheckStats* stats,
+                                                         const CheckOptions& options) const {
+  require_fits(*this, trigger);
+  require_fits(*this, response);
+  return lasso(*this, options, stats, [&](std::uint32_t id, std::size_t edge) {
+    const std::int32_t* pre = state_data(id);
+    const std::size_t j = command(edge);
+    return std::pair<bool, bool>(trigger.matches(pre, j), response.matches(pre, j));
+  });
+}
+
+std::optional<CounterExample> Checker::check_invariant(const Expr& good, CheckStats* stats,
+                                                       const CheckOptions& options) const {
+  return build_and_check(model_, options, stats, [&](const ReachGraph& g, CheckStats* s) {
+    return bfs(
+        g, options, s, [&](std::uint32_t id) { return !good.eval(g.state(id)); },
+        [](std::uint32_t, std::size_t) { return false; });
+  });
+}
+
+std::optional<CounterExample> Checker::check_edge_never(const EdgePred& bad, CheckStats* stats,
+                                                        const CheckOptions& options) const {
+  return build_and_check(model_, options, stats, [&](const ReachGraph& g, CheckStats* s) {
+    EdgeStates edge(g);
+    return bfs(
+        g, options, s, [](std::uint32_t) { return false; },
+        [&](std::uint32_t id, std::size_t e) { return edge(bad, id, e); });
+  });
+}
+
+std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
+                                                      const EdgePred& response,
+                                                      CheckStats* stats,
+                                                      const CheckOptions& options) const {
+  return build_and_check(model_, options, stats, [&](const ReachGraph& g, CheckStats* s) {
+    EdgeStates edge(g);
+    return lasso(g, options, s, [&](std::uint32_t id, std::size_t e) {
+      return std::pair<bool, bool>(edge(trigger, id, e), edge(response, id, e));
+    });
+  });
 }
 
 }  // namespace procheck::mc

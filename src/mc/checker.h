@@ -2,15 +2,20 @@
 // edges, and response liveness (G(trigger → F response)) with counterexample
 // traces — the verification features of nuXmv the paper's pipeline uses.
 //
-// The CEGAR loop's "property refinement" is realized by the `allowed` edge
-// filter in CheckOptions: adversary actions the cryptographic verifier
-// adjudicated infeasible are excluded from the next verification iteration.
+// Like nuXmv computing a model's reachable set once for all of its specs,
+// the model is explored once into a ReachGraph and every property is a
+// traversal of that graph (DESIGN.md §10). The CEGAR loop's "property
+// refinement" is the `banned` command table in CheckOptions: adversary
+// actions the cryptographic verifier adjudicated infeasible are pruned from
+// the next traversal.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -41,12 +46,15 @@ struct CounterExample {
 struct CheckStats {
   std::size_t states_explored = 0;
   std::size_t edges_explored = 0;
-  /// Bytes held by the visited-state structures at the end of the search
-  /// (interned-state arena + hash table + guard cache + search bookkeeping).
-  /// Growth is monotonic, so this is also the peak.
+  /// Bytes held by the search's own structures at the end: for a graph
+  /// build, the graph as retained; for a traversal, its visited-set and
+  /// parent bookkeeping (not the shared graph). Growth is monotonic, so this
+  /// is also the peak.
   std::size_t visited_bytes = 0;
   double seconds = 0.0;
-  bool bound_hit = false;     // exploration stopped at max_states
+  /// Exploration stopped at max_states, or reached a state a truncated
+  /// graph lacks because its build stopped there.
+  bool bound_hit = false;
   bool deadline_hit = false;  // exploration stopped at max_seconds
   bool mem_hit = false;       // exploration stopped at max_visited_bytes
   bool cancelled = false;     // exploration stopped by a CancelToken
@@ -59,25 +67,111 @@ struct CheckStats {
 /// Edge predicate over (pre-state, command, post-state).
 using EdgePred = std::function<bool(const State&, const Command&, const State&)>;
 
+/// An edge predicate in the form a graph traversal evaluates without
+/// materializing states: a per-command table plus pre-state equalities, all
+/// of which must hold. checker::MetaMatch compiles to this. A traversal
+/// refuses (std::invalid_argument) one that does not fit its model: a table
+/// size other than the command count, or an equality on a missing variable.
+struct EdgeMatch {
+  std::vector<std::uint8_t> commands;                    // by command index
+  std::vector<std::pair<int, std::int32_t>> pre_equals;  // var == value
+
+  bool matches(const std::int32_t* pre, std::size_t command) const {
+    if (!commands[command]) return false;
+    for (const auto& [var, value] : pre_equals) {
+      if (pre[var] != value) return false;
+    }
+    return true;
+  }
+};
+
 struct CheckOptions {
   std::size_t max_states = 2'000'000;
   /// Wall-clock budget in seconds; 0 = unbounded. Exploration stops (with
   /// stats->deadline_hit) once exceeded — a guardrail, not a fairness bound.
   double max_seconds = 0.0;
-  /// Approximate memory ceiling over the visited-state structures (the
-  /// quantity reported as CheckStats::visited_bytes); 0 = unbounded.
-  /// Polled cooperatively in the search loop, so the real footprint can
+  /// Approximate memory ceiling over the search's structures (the quantity
+  /// reported as CheckStats::visited_bytes); 0 = unbounded. Polled
+  /// cooperatively once per dequeued state, so the real footprint can
   /// overshoot by one poll interval — a supervisor guardrail against OOM,
   /// not an allocator limit.
   std::size_t max_visited_bytes = 0;
   /// Cooperative cancellation (the supervisor's watchdog): polled once per
   /// dequeued state; a cancelled search stops with stats->cancelled set.
   const CancelToken* cancel = nullptr;
-  /// When set, edges for which this returns false are pruned (CEGAR
-  /// refinement of the threat model).
-  EdgePred allowed;
+  /// CEGAR refinement of the threat model: edges of commands whose entry is
+  /// nonzero are pruned. Empty = nothing banned; otherwise one entry per
+  /// command, by command index (a traversal throws std::invalid_argument on
+  /// any other size).
+  std::vector<std::uint8_t> banned;
 };
 
+/// The reachable states and transitions of a Model, explored once
+/// breadth-first and then shared read-only by every property check. States
+/// are stored in discovery order (id 0 is the initial state); the out-edges
+/// (target, command) of each expanded state are stored in command order, so
+/// a FIFO traversal that scans them in order meets states, parents and the
+/// first bad edge exactly as a breadth-first search of the model would.
+class ReachGraph {
+ public:
+  /// Target of an edge whose post-state the build's state cap rejected.
+  static constexpr std::uint32_t kMissing = 0xFFFFFFFFu;
+
+  ReachGraph() = default;  // empty: no model, no states
+
+  /// Explores `model` under the budgets in `options` (max_states,
+  /// max_seconds, max_visited_bytes, cancel; `banned` is ignored). The
+  /// graph refers to `model`, which must outlive it at the same address.
+  /// A budget stop truncates the graph: stats().truncated() is set, and a
+  /// traversal that reaches a state or edge the build left out reports that
+  /// budget instead of a verdict.
+  static ReachGraph build(const Model& model, const CheckOptions& options = {});
+
+  const Model& model() const { return *model_; }
+  /// The build's figures: states, edges, retained bytes, seconds, truncation.
+  const CheckStats& stats() const { return stats_; }
+  std::size_t states() const { return stats_.states_explored; }
+  std::size_t edges() const { return targets_.size(); }
+  /// States whose out-edges are stored: ids [0, expanded()). All of them
+  /// unless a deadline, memory ceiling or cancellation stopped the build.
+  std::size_t expanded() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
+  /// Out-edges of an expanded state: indices [edge_begin, edge_end).
+  std::size_t edge_begin(std::uint32_t id) const { return offsets_[id]; }
+  std::size_t edge_end(std::uint32_t id) const { return offsets_[id + 1]; }
+  std::uint32_t target(std::size_t edge) const { return targets_[edge]; }
+  std::size_t command(std::size_t edge) const { return commands_[edge]; }
+  const std::int32_t* state_data(std::uint32_t id) const {
+    return states_.data() + std::size_t(id) * stride_;
+  }
+  State state(std::uint32_t id) const;
+  /// The post-state of `edge` out of state `id` (recomputed from the
+  /// command when the target is kMissing).
+  State post(std::uint32_t id, std::size_t edge) const;
+
+  /// "bad edge never fires" — returns a finite trace ending with the edge.
+  std::optional<CounterExample> check_edge_never(const EdgeMatch& bad, CheckStats* stats,
+                                                 const CheckOptions& options = {}) const;
+
+  /// G(trigger → F response) over edges — returns a lasso trace on which a
+  /// trigger fires and the loop never answers it. Deadlocked states stutter.
+  std::optional<CounterExample> check_response(const EdgeMatch& trigger,
+                                               const EdgeMatch& response, CheckStats* stats,
+                                               const CheckOptions& options = {}) const;
+
+ private:
+  const Model* model_ = nullptr;
+  std::size_t stride_ = 0;
+  std::vector<std::int32_t> states_;     // states() * stride_ values
+  std::vector<std::uint32_t> offsets_;   // expanded() + 1 CSR offsets
+  std::vector<std::uint32_t> targets_;   // per edge: state id or kMissing
+  std::vector<std::uint16_t> commands_;  // per edge: command index
+  CheckStats stats_;
+};
+
+/// One-call checks with generic predicates: each call builds a ReachGraph
+/// under the options' budgets and runs one traversal of it, and `stats`
+/// covers both (seconds and bytes include the build). Checking many
+/// properties of one model should build the graph once and traverse it.
 class Checker {
  public:
   explicit Checker(const Model& model) : model_(model) {}
@@ -90,8 +184,7 @@ class Checker {
   std::optional<CounterExample> check_edge_never(const EdgePred& bad, CheckStats* stats,
                                                  const CheckOptions& options = {}) const;
 
-  /// G(trigger → F response) over edges — returns a lasso trace on which a
-  /// trigger fires and the loop never answers it. Deadlocked states stutter.
+  /// G(trigger → F response) over edges — see ReachGraph::check_response.
   std::optional<CounterExample> check_response(const EdgePred& trigger,
                                                const EdgePred& response, CheckStats* stats,
                                                const CheckOptions& options = {}) const;

@@ -15,10 +15,13 @@
 namespace procheck::checker {
 namespace {
 
-// Shared fixture: run the pipeline front half once per profile.
+// Shared fixture: run the pipeline front half once per profile, and explore
+// its threat model's reachable graph once for every property check.
 struct ExtractedModels {
   fsm::Fsm rich;
   fsm::Fsm flat;
+  threat::ThreatModel tm;
+  mc::ReachGraph graph;
 };
 
 const ExtractedModels& models_for(const ue::StackProfile& profile) {
@@ -36,6 +39,9 @@ const ExtractedModels& models_for(const ue::StackProfile& profile) {
     flat_opts.chain_substates = false;
     m.flat = extractor::extract_basic(trace.records(), sigs, flat_opts);
     it = cache.emplace(profile.name, std::move(m)).first;
+    // Built in place: the graph refers to the cached threat model.
+    it->second.tm = ProChecker::build_threat_model(it->second.flat);
+    it->second.graph = mc::ReachGraph::build(it->second.tm.model);
   }
   return it->second;
 }
@@ -52,13 +58,12 @@ const PropertyDef& property(const std::string& id) {
 PropertyResult run_one(const ue::StackProfile& profile, const std::string& id,
                        std::size_t max_states = 400000) {
   const ExtractedModels& m = models_for(profile);
-  threat::ThreatModel tm = ProChecker::build_threat_model(m.flat);
   cpv::LteCryptoModel::Options copts;
   copts.usim_freshness_limit = profile.sqn_freshness_limit.has_value();
   cpv::LteCryptoModel crypto(copts);
   CegarOptions options;
   options.max_states = max_states;
-  return check_property(tm, m.flat, property(id), crypto, options);
+  return check_property(m.graph, m.flat, property(id), crypto, options);
 }
 
 // --- Catalog shape -------------------------------------------------------------
@@ -126,6 +131,30 @@ TEST(MetaMatchTest, MatchesOnAllCriteria) {
   m.atoms_none.clear();
   m.provenance_any = {mc::kProvReplayed};
   EXPECT_FALSE(m.matches_meta(meta));
+}
+
+TEST(MetaMatchTest, CompilesToACommandTablePlusPreStateEqualities) {
+  const mc::Model& model = models_for(ue::StackProfile::cls()).tm.model;
+  MetaMatch m;
+  m.actor = mc::CommandMeta::Actor::kUe;
+  m.message = "attach_accept";
+  m.pre_equals = {{"flag_smc", "0"}};
+  mc::EdgeMatch e = m.compile(model);
+  ASSERT_EQ(e.commands.size(), model.commands().size());
+  std::size_t matching = 0;
+  for (const mc::Command& cmd : model.commands()) {
+    EXPECT_EQ(e.commands[cmd.index] != 0, m.matches_meta(cmd.meta)) << cmd.label;
+    matching += e.commands[cmd.index];
+  }
+  EXPECT_GT(matching, 0u);
+  const int flag_smc = model.var("flag_smc");
+  ASSERT_EQ(e.pre_equals.size(), 1u);
+  EXPECT_EQ(e.pre_equals[0], std::make_pair(flag_smc, model.value_index(flag_smc, "0")));
+
+  // A constraint on a variable the model lacks never holds.
+  m.pre_equals = {{"no_such_var", "0"}};
+  e = m.compile(model);
+  for (std::uint8_t c : e.commands) EXPECT_EQ(c, 0);
 }
 
 // --- Baseline models -------------------------------------------------------------
@@ -326,13 +355,13 @@ TEST(CegarBudget, ExhaustedStateBoundIsInconclusive) {
 }
 
 TEST(CegarBudget, ExhaustedWallClockIsInconclusive) {
+  // Through the one-call form: the deadline stops the graph build itself.
   const ExtractedModels& m = models_for(ue::StackProfile::cls());
-  threat::ThreatModel tm = ProChecker::build_threat_model(m.flat);
   cpv::LteCryptoModel::Options copts;
   cpv::LteCryptoModel crypto(copts);
   CegarOptions options;
   options.max_seconds = 1e-12;  // expires within the first iteration
-  PropertyResult r = check_property(tm, m.flat, property("S05"), crypto, options);
+  PropertyResult r = check_property(m.tm, m.flat, property("S05"), crypto, options);
   EXPECT_EQ(r.status, PropertyResult::Status::kInconclusive);
   EXPECT_TRUE(contains(r.note, "budget exhausted") || contains(r.note, "wall-clock"));
 }
@@ -344,12 +373,11 @@ TEST(CegarBudget, DefaultBudgetsAreConclusiveAcrossTheCatalog) {
   // suffices here.)
   const ue::StackProfile profile = ue::StackProfile::cls();
   const ExtractedModels& m = models_for(profile);
-  threat::ThreatModel tm = ProChecker::build_threat_model(m.flat);
   cpv::LteCryptoModel::Options copts;
   copts.usim_freshness_limit = profile.sqn_freshness_limit.has_value();
   cpv::LteCryptoModel crypto(copts);
   for (const PropertyDef& prop : property_catalog()) {
-    PropertyResult r = check_property(tm, m.flat, prop, crypto, {});
+    PropertyResult r = check_property(m.graph, m.flat, prop, crypto, {});
     EXPECT_NE(r.status, PropertyResult::Status::kInconclusive)
         << profile.name << "/" << prop.id << ": " << r.note;
   }

@@ -4,6 +4,8 @@
 // paper's final validation step).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "checker/prochecker.h"
 #include "testing/conformance.h"
 #include "testing/testbed.h"
@@ -189,6 +191,115 @@ TEST(TestbedReplay, I6SmcReplayLinksVictimAcrossUes) {
   ASSERT_TRUE(om.has_value());
   EXPECT_EQ(om->type, nas::MsgType::kSecurityModeReject);
   EXPECT_NE(victim_resp[0].sec_hdr, nas::SecHdr::kPlain);
+}
+
+// --- Counterexamples are paths of the model (an oracle outside the kernel) ----
+//
+// Every ATTACK trace of every profile, replayed step by step on mc::Model
+// itself: guards and updates evaluated directly, properties matched through
+// MetaMatch — none of the graph build, traversal or compiled predicates the
+// checker used to find the trace.
+
+const PropertyDef& property(const std::string& id) {
+  for (const PropertyDef& p : property_catalog()) {
+    if (p.id == id) return p;
+  }
+  ADD_FAILURE() << "no property " << id;
+  static PropertyDef none;
+  return none;
+}
+
+bool edge_matches(const MetaMatch& match, const mc::Model& model, const mc::State& pre,
+                  const mc::Command& cmd) {
+  if (!match.matches_meta(cmd.meta)) return false;
+  for (const auto& [var_name, value_name] : match.pre_equals) {
+    const int var = model.var(var_name);
+    if (var < 0 || pre[var] != model.value_index(var, value_name)) return false;
+  }
+  return true;
+}
+
+/// The command `step` fired from `pre`: labelled step.label, enabled in
+/// `pre`, and producing exactly step.post. Null when no command does.
+const mc::Command* fired(const mc::Model& model, const mc::State& pre, const mc::TraceStep& step) {
+  for (const mc::Command& cmd : model.commands()) {
+    if (cmd.label != step.label || !cmd.guard.eval(pre)) continue;
+    mc::State next = pre;
+    for (const mc::Assign& a : cmd.updates) next[a.var] = a.src >= 0 ? pre[a.src] : a.value;
+    if (next == step.post) return &cmd;
+  }
+  return nullptr;
+}
+
+TEST(Graph, AttackTracesAreModelPaths) {
+  std::size_t traces = 0, lassos = 0;
+  for (const auto& profile :
+       {ue::StackProfile::cls(), ue::StackProfile::srsue(), ue::StackProfile::oai()}) {
+    const ImplementationReport& rep = report_for(profile);
+    const threat::ThreatModel tm = ProChecker::build_threat_model(rep.checking_model);
+    const mc::Model& model = tm.model;
+    for (const PropertyResult& r : rep.results) {
+      if (r.status != PropertyResult::Status::kAttack) continue;
+      const std::string where = profile.name + "/" + r.property_id;
+      ASSERT_TRUE(r.counterexample.has_value()) << where;
+      const mc::CounterExample& cex = *r.counterexample;
+      const PropertyDef& prop = property(r.property_id);
+      std::set<std::string> banned;  // "banned <label>: <reason>"
+      for (const std::string& ref : r.refinements) {
+        banned.insert(ref.substr(7, ref.find(": ") - 7));
+      }
+      ++traces;
+
+      mc::State pre = model.initial();
+      bool pending = false;
+      mc::State loop_entry = pre;
+      bool pending_throughout = true;
+      for (std::size_t i = 0; i < cex.steps.size(); ++i) {
+        const mc::TraceStep& step = cex.steps[i];
+        const bool in_loop = cex.loop_start >= 0 && static_cast<int>(i) >= cex.loop_start;
+        if (in_loop && static_cast<int>(i) == cex.loop_start) {
+          loop_entry = pre;
+          pending_throughout = pending;
+        }
+        if (step.label == "(stutter)") {
+          // Deadlock: every command enabled here was banned by refinement.
+          ASSERT_TRUE(in_loop) << where << " step " << i;
+          EXPECT_EQ(step.post, pre) << where << " step " << i;
+          for (const mc::Command& cmd : model.commands()) {
+            if (cmd.guard.eval(pre)) {
+              EXPECT_TRUE(banned.count(cmd.label)) << where << " step " << i << ": " << cmd.label;
+            }
+          }
+        } else {
+          const mc::Command* cmd = fired(model, pre, step);
+          ASSERT_NE(cmd, nullptr) << where << " step " << i << " (" << step.label
+                                  << ") is not an enabled command yielding its post-state";
+          EXPECT_FALSE(banned.count(step.label)) << where << " step " << i << " was refined away";
+          if (prop.kind == PropertyDef::Kind::kResponse) {
+            const bool trig = edge_matches(prop.trigger, model, pre, *cmd);
+            const bool resp = edge_matches(prop.response, model, pre, *cmd);
+            pending = (pending || trig) && !resp;
+          } else if (i + 1 == cex.steps.size()) {
+            EXPECT_TRUE(edge_matches(prop.bad, model, pre, *cmd))
+                << where << ": the final edge does not violate the property";
+          }
+        }
+        if (in_loop) pending_throughout = pending_throughout && pending;
+        pre = step.post;
+      }
+      if (prop.kind == PropertyDef::Kind::kResponse) {
+        ASSERT_GE(cex.loop_start, 0) << where;
+        ++lassos;
+        EXPECT_EQ(pre, loop_entry) << where << ": the lasso does not close on its loop start";
+        EXPECT_TRUE(pending_throughout) << where << ": the obligation is answered inside the loop";
+      } else {
+        EXPECT_EQ(cex.loop_start, -1) << where;
+        EXPECT_FALSE(cex.steps.empty()) << where;
+      }
+    }
+  }
+  EXPECT_EQ(traces, 22u + 25u + 26u);  // Table I: every attack of every profile
+  EXPECT_GT(lassos, 0u);
 }
 
 TEST(Pipeline, ReportsAreDeterministic) {

@@ -3,6 +3,9 @@
 // and response liveness (lasso detection, stutter-deadlock semantics).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+
 #include "common/strings.h"
 #include "mc/checker.h"
 #include "mc/model.h"
@@ -36,6 +39,13 @@ Model counter_model(std::int32_t bound) {
     m.add_command(std::move(cmd));
   }
   return m;
+}
+
+// The CEGAR refinement table banning every command with one of `labels`.
+std::vector<std::uint8_t> banned_labels(const Model& m, const std::set<std::string>& labels) {
+  std::vector<std::uint8_t> banned(m.commands().size(), 0);
+  for (const Command& cmd : m.commands()) banned[cmd.index] = labels.count(cmd.label) ? 1 : 0;
+  return banned;
 }
 
 // --- Expr ---------------------------------------------------------------------
@@ -216,9 +226,7 @@ TEST(EdgeNever, AllowedFilterPrunes) {
   Checker checker(m);
   CheckStats stats;
   CheckOptions options;
-  options.allowed = [](const State&, const Command& cmd, const State&) {
-    return cmd.label != "inc2";  // cuts the path at c = 2
-  };
+  options.banned = banned_labels(m, {"inc2"});  // cuts the path at c = 2
   auto cex = checker.check_edge_never(
       [](const State&, const Command& cmd, const State&) { return cmd.label == "inc3"; },
       &stats, options);
@@ -342,9 +350,7 @@ TEST(Response, AllowedFilterAppliesToLiveness) {
   Checker checker(m);
   CheckStats stats;
   CheckOptions options;
-  options.allowed = [](const State&, const Command& cmd, const State&) {
-    return cmd.label != "lazy";
-  };
+  options.banned = banned_labels(m, {"lazy"});
   auto cex = checker.check_response(label_is("request"), label_is("respond"), &stats, options);
   EXPECT_FALSE(cex.has_value());
 }
@@ -461,6 +467,157 @@ TEST(Kernel, LivenessProductCountsArePinned) {
   auto cex = Checker(m).check_response(label_is("request"), label_is("respond"), &stats);
   ASSERT_TRUE(cex.has_value());
   EXPECT_EQ(stats.states_explored, 2u);
+}
+
+// --- The shared reachable graph ------------------------------------------------
+//
+// Property checks traverse one stored graph instead of re-exploring the
+// model, so its layout is what keeps their traces identical to a
+// breadth-first search of the model: states in discovery order, each
+// state's edges in command order, every enabled command an edge
+// (self-loops included).
+
+EdgeMatch label_match(const Model& m, const std::string& label) {
+  EdgeMatch match;
+  for (const Command& cmd : m.commands()) match.commands.push_back(cmd.label == label ? 1 : 0);
+  return match;
+}
+
+// (target, command) of every stored out-edge of `id`.
+std::vector<std::pair<std::uint32_t, std::size_t>> out_edges(const ReachGraph& g,
+                                                             std::uint32_t id) {
+  std::vector<std::pair<std::uint32_t, std::size_t>> out;
+  for (std::size_t e = g.edge_begin(id); e < g.edge_end(id); ++e) {
+    out.emplace_back(g.target(e), g.command(e));
+  }
+  return out;
+}
+
+TEST(ReachGraph, TogglesStoreEdgesInCommandOrder) {
+  // Commands: 0 = a0, 1 = b0, 2 = a1, 3 = b1. Discovery: 0 = (0,0),
+  // 1 = (1,0), 2 = (0,1), 3 = (1,1).
+  Model m = toggle_model();
+  ReachGraph g = ReachGraph::build(m);
+  EXPECT_FALSE(g.stats().truncated());
+  ASSERT_EQ(g.states(), 4u);
+  EXPECT_EQ(g.edges(), 8u);
+  EXPECT_EQ(g.expanded(), 4u);
+  using Edges = std::vector<std::pair<std::uint32_t, std::size_t>>;
+  EXPECT_EQ(out_edges(g, 0), (Edges{{1, 0}, {2, 1}}));
+  EXPECT_EQ(out_edges(g, 1), (Edges{{3, 1}, {0, 2}}));
+  EXPECT_EQ(out_edges(g, 2), (Edges{{3, 0}, {0, 3}}));
+  EXPECT_EQ(out_edges(g, 3), (Edges{{2, 2}, {1, 3}}));
+  EXPECT_EQ(g.state(3), (State{1, 1}));
+  EXPECT_EQ(g.stats().edges_explored, 8u);
+  EXPECT_GT(g.stats().visited_bytes, 0u);
+}
+
+TEST(ReachGraph, SelfLoopStaysAnEdge) {
+  Model m = ring_model();
+  Command noop;
+  noop.label = "noop";
+  noop.guard = Expr::eq(0, 0);
+  noop.updates = {{0, 0}};
+  m.add_command(std::move(noop));
+  ReachGraph g = ReachGraph::build(m);
+  EXPECT_EQ(g.states(), 3u);
+  EXPECT_EQ(g.edges(), 4u);
+  using Edges = std::vector<std::pair<std::uint32_t, std::size_t>>;
+  EXPECT_EQ(out_edges(g, 0), (Edges{{1, 0}, {0, 3}}));  // step0, then noop back to itself
+}
+
+TEST(ReachGraph, TraversalCapReproducesATruncatedSearch) {
+  // A cap k inside the traversal of a complete graph stops exactly where a
+  // search of a graph built at k stops.
+  Model m = counter_model(100);
+  ReachGraph full = ReachGraph::build(m);
+  ASSERT_EQ(full.states(), 101u);
+  CheckOptions capped;
+  capped.max_states = 10;
+  CheckStats on_full;
+  EXPECT_FALSE(full.check_edge_never(label_match(m, "inc50"), &on_full, capped).has_value());
+  CheckStats one_call;
+  EXPECT_FALSE(Checker(m)
+                   .check_edge_never(
+                       [](const State&, const Command& c, const State&) { return c.label == "inc50"; },
+                       &one_call, capped)
+                   .has_value());
+  EXPECT_TRUE(on_full.bound_hit);
+  EXPECT_TRUE(one_call.bound_hit);
+  EXPECT_EQ(on_full.states_explored, 10u);
+  EXPECT_EQ(one_call.states_explored, 10u);
+  EXPECT_EQ(on_full.edges_explored, one_call.edges_explored);
+}
+
+TEST(ReachGraph, TruncatedBuildNeverVerifiesButFindsRealPaths) {
+  Model m = counter_model(100);
+  CheckOptions build;
+  build.max_states = 10;
+  ReachGraph g = ReachGraph::build(m, build);
+  EXPECT_TRUE(g.stats().bound_hit);
+  EXPECT_EQ(g.states(), 10u);
+  ASSERT_EQ(g.edge_end(9) - g.edge_begin(9), 1u);
+  EXPECT_EQ(g.target(g.edge_begin(9)), ReachGraph::kMissing);  // c = 10 was rejected
+  EXPECT_EQ(g.post(9, g.edge_begin(9)), (State{10}));
+
+  // Beyond the graph: the traversal reports the bound, not a verdict.
+  CheckStats beyond;
+  EXPECT_FALSE(g.check_edge_never(label_match(m, "inc50"), &beyond).has_value());
+  EXPECT_TRUE(beyond.bound_hit);
+  // The bad edge out of the last stored state still counts: its trace is real.
+  CheckStats edge;
+  auto cex = g.check_edge_never(label_match(m, "inc9"), &edge);
+  ASSERT_TRUE(cex.has_value());
+  EXPECT_EQ(cex->steps.size(), 10u);
+  EXPECT_EQ(cex->steps.back().post, (State{10}));
+}
+
+TEST(ReachGraph, StoppedBuildPassesItsReasonOn) {
+  Model m = request_model(/*with_lazy_loop=*/true);
+  CheckOptions tight;
+  tight.max_visited_bytes = 1;  // trips on the first poll: nothing expanded
+  ReachGraph g = ReachGraph::build(m, tight);
+  EXPECT_TRUE(g.stats().mem_hit);
+  EXPECT_EQ(g.states(), 1u);
+  EXPECT_EQ(g.expanded(), 0u);
+  CheckStats safety;
+  EXPECT_FALSE(g.check_edge_never(label_match(m, "respond"), &safety).has_value());
+  EXPECT_TRUE(safety.mem_hit);
+  CheckStats liveness;
+  EXPECT_FALSE(g.check_response(label_match(m, "request"), label_match(m, "respond"), &liveness)
+                   .has_value());
+  EXPECT_TRUE(liveness.mem_hit);
+}
+
+TEST(ReachGraph, EdgeMatchPreEqualitiesGateTheCommandTable) {
+  Model m = request_model(/*with_lazy_loop=*/true);
+  ReachGraph g = ReachGraph::build(m);
+  EdgeMatch lazy_idle = label_match(m, "lazy");
+  lazy_idle.pre_equals = {{0, 0}};  // lazy only fires at st = waiting
+  CheckStats stats;
+  EXPECT_FALSE(g.check_edge_never(lazy_idle, &stats).has_value());
+  EdgeMatch lazy_waiting = label_match(m, "lazy");
+  lazy_waiting.pre_equals = {{0, 1}};
+  auto cex = g.check_edge_never(lazy_waiting, &stats);
+  ASSERT_TRUE(cex.has_value());
+  EXPECT_EQ(cex->steps.back().label, "lazy");
+}
+
+TEST(ReachGraph, TablesThatDoNotFitTheModelAreRefused) {
+  Model m = request_model(/*with_lazy_loop=*/true);
+  ReachGraph g = ReachGraph::build(m);
+  CheckStats stats;
+  CheckOptions short_ban;
+  short_ban.banned = {1};  // three commands, one entry
+  EXPECT_THROW(g.check_edge_never(label_match(m, "lazy"), &stats, short_ban),
+               std::invalid_argument);
+  EdgeMatch short_table;
+  short_table.commands = {1};
+  EXPECT_THROW(g.check_edge_never(short_table, &stats), std::invalid_argument);
+  EdgeMatch missing_var = label_match(m, "lazy");
+  missing_var.pre_equals = {{5, 0}};  // the model has one variable
+  EXPECT_THROW(g.check_response(missing_var, label_match(m, "respond"), &stats),
+               std::invalid_argument);
 }
 
 TEST(Trace, DotExportHighlightsAdversaryAndLoop) {

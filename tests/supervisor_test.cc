@@ -25,11 +25,12 @@
 namespace procheck::checker {
 namespace {
 
-// --- Shared pipeline fixture (front half runs once) -------------------------
+// --- Shared pipeline fixture (front half and graph build run once) ---------
 
 struct Pipeline {
   fsm::Fsm flat;
   threat::ThreatModel tm;
+  mc::ReachGraph graph;  // of `tm`, complete at the default budget
 };
 
 const Pipeline& pipeline() {
@@ -43,6 +44,7 @@ const Pipeline& pipeline() {
     out->flat = extractor::extract_basic(trace.records(),
                                          extractor::ue_signatures(ue::StackProfile::cls()), opts);
     out->tm = ProChecker::build_threat_model(out->flat);
+    out->graph = mc::ReachGraph::build(out->tm.model);
     return out;
   }();
   return *p;
@@ -58,7 +60,7 @@ std::vector<const PropertyDef*> select(const std::set<std::string>& ids) {
 
 SupervisedRun run_sup(const std::vector<const PropertyDef*>& sel, const SupervisorOptions& opts,
                       const CegarOptions& cegar) {
-  return run_supervised(pipeline().tm, pipeline().flat, sel, {}, cegar, opts);
+  return run_supervised(pipeline().graph, pipeline().flat, sel, {}, cegar, opts);
 }
 
 std::string tmp_path(const std::string& name) { return ::testing::TempDir() + name; }
@@ -310,6 +312,34 @@ TEST(Supervisor, MemCeilingTripClassified) {
   EXPECT_EQ(run.outcomes[0].result.status, PropertyResult::Status::kInconclusive);
   EXPECT_EQ(run.outcomes[0].failure, FailureClass::kMemCeiling);
   EXPECT_TRUE(contains(run.outcomes[0].result.note, "memory ceiling"));
+}
+
+TEST(Supervisor, GraphBuildHonoursTheRunsBudgets) {
+  // The supervisor's own build (threat-model overload) stops at the run's
+  // state cap, memory ceiling and cancel token, and what a stopped build
+  // left out reaches the property as that budget, never as a verdict.
+  auto sel = select({"S05"});
+  const threat::ThreatModel& tm = pipeline().tm;
+  CegarOptions capped;
+  capped.max_states = 3;
+  SupervisedRun bound = run_supervised(tm, pipeline().flat, sel, {}, capped, {});
+  EXPECT_TRUE(bound.graph_stats.bound_hit);
+  EXPECT_EQ(bound.graph_stats.states_explored, 3u);
+  EXPECT_EQ(bound.outcomes[0].failure, FailureClass::kBudget);
+
+  SupervisorOptions ceiling;
+  ceiling.mem_ceiling_bytes = 1;
+  SupervisedRun mem = run_supervised(tm, pipeline().flat, sel, {}, {}, ceiling);
+  EXPECT_TRUE(mem.graph_stats.mem_hit);
+  EXPECT_EQ(mem.outcomes[0].failure, FailureClass::kMemCeiling);
+
+  CancelToken token;
+  token.cancel();
+  SupervisorOptions cancelled;
+  cancelled.cancel = &token;
+  SupervisedRun shed = run_supervised(tm, pipeline().flat, sel, {}, {}, cancelled);
+  EXPECT_TRUE(shed.graph_stats.cancelled);
+  EXPECT_EQ(shed.cancelled, 1u);
 }
 
 TEST(Supervisor, ExhaustedRetriesFallBackToStructuredInconclusive) {
@@ -617,6 +647,36 @@ TEST(AnalyzeResume, ReportByteIdenticalAfterInterruptAndResume) {
     ImplementationReport rep = ProChecker::analyze(ue::StackProfile::cls(), resume);
     EXPECT_EQ(render_verdicts(rep), verdicts) << "kill at byte " << len;
   }
+}
+
+TEST(AnalyzeResume, FullyAdoptedResumeBuildsNoGraph) {
+  AnalysisOptions options;
+  options.only_properties = {"S01", "S05", "P04"};
+  options.jobs = 1;
+  const std::string path = tmp_path("analyze_nograph.jsonl");
+  std::remove(path.c_str());
+  options.journal_path = path;
+  ImplementationReport ref = ProChecker::analyze(ue::StackProfile::cls(), options);
+  EXPECT_GT(ref.graph_stats.states_explored, 0u);
+  EXPECT_GT(ref.graph_stats.edges_explored, ref.graph_stats.states_explored);
+  EXPECT_GT(ref.graph_stats.visited_bytes, 0u);
+  EXPECT_FALSE(ref.graph_stats.truncated());
+
+  // Everything adopted from the journal: nothing left to check, no build.
+  AnalysisOptions resume = options;
+  resume.resume = true;
+  ImplementationReport rep = ProChecker::analyze(ue::StackProfile::cls(), resume);
+  EXPECT_EQ(rep.resumed_count, 3u);
+  EXPECT_EQ(render_verdicts(rep), render_verdicts(ref));
+  EXPECT_EQ(rep.graph_stats.states_explored, 0u);
+  EXPECT_EQ(rep.graph_stats.edges_explored, 0u);
+  EXPECT_EQ(rep.graph_stats.seconds, 0.0);
+
+  // Only an inapplicable property selected: no build either.
+  AnalysisOptions na;
+  na.only_properties = {"P04"};
+  na.jobs = 1;
+  EXPECT_EQ(ProChecker::analyze(ue::StackProfile::cls(), na).graph_stats.states_explored, 0u);
 }
 
 TEST(AnalyzeResume, InjectedCrashDegradesOnePropertyOthersVerify) {
