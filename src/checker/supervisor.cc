@@ -341,9 +341,17 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
     try {
       built = mc::ReachGraph::build(*model, budget);
     } catch (const std::exception& e) {
-      // Contained like a worker crash: every property still gets an outcome.
-      for (std::size_t i : work) record(i, exception_outcome(*selected[i], 1, e.what()));
-      work.clear();
+      // Contained like a worker crash: every property that needs the graph
+      // gets an exception outcome; inapplicable ones never read it.
+      std::vector<std::size_t> rest;
+      for (std::size_t i : work) {
+        if (applicable(*selected[i], ue_fsm)) {
+          record(i, exception_outcome(*selected[i], 1, e.what()));
+        } else {
+          rest.push_back(i);
+        }
+      }
+      work = std::move(rest);
     }
     run.graph_stats = built.stats();
   }

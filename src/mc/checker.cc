@@ -21,6 +21,11 @@ class Timer {
   std::chrono::steady_clock::time_point start_;
 };
 
+template <typename T>
+std::size_t capacity_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
 /// "No state": an unset slot, an undiscovered state, or a rejected target.
 constexpr std::uint32_t kNoId = ReachGraph::kMissing;
 
@@ -40,40 +45,24 @@ std::uint64_t hash_state(const std::int32_t* s, std::size_t n) {
 /// by a 64-bit hash. Replaces unordered_map<State, ...> buckets holding
 /// full vector copies — no per-state heap allocation, no re-hash of whole
 /// states on probe (hashes are memoized per id).
-///
-/// The set also carries the guard cache: for every interned state, one bit
-/// per model command recording whether that command's guard holds. Bits for
-/// a newly reached state are computed incrementally from its BFS parent —
-/// only guards whose precomputed read-set (Model::deps) intersects the
-/// variables the incoming transition actually changed are re-evaluated.
 class StateSpace {
  public:
-  explicit StateSpace(const Model& model)
-      : model_(model),
-        stride_(model.var_count()),
-        blocks_((model.commands().size() + 63) / 64) {
+  explicit StateSpace(std::size_t stride) : stride_(stride) {
     slots_.assign(256, kNoId);
     mask_ = slots_.size() - 1;
   }
 
-  std::size_t blocks() const { return blocks_; }
   std::size_t size() const { return hashes_.size(); }
 
-  /// Bytes retained by the arena, hash table and guard cache.
+  /// Bytes retained by the arena and hash table.
   std::size_t bytes() const {
-    return arena_.capacity() * sizeof(std::int32_t) +
-           hashes_.capacity() * sizeof(std::uint64_t) +
-           slots_.capacity() * sizeof(std::uint32_t) +
-           guard_bits_.capacity() * sizeof(std::uint64_t);
+    return capacity_bytes(arena_) + capacity_bytes(hashes_) + capacity_bytes(slots_);
   }
 
-  /// Interns `s`. Existing state: returns its id with *inserted = false.
-  /// New state under `cap`: appends it (computing guard bits from
-  /// `parent_bits` + `changed`, or from scratch when parent_bits is null)
-  /// and returns the fresh id with *inserted = true. New state at the cap:
-  /// returns kNoId without inserting.
-  std::uint32_t intern(const State& s, std::size_t cap, bool* inserted,
-                       const std::uint64_t* parent_bits, std::uint64_t changed) {
+  /// Interns `s`: returns the id of an existing state, appends a new one
+  /// under `cap` and returns its fresh id, or returns kNoId for a new state
+  /// at the cap without inserting it.
+  std::uint32_t intern(const State& s, std::size_t cap) {
     std::uint64_t h = hash_state(s.data(), stride_);
     std::size_t slot = h & mask_;
     for (;;) {
@@ -82,60 +71,28 @@ class StateSpace {
       if (hashes_[id] == h &&
           std::memcmp(arena_.data() + std::size_t(id) * stride_, s.data(),
                       stride_ * sizeof(std::int32_t)) == 0) {
-        *inserted = false;
         return id;
       }
       slot = (slot + 1) & mask_;
     }
-    if (hashes_.size() >= cap) {
-      *inserted = false;
-      return kNoId;
-    }
+    if (hashes_.size() >= cap) return kNoId;
     std::uint32_t id = static_cast<std::uint32_t>(hashes_.size());
     arena_.insert(arena_.end(), s.begin(), s.end());
     hashes_.push_back(h);
     slots_[slot] = id;
-    append_guard_bits(s, parent_bits, changed);
     if (hashes_.size() * 10 >= slots_.size() * 7) grow();
-    *inserted = true;
     return id;
   }
 
-  const std::int32_t* state_data(std::uint32_t id) const {
-    return arena_.data() + std::size_t(id) * stride_;
-  }
-
   void copy_state(std::uint32_t id, State& out) const {
-    const std::int32_t* p = state_data(id);
+    const std::int32_t* p = arena_.data() + std::size_t(id) * stride_;
     out.assign(p, p + stride_);
-  }
-
-  void copy_guard_bits(std::uint32_t id, std::vector<std::uint64_t>& out) const {
-    const std::uint64_t* p = guard_bits_.data() + std::size_t(id) * blocks_;
-    out.assign(p, p + blocks_);
   }
 
   /// Hands the interned states over, in id order (the set is spent).
   std::vector<std::int32_t> release_arena() { return std::move(arena_); }
 
  private:
-  void append_guard_bits(const State& s, const std::uint64_t* parent_bits,
-                         std::uint64_t changed) {
-    const std::vector<Command>& commands = model_.commands();
-    const std::vector<CommandDeps>& deps = model_.deps();
-    std::size_t base = guard_bits_.size();
-    guard_bits_.resize(base + blocks_, 0);
-    for (std::size_t j = 0; j < commands.size(); ++j) {
-      bool enabled;
-      if (parent_bits && (deps[j].guard_reads & changed) == 0) {
-        enabled = (parent_bits[j >> 6] >> (j & 63)) & 1;
-      } else {
-        enabled = commands[j].guard.eval(s);
-      }
-      if (enabled) guard_bits_[base + (j >> 6)] |= 1ull << (j & 63);
-    }
-  }
-
   void grow() {
     std::vector<std::uint32_t> fresh(slots_.size() * 2, kNoId);
     std::size_t mask = fresh.size() - 1;
@@ -148,30 +105,141 @@ class StateSpace {
     mask_ = mask;
   }
 
-  const Model& model_;
   std::size_t stride_;
-  std::size_t blocks_;
   std::vector<std::int32_t> arena_;     // size() * stride_ values
   std::vector<std::uint64_t> hashes_;   // memoized hash per id
   std::vector<std::uint32_t> slots_;    // open addressing: id or kNoId
   std::size_t mask_ = 0;
-  std::vector<std::uint64_t> guard_bits_;  // size() * blocks_ words
 };
 
-/// Applies `cmd` to `pre` (into `next`, which must already equal `pre`) and
-/// returns the mask of variables whose value actually changed.
-std::uint64_t apply_command(const Command& cmd, const State& pre, State& next) {
-  std::uint64_t changed = 0;
+/// Refuses (std::invalid_argument) a model whose states could leave their
+/// declared domains — an initial value, a constant assignment, or a copy
+/// from a wider variable — or that names a missing variable. Every state
+/// the build reaches then holds in-domain values, which is what lets the
+/// guard table index its rows by them.
+void require_closed_domains(const Model& model) {
+  const int vars = static_cast<int>(model.var_count());
+  auto known = [&](int var) { return var >= 0 && var < vars; };
+  auto in_domain = [&](int var, std::int32_t value) {
+    return value >= 0 && value < model.domain(var);
+  };
+  const State init = model.initial();
+  for (int v = 0; v < vars; ++v) {
+    if (!in_domain(v, init[v])) {
+      throw std::invalid_argument("model: initial value of " + model.var_name(v) +
+                                  " is outside its domain");
+    }
+  }
+  std::vector<int> reads;
+  for (const Command& cmd : model.commands()) {
+    reads.clear();
+    cmd.guard.collect_vars(reads);
+    if (!std::all_of(reads.begin(), reads.end(), known)) {
+      throw std::invalid_argument("model: guard of " + cmd.label + " reads a missing variable");
+    }
+    for (const Assign& a : cmd.updates) {
+      const bool fits =
+          known(a.var) && (a.src >= 0 ? known(a.src) && model.domain(a.src) <= model.domain(a.var)
+                                      : in_domain(a.var, a.value));
+      if (!fits) {
+        throw std::invalid_argument("model: " + cmd.label +
+                                    " can write a value outside a variable's domain");
+      }
+    }
+  }
+}
+
+/// The model's guards, compiled once per build (DESIGN.md §10). Each guard
+/// splits into its top-level conjuncts: one reading a single variable is
+/// tabulated over that variable's domain as a mask of the commands it
+/// allows at each value, a constant one folds into the base mask, and only
+/// a conjunct reading two or more variables stays an Expr, evaluated for
+/// the commands the masks leave enabled. A state's enabled set is then the
+/// base mask ANDed with one row per tabulated variable.
+class GuardTable {
+ public:
+  /// Refuses a model require_closed_domains refuses.
+  explicit GuardTable(const Model& model)
+      : words_((model.commands().size() + 63) / 64), base_(words_, 0) {
+    require_closed_domains(model);
+    const std::vector<Command>& commands = model.commands();
+    for (std::size_t j = 0; j < commands.size(); ++j) base_[j >> 6] |= 1ull << (j & 63);
+    std::vector<std::size_t> row_of(model.var_count(), kNoRow);
+    State probe(model.var_count(), 0);
+    std::vector<const Expr*> conjuncts;
+    std::vector<int> reads;
+    for (std::size_t j = 0; j < commands.size(); ++j) {
+      const std::uint64_t bit = 1ull << (j & 63);
+      conjuncts.clear();
+      commands[j].guard.conjuncts(conjuncts);
+      for (const Expr* c : conjuncts) {
+        reads.clear();
+        c->collect_vars(reads);
+        std::sort(reads.begin(), reads.end());
+        reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+        if (reads.empty()) {
+          if (!c->eval(probe)) base_[j >> 6] &= ~bit;
+        } else if (reads.size() == 1) {
+          const int v = reads[0];
+          if (row_of[v] == kNoRow) {
+            row_of[v] = rows_.size();
+            rows_.resize(rows_.size() + std::size_t(model.domain(v)) * words_, ~0ull);
+            tabulated_.push_back({v, row_of[v]});
+          }
+          for (std::int32_t x = 0; x < model.domain(v); ++x) {
+            probe[v] = x;
+            if (!c->eval(probe)) rows_[row_of[v] + std::size_t(x) * words_ + (j >> 6)] &= ~bit;
+          }
+          probe[v] = 0;
+        } else {
+          residual_.push_back({j, c});
+        }
+      }
+    }
+  }
+
+  /// Bytes held by the masks and the residual list.
+  std::size_t bytes() const {
+    return capacity_bytes(base_) + capacity_bytes(tabulated_) + capacity_bytes(rows_) +
+           capacity_bytes(residual_);
+  }
+
+  /// Writes the enabled-command mask of `s` into `out`, one bit per command.
+  void enabled(const State& s, std::vector<std::uint64_t>& out) const {
+    out = base_;
+    for (const Tabulated& t : tabulated_) {
+      const std::uint64_t* row = rows_.data() + t.rows + std::size_t(s[t.var]) * words_;
+      for (std::size_t w = 0; w < words_; ++w) out[w] &= row[w];
+    }
+    for (const auto& [j, conjunct] : residual_) {
+      std::uint64_t& word = out[j >> 6];
+      const std::uint64_t bit = 1ull << (j & 63);
+      if ((word & bit) != 0 && !conjunct->eval(s)) word &= ~bit;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kNoRow = ~std::size_t(0);
+  struct Tabulated {
+    int var;
+    std::size_t rows;  // offset of value 0's row in rows_
+  };
+
+  std::size_t words_;
+  std::vector<std::uint64_t> base_;  // commands no constant conjunct disables
+  std::vector<Tabulated> tabulated_;
+  std::vector<std::uint64_t> rows_;  // per tabulated (var, value): words_ words
+  std::vector<std::pair<std::size_t, const Expr*>> residual_;  // (command, conjunct)
+};
+
+/// Applies `cmd` to `pre` into `next`, which must already equal `pre`.
+void apply_command(const Command& cmd, const State& pre, State& next) {
   for (const Assign& a : cmd.updates) {
     next[a.var] = a.src >= 0 ? pre[a.src] : a.value;
   }
-  for (const Assign& a : cmd.updates) {
-    if (next[a.var] != pre[a.var]) changed |= var_bit(a.var);
-  }
-  return changed;
 }
 
-/// Iterates the set bits of a guard-bit vector: fn(command_index).
+/// Iterates the set bits of an enabled-command mask: fn(command_index).
 template <typename Fn>
 void for_enabled(const std::vector<std::uint64_t>& bits, std::size_t n_commands, Fn&& fn) {
   for (std::size_t block = 0; block < bits.size(); ++block) {
@@ -278,11 +346,6 @@ void inherit_stop(const CheckStats& build, CheckStats& stats) {
   stats.deadline_hit = stats.deadline_hit || build.deadline_hit;
   stats.mem_hit = stats.mem_hit || build.mem_hit;
   stats.cancelled = stats.cancelled || build.cancelled;
-}
-
-template <typename T>
-std::size_t capacity_bytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
 }
 
 /// The CEGAR ban table, or null when nothing is banned. Traversals index it
@@ -591,33 +654,31 @@ ReachGraph ReachGraph::build(const Model& model, const CheckOptions& options) {
   if (commands.size() > 0x10000) {
     throw std::length_error("reachable graph: more than 65536 commands");
   }
+  const GuardTable guards(model);
   ReachGraph g;
   g.model_ = &model;
   g.stride_ = model.var_count();
-  StateSpace space(model);
-  bool fresh = false;
-  space.intern(model.initial(), std::max<std::size_t>(1, options.max_states), &fresh, nullptr, 0);
+  StateSpace space(g.stride_);
+  space.intern(model.initial(), std::max<std::size_t>(1, options.max_states));
   g.offsets_.push_back(0);
 
   auto bytes = [&] {
-    return space.bytes() + capacity_bytes(g.offsets_) + capacity_bytes(g.targets_) +
-           capacity_bytes(g.commands_);
+    return space.bytes() + guards.bytes() + capacity_bytes(g.offsets_) +
+           capacity_bytes(g.targets_) + capacity_bytes(g.commands_);
   };
   State pre(g.stride_, 0);
   State next(g.stride_, 0);
-  std::vector<std::uint64_t> pre_bits(space.blocks(), 0);
+  std::vector<std::uint64_t> enabled;
   // Discovery order is BFS order, so the arena itself is the FIFO frontier.
   for (std::uint32_t at = 0; at < space.size(); ++at) {
     if (budget_exhausted(options, timer, bytes(), g.stats_)) break;
-    // Local copies: the arena and guard cache may reallocate on insert.
+    // A local copy: the arena may reallocate on insert.
     space.copy_state(at, pre);
-    space.copy_guard_bits(at, pre_bits);
-    for_enabled(pre_bits, commands.size(), [&](std::size_t j) {
+    guards.enabled(pre, enabled);
+    for_enabled(enabled, commands.size(), [&](std::size_t j) {
       next = pre;
-      const std::uint64_t changed = apply_command(commands[j], pre, next);
-      bool inserted = false;
-      const std::uint32_t id =
-          space.intern(next, options.max_states, &inserted, pre_bits.data(), changed);
+      apply_command(commands[j], pre, next);
+      const std::uint32_t id = space.intern(next, options.max_states);
       if (id == kMissing) g.stats_.bound_hit = true;
       g.targets_.push_back(id);
       g.commands_.push_back(static_cast<std::uint16_t>(j));
@@ -628,8 +689,8 @@ ReachGraph ReachGraph::build(const Model& model, const CheckOptions& options) {
     g.offsets_.push_back(static_cast<std::uint32_t>(g.targets_.size()));
   }
 
-  // Keep exactly what traversals read; the hash table and guard cache go
-  // with `space`.
+  // Keep exactly what traversals read; the hash table and guard table go
+  // with `space` and `guards`.
   g.stats_.states_explored = space.size();
   g.states_ = space.release_arena();
   g.states_.shrink_to_fit();

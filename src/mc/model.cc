@@ -97,6 +97,15 @@ void Expr::collect_vars(std::vector<int>& out) const {
   }
 }
 
+void Expr::conjuncts(std::vector<const Expr*>& out) const {
+  if (kind_ != Kind::kAnd) {
+    out.push_back(this);
+    return;
+  }
+  lhs_->conjuncts(out);
+  rhs_->conjuncts(out);
+}
+
 bool Expr::eval(const State& s) const {
   switch (kind_) {
     case Kind::kConst:
@@ -130,12 +139,6 @@ int Model::add_var(const std::string& name, std::int32_t domain, std::int32_t in
 
 void Model::add_command(Command cmd) {
   cmd.index = static_cast<std::int32_t>(commands_.size());
-  CommandDeps deps;
-  std::vector<int> read;
-  cmd.guard.collect_vars(read);
-  for (int v : read) deps.guard_reads |= var_bit(v);
-  for (const Assign& a : cmd.updates) deps.writes |= var_bit(a.var);
-  deps_.push_back(deps);
   commands_.push_back(std::move(cmd));
 }
 

@@ -44,6 +44,9 @@ class Expr {
 
   /// Appends every variable index this expression reads (with repeats).
   void collect_vars(std::vector<int>& out) const;
+  /// Appends the top-level conjuncts: the operands of nested `land`s, or
+  /// this expression itself when it is not a conjunction.
+  void conjuncts(std::vector<const Expr*>& out) const;
 
  private:
   enum class Kind : std::uint8_t { kConst, kEq, kNe, kLt, kGt, kAnd, kOr, kNot };
@@ -98,22 +101,6 @@ struct Command {
   std::int32_t index = -1;
 };
 
-/// Static dependency summary of one command, precomputed by the model:
-/// which variables its guard reads and which its updates may write, as
-/// bitmasks over variable indices (variables >= 64 conservatively alias the
-/// top bit, keeping masks sound for arbitrarily wide models). The checker
-/// uses these to skip re-evaluating guards whose read-set is disjoint from
-/// the variables an incoming transition actually changed.
-struct CommandDeps {
-  std::uint64_t guard_reads = 0;
-  std::uint64_t writes = 0;
-};
-
-/// Bit for variable `var` in a CommandDeps mask.
-inline std::uint64_t var_bit(int var) {
-  return 1ull << (var < 64 ? var : 63);
-}
-
 /// Message provenance tags on channels (who put the in-flight message there).
 enum Provenance : std::int32_t {
   kProvNone = 0,       // channel empty
@@ -139,8 +126,6 @@ class Model {
 
   State initial() const { return init_; }
   const std::vector<Command>& commands() const { return commands_; }
-  /// Per-command dependency masks, parallel to commands().
-  const std::vector<CommandDeps>& deps() const { return deps_; }
   std::size_t var_count() const { return names_.size(); }
 
   /// Calls `fn(post_state, command)` for every enabled command in `s`.
@@ -159,7 +144,6 @@ class Model {
   std::vector<std::vector<std::string>> value_names_;
   State init_;
   std::vector<Command> commands_;
-  std::vector<CommandDeps> deps_;
 };
 
 }  // namespace procheck::mc

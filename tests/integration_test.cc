@@ -7,6 +7,7 @@
 #include <set>
 
 #include "checker/prochecker.h"
+#include "graph_oracle.h"
 #include "testing/conformance.h"
 #include "testing/testbed.h"
 #include "ue/emm_state.h"
@@ -300,6 +301,21 @@ TEST(Graph, AttackTracesAreModelPaths) {
   }
   EXPECT_EQ(traces, 22u + 25u + 26u);  // Table I: every attack of every profile
   EXPECT_GT(lassos, 0u);
+}
+
+TEST(Graph, StoredEdgesMatchInterpretedGuards) {
+  // The build enables commands through its compiled guard table; every
+  // edge of every profile's graph must be what the guards, interpreted
+  // directly, allow — in command order.
+  for (const auto& profile :
+       {ue::StackProfile::cls(), ue::StackProfile::srsue(), ue::StackProfile::oai()}) {
+    const threat::ThreatModel tm =
+        ProChecker::build_threat_model(report_for(profile).checking_model);
+    const mc::ReachGraph graph = mc::ReachGraph::build(tm.model);
+    ASSERT_FALSE(graph.stats().truncated()) << profile.name;
+    EXPECT_EQ(graph.expanded(), graph.states()) << profile.name;
+    EXPECT_EQ(mc::first_edge_mismatch(graph), "") << profile.name;
+  }
 }
 
 TEST(Pipeline, ReportsAreDeterministic) {

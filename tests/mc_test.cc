@@ -3,10 +3,12 @@
 // and response liveness (lasso detection, stutter-deadlock semantics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
 #include "common/strings.h"
+#include "graph_oracle.h"
 #include "mc/checker.h"
 #include "mc/model.h"
 
@@ -357,11 +359,11 @@ TEST(Response, AllowedFilterAppliesToLiveness) {
 
 // --- Interned-state kernel: search equivalence pins -----------------------------
 //
-// The visited set is an interned arena + open-addressing table with an
-// incrementally maintained guard cache (guards are only re-evaluated when a
-// transition changed a variable their read-set mentions). These tests pin
-// exact visited counts so any rewrite that silently explores a different
-// state space — over- or under-approximating — fails loudly.
+// The visited set is an interned arena + open-addressing table, and each
+// state's enabled commands come from the guard table compiled at the start
+// of the build. These tests pin exact visited counts so any rewrite that
+// silently explores a different state space — over- or under-approximating
+// — fails loudly.
 
 // Two independent toggles: 4 reachable states, discovered over 8 edges,
 // with every non-initial state reachable along two paths (dedup must fire).
@@ -398,12 +400,8 @@ TEST(Kernel, VisitedStateCountsArePinned) {
   EXPECT_EQ(toggles.edges_explored, 8u);   // 2 enabled commands per state
 }
 
-TEST(Kernel, CommandDepsCoverGuardReadsAndWrites) {
+TEST(Kernel, GuardReadsAndCommandIndicesAreRecorded) {
   Model m = toggle_model();
-  ASSERT_EQ(m.deps().size(), 4u);
-  EXPECT_EQ(m.deps()[0].guard_reads, var_bit(0));  // a0 reads a
-  EXPECT_EQ(m.deps()[0].writes, var_bit(0));       // a0 writes a
-  EXPECT_EQ(m.deps()[1].guard_reads, var_bit(1));  // b0 reads b
   EXPECT_EQ(m.commands()[2].index, 2);
   std::vector<int> read;
   Expr::land(Expr::eq(0, 1), Expr::lnot(Expr::ne(1, 0))).collect_vars(read);
@@ -412,9 +410,8 @@ TEST(Kernel, CommandDepsCoverGuardReadsAndWrites) {
 
 TEST(Kernel, SameValueWritesDoNotCreateNewStates) {
   // A command that assigns a variable its current value produces a
-  // successor identical to the pre-state. The changed-mask is computed
-  // from values (not from the static write-set), so the guard cache stays
-  // consistent and the successor simply dedups onto its source.
+  // successor identical to the pre-state, which simply dedups onto its
+  // source.
   Model m = ring_model();
   Command noop;
   noop.label = "noop";
@@ -428,11 +425,11 @@ TEST(Kernel, SameValueWritesDoNotCreateNewStates) {
   EXPECT_EQ(stats.edges_explored, 4u);
 }
 
-TEST(Kernel, GuardsOnUnchangedVariablesStayCached) {
+TEST(Kernel, GuardsOnUnchangedVariablesStayEnabled) {
   // `watch` fires only while b stays at its initial value; commands
-  // touching `a` must not disturb the cached b-guards. If the pruned
-  // evaluation were wrong in either direction the reachable set would
-  // change: 4 toggle states plus the c=1 variants reached via watch.
+  // touching `a` must not change whether watch is enabled. If the guard
+  // table got it wrong in either direction the reachable set would change:
+  // 4 toggle states plus the c=1 variants reached via watch.
   Model m = toggle_model();
   int c = m.add_var("c", 2, 0);
   Command watch;
@@ -618,6 +615,104 @@ TEST(ReachGraph, TablesThatDoNotFitTheModelAreRefused) {
   missing_var.pre_equals = {{5, 0}};  // the model has one variable
   EXPECT_THROW(g.check_response(missing_var, label_match(m, "respond"), &stats),
                std::invalid_argument);
+}
+
+// --- The guard table ------------------------------------------------------------
+//
+// The build compiles every guard once into per-(variable, value) command
+// masks plus the conjuncts that read two or more variables. This model holds
+// every guard shape the table must get right, checked edge by edge against
+// Model::successors, which interprets the guards directly.
+
+Model guard_shapes_model() {
+  Model m;
+  const int x = m.add_var("x", 4, 0);
+  const int y = m.add_var("y", 3, 0);
+  const int f = m.add_var("f", 2, 0);
+  const int late = 3;  // declared after the commands that read it
+  auto add = [&](const std::string& label, Expr guard, std::vector<Assign> updates) {
+    Command cmd;
+    cmd.label = label;
+    cmd.guard = std::move(guard);
+    cmd.updates = std::move(updates);
+    m.add_command(std::move(cmd));
+  };
+  add("or_across_vars", Expr::lor(Expr::eq(x, 3), Expr::eq(f, 1)), {{x, 0}, {f, 0}});
+  add("not_of_conjunction",
+      Expr::land(Expr::lnot(Expr::land(Expr::eq(x, 1), Expr::eq(y, 2))), Expr::eq(late, 0)),
+      {{late, 1}});
+  add("not_of_one_var_conjunction", Expr::lnot(Expr::land(Expr::ne(x, 0), Expr::ne(x, 3))),
+      {{y, 2}});
+  add("lt_and_gt", Expr::land(Expr::lt(x, 2), Expr::gt(y, 0)), {{x, 2}});
+  add("constant_true", Expr::land(Expr::constant(true), Expr::eq(y, 0)), {{y, 1}});
+  add("constant_false", Expr::land(Expr::eq(y, 1), Expr::constant(false)), {{y, 2}});
+  add("two_on_one_var", Expr::land(Expr::ne(x, 0), Expr::ne(x, 3)), {{f, 1}});
+  add("no_updates", Expr::eq(f, 0), {});
+  add("reads_late_var", Expr::eq(late, 1), {{late, 0}, {f, 1}});
+  add("copy", Expr::gt(y, 1), {{x, 0, y}});
+  // Enough commands that the masks span two words.
+  for (std::int32_t i = 0; i < 60; ++i) {
+    add("step" + std::to_string(i),
+        Expr::all({Expr::eq(x, i % 4), Expr::eq(y, (i / 4) % 3), Expr::eq(f, i % 2)}),
+        {{x, (i + 1) % 4}, {f, 1 - i % 2}});
+  }
+  EXPECT_EQ(m.add_var("late", 2, 0), late);
+  return m;
+}
+
+TEST(ReachGraph, StoredEdgesMatchInterpretedGuards) {
+  const Model m = guard_shapes_model();
+  ASSERT_GT(m.commands().size(), 64u);
+  const ReachGraph g = ReachGraph::build(m);
+  ASSERT_FALSE(g.stats().truncated());
+  EXPECT_EQ(first_edge_mismatch(g), "");
+  // Every shape decided an edge somewhere, except the one that never can.
+  std::vector<std::uint8_t> fired(m.commands().size(), 0);
+  for (std::size_t e = 0; e < g.edges(); ++e) fired[g.command(e)] = 1;
+  for (const Command& cmd : m.commands()) {
+    if (cmd.label.rfind("step", 0) == 0) continue;
+    EXPECT_EQ(fired[cmd.index], cmd.label == "constant_false" ? 0 : 1) << cmd.label;
+  }
+  EXPECT_TRUE(std::find(fired.begin() + 64, fired.end(), 1) != fired.end());
+}
+
+// The table's rows are indexed by state values, so a model whose states
+// could leave their declared domains is refused before anything is built.
+
+TEST(ReachGraph, RefusesAnInitialValueOutsideItsDomain) {
+  Model m;
+  m.add_var("v", 2, 2);
+  EXPECT_THROW(ReachGraph::build(m), std::invalid_argument);
+}
+
+TEST(ReachGraph, RefusesAConstantAssignmentOutsideItsDomain) {
+  Model m = ring_model();
+  Command out;
+  out.label = "out";
+  out.guard = Expr::eq(0, 2);
+  out.updates = {{0, 3}};  // pos has values 0..2
+  m.add_command(std::move(out));
+  EXPECT_THROW(ReachGraph::build(m), std::invalid_argument);
+}
+
+TEST(ReachGraph, RefusesACopyFromAWiderVariable) {
+  Model m = ring_model();
+  const int narrow = m.add_var("narrow", 2, 0);
+  Command copy;
+  copy.label = "copy";
+  copy.guard = Expr::constant(true);
+  copy.updates = {{narrow, 0, 0}};  // narrow := pos, which can be 2
+  m.add_command(std::move(copy));
+  EXPECT_THROW(ReachGraph::build(m), std::invalid_argument);
+}
+
+TEST(ReachGraph, RefusesAGuardReadingAMissingVariable) {
+  Model m = ring_model();
+  Command ghost;
+  ghost.label = "ghost";
+  ghost.guard = Expr::land(Expr::eq(0, 0), Expr::eq(1, 0));  // the model has one variable
+  m.add_command(std::move(ghost));
+  EXPECT_THROW(ReachGraph::build(m), std::invalid_argument);
 }
 
 TEST(Trace, DotExportHighlightsAdversaryAndLoop) {

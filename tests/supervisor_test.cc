@@ -342,6 +342,36 @@ TEST(Supervisor, GraphBuildHonoursTheRunsBudgets) {
   EXPECT_EQ(shed.cancelled, 1u);
 }
 
+TEST(Supervisor, ModelOutsideItsDomainsIsContainedPerProperty) {
+  // The graph build refuses a model whose states could leave their declared
+  // domains. Through the supervisor that is one exception outcome per
+  // property that needs the graph, never a crash; an inapplicable property
+  // is still reported as such.
+  threat::ThreatModel tm = pipeline().tm;
+  mc::Command bad;
+  bad.label = "bad";
+  bad.guard = mc::Expr::constant(true);
+  bad.updates = {{tm.flag_auth, 2}};  // flag_auth has values 0..1
+  tm.model.add_command(std::move(bad));
+  auto sel = select({"S01", "S05", "S17", "P04"});
+  SupervisedRun run = run_supervised(tm, pipeline().flat, sel, {}, {}, {});
+  ASSERT_EQ(run.outcomes.size(), sel.size());
+  std::size_t refused = 0;
+  for (std::size_t i = 0; i < sel.size(); ++i) {
+    const PropertyOutcome& o = run.outcomes[i];
+    if (applicable(*sel[i], pipeline().flat)) {
+      ++refused;
+      EXPECT_EQ(o.failure, FailureClass::kException) << sel[i]->id;
+      EXPECT_EQ(o.result.status, PropertyResult::Status::kInconclusive) << sel[i]->id;
+      EXPECT_TRUE(contains(o.diagnostics, "outside a variable's domain")) << o.diagnostics;
+    } else {
+      EXPECT_EQ(o.failure, FailureClass::kNone) << sel[i]->id;
+      EXPECT_EQ(o.result.status, PropertyResult::Status::kNotApplicable) << sel[i]->id;
+    }
+  }
+  EXPECT_EQ(refused, 2u);  // S01 and S05; S17 and P04 are not implemented by cls
+}
+
 TEST(Supervisor, ExhaustedRetriesFallBackToStructuredInconclusive) {
   auto sel = select({"S05"});
   CegarOptions cegar;

@@ -5,6 +5,7 @@
 
 #include "checker/baseline.h"
 #include "common/strings.h"
+#include "mc/checker.h"
 #include "threat/compose.h"
 
 namespace procheck::threat {
@@ -98,6 +99,9 @@ TEST(Compose, AlphabetsCoverBothMachines) {
   EXPECT_GE(tm.ul_index("attach_request"), 1);
   EXPECT_GE(tm.ul_index("security_mode_complete"), 1);
   EXPECT_EQ(tm.dl_index("not_a_message"), -1);
+  // Every action is in its channel's alphabet, so no assignment leaves a
+  // declared domain and the graph build accepts the model.
+  EXPECT_NO_THROW(mc::ReachGraph::build(tm.model));
 }
 
 TEST(Compose, TriggersAreNotMessages) {
@@ -299,6 +303,7 @@ TEST(Compose, BaselineModelsComposeToo) {
                            checker::lteinspector_mme_model());
   EXPECT_GT(tm.model.commands().size(), 30u);
   EXPECT_GE(tm.dl_index("attach_accept"), 1);
+  EXPECT_NO_THROW(mc::ReachGraph::build(tm.model));
 }
 
 TEST(Compose, SmvDumpContainsTheComposition) {
