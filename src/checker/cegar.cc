@@ -14,19 +14,21 @@ bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm) {
   return true;
 }
 
+mc::CheckOptions check_options(const CegarOptions& options) {
+  mc::CheckOptions out;
+  out.max_states = options.max_states;
+  out.max_seconds = options.max_seconds;
+  out.max_visited_bytes = options.max_visited_bytes;
+  out.cancel = options.cancel;
+  return out;
+}
+
 PropertyResult check_property(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                               const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                               const CegarOptions& options) {
   // An inapplicable property never touches the graph, so it skips the build.
   mc::ReachGraph graph;
-  if (applicable(prop, ue_fsm)) {
-    mc::CheckOptions budget;
-    budget.max_states = options.max_states;
-    budget.max_seconds = options.max_seconds;
-    budget.max_visited_bytes = options.max_visited_bytes;
-    budget.cancel = options.cancel;
-    graph = mc::ReachGraph::build(tm.model, budget);
-  }
+  if (applicable(prop, ue_fsm)) graph = mc::ReachGraph::build(tm.model, check_options(options));
   PropertyResult result = check_property(graph, ue_fsm, prop, crypto, options);
   result.total_seconds += graph.stats().seconds;
   result.peak_visited_bytes += graph.stats().visited_bytes;
@@ -54,14 +56,12 @@ PropertyResult check_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fs
     trigger = prop.trigger.compile(model);
     response = prop.response.compile(model);
   }
-  mc::CheckOptions mc_options;
-  mc_options.max_states = options.max_states;
-  mc_options.max_visited_bytes = options.max_visited_bytes;
-  mc_options.cancel = options.cancel;
+  mc::CheckOptions mc_options = check_options(options);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     if (options.cancel && options.cancel->cancelled()) {
       result.status = PropertyResult::Status::kInconclusive;
+      result.last_stats.cancelled = true;
       result.note = "cancelled before iteration " + std::to_string(result.iterations + 1);
       return result;
     }
@@ -70,6 +70,7 @@ PropertyResult check_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fs
       const double remaining = options.max_seconds - result.total_seconds;
       if (remaining <= 0) {
         result.status = PropertyResult::Status::kInconclusive;
+        result.last_stats.deadline_hit = true;
         result.note = "wall-clock budget exhausted (" + std::to_string(options.max_seconds) +
                       "s) before iteration " + std::to_string(result.iterations);
         return result;

@@ -50,14 +50,15 @@ struct PropertyResult {
   std::string note;  // human-readable outcome detail
 };
 
+/// The budget of one attempt at one property. `analyze` and `diff` triage
+/// fill it, and the supervisor runs every attempt under exactly this budget
+/// (halved on a degraded retry).
 struct CegarOptions {
-  /// Sized so every catalog property's reachable fragment is fully explored
-  /// on every profile (srsue/S20 needs >400k states): at the default budget
-  /// no search truncates, so kInconclusive only appears under explicitly
-  /// tightened budgets.
-  std::size_t max_states = 1'000'000;
+  /// State cap of each traversal. At the default no search on any profile
+  /// truncates, so kInconclusive only appears under tightened budgets.
+  std::size_t max_states = mc::kDefaultMaxStates;
   int max_iterations = 16;
-  /// Total wall-clock budget (seconds) across all MC iterations of one
+  /// Wall-clock deadline (seconds) across all MC iterations of one
   /// property; 0 = unbounded. Each iteration gets the remaining slice.
   double max_seconds = 0.0;
   /// Approximate per-iteration memory ceiling over the MC's visited-state
@@ -65,9 +66,14 @@ struct CegarOptions {
   /// the ceiling named in the note (the supervisor's OOM containment).
   std::size_t max_visited_bytes = 0;
   /// Cooperative cancellation (polled in the MC hot loop and between CEGAR
-  /// iterations); a cancelled run yields kInconclusive.
+  /// iterations); a cancelled run yields kInconclusive. The supervisor also
+  /// skips properties not yet started once it fires.
   const CancelToken* cancel = nullptr;
 };
+
+/// The MC budget `options` sets for a traversal or graph build: its state
+/// cap, deadline, memory ceiling and cancel token.
+mc::CheckOptions check_options(const CegarOptions& options);
 
 /// Whether the UE machine implements the procedure `prop` is about: every
 /// atom in requires_atoms appears in its condition or action vocabulary.

@@ -60,7 +60,6 @@ std::string analysis_options_hash(const AnalysisOptions& options,
   std::string canon;
   canon += "max_states=" + std::to_string(options.max_states);
   canon += ";cegar=" + std::to_string(options.max_cegar_iterations);
-  canon += ";budget=" + std::to_string(options.max_seconds_per_property);
   canon += ";retries=" + std::to_string(options.retries);
   canon += ";deadline=" + std::to_string(options.deadline_per_property);
   canon += ";mem=" + std::to_string(options.mem_ceiling_bytes);
@@ -119,7 +118,9 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
   CegarOptions cegar;
   cegar.max_states = options.max_states;
   cegar.max_iterations = options.max_cegar_iterations;
-  cegar.max_seconds = options.max_seconds_per_property;
+  cegar.max_seconds = options.deadline_per_property;
+  cegar.max_visited_bytes = options.mem_ceiling_bytes;
+  cegar.cancel = options.cancel;
 
   std::vector<const PropertyDef*> selected;
   for (const PropertyDef& prop : property_catalog()) {
@@ -132,15 +133,12 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
   SupervisorOptions sup;
   sup.retries = options.retries;
   sup.backoff_seconds = options.retry_backoff_seconds;
-  sup.deadline_per_property = options.deadline_per_property;
-  sup.mem_ceiling_bytes = options.mem_ceiling_bytes;
   sup.journal_path = options.journal_path;
   sup.resume = options.resume;
   sup.run_tag = profile.name;
   sup.options_hash = analysis_options_hash(options, profile);
   sup.jobs = options.jobs > 0 ? static_cast<std::size_t>(options.jobs)
                               : ThreadPool::default_parallelism();
-  sup.cancel = options.cancel;
   sup.fault_hook = options.fault_hook;
 
   SupervisedRun run =

@@ -25,11 +25,8 @@ namespace procheck::checker {
 struct AnalysisOptions {
   /// Explicit-state budget per MC run (see CegarOptions::max_states: large
   /// enough that no default-budget search truncates on any profile).
-  std::size_t max_states = 1'000'000;
+  std::size_t max_states = mc::kDefaultMaxStates;
   int max_cegar_iterations = 16;
-  /// Wall-clock budget (seconds) per property across its CEGAR iterations;
-  /// 0 = unbounded. Exhaustion yields Status::kInconclusive, never blowup.
-  double max_seconds_per_property = 0.0;
   /// Restrict to properties whose id is in this set (empty = all 62).
   std::set<std::string> only_properties;
   /// Worker threads for the per-property CEGAR fan-out: 0 = one per
@@ -45,9 +42,8 @@ struct AnalysisOptions {
   int retries = 0;
   /// Base of the exponential retry backoff, seconds (see SupervisorOptions).
   double retry_backoff_seconds = 0.05;
-  /// Per-attempt watchdog wall-clock deadline (seconds); 0 = none. Distinct
-  /// from max_seconds_per_property (the CEGAR budget): the effective
-  /// per-attempt deadline is the min of the two positives.
+  /// Wall-clock deadline (seconds) per attempt at a property, across its
+  /// CEGAR iterations; 0 = none. Exhaustion yields Status::kInconclusive.
   double deadline_per_property = 0.0;
   /// Approximate per-property memory ceiling over the MC's visited-state
   /// structures (bytes, cooperatively polled); 0 = none.

@@ -7,6 +7,7 @@
 
 #include "common/journal.h"
 #include "common/json.h"
+#include "common/thread_pool.h"
 
 namespace procheck::checker {
 
@@ -171,29 +172,12 @@ constexpr double kDegradeFactor = 0.5;
 constexpr double kDegradeFloorStates = 4096;
 constexpr double kDegradeFloorSeconds = 0.01;
 
-/// min over the positive operands (0 = "unbounded" on either side).
-double min_deadline(double a, double b) {
-  if (a <= 0) return b;
-  if (b <= 0) return a;
-  return std::min(a, b);
-}
-
-std::size_t min_ceiling(std::size_t a, std::size_t b) {
-  if (a == 0) return b;
-  if (b == 0) return a;
-  return std::min(a, b);
-}
-
 FailureClass classify(const PropertyResult& r) {
   if (r.status != PropertyResult::Status::kInconclusive) return FailureClass::kNone;
   const mc::CheckStats& s = r.last_stats;
-  if (s.cancelled || r.note.find("cancelled") != std::string::npos) {
-    return FailureClass::kCancelled;
-  }
+  if (s.cancelled) return FailureClass::kCancelled;
   if (s.mem_hit) return FailureClass::kMemCeiling;
-  if (s.deadline_hit || r.note.find("wall-clock") != std::string::npos) {
-    return FailureClass::kDeadline;
-  }
+  if (s.deadline_hit) return FailureClass::kDeadline;
   return FailureClass::kBudget;
 }
 
@@ -226,12 +210,8 @@ PropertyOutcome cancelled_outcome(const PropertyDef& prop) {
 /// Exceptions from the MC/CEGAR loop (or the test fault hook) never escape.
 PropertyOutcome run_one_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
                                  const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
-                                 const CegarOptions& base, const SupervisorOptions& options) {
-  CegarOptions per_attempt = base;
-  per_attempt.max_seconds = min_deadline(base.max_seconds, options.deadline_per_property);
-  per_attempt.max_visited_bytes = min_ceiling(base.max_visited_bytes, options.mem_ceiling_bytes);
-  per_attempt.cancel = options.cancel;
-
+                                 const CegarOptions& cegar, const SupervisorOptions& options) {
+  CegarOptions per_attempt = cegar;
   PropertyOutcome out;
   const supervise::Outcome ladder = supervise::run_attempts(
       {options.retries, options.backoff_seconds},
@@ -283,8 +263,9 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
   }
   run.journal_error = journal.note();
 
-  run.outcomes.resize(selected.size());
-  std::vector<char> done(selected.size(), 0);
+  // A property never started (cancelled run) keeps this placeholder, so the
+  // report has one row per selected property.
+  for (const PropertyDef* prop : selected) run.outcomes.push_back(cancelled_outcome(*prop));
 
   // --- Journal adoption (resume) -------------------------------------------
   std::map<std::string, PropertyOutcome> adopted;
@@ -304,7 +285,6 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
     if (it != adopted.end()) {
       run.outcomes[i] = it->second;
       run.outcomes[i].resumed = true;
-      done[i] = 1;
       ++run.resumed;
     } else {
       work.push_back(i);
@@ -322,7 +302,6 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
       journal.commit();
     }
     run.outcomes[i] = std::move(outcome);
-    done[i] = 1;
   };
 
   // One reachable graph serves the whole fan-out, read-only. Adopted and
@@ -334,10 +313,9 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
     return applicable(*selected[i], ue_fsm);
   });
   if (!shared && needed) {
-    mc::CheckOptions budget;
-    budget.max_states = cegar.max_states;
-    budget.max_visited_bytes = min_ceiling(cegar.max_visited_bytes, options.mem_ceiling_bytes);
-    budget.cancel = options.cancel;
+    // The deadline is per property; the shared build is no one property's.
+    mc::CheckOptions budget = check_options(cegar);
+    budget.max_seconds = 0;
     try {
       built = mc::ReachGraph::build(*model, budget);
     } catch (const std::exception& e) {
@@ -356,62 +334,42 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
     run.graph_stats = built.stats();
   }
 
-  const std::size_t jobs = std::max<std::size_t>(1, options.jobs);
-  if (jobs <= 1 || work.size() <= 1) {
-    cpv::LteCryptoModel crypto(crypto_options);
-    for (std::size_t i : work) {
-      if (options.cancel && options.cancel->cancelled()) break;
-      record(i, run_one_property(graph, ue_fsm, *selected[i], crypto, cegar, options));
-    }
-  } else {
-    ThreadPool pool(std::min(jobs, work.size()));
-    // Verifiers are reused across properties through a free-list (the
-    // cpv::Knowledge saturation cache stays warm, as in the per-worker
-    // claim-loop design this replaces) but never shared concurrently.
-    std::mutex crypto_mutex;
-    std::vector<std::unique_ptr<cpv::LteCryptoModel>> idle_verifiers;
-    for (std::size_t i : work) {
-      pool.submit([&, i] {
-        // Catch-all even outside run_one_property: a throwing task would
-        // reach std::terminate through the pool, taking down the whole run.
-        try {
-          if (options.cancel && options.cancel->cancelled()) {
-            // Shed everything not yet started; this property (already
-            // started) is reported as cancelled below.
-            pool.cancel_pending();
-            return;
-          }
-          std::unique_ptr<cpv::LteCryptoModel> crypto;
-          {
-            std::lock_guard<std::mutex> lock(crypto_mutex);
-            if (!idle_verifiers.empty()) {
-              crypto = std::move(idle_verifiers.back());
-              idle_verifiers.pop_back();
-            }
-          }
-          if (!crypto) crypto = std::make_unique<cpv::LteCryptoModel>(crypto_options);
-          PropertyOutcome outcome =
-              run_one_property(graph, ue_fsm, *selected[i], *crypto, cegar, options);
-          {
-            std::lock_guard<std::mutex> lock(crypto_mutex);
-            idle_verifiers.push_back(std::move(crypto));
-          }
-          record(i, std::move(outcome));
-        } catch (const std::exception& e) {
-          record(i, exception_outcome(*selected[i], 1, e.what()));
-        } catch (...) {
-          record(i, exception_outcome(*selected[i], 1, "unknown exception type"));
+  // One fan-out at every jobs level (parallel_for runs inline at jobs <= 1).
+  // Verifiers are reused across properties through a free-list (the
+  // cpv::Knowledge saturation cache stays warm) but never shared
+  // concurrently.
+  std::mutex crypto_mutex;
+  std::vector<std::unique_ptr<cpv::LteCryptoModel>> idle_verifiers;
+  parallel_for(options.jobs, work.size(), [&](std::size_t k) {
+    const std::size_t i = work[k];
+    // A cancelled run skips every property not yet started.
+    if (cegar.cancel && cegar.cancel->cancelled()) return;
+    // Catch-all even outside run_one_property: a throwing task would reach
+    // std::terminate through the pool, taking down the whole run.
+    try {
+      std::unique_ptr<cpv::LteCryptoModel> crypto;
+      {
+        std::lock_guard<std::mutex> lock(crypto_mutex);
+        if (!idle_verifiers.empty()) {
+          crypto = std::move(idle_verifiers.back());
+          idle_verifiers.pop_back();
         }
-      });
+      }
+      if (!crypto) crypto = std::make_unique<cpv::LteCryptoModel>(crypto_options);
+      PropertyOutcome outcome =
+          run_one_property(graph, ue_fsm, *selected[i], *crypto, cegar, options);
+      {
+        std::lock_guard<std::mutex> lock(crypto_mutex);
+        idle_verifiers.push_back(std::move(crypto));
+      }
+      record(i, std::move(outcome));
+    } catch (const std::exception& e) {
+      record(i, exception_outcome(*selected[i], 1, e.what()));
+    } catch (...) {
+      record(i, exception_outcome(*selected[i], 1, "unknown exception type"));
     }
-    pool.wait();
-  }
+  });
 
-  // Properties never started (cancelled run / shed tasks) still get a
-  // structured outcome — the report has one row per selected property.
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    if (!done[i]) run.outcomes[i] = cancelled_outcome(*selected[i]);
-  }
   for (const PropertyOutcome& outcome : run.outcomes) {
     if (outcome.failure == FailureClass::kCancelled) ++run.cancelled;
   }

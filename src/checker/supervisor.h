@@ -1,19 +1,20 @@
 // Analysis supervisor (DESIGN.md §11 "Failure containment & resume").
 //
-// Layered between ProChecker::analyze and the per-property CEGAR workers.
-// The threat model's reachable graph is built once, before the fan-out, and
-// every worker checks its property against it read-only. Each property runs
-// crash-isolated under a cooperative watchdog (wall-clock deadline +
-// approximate memory ceiling polled in the MC hot loop), so any single
-// property can throw, trip a budget, or be cancelled and the catalog run
-// still completes with a structured outcome for every property. Failed
-// or inconclusive properties are retried on the shared degrade ladder
-// (common/supervise.h: shrinking state/deadline budgets, exponential
-// backoff); the final attempt falls back to kInconclusive with the failure
-// class embedded. Every completed outcome is appended to a crash-safe JSONL
-// run journal (common/journal.h), and a resumed run adopts journaled
-// outcomes instead of re-verifying them — reproducing a verdict report
-// byte-identical to an uninterrupted run.
+// Layered between ProChecker::analyze (and diff triage) and the per-property
+// CEGAR workers. The threat model's reachable graph is built once, before
+// the fan-out, and every worker checks its property against it read-only.
+// Each property runs crash-isolated under one budget, the caller's
+// CegarOptions: a state cap plus a cooperative watchdog (wall-clock
+// deadline, approximate memory ceiling and cancel token, polled in the MC
+// hot loop), so any single property can throw, trip a budget, or be
+// cancelled and the catalog run still completes with a structured outcome
+// for every property. Failed or inconclusive properties are retried on the
+// shared degrade ladder (common/supervise.h: halved state/deadline budgets,
+// exponential backoff); the final attempt falls back to kInconclusive with
+// the failure class embedded. Every completed outcome is appended to a
+// crash-safe JSONL run journal (common/journal.h), and a resumed run adopts
+// journaled outcomes instead of re-verifying them — reproducing a verdict
+// report byte-identical to an uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,6 @@
 #include "checker/cegar.h"
 #include "checker/property.h"
 #include "common/supervise.h"
-#include "common/thread_pool.h"
 #include "cpv/lte_crypto.h"
 #include "fsm/fsm.h"
 #include "threat/compose.h"
@@ -59,15 +59,10 @@ struct SupervisorOptions {
   int retries = 0;
   /// Base of the exponential retry backoff (seconds): attempt k sleeps
   /// backoff * 2^(k-1) before re-running. 0 disables the sleep. Each retry
-  /// after a resource trip halves max_states and the per-attempt deadline
-  /// (floored at 4096 states / 0.01 s, never above the previous attempt).
+  /// after a resource trip halves the CegarOptions' max_states and
+  /// max_seconds (floored at 4096 states / 0.01 s, never above the previous
+  /// attempt).
   double backoff_seconds = 0.05;
-
-  /// Per-attempt watchdog wall-clock deadline (seconds); 0 = none.
-  double deadline_per_property = 0.0;
-  /// Approximate per-property memory ceiling (bytes over the MC's
-  /// visited-state structures, polled cooperatively); 0 = none.
-  std::size_t mem_ceiling_bytes = 0;
 
   /// Path of the crash-safe run journal; "" disables journaling.
   std::string journal_path;
@@ -85,10 +80,8 @@ struct SupervisorOptions {
   /// mix incompatible budgets into one report.
   std::string options_hash;
 
+  /// Worker threads for the per-property fan-out; <= 1 runs it inline.
   std::size_t jobs = 1;
-  /// Cooperative run-level cancellation: properties not yet started are shed
-  /// (ThreadPool::cancel_pending) and reported as kCancelled outcomes.
-  const CancelToken* cancel = nullptr;
   /// Test hook: invoked at the start of every attempt; a throw simulates a
   /// worker crash inside the MC/CEGAR loop.
   std::function<void(const std::string& property_id, int attempt)> fault_hook;
@@ -115,12 +108,14 @@ struct SupervisedRun {
   mc::CheckStats graph_stats;
 };
 
-/// Runs `selected` under supervision. Exceptions never escape a worker:
-/// every property produces a PropertyOutcome. The verdicts are byte-for-byte
-/// deterministic across jobs levels and across interrupt/resume cycles for
-/// deterministic budgets (see DESIGN.md §11 for the determinism argument).
-/// Builds the reachable graph of `tm` under the run's state cap, memory
-/// ceiling and cancel token, unless no selected property needs checking.
+/// Runs `selected` under supervision, every attempt under `cegar`. Once
+/// cegar.cancel fires, properties not yet started are skipped and reported
+/// as kCancelled outcomes. Exceptions never escape a worker: every property
+/// produces a PropertyOutcome. The verdicts are byte-for-byte deterministic
+/// across jobs levels and across interrupt/resume cycles for deterministic
+/// budgets (see DESIGN.md §11 for the determinism argument). Builds the
+/// reachable graph of `tm` under cegar's state cap, memory ceiling and
+/// cancel token, unless no selected property needs checking.
 SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                              const std::vector<const PropertyDef*>& selected,
                              const cpv::LteCryptoModel::Options& crypto_options,

@@ -48,6 +48,7 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -86,8 +87,7 @@ int usage() {
                "  extract --profile <cls|srsue|oai> [--log <file>] [--dot] [--basic]"
                " [--recovery]\n"
                "  analyze --profile <cls|srsue|oai> [--properties <ids>]"
-               " [--freshness-limit <L>] [--max-states <N>] [--budget-seconds <S>]"
-               " [--jobs <N>]\n"
+               " [--freshness-limit <L>] [--max-states <N>] [--jobs <N>]\n"
                "          [--retries <N>] [--deadline-per-property <S>]"
                " [--mem-ceiling-mb <M>] [--journal <file>] [--resume <file>]\n"
                "  chaos --profile <cls|srsue|oai> [--intensity <p>] [--jobs <N>]\n"
@@ -147,20 +147,30 @@ struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
 
-  static Args parse(int argc, char** argv, int from) {
+  /// Parses a subcommand's arguments (argv[2..]): `values` are the flags it
+  /// takes a value for, `switches` the ones it takes bare. Any other
+  /// option, or a value flag with nothing after it, is a usage error: the
+  /// diagnostic is printed and nullopt returned (the caller exits 2).
+  static std::optional<Args> parse(int argc, char** argv, const std::set<std::string>& values,
+                                   const std::set<std::string>& switches) {
     Args args;
-    for (int i = from; i < argc; ++i) {
+    for (int i = 2; i < argc; ++i) {
       std::string a = argv[i];
-      if (starts_with(a, "--")) {
-        std::string key = a.substr(2);
-        if (key == "dot" || key == "basic" || key == "traces" || key == "dot-traces" ||
-            key == "recovery" || key == "stats" || key == "json") {
-          args.options[key] = "1";
-        } else if (i + 1 < argc) {
-          args.options[key] = argv[++i];
-        }
-      } else {
+      if (!starts_with(a, "--")) {
         args.positional.push_back(std::move(a));
+        continue;
+      }
+      const std::string key = a.substr(2);
+      if (switches.count(key) > 0) {
+        args.options[key] = "1";
+      } else if (values.count(key) == 0) {
+        std::fprintf(stderr, "unknown option --%s\n", key.c_str());
+        return std::nullopt;
+      } else if (i + 1 == argc) {
+        std::fprintf(stderr, "missing value for --%s\n", key.c_str());
+        return std::nullopt;
+      } else {
+        args.options[key] = argv[++i];
       }
     }
     return args;
@@ -363,7 +373,6 @@ int cmd_analyze(ue::StackProfile profile, const Args& args) {
   // retries, journal/resume — DESIGN.md §11).
   if (!read_flag(args, "freshness-limit", 0, kAnyCount, &freshness_limit) ||
       !read_flag(args, "max-states", 0, kAnyCount, &options.max_states) ||
-      !read_flag(args, "budget-seconds", 0, kAnyReal, &options.max_seconds_per_property) ||
       !read_flag(args, "jobs", 1, 1024, &options.jobs) ||
       !read_flag(args, "retries", 0, 16, &options.retries) ||
       !read_flag(args, "deadline-per-property", 0, kAnyReal, &options.deadline_per_property) ||
@@ -689,25 +698,55 @@ int cmd_diff(const Args& args) {
 // Every profile-driven subcommand resolves --profile the same way; main()
 // does it once and hands the handler a concrete StackProfile (by value —
 // analyze patches mitigation knobs into its copy).
-int with_profile(const Args& args, int (*handler)(ue::StackProfile, const Args&)) {
+template <int (*handler)(ue::StackProfile, const Args&)>
+int with_profile(const Args& args) {
   auto profile = profile_by_name(args.get("profile"));
   if (!profile) return usage();
   return handler(std::move(*profile), args);
 }
 
+struct Subcommand {
+  int (*run)(const Args&);
+  std::set<std::string> values;    // flags that take a value
+  std::set<std::string> switches;  // flags that take none
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Every subcommand with the options it takes; any other option is a usage
+  // error before any work starts.
+  static const std::map<std::string, Subcommand> subcommands = {
+      {"instrument", {cmd_instrument, {"header"}, {}}},
+      {"conformance",
+       {with_profile<cmd_conformance>, {"profile", "log", "remote", "psk", "batch"}, {}}},
+      {"extract", {with_profile<cmd_extract>, {"profile", "log"}, {"dot", "basic", "recovery"}}},
+      {"analyze",
+       {with_profile<cmd_analyze>,
+        {"profile", "properties", "freshness-limit", "max-states", "jobs", "retries",
+         "deadline-per-property", "mem-ceiling-mb", "journal", "resume"},
+        {"traces", "dot-traces"}}},
+      {"chaos", {with_profile<cmd_chaos>, {"profile", "intensity", "jobs"}, {}}},
+      {"serve-sul",
+       {with_profile<cmd_serve_sul>,
+        {"profile", "port", "bind", "psk", "max-sessions", "quota-queries", "quota-bytes",
+         "quota-seconds", "idle-timeout", "drain-seconds"},
+        {"stats"}}},
+      {"learn",
+       {with_profile<cmd_learn>,
+        {"profile", "remote", "psk", "seed", "batch", "journal", "resume", "arbitrate", "deadline",
+         "retries"},
+        {"dot"}}},
+      {"diff",
+       {cmd_diff,
+        {"left", "right", "psk", "batch", "seed", "max-pairs", "jobs", "max-states",
+         "deadline-per-property", "retries"},
+        {"json", "dot"}}},
+  };
   if (argc < 2) return usage();
-  std::string cmd = argv[1];
-  Args args = Args::parse(argc, argv, 2);
-  if (cmd == "instrument") return cmd_instrument(args);
-  if (cmd == "conformance") return with_profile(args, cmd_conformance);
-  if (cmd == "extract") return with_profile(args, cmd_extract);
-  if (cmd == "analyze") return with_profile(args, cmd_analyze);
-  if (cmd == "chaos") return with_profile(args, cmd_chaos);
-  if (cmd == "serve-sul") return with_profile(args, cmd_serve_sul);
-  if (cmd == "learn") return with_profile(args, cmd_learn);
-  if (cmd == "diff") return cmd_diff(args);
-  return usage();
+  const auto it = subcommands.find(argv[1]);
+  if (it == subcommands.end()) return usage();
+  const Subcommand& cmd = it->second;
+  std::optional<Args> args = Args::parse(argc, argv, cmd.values, cmd.switches);
+  return args ? cmd.run(*args) : 2;
 }

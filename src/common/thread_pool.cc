@@ -34,17 +34,6 @@ void ThreadPool::wait() {
   all_done_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
 }
 
-std::size_t ThreadPool::cancel_pending() {
-  std::deque<std::function<void()>> dropped;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    dropped.swap(tasks_);
-    if (active_ == 0) all_done_.notify_all();
-  }
-  // Destroy outside the lock: task closures may own arbitrary state.
-  return dropped.size();
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -1,12 +1,13 @@
 // Fixed-size thread pool (no work stealing): a mutex-protected FIFO of
-// tasks drained by `threads` workers. The catalog analysis fans per-property
-// CEGAR runs across it (checker/prochecker.cc) and the chaos matrix fans
-// fault regimes (testing/chaos.cc); both write results into pre-sized
-// vectors by index, so parallel output is byte-identical to sequential.
+// tasks drained by `threads` workers.
 //
 // `parallel_for` is the dynamic-scheduling convenience built on top: one
 // shared atomic index, each worker pulls the next unclaimed item. Long and
-// short items interleave without static partitioning imbalance.
+// short items interleave without static partitioning imbalance. The
+// analysis supervisor fans per-property CEGAR runs through it
+// (checker/supervisor.cc) and the chaos matrix fans fault regimes
+// (testing/chaos.cc); both write results into pre-sized vectors by index,
+// so parallel output is byte-identical to sequential.
 #pragma once
 
 #include <atomic>
@@ -22,7 +23,7 @@ namespace procheck {
 
 /// Cooperative cancellation: one sticky flag set by a supervisor/watchdog
 /// and polled in hot loops (the MC search polls it per dequeued state, the
-/// supervisor's claim loops poll it per property). Cancellation is a
+/// supervisor's fan-out polls it per property). Cancellation is a
 /// request, not preemption — holders finish their current poll interval.
 class CancelToken {
  public:
@@ -50,12 +51,6 @@ class ThreadPool {
 
   /// Blocks until every submitted task has finished executing.
   void wait();
-
-  /// Drain-on-cancel: discards every task that has not started yet and
-  /// returns how many were dropped. Tasks already running are unaffected —
-  /// wait() then returns as soon as they finish. Used by the analysis
-  /// supervisor to shed queued per-property work once a run is cancelled.
-  std::size_t cancel_pending();
 
   std::size_t thread_count() const { return workers_.size(); }
 

@@ -143,12 +143,11 @@ void triage(DiffReport& report, const Side& left, const Side& right,
   cpv::LteCryptoModel::Options crypto;  // no freshness-limit mitigation
   checker::CegarOptions cegar;
   cegar.max_states = options.max_states;
-  cegar.max_iterations = options.max_cegar_iterations;
+  cegar.max_seconds = options.deadline_per_property;
+  cegar.cancel = options.cancel;
   checker::SupervisorOptions sup;
-  sup.jobs = options.jobs > 0 ? options.jobs : 1;
-  sup.deadline_per_property = options.deadline_per_property;
+  sup.jobs = options.jobs;
   sup.retries = options.retries;
-  sup.cancel = options.cancel;
 
   auto verdicts = [&](const Side& side) {
     threat::ThreatModel tm = checker::ProChecker::build_threat_model(side.machine);

@@ -32,16 +32,16 @@
 
 #include "common/thread_pool.h"
 #include "diff/diff.h"
+#include "mc/checker.h"
 
 namespace procheck::diff {
 
 struct TriageOptions {
   /// Worker threads for the per-property fan-out on each side.
   std::size_t jobs = 1;
-  /// Per-property CEGAR budgets (mirroring checker::AnalysisOptions): a
+  /// Per-property state cap (mirroring checker::AnalysisOptions): a
   /// pathological side degrades to a structured inconclusive finding.
-  std::size_t max_states = 1'000'000;
-  int max_cegar_iterations = 16;
+  std::size_t max_states = mc::kDefaultMaxStates;
   /// Watchdog wall-clock deadline per property per side (seconds; 0 = none,
   /// matching checker::AnalysisOptions — wall-clock watchdogs trade the
   /// byte-identity-across-machines guarantee for boundedness, so they are

@@ -85,8 +85,14 @@ struct EdgeMatch {
   }
 };
 
+/// The state cap every budget layer defaults to (CheckOptions, CegarOptions,
+/// AnalysisOptions, TriageOptions). The largest search on any profile is
+/// srsue's liveness product for P07 (1 101 148 nodes), so at this cap no
+/// default-budget search truncates.
+inline constexpr std::size_t kDefaultMaxStates = 2'000'000;
+
 struct CheckOptions {
-  std::size_t max_states = 2'000'000;
+  std::size_t max_states = kDefaultMaxStates;
   /// Wall-clock budget in seconds; 0 = unbounded. Exploration stops (with
   /// stats->deadline_hit) once exceeded — a guardrail, not a fairness bound.
   double max_seconds = 0.0;

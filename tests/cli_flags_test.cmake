@@ -1,6 +1,8 @@
 # Every numeric CLI flag rejects a malformed value and an out-of-range value
 # as a usage error: exit 2 and "invalid value for --<flag>" on stderr, before
-# any work starts. Run as
+# any work starts. So do an option the subcommand does not take ("unknown
+# option --<flag>") and a value flag with nothing after it ("missing value
+# for --<flag>"). Run as
 #   cmake -DPROCHECKER=<path to prochecker> -P cli_flags_test.cmake
 
 if(NOT PROCHECKER)
@@ -11,7 +13,6 @@ endif()
 set(cases
   "analyze --profile cls|freshness-limit|x|99999999999999999999"
   "analyze --profile cls|max-states|1e3|99999999999999999999"
-  "analyze --profile cls|budget-seconds|abc|-1"
   "analyze --profile cls|jobs|two|0"
   "analyze --profile cls|retries|1.5|17"
   "analyze --profile cls|deadline-per-property|soon|-0.5"
@@ -40,8 +41,37 @@ set(cases
   "diff profile:cls profile:oai|retries|r|17"
 )
 
+# <subcommand and its required arguments>|<option it does not take>: a
+# removed flag (--budget-seconds) or a misspelt one must not silently run
+# with the default, unbounded budget.
+set(unknown_cases
+  "analyze --profile cls|budget-seconds"
+  "analyze --profile cls|max-state"
+  "diff profile:cls profile:oai|budget-seconds"
+)
+
 set(failures "")
 set(runs 0)
+
+# Runs prochecker with `args` and expects exit 2 with `diagnostic` on stderr.
+function(expect_usage_error args diagnostic)
+  math(EXPR runs "${runs} + 1")
+  set(runs ${runs} PARENT_SCOPE)
+  execute_process(
+    COMMAND "${PROCHECKER}" ${args}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    TIMEOUT 30)
+  string(FIND "${err}" "${diagnostic}" at)
+  if(NOT rc EQUAL 2 OR at EQUAL -1)
+    string(STRIP "${err}" err)
+    list(JOIN args " " line)
+    list(APPEND failures "${line}: exit ${rc}, stderr '${err}'")
+    set(failures "${failures}" PARENT_SCOPE)
+  endif()
+endfunction()
+
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" parts "${case}")
   list(GET parts 0 command)
@@ -49,23 +79,23 @@ foreach(case IN LISTS cases)
   list(SUBLIST parts 2 2 values)
   separate_arguments(command_args UNIX_COMMAND "${command}")
   foreach(value IN LISTS values)
-    math(EXPR runs "${runs} + 1")
-    execute_process(
-      COMMAND "${PROCHECKER}" ${command_args} --${flag} ${value}
-      RESULT_VARIABLE rc
-      OUTPUT_QUIET
-      ERROR_VARIABLE err
-      TIMEOUT 30)
-    string(FIND "${err}" "invalid value for --${flag}" at)
-    if(NOT rc EQUAL 2 OR at EQUAL -1)
-      string(STRIP "${err}" err)
-      list(APPEND failures "${command} --${flag} ${value}: exit ${rc}, stderr '${err}'")
-    endif()
+    expect_usage_error("${command_args};--${flag};${value}" "invalid value for --${flag}")
   endforeach()
 endforeach()
 
+foreach(case IN LISTS unknown_cases)
+  string(REPLACE "|" ";" parts "${case}")
+  list(GET parts 0 command)
+  list(GET parts 1 flag)
+  separate_arguments(command_args UNIX_COMMAND "${command}")
+  expect_usage_error("${command_args};--${flag};1" "unknown option --${flag}")
+endforeach()
+
+# A value flag at the end of the line with no value.
+expect_usage_error("analyze;--profile;cls;--max-states" "missing value for --max-states")
+
 if(failures)
   list(JOIN failures "\n  " report)
-  message(FATAL_ERROR "numeric flags not rejected as usage errors:\n  ${report}")
+  message(FATAL_ERROR "flags not rejected as usage errors:\n  ${report}")
 endif()
-message(STATUS "${runs} malformed or out-of-range flag values rejected with exit 2")
+message(STATUS "${runs} bad flag uses rejected with exit 2")

@@ -100,6 +100,20 @@ TEST(Pipeline, AllSixtyTwoPropertiesChecked) {
   EXPECT_EQ(rep.not_applicable_count(), 2);  // the "-" rows
 }
 
+TEST(Pipeline, NoSearchTruncatesAtTheDefaultBudget) {
+  // The default state cap covers the largest search on any profile (srsue's
+  // P07 and S36 liveness products pass 1M nodes), so no default-budget
+  // verdict rests on a truncated search.
+  for (const auto& profile :
+       {ue::StackProfile::cls(), ue::StackProfile::srsue(), ue::StackProfile::oai()}) {
+    const ImplementationReport& rep = report_for(profile);
+    EXPECT_FALSE(rep.graph_stats.truncated()) << profile.name;
+    for (const PropertyResult& r : rep.results) {
+      EXPECT_FALSE(r.last_stats.truncated()) << profile.name << " " << r.property_id;
+    }
+  }
+}
+
 TEST(Pipeline, ConformanceCoverageIsComplete) {
   for (const auto& profile :
        {ue::StackProfile::cls(), ue::StackProfile::srsue(), ue::StackProfile::oai()}) {

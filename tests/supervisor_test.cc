@@ -11,8 +11,11 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "checker/prochecker.h"
@@ -295,9 +298,9 @@ TEST(Supervisor, RetryRecoversFromTransientCrash) {
 
 TEST(Supervisor, DeadlineTripClassified) {
   auto sel = select({"S05"});
-  SupervisorOptions opts;
-  opts.deadline_per_property = 1e-9;
-  SupervisedRun run = run_sup(sel, opts, {});
+  CegarOptions cegar;
+  cegar.max_seconds = 1e-9;
+  SupervisedRun run = run_sup(sel, {}, cegar);
   ASSERT_EQ(run.outcomes.size(), 1u);
   EXPECT_EQ(run.outcomes[0].result.status, PropertyResult::Status::kInconclusive);
   EXPECT_EQ(run.outcomes[0].failure, FailureClass::kDeadline);
@@ -305,9 +308,9 @@ TEST(Supervisor, DeadlineTripClassified) {
 
 TEST(Supervisor, MemCeilingTripClassified) {
   auto sel = select({"S05"});
-  SupervisorOptions opts;
-  opts.mem_ceiling_bytes = 1;  // trips on the first cooperative poll
-  SupervisedRun run = run_sup(sel, opts, {});
+  CegarOptions cegar;
+  cegar.max_visited_bytes = 1;  // trips on the first cooperative poll
+  SupervisedRun run = run_sup(sel, {}, cegar);
   ASSERT_EQ(run.outcomes.size(), 1u);
   EXPECT_EQ(run.outcomes[0].result.status, PropertyResult::Status::kInconclusive);
   EXPECT_EQ(run.outcomes[0].failure, FailureClass::kMemCeiling);
@@ -327,17 +330,17 @@ TEST(Supervisor, GraphBuildHonoursTheRunsBudgets) {
   EXPECT_EQ(bound.graph_stats.states_explored, 3u);
   EXPECT_EQ(bound.outcomes[0].failure, FailureClass::kBudget);
 
-  SupervisorOptions ceiling;
-  ceiling.mem_ceiling_bytes = 1;
-  SupervisedRun mem = run_supervised(tm, pipeline().flat, sel, {}, {}, ceiling);
+  CegarOptions ceiling;
+  ceiling.max_visited_bytes = 1;
+  SupervisedRun mem = run_supervised(tm, pipeline().flat, sel, {}, ceiling, {});
   EXPECT_TRUE(mem.graph_stats.mem_hit);
   EXPECT_EQ(mem.outcomes[0].failure, FailureClass::kMemCeiling);
 
   CancelToken token;
   token.cancel();
-  SupervisorOptions cancelled;
+  CegarOptions cancelled;
   cancelled.cancel = &token;
-  SupervisedRun shed = run_supervised(tm, pipeline().flat, sel, {}, {}, cancelled);
+  SupervisedRun shed = run_supervised(tm, pipeline().flat, sel, {}, cancelled, {});
   EXPECT_TRUE(shed.graph_stats.cancelled);
   EXPECT_EQ(shed.cancelled, 1u);
 }
@@ -410,11 +413,12 @@ TEST(Supervisor, PreCancelledRunShedsEverythingAndJournalsNothing) {
   std::remove(path.c_str());
   CancelToken token;
   token.cancel();
+  CegarOptions cancelled;
+  cancelled.cancel = &token;
   SupervisorOptions opts;
-  opts.cancel = &token;
   opts.journal_path = path;
   opts.run_tag = "cls";
-  SupervisedRun run = run_sup(sel, opts, {});
+  SupervisedRun run = run_sup(sel, opts, cancelled);
   EXPECT_EQ(run.cancelled, sel.size());
   EXPECT_EQ(run.journal_records, 0u);  // interruptions are never journaled
   for (const PropertyOutcome& o : run.outcomes) {
@@ -432,6 +436,106 @@ TEST(Supervisor, PreCancelledRunShedsEverythingAndJournalsNothing) {
   EXPECT_EQ(redo.resumed, 0u);
   EXPECT_EQ(redo.cancelled, 0u);
   EXPECT_EQ(redo.journal_records, sel.size());
+}
+
+TEST(Supervisor, CancelBeforeTheFirstTraversalIsClassifiedByItsFlag) {
+  // The token fires once the attempt has started, so check_property stops
+  // before its first traversal; its stats flag, not its note, classifies it.
+  auto sel = select({"S05"});
+  CancelToken token;
+  CegarOptions cegar;
+  cegar.cancel = &token;
+  SupervisorOptions opts;
+  opts.fault_hook = [&token](const std::string&, int) { token.cancel(); };
+  SupervisedRun run = run_sup(sel, opts, cegar);
+  ASSERT_EQ(run.outcomes.size(), 1u);
+  const PropertyOutcome& o = run.outcomes[0];
+  EXPECT_EQ(o.result.note, "cancelled before iteration 1");
+  EXPECT_TRUE(o.result.last_stats.cancelled);
+  EXPECT_EQ(o.result.last_stats.states_explored, 0u);
+  EXPECT_EQ(o.failure, FailureClass::kCancelled);
+  EXPECT_EQ(run.cancelled, 1u);
+}
+
+// A cancel in the middle of a jobs=4 run: in-flight properties conclude or
+// stop as cancelled, and properties not yet started are skipped. Nothing
+// cancelled is journaled, so a resume re-verifies exactly the cancelled set
+// (the supervisor_tsan ctest entry runs this under ThreadSanitizer).
+TEST(Supervisor, MidRunCancelAtJobsFourResumesTheCancelledSet) {
+  auto sel = select({"S01", "S02", "S05", "S07", "S21", "S31", "P01", "P02", "P03"});
+  ASSERT_EQ(sel[4]->id, "S21");
+  const std::set<std::string> after_s21 = {"S31", "P01", "P02", "P03"};
+  SupervisorOptions parallel;
+  parallel.jobs = 4;
+  const SupervisedRun reference = run_sup(sel, parallel, {});
+
+  const std::string path = tmp_path("journal_midrun_cancel.jsonl");
+  std::remove(path.c_str());
+  CancelToken token;
+  CegarOptions cancellable;
+  cancellable.cancel = &token;
+  std::mutex mutex;
+  std::set<std::string> started;
+  SupervisorOptions opts;
+  opts.journal_path = path;
+  opts.run_tag = "cls";
+  opts.jobs = 4;
+  opts.fault_hook = [&](const std::string& id, int) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      started.insert(id);
+    }
+    if (id == "S21") token.cancel();
+    // A property after S21 holds its worker until the token fires: at most
+    // three of the four after it start, so at least one is never started.
+    if (after_s21.count(id) > 0) {
+      while (!token.cancelled()) std::this_thread::yield();
+    }
+  };
+  const SupervisedRun cut = run_sup(sel, opts, cancellable);
+  ASSERT_EQ(cut.outcomes.size(), sel.size());
+
+  std::set<std::string> cancelled;
+  std::size_t concluded = 0;
+  std::size_t never_started = 0;
+  for (std::size_t i = 0; i < sel.size(); ++i) {
+    const PropertyOutcome& o = cut.outcomes[i];
+    if (o.failure == FailureClass::kNone) {
+      ++concluded;
+      EXPECT_EQ(encode_outcome(o), encode_outcome(reference.outcomes[i])) << sel[i]->id;
+      continue;
+    }
+    ASSERT_EQ(o.failure, FailureClass::kCancelled) << sel[i]->id << ": " << o.result.note;
+    cancelled.insert(sel[i]->id);
+    if (started.count(sel[i]->id) == 0) {
+      ++never_started;
+      EXPECT_EQ(o.result.note, "cancelled before verification started") << sel[i]->id;
+      EXPECT_EQ(o.attempts, 0) << sel[i]->id;
+    }
+  }
+  EXPECT_TRUE(cancelled.count("S21"));
+  // Four workers claimed the five properties up to S21 before its hook
+  // ran, so one of those finished before the token fired.
+  EXPECT_GE(concluded, 1u);
+  EXPECT_GE(never_started, 1u);
+  EXPECT_EQ(cut.cancelled, cancelled.size());
+  EXPECT_EQ(cut.journal_records, concluded);
+  EXPECT_FALSE(contains(slurp(path), "\"failure\":\"cancelled\""));
+
+  std::set<std::string> reverified;
+  SupervisorOptions resume;
+  resume.journal_path = path;
+  resume.resume = true;
+  resume.run_tag = "cls";
+  resume.jobs = 4;
+  resume.fault_hook = [&](const std::string& id, int) {
+    std::lock_guard<std::mutex> lock(mutex);
+    reverified.insert(id);
+  };
+  const SupervisedRun resumed = run_sup(sel, resume, {});
+  EXPECT_EQ(resumed.resumed, concluded);
+  EXPECT_EQ(reverified, cancelled);
+  expect_outcomes_equal(resumed.outcomes, reference.outcomes);
 }
 
 TEST(Supervisor, HeaderTagMismatchDiscardsForeignJournal) {

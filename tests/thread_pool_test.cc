@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -64,35 +63,6 @@ TEST(ThreadPool, DestructorDrainsOutstandingTasks) {
 
 TEST(ThreadPool, DefaultParallelismIsPositive) {
   EXPECT_GE(ThreadPool::default_parallelism(), 1u);
-}
-
-TEST(ThreadPool, CancelPendingShedsQueuedTasksOnly) {
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  std::atomic<bool> release{false};
-  // Occupy the single worker so everything behind it stays queued.
-  pool.submit([&] {
-    while (!release.load()) std::this_thread::yield();
-    ran.fetch_add(1);
-  });
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  std::size_t dropped = pool.cancel_pending();
-  release = true;
-  pool.wait();
-  // The in-flight task always completes; dropped + completed covers the rest.
-  EXPECT_EQ(ran.load(), 1 + (20 - static_cast<int>(dropped)));
-  // The pool stays usable after a shed.
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 2 + (20 - static_cast<int>(dropped)));
-}
-
-TEST(ThreadPool, CancelPendingOnIdlePoolIsEmpty) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.cancel_pending(), 0u);
-  pool.wait();  // must not hang after a no-op shed
 }
 
 TEST(CancelToken, FiresAndResets) {
