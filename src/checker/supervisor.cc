@@ -291,15 +291,14 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
     }
   }
 
-  // Journal-first publication: an outcome is recorded durably before it is
-  // considered done, so a crash between the two re-verifies (never loses)
-  // at most the in-flight property. Cancelled outcomes are interruptions,
-  // not verdicts — they are never journaled, so resume re-verifies them.
+  // Outcomes are appended as they complete and the journal group-commits
+  // them: a kill loses at most those since its last commit, and a resume
+  // re-verifies them. Cancelled outcomes are interruptions, not verdicts —
+  // never journaled, so a resume re-verifies them too.
   auto record = [&](std::size_t i, PropertyOutcome outcome) {
     if (outcome.failure != FailureClass::kCancelled && journal.enabled()) {
       std::lock_guard<std::mutex> lock(journal_mutex);
       journal.append(encode_outcome(outcome));
-      journal.commit();
     }
     run.outcomes[i] = std::move(outcome);
   };
@@ -370,6 +369,8 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
     }
   });
 
+  // Every verdict the report shows is durable.
+  journal.commit();
   for (const PropertyOutcome& outcome : run.outcomes) {
     if (outcome.failure == FailureClass::kCancelled) ++run.cancelled;
   }

@@ -114,33 +114,12 @@ int usage() {
   return 2;
 }
 
-/// Splits "host:port"; nullopt on malformation.
-std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(const std::string& text) {
-  std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) return std::nullopt;
-  try {
-    std::size_t pos = 0;
-    unsigned long port = std::stoul(text.substr(colon + 1), &pos);
-    if (pos != text.size() - colon - 1 || port == 0 || port > 65535) return std::nullopt;
-    return std::make_pair(text.substr(0, colon), static_cast<std::uint16_t>(port));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-std::optional<ue::StackProfile> profile_by_name(const std::string& name) {
-  if (name == "cls") return ue::StackProfile::cls();
-  if (name == "srsue") return ue::StackProfile::srsue();
-  if (name == "oai") return ue::StackProfile::oai();
-  return std::nullopt;
 }
 
 struct Args {
@@ -269,7 +248,7 @@ int cmd_instrument(const Args& args) {
 // degraded and verdicts are inconclusive.
 int cmd_remote_conformance(const ue::StackProfile& profile, const std::string& endpoint,
                            const std::string& psk, int batch_words) {
-  auto ep = parse_endpoint(endpoint);
+  auto ep = net::parse_endpoint(endpoint);
   if (!ep) return bad_option("remote", endpoint);
   net::RemoteSulOptions ropts;
   ropts.host = ep->first;
@@ -517,7 +496,7 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
 
   learner::SupervisedLearn run;
   if (args.has("remote")) {
-    auto ep = parse_endpoint(args.get("remote"));
+    auto ep = net::parse_endpoint(args.get("remote"));
     if (!ep) return bad_option("remote", args.get("remote"));
     net::RemoteSulOptions ropts;
     ropts.host = ep->first;
@@ -700,7 +679,7 @@ int cmd_diff(const Args& args) {
 // analyze patches mitigation knobs into its copy).
 template <int (*handler)(ue::StackProfile, const Args&)>
 int with_profile(const Args& args) {
-  auto profile = profile_by_name(args.get("profile"));
+  auto profile = ue::StackProfile::by_name(args.get("profile"));
   if (!profile) return usage();
   return handler(std::move(*profile), args);
 }

@@ -18,28 +18,6 @@ namespace procheck::diff {
 
 namespace {
 
-std::optional<ue::StackProfile> profile_by_name(const std::string& name) {
-  if (name == "cls") return ue::StackProfile::cls();
-  if (name == "srsue") return ue::StackProfile::srsue();
-  if (name == "oai") return ue::StackProfile::oai();
-  return std::nullopt;
-}
-
-/// Splits "host:port"; nullopt on malformation (mirrors the CLI helper —
-/// the library cannot depend on src/cli).
-std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(const std::string& text) {
-  std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) return std::nullopt;
-  try {
-    std::size_t pos = 0;
-    unsigned long port = std::stoul(text.substr(colon + 1), &pos);
-    if (pos != text.size() - colon - 1 || port == 0 || port > 65535) return std::nullopt;
-    return std::make_pair(text.substr(0, colon), static_cast<std::uint16_t>(port));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 SideResult spec_error(const std::string& spec, const std::string& why) {
   SideResult r;
   r.error = "bad side spec '" + spec + "': " + why;
@@ -57,7 +35,7 @@ fsm::Fsm extract_flat(const std::vector<instrument::LogRecord>& records,
 }
 
 SideResult resolve_profile(const std::string& spec, const std::string& name) {
-  std::optional<ue::StackProfile> profile = profile_by_name(name);
+  std::optional<ue::StackProfile> profile = ue::StackProfile::by_name(name);
   if (!profile) return spec_error(spec, "unknown profile '" + name + "'");
   instrument::TraceLogger trace;
   testing::run_conformance(*profile, trace);
@@ -75,7 +53,7 @@ SideResult resolve_log(const std::string& spec, const std::string& arg) {
   std::optional<ue::StackProfile> pinned;
   const std::size_t colon = arg.find(':');
   if (colon != std::string::npos) {
-    if (std::optional<ue::StackProfile> p = profile_by_name(arg.substr(0, colon))) {
+    if (std::optional<ue::StackProfile> p = ue::StackProfile::by_name(arg.substr(0, colon))) {
       pinned = std::move(p);
       path = arg.substr(colon + 1);
     }
@@ -100,7 +78,7 @@ SideResult resolve_log(const std::string& spec, const std::string& arg) {
   std::size_t best_yield = 0;
   bool found = false;
   for (const char* name : {"cls", "srsue", "oai"}) {
-    fsm::Fsm m = extract_flat(records, *profile_by_name(name));
+    fsm::Fsm m = extract_flat(records, *ue::StackProfile::by_name(name));
     const std::size_t yield = m.stats().transitions;
     if (!found || yield > best_yield) {
       best = std::move(m);
@@ -133,7 +111,7 @@ SideResult learned_side(const std::string& spec, learner::Sul& sul,
 
 SideResult resolve_learn(const std::string& spec, const std::string& name,
                          const SourceOptions& options) {
-  std::optional<ue::StackProfile> profile = profile_by_name(name);
+  std::optional<ue::StackProfile> profile = ue::StackProfile::by_name(name);
   if (!profile) return spec_error(spec, "unknown profile '" + name + "'");
   learner::UeSul sul(*profile);
   return learned_side(spec, sul, options, "learning inconclusive: ");
@@ -141,7 +119,7 @@ SideResult resolve_learn(const std::string& spec, const std::string& name,
 
 SideResult resolve_remote(const std::string& spec, const std::string& endpoint,
                           const SourceOptions& options) {
-  std::optional<std::pair<std::string, std::uint16_t>> ep = parse_endpoint(endpoint);
+  std::optional<std::pair<std::string, std::uint16_t>> ep = net::parse_endpoint(endpoint);
   if (!ep) return spec_error(spec, "expected remote:<host>:<port>");
   net::RemoteSulOptions ropts;
   ropts.host = ep->first;

@@ -76,9 +76,7 @@ std::string word_text(const Word& w) {
 ///   |word| steps), keeping the learner's cost metrics byte-identical to an
 ///   uninterrupted run;
 ///   fresh — the word goes to the inner SUL, is validated, arbitrated
-///   against the committed trie on conflict, and journaled before the
-///   per-query watchdog may poison the attempt (journal-first, so a retry
-///   resumes *past* the slow query instead of repeating it).
+///   against the committed trie on conflict, and journaled.
 /// Poisoning is cooperative: the internal CancelToken is cancelled and every
 /// later query answers kSulUnavailable instantly, so the learner unwinds to
 /// a structured inconclusive without further SUL contact.
@@ -109,12 +107,6 @@ class JournaledSul final : public Sul {
     pending_.clear();
     token_.reset();
     attempt_start_ = Clock::now();
-  }
-
-  /// Makes every queued observation durable.
-  void flush_journal() {
-    appended_since_flush_ = 0;
-    journal_.commit();
   }
 
   bool restart_requested() const { return restart_; }
@@ -184,7 +176,6 @@ class JournaledSul final : public Sul {
     fresh_words.reserve(fresh_idx.size());
     for (std::size_t i : fresh_idx) fresh_words.push_back(words[i]);
     fire_hook();
-    const Clock::time_point start = Clock::now();
     const std::vector<Word> fresh_answers = inner_.query_batch(fresh_words);
     fresh_queries_ += static_cast<long>(fresh_idx.size());
     fresh_bytes_ += fresh_syms;
@@ -211,7 +202,6 @@ class JournaledSul final : public Sul {
       answers[i] = commit(word, fresh_answers[j]);
       if (restart_ || (poisoned_ && !poisoned_before)) halted = true;
     }
-    check_query_deadline(start, static_cast<long>(fresh_idx.size()));
     return answers;
   }
 
@@ -290,20 +280,6 @@ class JournaledSul final : public Sul {
       return false;
     }
     return true;
-  }
-
-  /// Post-hoc per-query watchdog: the slow answer was already journaled, so
-  /// the poisoned attempt's successor resumes past it.
-  void check_query_deadline(Clock::time_point start, long queries) {
-    if (options_.query_deadline_seconds <= 0 || poisoned_) return;
-    const double limit =
-        options_.query_deadline_seconds * static_cast<double>(std::max<long>(1, queries));
-    const double took = seconds_since(start);
-    if (took > limit) {
-      poison(LearnFailure::kDeadline,
-             "membership query took " + fmt_seconds(took) + "s (deadline " +
-                 fmt_seconds(options_.query_deadline_seconds) + "s/query)");
-    }
   }
 
   /// Validates a fresh answer against the committed trie and journals it.
@@ -438,7 +414,6 @@ class JournaledSul final : public Sul {
       lines.push_back(encode_observation(r.word, r.outputs));
     }
     journal_.start(lines);
-    appended_since_flush_ = 0;
     // The running attempt's observation table was built on the losing edge:
     // discard it and re-learn from the corrected journal. This is progress,
     // not failure — the supervisor restarts without consuming an attempt.
@@ -453,11 +428,7 @@ class JournaledSul final : public Sul {
     trie_.insert(word, outs);
     replay_[word] = outs;
     records_.push_back({word, outs});
-    if (!journal_.enabled()) return;
-    journal_.append(encode_observation(word, outs));
-    if (++appended_since_flush_ >= std::max(1, options_.journal_commit_every)) {
-      flush_journal();
-    }
+    if (journal_.enabled()) journal_.append(encode_observation(word, outs));
   }
 
   void rebuild_cache() {
@@ -472,7 +443,6 @@ class JournaledSul final : public Sul {
   Sul& inner_;
   const LearnSupervisorOptions& options_;
   RunJournal& journal_;
-  int appended_since_flush_ = 0;
 
   std::vector<LearnObservation> records_;  // journal order
   std::map<Word, Word> replay_;            // exact word -> outputs
@@ -632,7 +602,7 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
           }
           wrapper.begin_attempt();
           result = learn_mealy(wrapper, eff);
-          wrapper.flush_journal();
+          journal.commit();
           // An arbitration override is progress, not failure: re-learn from
           // the corrected journal without consuming an attempt.
         } while (wrapper.restart_requested());
@@ -649,7 +619,7 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
         eff.eq_test_max_length = static_cast<int>(
             supervise::shrink(eff.eq_test_max_length, options.degrade_factor, 1));
       });
-  wrapper.flush_journal();  // a throwing last attempt left records queued
+  journal.commit();  // a throwing last attempt left records queued
   std::string diag = ladder.diagnostics;
   if (ladder.failure == LearnFailure::kException) {
     diag = "worker exception: " + diag;

@@ -20,8 +20,8 @@
 //     when the *committed* edge loses — and cells with no k-majority are
 //     quarantined into a structured inconclusive result instead of silently
 //     keeping the first observation;
-//   * per-query and per-attempt watchdogs (wall-clock deadline, fresh-query
-//     and input-symbol budgets) poison the SUL cooperatively (CancelToken +
+//   * per-attempt watchdogs (wall-clock deadline, fresh-query and
+//     input-symbol budgets) poison the SUL cooperatively (CancelToken +
 //     the structured kSulUnavailable symbol), and the shared retry ladder
 //     (common/supervise.h) degrades the equivalence-oracle effort before
 //     giving up — learn_supervised can never hang and never lets an
@@ -77,10 +77,6 @@ struct LearnSupervisorOptions {
   /// are free — only fresh SUL contact is gated — so a resumed attempt
   /// always makes incremental progress.
   double deadline_seconds = 0.0;
-  /// Per-membership-query deadline (seconds); 0 = none. Checked post-hoc:
-  /// the slow answer is journaled first, then the attempt is poisoned, so
-  /// the retry resumes past the slow query instead of repeating it.
-  double query_deadline_seconds = 0.0;
   /// Fresh membership queries / fresh input symbols allowed per attempt;
   /// 0 = unbounded.
   long query_budget = 0;
@@ -94,11 +90,6 @@ struct LearnSupervisorOptions {
   /// factor on every retry after a resource trip, so a learn that cannot
   /// afford its oracle converges to an explicit inconclusive.
   double degrade_factor = 0.5;
-
-  /// Observations appended between durable journal commits (fsync+rename).
-  /// A crash loses at most this many answered-but-uncommitted words, all of
-  /// which are safely re-queried on resume.
-  int journal_commit_every = 64;
 
   /// Cooperative run-level cancellation (polled on every query).
   const CancelToken* cancel = nullptr;

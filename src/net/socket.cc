@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -37,6 +38,19 @@ void tune(int fd) {
 }
 
 }  // namespace
+
+std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(const std::string& text) {
+  std::size_t colon = text.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) return std::nullopt;
+  try {
+    std::size_t pos = 0;
+    unsigned long port = std::stoul(text.substr(colon + 1), &pos);
+    if (pos != text.size() - colon - 1 || port == 0 || port > 65535) return std::nullopt;
+    return std::make_pair(text.substr(0, colon), static_cast<std::uint16_t>(port));
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
 
 // --- TcpConn -----------------------------------------------------------------
 

@@ -9,10 +9,14 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/bytes.h"
 
 namespace procheck::net {
+
+/// Splits "host:port" (port 1..65535); nullopt on malformation.
+std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(const std::string& text);
 
 /// One TCP connection. Movable, not copyable; the destructor closes the fd.
 class TcpConn {

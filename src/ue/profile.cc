@@ -36,4 +36,11 @@ StackProfile StackProfile::oai() {
   return p;
 }
 
+std::optional<StackProfile> StackProfile::by_name(const std::string& name) {
+  if (name == "cls") return cls();
+  if (name == "srsue") return srsue();
+  if (name == "oai") return oai();
+  return std::nullopt;
+}
+
 }  // namespace procheck::ue

@@ -45,6 +45,8 @@ struct StackProfile {
   static StackProfile cls();
   static StackProfile srsue();
   static StackProfile oai();
+  /// The profile named `name` ("cls", "srsue" or "oai"); nullopt otherwise.
+  static std::optional<StackProfile> by_name(const std::string& name);
 };
 
 }  // namespace procheck::ue

@@ -13,19 +13,24 @@
 // reference, with zero session_errors).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sched.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/journal.h"
 #include "common/rng.h"
 #include "learner/learn_supervisor.h"
 #include "learner/lstar.h"
@@ -270,7 +275,6 @@ TEST(LearnStormChild, DISABLED_Run) {
   o.run_tag = "cls";
   o.retries = 2;
   o.backoff_seconds = 0.005;
-  o.journal_commit_every = 8;  // commit often so every kill leaves progress behind
   RemoteUeSul remote(client_options(static_cast<std::uint16_t>(std::atoi(port_env))));
   const learner::SupervisedLearn run = learner::learn_supervised(remote, o);
   ASSERT_FALSE(run.aborted) << run.abort_reason;
@@ -278,8 +282,9 @@ TEST(LearnStormChild, DISABLED_Run) {
 }
 
 // SIGKILL at a seeded random point inside every learner, a dozen times in a
-// row, against the live multi-session server. Each successor steals the dead
-// holder's stale journal lock, adopts the committed prefix, and continues;
+// row, against the live multi-session server. Each successor takes the
+// journal lock the kernel dropped with its dead holder, adopts the committed
+// prefix, and continues;
 // the final un-killed worker converges, and an in-process resume of the same
 // journal reproduces the clean reference machine. The server rides out every
 // kill with zero session errors.
@@ -357,6 +362,71 @@ TEST(ChaosNightly, SigkillLearnerStormResumesToCompletion) {
   EXPECT_EQ(server.stats().session_errors, 0);
   unsetenv("PROCHECK_STORM_PORT");
   unsetenv("PROCHECK_STORM_JOURNAL");
+}
+
+// --- Journal lock race -------------------------------------------------------
+
+// Sixteen processes race to take a journal lock whose file names a dead
+// holder, a thousand rounds in a row. Each winner holds the lock briefly
+// and counts the holders in shared memory: a winner that finds another
+// holder there is a double grant.
+TEST(ChaosNightly, DeadHoldersLockRaceGrantsOneHolderAtATime) {
+  REQUIRE_NIGHTLY();
+  constexpr int kRacers = 16;
+  constexpr int kRounds = 1000;
+  struct Shared {
+    std::atomic<int> go{0};
+    std::atomic<int> holders{0};
+    std::atomic<int> double_grants{0};
+  };
+  void* mem = mmap(nullptr, sizeof(Shared), PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
+                   -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  Shared* shared = new (mem) Shared;
+
+  pid_t dead = fork();
+  ASSERT_GE(dead, 0);
+  if (dead == 0) _exit(0);
+  ASSERT_EQ(waitpid(dead, nullptr, 0), dead);
+
+  const std::string journal = ::testing::TempDir() + "lock_race.journal";
+  const std::string lock_path = journal + ".lock";
+  int granted = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    {
+      std::ofstream stale(lock_path, std::ios::trunc);
+      stale << dead << "\n";
+    }
+    shared->go = 0;
+    std::vector<pid_t> racers;
+    for (int r = 0; r < kRacers; ++r) {
+      const pid_t pid = fork();
+      if (pid < 0) break;  // the racers already forked are released and reaped below
+      if (pid == 0) {
+        while (shared->go.load() == 0) sched_yield();
+        JournalLock lock;
+        if (!lock.acquire(journal)) _exit(1);
+        if (shared->holders.fetch_add(1) != 0) shared->double_grants.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        shared->holders.fetch_sub(1);
+        lock.release();
+        _exit(0);
+      }
+      racers.push_back(pid);
+    }
+    shared->go = 1;
+    for (const pid_t pid : racers) {
+      int status = 0;
+      ASSERT_EQ(waitpid(pid, &status, 0), pid);
+      if (WIFEXITED(status) && WEXITSTATUS(status) == 0) ++granted;
+    }
+    ASSERT_EQ(racers.size(), static_cast<std::size_t>(kRacers)) << "fork failed";
+  }
+  EXPECT_EQ(shared->double_grants.load(), 0);
+  EXPECT_GE(granted, kRounds);  // every round has at least one winner
+  shared->~Shared();
+  munmap(mem, sizeof(Shared));
+  std::remove(lock_path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-# Every numeric CLI flag rejects a malformed value and an out-of-range value
-# as a usage error: exit 2 and "invalid value for --<flag>" on stderr, before
-# any work starts. So do an option the subcommand does not take ("unknown
+# Every numeric CLI flag, and --remote's host:port, rejects a malformed value
+# and an out-of-range value as a usage error: exit 2 and "invalid value for
+# --<flag>" on stderr, before any work starts. So do an option the subcommand does not take ("unknown
 # option --<flag>") and a value flag with nothing after it ("missing value
 # for --<flag>"). Run as
 #   cmake -DPROCHECKER=<path to prochecker> -P cli_flags_test.cmake
@@ -32,6 +32,8 @@ set(cases
   "learn --profile cls|retries|r|17"
   "learn --profile cls --remote 127.0.0.1:1|batch|b|65"
   "conformance --profile cls --remote 127.0.0.1:1|batch|b|65"
+  "learn --profile cls|remote|localhost|127.0.0.1:65536"
+  "conformance --profile cls|remote|localhost|127.0.0.1:65536"
   "diff profile:cls profile:oai|batch|b|65"
   "diff profile:cls profile:oai|seed|s|99999999999999999999"
   "diff profile:cls profile:oai|max-pairs|p|0"

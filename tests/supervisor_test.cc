@@ -1,14 +1,20 @@
 // Supervisor and journal tests: crash containment, the retry/degrade
 // ladder, watchdog failure classification, crash-safe journal durability
-// (kill-point simulation at every byte offset), and the resume determinism
+// (kill-point simulation at every byte offset, a short append, SIGKILLed
+// analyze processes), the single-writer lock, and the resume determinism
 // contract — an interrupted-and-resumed analysis reproduces the
 // uninterrupted report byte for byte, at any jobs level.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -22,6 +28,7 @@
 #include "checker/report.h"
 #include "checker/supervisor.h"
 #include "common/journal.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "learner/learn_supervisor.h"
 
@@ -171,6 +178,49 @@ TEST(Journal, EveryByteTruncationRecoversAValidPrefix) {
       EXPECT_EQ(load.payloads[k], payloads[k]) << "truncation at byte " << len;
     }
   }
+}
+
+/// Runs in a forked child, since RLIMIT_FSIZE is per process: commits the
+/// header, then sets the file-size limit 4 bytes past the durable end, so
+/// the next append is cut short. Returns 0 when that commit fails and sets
+/// error(), and the one after the limit is lifted lands every record.
+int commit_past_a_short_append(const std::string& path, const std::vector<std::string>& records) {
+  RunJournal journal(path, false, {"analyze", "cls", "opts"});
+  journal.start({});
+  struct stat st;
+  rlimit full;
+  if (::stat(path.c_str(), &st) != 0 || ::getrlimit(RLIMIT_FSIZE, &full) != 0) return 1;
+  std::signal(SIGXFSZ, SIG_IGN);
+  rlimit cut = full;
+  cut.rlim_cur = static_cast<rlim_t>(st.st_size) + 4;
+  if (::setrlimit(RLIMIT_FSIZE, &cut) != 0) return 2;
+  for (const std::string& record : records) journal.append(record);
+  journal.commit();
+  if (journal.error().empty()) return 3;
+  if (::setrlimit(RLIMIT_FSIZE, &full) != 0) return 4;
+  journal.commit();
+  return journal.committed() == records.size() ? 0 : 5;
+}
+
+TEST(Journal, ShortAppendIsCutBackAndRetried) {
+  const std::string path = tmp_path("journal_short_append.jsonl");
+  std::remove(path.c_str());
+  const std::vector<std::string> records = {"first record", "second record", "third record"};
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) _exit(commit_past_a_short_append(path, records));
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  // The torn bytes of the failed commit were cut off, so the retry's lines
+  // follow the header directly.
+  const JournalLoad load = load_journal(path);
+  EXPECT_EQ(load.dropped, 0u);
+  std::vector<std::string> expected = {encode_journal_header({"analyze", "cls", "opts"})};
+  expected.insert(expected.end(), records.begin(), records.end());
+  EXPECT_EQ(load.payloads, expected);
 }
 
 // --- Outcome codec ----------------------------------------------------------
@@ -629,6 +679,40 @@ TEST(JournalLockTest, StaleLockFromDeadProcessIsStolen) {
   lock.release();
 }
 
+TEST(JournalLockTest, KilledHolderReleasesTheLockAtOnce) {
+  const std::string path = tmp_path("journal_killed_holder.jsonl");
+  int ready[2];
+  ASSERT_EQ(pipe(ready), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    JournalLock lock;
+    const char held = lock.acquire(path) ? 'y' : 'n';
+    (void)!write(ready[1], &held, 1);
+    if (held != 'y') _exit(1);
+    for (;;) pause();
+  }
+  char held = 0;
+  const bool reported = read(ready[0], &held, 1) == 1;
+  close(ready[0]);
+  close(ready[1]);
+
+  JournalLock lock;
+  const bool taken_from_live_child = lock.acquire(path);
+  const std::string error = lock.error();
+  kill(child, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(reported);
+  ASSERT_EQ(held, 'y');
+  EXPECT_FALSE(taken_from_live_child);
+  EXPECT_TRUE(contains(error, "locked by pid " + std::to_string(child))) << error;
+
+  // The kernel dropped the dead child's lock; its pid file is still there.
+  EXPECT_TRUE(lock.acquire(path)) << lock.error();
+  lock.release();
+}
+
 TEST(Supervisor, ConcurrentJournalRunsFailFast) {
   auto sel = select({"P04"});
   const std::string path = tmp_path("journal_concurrent.jsonl");
@@ -754,6 +838,98 @@ TEST(Supervisor, ParallelJournaledResume) {
   EXPECT_EQ(resumed.resumed, 2u);
   EXPECT_EQ(resumed.journal_records, sel.size());
   expect_outcomes_equal(resumed.outcomes, reference.outcomes);
+}
+
+// --- SIGKILLed analyze processes ---------------------------------------------
+
+// Re-exec'd worker of AnalyzeKill: a journaled jobs=2 cls analyze that
+// resumes PROCHECK_KILL_JOURNAL and writes its verdict block to
+// PROCHECK_KILL_VERDICTS.
+TEST(AnalyzeKillChild, DISABLED_Run) {
+  const char* journal = std::getenv("PROCHECK_KILL_JOURNAL");
+  const char* verdicts = std::getenv("PROCHECK_KILL_VERDICTS");
+  ASSERT_NE(journal, nullptr);
+  ASSERT_NE(verdicts, nullptr);
+  AnalysisOptions options;
+  options.jobs = 2;
+  options.journal_path = journal;
+  options.resume = true;
+  const ImplementationReport report = ProChecker::analyze(ue::StackProfile::cls(), options);
+  ASSERT_FALSE(report.aborted) << report.abort_reason;
+  spill(verdicts, render_verdicts(report));
+}
+
+pid_t spawn_analyze_child() {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    execl("/proc/self/exe", "supervisor_test", "--gtest_filter=AnalyzeKillChild.DISABLED_Run",
+          "--gtest_also_run_disabled_tests", static_cast<char*>(nullptr));
+    _exit(127);  // exec failed
+  }
+  return pid;
+}
+
+// SIGKILL a journaled analyze at seeded delays spread over the time an
+// uninterrupted one takes in this build. Each kill leaves a journal that
+// reloads with at most one torn line and whose records all decode; each
+// successor resumes it, and the last, left alone, prints the uninterrupted
+// verdicts.
+TEST(AnalyzeKill, SigkillAtSeededDelaysResumesToTheSameVerdicts) {
+  using Clock = std::chrono::steady_clock;
+  const std::string journal = tmp_path("analyze_kill.jsonl");
+  const std::string verdicts = tmp_path("analyze_kill_verdicts.txt");
+  const auto clear = [&] {
+    for (const std::string& p : {journal, journal + ".lock", journal + ".tmp", verdicts}) {
+      std::remove(p.c_str());
+    }
+  };
+  clear();
+  ASSERT_EQ(setenv("PROCHECK_KILL_JOURNAL", journal.c_str(), 1), 0);
+  ASSERT_EQ(setenv("PROCHECK_KILL_VERDICTS", verdicts.c_str(), 1), 0);
+  const auto finish = [](pid_t pid) {
+    int status = 0;
+    EXPECT_EQ(waitpid(pid, &status, 0), pid);
+    return status;
+  };
+
+  const Clock::time_point begin = Clock::now();
+  int status = finish(spawn_analyze_child());
+  const Clock::duration uninterrupted = Clock::now() - begin;
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "reference run failed";
+  const std::string reference = slurp(verdicts);
+  ASSERT_FALSE(reference.empty());
+  clear();
+
+  constexpr int kKills = 10;
+  Rng rng(0xA11C0DEULL);
+  int killed = 0;
+  for (int k = 0; k < kKills; ++k) {
+    const pid_t pid = spawn_analyze_child();
+    ASSERT_GT(pid, 0);
+    const double at = (k + static_cast<double>(rng.next_below(1000)) / 1000) / kKills;
+    std::this_thread::sleep_for(
+        std::chrono::duration_cast<Clock::duration>(uninterrupted * at));
+    kill(pid, SIGKILL);
+    status = finish(pid);
+    if (WIFSIGNALED(status)) ++killed;
+
+    const JournalLoad load = load_journal(journal);
+    EXPECT_LE(load.dropped, 1u) << "kill " << k;
+    for (std::size_t i = 0; i < load.payloads.size(); ++i) {
+      const bool decodes = i == 0 ? decode_journal_header(load.payloads[i]).has_value()
+                                  : decode_outcome(load.payloads[i]).has_value();
+      EXPECT_TRUE(decodes) << "kill " << k << ", line " << i;
+    }
+  }
+  EXPECT_GT(killed, 0);
+
+  std::remove(verdicts.c_str());
+  status = finish(spawn_analyze_child());
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "final run failed";
+  EXPECT_EQ(slurp(verdicts), reference);
+  clear();
+  unsetenv("PROCHECK_KILL_JOURNAL");
+  unsetenv("PROCHECK_KILL_VERDICTS");
 }
 
 // --- End-to-end: analyze --resume reproduces the report ----------------------
