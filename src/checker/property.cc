@@ -60,13 +60,16 @@ mc::EdgeMatch MetaMatch::compile(const mc::Model& model) const {
   // the states, so it is decided once per command here rather than once per
   // explored edge (a traversal visits each command hundreds of thousands of
   // times). A constraint naming a variable or value the model lacks never
-  // holds.
+  // holds: it emits no equality and zeroes the whole command table.
   mc::EdgeMatch out;
   bool resolved = true;
   for (const auto& [var_name, value_name] : pre_equals) {
     const int var = model.var(var_name);
     const std::int32_t value = var >= 0 ? model.value_index(var, value_name) : -1;
-    resolved = resolved && value >= 0;
+    if (value < 0) {
+      resolved = false;
+      continue;
+    }
     out.pre_equals.emplace_back(var, value);
   }
   out.commands.reserve(model.commands().size());

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 
 namespace procheck::mc {
@@ -29,94 +29,171 @@ std::size_t capacity_bytes(const std::vector<T>& v) {
 /// "No state": an unset slot, an undiscovered state, or a rejected target.
 constexpr std::uint32_t kNoId = ReachGraph::kMissing;
 
-std::uint64_t hash_state(const std::int32_t* s, std::size_t n) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint32_t>(s[i]);
-    h *= 0xFF51AFD7ED558CCDull;
-    h ^= h >> 33;
-  }
-  return h;
-}
+}  // namespace
 
-/// The graph build's visited-state set: every distinct state lives exactly once in a
-/// bump-allocated arena of `stride` int32 slots, identified by a dense
-/// uint32 id; membership is an open-addressing table over those ids keyed
-/// by a 64-bit hash. Replaces unordered_map<State, ...> buckets holding
-/// full vector copies — no per-state heap allocation, no re-hash of whole
-/// states on probe (hashes are memoized per id).
-class StateSpace {
+/// A state packed into one 64-bit key (DESIGN.md §10): each variable owns
+/// ⌈log2 domain⌉ bits at a fixed shift, in declaration order from bit 0, so
+/// a key hashes and compares as one word. A one-value variable owns no bits
+/// (its field reads 0). Valid only for a model require_closed_domains
+/// accepts: every state value then fits its field.
+class KeyLayout {
  public:
-  explicit StateSpace(std::size_t stride) : stride_(stride) {
-    slots_.assign(256, kNoId);
-    mask_ = slots_.size() - 1;
+  /// Refuses (std::length_error) a model whose fields need more than 64 bits.
+  explicit KeyLayout(const Model& model) {
+    unsigned used = 0;
+    for (std::size_t v = 0; v < model.var_count(); ++v) {
+      const int bits = std::bit_width(static_cast<std::uint32_t>(model.domain(v) - 1));
+      fields_.push_back({bits == 0 ? 0u : used, (std::uint64_t{1} << bits) - 1});
+      used += static_cast<unsigned>(bits);
+      if (used > 64) throw std::length_error("reachable graph: a state needs more than 64 bits");
+    }
   }
 
-  std::size_t size() const { return hashes_.size(); }
+  unsigned shift(int var) const { return fields_[var].shift; }
+  /// The field's value mask, unshifted: 2^bits - 1.
+  std::uint64_t mask(int var) const { return fields_[var].mask; }
+  /// The key bits that hold `var`.
+  std::uint64_t bits(int var) const { return mask(var) << shift(var); }
 
-  /// Bytes retained by the arena and hash table.
-  std::size_t bytes() const {
-    return capacity_bytes(arena_) + capacity_bytes(hashes_) + capacity_bytes(slots_);
+  std::uint64_t pack(const State& s) const {
+    std::uint64_t key = 0;
+    for (std::size_t v = 0; v < fields_.size(); ++v) {
+      key |= static_cast<std::uint64_t>(s[v]) << fields_[v].shift;
+    }
+    return key;
   }
 
-  /// Interns `s`: returns the id of an existing state, appends a new one
+  void unpack(std::uint64_t key, State& out) const {
+    out.resize(fields_.size());
+    for (std::size_t v = 0; v < fields_.size(); ++v) {
+      out[v] = static_cast<std::int32_t>((key >> fields_[v].shift) & fields_[v].mask);
+    }
+  }
+
+ private:
+  struct Field {
+    unsigned shift;
+    std::uint64_t mask;
+  };
+  std::vector<Field> fields_;  // per variable
+};
+
+namespace {
+
+/// One command's updates compiled onto keys: clear every field it writes,
+/// set the constants, then OR in the copies, each a field of the pre-state.
+/// Only a variable's last write is kept, so this is Assign's semantics: all
+/// copies read the pre-state, and the later of two writes wins.
+class KeyUpdate {
+ public:
+  KeyUpdate(const Command& cmd, const KeyLayout& layout) {
+    std::vector<int> written;
+    for (auto a = cmd.updates.rbegin(); a != cmd.updates.rend(); ++a) {
+      if (std::find(written.begin(), written.end(), a->var) != written.end()) continue;
+      written.push_back(a->var);
+      keep_ &= ~layout.bits(a->var);
+      if (a->src >= 0) {
+        copies_.push_back({layout.mask(a->src), layout.shift(a->src), layout.shift(a->var)});
+      } else {
+        set_ |= static_cast<std::uint64_t>(a->value) << layout.shift(a->var);
+      }
+    }
+  }
+
+  std::uint64_t operator()(std::uint64_t pre) const {
+    std::uint64_t next = (pre & keep_) | set_;
+    for (const Copy& c : copies_) next |= ((pre >> c.from) & c.mask) << c.to;
+    return next;
+  }
+
+  std::size_t bytes() const { return sizeof(*this) + capacity_bytes(copies_); }
+
+ private:
+  struct Copy {
+    std::uint64_t mask;  // the source field's, unshifted
+    unsigned from, to;   // source and destination shifts
+  };
+  std::uint64_t keep_ = ~std::uint64_t{0};  // bits no write touches
+  std::uint64_t set_ = 0;                   // the constant writes
+  std::vector<Copy> copies_;
+};
+
+/// The graph build's visited set: open addressing over (key, id) slots,
+/// linear probing, growth at 0.7 load, so a probe reads one slot and
+/// compares one word. The keys themselves are kept in id order, which is
+/// discovery (BFS) order: the list is both the FIFO frontier and the
+/// graph's state store.
+class KeyTable {
+ public:
+  KeyTable() : slots_(256) {}
+
+  std::size_t size() const { return keys_.size(); }
+  std::uint64_t key(std::uint32_t id) const { return keys_[id]; }
+
+  /// Bytes retained by the key list and the slots.
+  std::size_t bytes() const { return capacity_bytes(keys_) + capacity_bytes(slots_); }
+
+  /// Interns `key`: returns the id of an existing state, appends a new one
   /// under `cap` and returns its fresh id, or returns kNoId for a new state
   /// at the cap without inserting it.
-  std::uint32_t intern(const State& s, std::size_t cap) {
-    std::uint64_t h = hash_state(s.data(), stride_);
-    std::size_t slot = h & mask_;
-    for (;;) {
-      std::uint32_t id = slots_[slot];
-      if (id == kNoId) break;
-      if (hashes_[id] == h &&
-          std::memcmp(arena_.data() + std::size_t(id) * stride_, s.data(),
-                      stride_ * sizeof(std::int32_t)) == 0) {
-        return id;
-      }
-      slot = (slot + 1) & mask_;
+  std::uint32_t intern(std::uint64_t key, std::size_t cap) {
+    std::size_t slot = mix(key) & mask();
+    for (; slots_[slot].id != kNoId; slot = (slot + 1) & mask()) {
+      if (slots_[slot].key == key) return slots_[slot].id;
     }
-    if (hashes_.size() >= cap) return kNoId;
-    std::uint32_t id = static_cast<std::uint32_t>(hashes_.size());
-    arena_.insert(arena_.end(), s.begin(), s.end());
-    hashes_.push_back(h);
-    slots_[slot] = id;
-    if (hashes_.size() * 10 >= slots_.size() * 7) grow();
+    if (keys_.size() >= cap) return kNoId;
+    const auto id = static_cast<std::uint32_t>(keys_.size());
+    keys_.push_back(key);
+    slots_[slot] = {key, id};
+    if (keys_.size() * 10 >= slots_.size() * 7) grow();
     return id;
   }
 
-  void copy_state(std::uint32_t id, State& out) const {
-    const std::int32_t* p = arena_.data() + std::size_t(id) * stride_;
-    out.assign(p, p + stride_);
+  /// Hands the keys over, in id order, and frees the slots (the set is
+  /// spent), so that memory is free again for the graph's trimmed arrays.
+  std::vector<std::uint64_t> release_keys() {
+    std::vector<Slot>().swap(slots_);
+    return std::move(keys_);
   }
-
-  /// Hands the interned states over, in id order (the set is spent).
-  std::vector<std::int32_t> release_arena() { return std::move(arena_); }
 
  private:
-  void grow() {
-    std::vector<std::uint32_t> fresh(slots_.size() * 2, kNoId);
-    std::size_t mask = fresh.size() - 1;
-    for (std::uint32_t id = 0; id < hashes_.size(); ++id) {
-      std::size_t slot = hashes_[id] & mask;
-      while (fresh[slot] != kNoId) slot = (slot + 1) & mask;
-      fresh[slot] = id;
-    }
-    slots_ = std::move(fresh);
-    mask_ = mask;
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t id = kNoId;  // kNoId: empty
+  };
+
+  /// The MurmurHash3 finalizer: spreads every key bit over the slot index.
+  static std::uint64_t mix(std::uint64_t k) {
+    k ^= k >> 33;
+    k *= 0xFF51AFD7ED558CCDull;
+    k ^= k >> 33;
+    k *= 0xC4CEB9FE1A85EC53ull;
+    k ^= k >> 33;
+    return k;
   }
 
-  std::size_t stride_;
-  std::vector<std::int32_t> arena_;     // size() * stride_ values
-  std::vector<std::uint64_t> hashes_;   // memoized hash per id
-  std::vector<std::uint32_t> slots_;    // open addressing: id or kNoId
-  std::size_t mask_ = 0;
+  std::size_t mask() const { return slots_.size() - 1; }
+
+  void grow() {
+    std::vector<Slot> fresh(slots_.size() * 2);
+    const std::size_t mask = fresh.size() - 1;
+    for (std::uint32_t id = 0; id < keys_.size(); ++id) {
+      std::size_t slot = mix(keys_[id]) & mask;
+      while (fresh[slot].id != kNoId) slot = (slot + 1) & mask;
+      fresh[slot] = {keys_[id], id};
+    }
+    slots_ = std::move(fresh);
+  }
+
+  std::vector<std::uint64_t> keys_;  // by id
+  std::vector<Slot> slots_;          // size a power of two
 };
 
 /// Refuses (std::invalid_argument) a model whose states could leave their
 /// declared domains — an initial value, a constant assignment, or a copy
 /// from a wider variable — or that names a missing variable. Every state
-/// the build reaches then holds in-domain values, which is what lets the
-/// guard table index its rows by them.
+/// the build reaches then holds in-domain values, which is what lets a key
+/// field hold each value and the guard table index its rows by them.
 void require_closed_domains(const Model& model) {
   const int vars = static_cast<int>(model.var_count());
   auto known = [&](int var) { return var >= 0 && var < vars; };
@@ -155,13 +232,13 @@ void require_closed_domains(const Model& model) {
 /// allows at each value, a constant one folds into the base mask, and only
 /// a conjunct reading two or more variables stays an Expr, evaluated for
 /// the commands the masks leave enabled. A state's enabled set is then the
-/// base mask ANDed with one row per tabulated variable.
+/// base mask ANDed with one row per tabulated variable, each picked by a
+/// field of the state's key.
 class GuardTable {
  public:
-  /// Refuses a model require_closed_domains refuses.
-  explicit GuardTable(const Model& model)
-      : words_((model.commands().size() + 63) / 64), base_(words_, 0) {
-    require_closed_domains(model);
+  /// `model` must pass require_closed_domains, and `layout` must be its own.
+  GuardTable(const Model& model, const KeyLayout& layout)
+      : layout_(layout), words_((model.commands().size() + 63) / 64), base_(words_, 0) {
     const std::vector<Command>& commands = model.commands();
     for (std::size_t j = 0; j < commands.size(); ++j) base_[j >> 6] |= 1ull << (j & 63);
     std::vector<std::size_t> row_of(model.var_count(), kNoRow);
@@ -184,7 +261,7 @@ class GuardTable {
           if (row_of[v] == kNoRow) {
             row_of[v] = rows_.size();
             rows_.resize(rows_.size() + std::size_t(model.domain(v)) * words_, ~0ull);
-            tabulated_.push_back({v, row_of[v]});
+            tabulated_.push_back({layout.shift(v), layout.mask(v), row_of[v]});
           }
           for (std::int32_t x = 0; x < model.domain(v); ++x) {
             probe[v] = x;
@@ -204,40 +281,43 @@ class GuardTable {
            capacity_bytes(residual_);
   }
 
-  /// Writes the enabled-command mask of `s` into `out`, one bit per command.
-  void enabled(const State& s, std::vector<std::uint64_t>& out) const {
+  /// Writes the enabled-command mask of the state `key` into `out`, one bit
+  /// per command. `scratch` receives the unpacked state, but only when a
+  /// residual conjunct's command is still enabled.
+  void enabled(std::uint64_t key, std::vector<std::uint64_t>& out, State& scratch) const {
     out = base_;
     for (const Tabulated& t : tabulated_) {
-      const std::uint64_t* row = rows_.data() + t.rows + std::size_t(s[t.var]) * words_;
+      const std::uint64_t* row = rows_.data() + t.rows + ((key >> t.shift) & t.mask) * words_;
       for (std::size_t w = 0; w < words_; ++w) out[w] &= row[w];
     }
+    bool unpacked = false;
     for (const auto& [j, conjunct] : residual_) {
       std::uint64_t& word = out[j >> 6];
       const std::uint64_t bit = 1ull << (j & 63);
-      if ((word & bit) != 0 && !conjunct->eval(s)) word &= ~bit;
+      if ((word & bit) == 0) continue;
+      if (!unpacked) {
+        layout_.unpack(key, scratch);
+        unpacked = true;
+      }
+      if (!conjunct->eval(scratch)) word &= ~bit;
     }
   }
 
  private:
   static constexpr std::size_t kNoRow = ~std::size_t(0);
   struct Tabulated {
-    int var;
-    std::size_t rows;  // offset of value 0's row in rows_
+    unsigned shift;      // the variable's field in a key
+    std::uint64_t mask;
+    std::size_t rows;    // offset of value 0's row in rows_
   };
 
+  const KeyLayout& layout_;
   std::size_t words_;
   std::vector<std::uint64_t> base_;  // commands no constant conjunct disables
   std::vector<Tabulated> tabulated_;
   std::vector<std::uint64_t> rows_;  // per tabulated (var, value): words_ words
   std::vector<std::pair<std::size_t, const Expr*>> residual_;  // (command, conjunct)
 };
-
-/// Applies `cmd` to `pre` into `next`, which must already equal `pre`.
-void apply_command(const Command& cmd, const State& pre, State& next) {
-  for (const Assign& a : cmd.updates) {
-    next[a.var] = a.src >= 0 ? pre[a.src] : a.value;
-  }
-}
 
 /// Iterates the set bits of an enabled-command mask: fn(command_index).
 template <typename Fn>
@@ -358,15 +438,41 @@ const std::uint8_t* banned_table(const ReachGraph& g, const CheckOptions& option
   return options.banned.data();
 }
 
-/// Likewise for a compiled predicate: one entry per command, and equalities
-/// only on variables the model has.
-void require_fits(const ReachGraph& g, const EdgeMatch& match) {
-  bool fits = match.commands.size() == g.model().commands().size();
-  for (const auto& [var, value] : match.pre_equals) {
-    fits = fits && var >= 0 && static_cast<std::size_t>(var) < g.model().var_count();
+/// An EdgeMatch compiled against a graph's key layout: the command table,
+/// then every pre-state equality folded into one masked compare of the
+/// key, which is read only when the table admits the edge's command.
+class KeyMatch {
+ public:
+  /// Likewise refuses a match that does not fit the model: one table entry
+  /// per command, and equalities only on variables the model has, with
+  /// values inside their domains (an out-of-domain value would spill into
+  /// a neighbouring field of the compare).
+  KeyMatch(const Model& model, const KeyLayout& layout, const EdgeMatch& match)
+      : commands_(match.commands.data()) {
+    bool fits = match.commands.size() == model.commands().size();
+    for (const auto& [var, value] : match.pre_equals) {
+      fits = fits && var >= 0 && static_cast<std::size_t>(var) < model.var_count() &&
+             value >= 0 && value < model.domain(var);
+      if (!fits) break;
+      const std::uint64_t field = static_cast<std::uint64_t>(value) << layout.shift(var);
+      // Two different values for one variable: no key matches.
+      never_ = never_ || (mask_ & layout.bits(var) & (value_ ^ field)) != 0;
+      mask_ |= layout.bits(var);
+      value_ |= field;
+    }
+    if (!fits) throw std::invalid_argument("EdgeMatch does not fit the graph's model");
   }
-  if (!fits) throw std::invalid_argument("EdgeMatch does not fit the graph's model");
-}
+
+  bool operator()(const std::uint64_t* keys, std::uint32_t id, std::size_t command) const {
+    return commands_[command] != 0 && !never_ && (keys[id] & mask_) == value_;
+  }
+
+ private:
+  const std::uint8_t* commands_;
+  std::uint64_t mask_ = 0;  // the key bits the equalities constrain
+  std::uint64_t value_ = 0;
+  bool never_ = false;
+};
 
 /// Breadth-first traversal of the graph's allowed edges: FIFO over states,
 /// each state's edges in command order — the order the build discovered
@@ -654,31 +760,35 @@ ReachGraph ReachGraph::build(const Model& model, const CheckOptions& options) {
   if (commands.size() > 0x10000) {
     throw std::length_error("reachable graph: more than 65536 commands");
   }
-  const GuardTable guards(model);
+  require_closed_domains(model);
   ReachGraph g;
   g.model_ = &model;
-  g.stride_ = model.var_count();
-  StateSpace space(g.stride_);
-  space.intern(model.initial(), std::max<std::size_t>(1, options.max_states));
+  g.layout_ = std::make_shared<const KeyLayout>(model);
+  const KeyLayout& layout = *g.layout_;
+  const GuardTable guards(model, layout);
+  std::vector<KeyUpdate> updates;
+  std::size_t fixed_bytes = guards.bytes();
+  for (const Command& cmd : commands) {
+    updates.emplace_back(cmd, layout);
+    fixed_bytes += updates.back().bytes();
+  }
+  KeyTable table;
+  table.intern(layout.pack(model.initial()), std::max<std::size_t>(1, options.max_states));
   g.offsets_.push_back(0);
 
   auto bytes = [&] {
-    return space.bytes() + guards.bytes() + capacity_bytes(g.offsets_) +
-           capacity_bytes(g.targets_) + capacity_bytes(g.commands_);
+    return fixed_bytes + table.bytes() + capacity_bytes(g.offsets_) + capacity_bytes(g.targets_) +
+           capacity_bytes(g.commands_);
   };
-  State pre(g.stride_, 0);
-  State next(g.stride_, 0);
+  State scratch;
   std::vector<std::uint64_t> enabled;
-  // Discovery order is BFS order, so the arena itself is the FIFO frontier.
-  for (std::uint32_t at = 0; at < space.size(); ++at) {
+  // Discovery order is BFS order, so the key list itself is the FIFO frontier.
+  for (std::uint32_t at = 0; at < table.size(); ++at) {
     if (budget_exhausted(options, timer, bytes(), g.stats_)) break;
-    // A local copy: the arena may reallocate on insert.
-    space.copy_state(at, pre);
-    guards.enabled(pre, enabled);
+    const std::uint64_t pre = table.key(at);
+    guards.enabled(pre, enabled, scratch);
     for_enabled(enabled, commands.size(), [&](std::size_t j) {
-      next = pre;
-      apply_command(commands[j], pre, next);
-      const std::uint32_t id = space.intern(next, options.max_states);
+      const std::uint32_t id = table.intern(updates[j](pre), options.max_states);
       if (id == kMissing) g.stats_.bound_hit = true;
       g.targets_.push_back(id);
       g.commands_.push_back(static_cast<std::uint16_t>(j));
@@ -689,53 +799,53 @@ ReachGraph ReachGraph::build(const Model& model, const CheckOptions& options) {
     g.offsets_.push_back(static_cast<std::uint32_t>(g.targets_.size()));
   }
 
-  // Keep exactly what traversals read; the hash table and guard table go
-  // with `space` and `guards`.
-  g.stats_.states_explored = space.size();
-  g.states_ = space.release_arena();
-  g.states_.shrink_to_fit();
+  // Keep exactly what traversals read: release_keys frees the slots, and
+  // the guard table and compiled updates go with `guards` and `updates`.
+  g.stats_.states_explored = table.size();
+  g.keys_ = table.release_keys();
+  g.keys_.shrink_to_fit();
   g.offsets_.shrink_to_fit();
   g.targets_.shrink_to_fit();
   g.commands_.shrink_to_fit();
   g.stats_.edges_explored = g.targets_.size();
-  g.stats_.visited_bytes = capacity_bytes(g.states_) + capacity_bytes(g.offsets_) +
+  g.stats_.visited_bytes = capacity_bytes(g.keys_) + capacity_bytes(g.offsets_) +
                            capacity_bytes(g.targets_) + capacity_bytes(g.commands_);
   g.stats_.seconds = timer.seconds();
   return g;
 }
 
 State ReachGraph::state(std::uint32_t id) const {
-  const std::int32_t* p = state_data(id);
-  return State(p, p + stride_);
+  State out;
+  layout_->unpack(keys_[id], out);
+  return out;
 }
 
 State ReachGraph::post(std::uint32_t id, std::size_t edge) const {
   if (targets_[edge] != kMissing) return state(targets_[edge]);
-  const State pre = state(id);
-  State next = pre;
-  apply_command(model_->commands()[commands_[edge]], pre, next);
-  return next;
+  const KeyUpdate update(model_->commands()[commands_[edge]], *layout_);
+  State out;
+  layout_->unpack(update(keys_[id]), out);
+  return out;
 }
 
 std::optional<CounterExample> ReachGraph::check_edge_never(const EdgeMatch& bad,
                                                            CheckStats* stats,
                                                            const CheckOptions& options) const {
-  require_fits(*this, bad);
+  const KeyMatch match(*model_, *layout_, bad);
   return bfs(
       *this, options, stats, [](std::uint32_t) { return false; },
-      [&](std::uint32_t id, std::size_t edge) { return bad.matches(state_data(id), command(edge)); });
+      [&](std::uint32_t id, std::size_t edge) { return match(keys_.data(), id, command(edge)); });
 }
 
 std::optional<CounterExample> ReachGraph::check_response(const EdgeMatch& trigger,
                                                          const EdgeMatch& response,
                                                          CheckStats* stats,
                                                          const CheckOptions& options) const {
-  require_fits(*this, trigger);
-  require_fits(*this, response);
+  const KeyMatch triggers(*model_, *layout_, trigger);
+  const KeyMatch responds(*model_, *layout_, response);
   return lasso(*this, options, stats, [&](std::uint32_t id, std::size_t edge) {
-    const std::int32_t* pre = state_data(id);
     const std::size_t j = command(edge);
-    return std::pair<bool, bool>(trigger.matches(pre, j), response.matches(pre, j));
+    return std::pair<bool, bool>(triggers(keys_.data(), id, j), responds(keys_.data(), id, j));
   });
 }
 

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -70,19 +71,14 @@ using EdgePred = std::function<bool(const State&, const Command&, const State&)>
 /// An edge predicate in the form a graph traversal evaluates without
 /// materializing states: a per-command table plus pre-state equalities, all
 /// of which must hold. checker::MetaMatch compiles to this. A traversal
-/// refuses (std::invalid_argument) one that does not fit its model: a table
-/// size other than the command count, or an equality on a missing variable.
+/// compiles the equalities once into one masked compare of the packed state
+/// key, read only for edges whose command the table admits. It refuses
+/// (std::invalid_argument) a match that does not fit its model: a table size
+/// other than the command count, or an equality on a missing variable or
+/// with a value outside the variable's domain.
 struct EdgeMatch {
   std::vector<std::uint8_t> commands;                    // by command index
   std::vector<std::pair<int, std::int32_t>> pre_equals;  // var == value
-
-  bool matches(const std::int32_t* pre, std::size_t command) const {
-    if (!commands[command]) return false;
-    for (const auto& [var, value] : pre_equals) {
-      if (pre[var] != value) return false;
-    }
-    return true;
-  }
 };
 
 /// The state cap every budget layer defaults to (CheckOptions, CegarOptions,
@@ -112,12 +108,16 @@ struct CheckOptions {
   std::vector<std::uint8_t> banned;
 };
 
+/// Where each variable of a model sits in a packed state key (checker.cc).
+class KeyLayout;
+
 /// The reachable states and transitions of a Model, explored once
-/// breadth-first and then shared read-only by every property check. States
-/// are stored in discovery order (id 0 is the initial state); the out-edges
-/// (target, command) of each expanded state are stored in command order, so
-/// a FIFO traversal that scans them in order meets states, parents and the
-/// first bad edge exactly as a breadth-first search of the model would.
+/// breadth-first and then shared read-only by every property check. Each
+/// state is stored as one packed 64-bit key (DESIGN.md §10), in discovery
+/// order (id 0 is the initial state); the out-edges (target, command) of
+/// each expanded state are stored in command order, so a FIFO traversal
+/// that scans them in order meets states, parents and the first bad edge
+/// exactly as a breadth-first search of the model would.
 class ReachGraph {
  public:
   /// Target of an edge whose post-state the build's state cap rejected.
@@ -130,7 +130,9 @@ class ReachGraph {
   /// graph refers to `model`, which must outlive it at the same address.
   /// A budget stop truncates the graph: stats().truncated() is set, and a
   /// traversal that reaches a state or edge the build left out reports that
-  /// budget instead of a verdict.
+  /// budget instead of a verdict. Refuses (std::length_error) a model with
+  /// more than 65 536 commands or whose states need more than 64 bits, and
+  /// (std::invalid_argument) one whose states could leave their domains.
   static ReachGraph build(const Model& model, const CheckOptions& options = {});
 
   const Model& model() const { return *model_; }
@@ -146,9 +148,7 @@ class ReachGraph {
   std::size_t edge_end(std::uint32_t id) const { return offsets_[id + 1]; }
   std::uint32_t target(std::size_t edge) const { return targets_[edge]; }
   std::size_t command(std::size_t edge) const { return commands_[edge]; }
-  const std::int32_t* state_data(std::uint32_t id) const {
-    return states_.data() + std::size_t(id) * stride_;
-  }
+  /// The state with id `id`, unpacked from its key.
   State state(std::uint32_t id) const;
   /// The post-state of `edge` out of state `id` (recomputed from the
   /// command when the target is kMissing).
@@ -166,8 +166,8 @@ class ReachGraph {
 
  private:
   const Model* model_ = nullptr;
-  std::size_t stride_ = 0;
-  std::vector<std::int32_t> states_;     // states() * stride_ values
+  std::shared_ptr<const KeyLayout> layout_;  // immutable: copies share it
+  std::vector<std::uint64_t> keys_;      // per state, in id order: its packed key
   std::vector<std::uint32_t> offsets_;   // expanded() + 1 CSR offsets
   std::vector<std::uint32_t> targets_;   // per edge: state id or kMissing
   std::vector<std::uint16_t> commands_;  // per edge: command index

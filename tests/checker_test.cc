@@ -151,10 +151,22 @@ TEST(MetaMatchTest, CompilesToACommandTablePlusPreStateEqualities) {
   ASSERT_EQ(e.pre_equals.size(), 1u);
   EXPECT_EQ(e.pre_equals[0], std::make_pair(flag_smc, model.value_index(flag_smc, "0")));
 
-  // A constraint on a variable the model lacks never holds.
-  m.pre_equals = {{"no_such_var", "0"}};
-  e = m.compile(model);
-  for (std::uint8_t c : e.commands) EXPECT_EQ(c, 0);
+  // A constraint on a variable or value the model lacks never holds: no
+  // command matches, and a traversal of the graph finds no edge for it
+  // rather than refusing the match.
+  const mc::ReachGraph graph = mc::ReachGraph::build(model);
+  for (const auto& unresolved : {std::make_pair("no_such_var", "0"),
+                                 std::make_pair("flag_smc", "no_such_value")}) {
+    m.pre_equals = {{unresolved.first, unresolved.second}};
+    e = m.compile(model);
+    for (std::uint8_t c : e.commands) EXPECT_EQ(c, 0);
+    EXPECT_TRUE(e.pre_equals.empty());
+    mc::CheckStats stats;
+    std::optional<mc::CounterExample> cex;
+    EXPECT_NO_THROW(cex = graph.check_edge_never(e, &stats)) << unresolved.first;
+    EXPECT_FALSE(cex.has_value()) << unresolved.first;
+    EXPECT_FALSE(stats.truncated()) << unresolved.first;
+  }
 }
 
 // --- Baseline models -------------------------------------------------------------

@@ -332,6 +332,49 @@ TEST(Graph, StoredEdgesMatchInterpretedGuards) {
   }
 }
 
+// FNV-1a over everything a traversal reads of a graph: its sizes, each
+// state's values, each expanded state's first edge, and each edge's target
+// and command.
+std::uint64_t graph_digest(const mc::ReachGraph& g) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  auto mix = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ull;
+    }
+  };
+  mix(g.states());
+  mix(g.expanded());
+  mix(g.edges());
+  for (std::uint32_t id = 0; id < g.states(); ++id) {
+    for (std::int32_t value : g.state(id)) mix(static_cast<std::uint32_t>(value));
+  }
+  for (std::uint32_t id = 0; id < g.expanded(); ++id) mix(g.edge_begin(id));
+  for (std::size_t e = 0; e < g.edges(); ++e) {
+    mix(g.target(e));
+    mix(g.command(e));
+  }
+  return h;
+}
+
+TEST(Graph, ProfileGraphsArePinned) {
+  // Every profile's graph, state for state and edge for edge in both
+  // orders. A change to how the graph is built or stored must keep these
+  // digests; a change to the threat model or a profile moves them on
+  // purpose.
+  const std::pair<ue::StackProfile, std::uint64_t> pinned[] = {
+      {ue::StackProfile::cls(), 0xF8C6BA7B07E8B088ull},
+      {ue::StackProfile::srsue(), 0xE4597F0E6ED159BDull},
+      {ue::StackProfile::oai(), 0x27161CB579FC1B65ull},
+  };
+  for (const auto& [profile, digest] : pinned) {
+    const threat::ThreatModel tm =
+        ProChecker::build_threat_model(report_for(profile).checking_model);
+    const mc::ReachGraph graph = mc::ReachGraph::build(tm.model);
+    EXPECT_EQ(graph_digest(graph), digest) << profile.name;
+  }
+}
+
 TEST(Pipeline, ReportsAreDeterministic) {
   ImplementationReport a = ProChecker::analyze(ue::StackProfile::srsue(),
                                                {.only_properties = {"S01", "S05", "S07"}});

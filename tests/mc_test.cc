@@ -359,9 +359,9 @@ TEST(Response, AllowedFilterAppliesToLiveness) {
 
 // --- Interned-state kernel: search equivalence pins -----------------------------
 //
-// The visited set is an interned arena + open-addressing table, and each
-// state's enabled commands come from the guard table compiled at the start
-// of the build. These tests pin exact visited counts so any rewrite that
+// The visited set is an open-addressing table of packed state keys, and
+// each state's enabled commands come from the guard table compiled at the
+// start of the build. These tests pin exact visited counts so any rewrite that
 // silently explores a different state space — over- or under-approximating
 // — fails loudly.
 
@@ -615,6 +615,84 @@ TEST(ReachGraph, TablesThatDoNotFitTheModelAreRefused) {
   missing_var.pre_equals = {{5, 0}};  // the model has one variable
   EXPECT_THROW(g.check_response(missing_var, label_match(m, "respond"), &stats),
                std::invalid_argument);
+  for (std::int32_t outside : {2, -1}) {  // st has values 0..1
+    EdgeMatch missing_value = label_match(m, "lazy");
+    missing_value.pre_equals = {{0, outside}};
+    EXPECT_THROW(g.check_edge_never(missing_value, &stats), std::invalid_argument) << outside;
+  }
+}
+
+// --- The state key ----------------------------------------------------------------
+//
+// The build packs each state into one 64-bit key: every variable owns
+// ceil(log2 domain) bits at a fixed shift, in declaration order, and a
+// one-value variable owns none. This model fills the word exactly, with
+// values at the top of the 31-bit fields, so the shifts at both ends of the
+// word run under the kernel label's sanitizers. No guard reads a wide
+// variable: the guard table tabulates a guarded variable over its domain.
+
+constexpr std::int32_t kWide = 0x7FFFFFFF;  // 31 bits
+
+Model sixty_four_bit_model(std::int32_t phases) {
+  Model m;
+  const int lo = m.add_var("lo", kWide, 0);
+  const int one = m.add_var("one", 1, 0);
+  const int phase = m.add_var("phase", phases, 0);  // 4 phases: 2 bits
+  const int hi = m.add_var("hi", kWide, 0);         // bits 33..63
+  const int last = m.add_var("last", 1, 0);         // past the last bit
+  auto add = [&](const std::string& label, Expr guard, std::vector<Assign> updates) {
+    Command cmd;
+    cmd.label = label;
+    cmd.guard = std::move(guard);
+    cmd.updates = std::move(updates);
+    m.add_command(std::move(cmd));
+  };
+  add("top", Expr::eq(phase, 0), {{lo, kWide - 1}, {hi, kWide - 2}, {phase, 1}});
+  // Copies read the pre-state, so this swaps.
+  add("swap", Expr::eq(phase, 1), {{lo, 0, hi}, {hi, 0, lo}, {phase, 2}});
+  // The later write to hi wins.
+  add("clear", Expr::eq(phase, 2), {{lo, 0}, {hi, kWide - 1}, {hi, 5}, {phase, 3}});
+  // A conjunct over two variables is evaluated on the unpacked key.
+  add("stay", Expr::land(Expr::eq(phase, 3), Expr::lor(Expr::eq(one, 0), Expr::eq(last, 1))),
+      {{one, 0}, {last, 0, one}});
+  return m;
+}
+
+TEST(ReachGraph, StateKeysHoldSixtyFourBitsAndNoMore) {
+  const Model m = sixty_four_bit_model(4);
+  const ReachGraph g = ReachGraph::build(m);
+  ASSERT_FALSE(g.stats().truncated());
+  ASSERT_EQ(g.states(), 4u);
+  EXPECT_EQ(g.edges(), 4u);
+  EXPECT_EQ(g.state(0), (State{0, 0, 0, 0, 0}));
+  EXPECT_EQ(g.state(1), (State{kWide - 1, 0, 1, kWide - 2, 0}));
+  EXPECT_EQ(g.state(2), (State{kWide - 2, 0, 2, kWide - 1, 0}));
+  EXPECT_EQ(g.state(3), (State{0, 0, 3, 5, 0}));
+  EXPECT_EQ(g.target(g.edge_begin(3)), 3u);  // stay is a self-loop
+  EXPECT_EQ(first_edge_mismatch(g), "");
+
+  // Pre-state equalities on the top field, and on a field with no bits.
+  EdgeMatch swap_at_top = label_match(m, "swap");
+  swap_at_top.pre_equals = {{3, kWide - 2}, {4, 0}};
+  CheckStats stats;
+  auto cex = g.check_edge_never(swap_at_top, &stats);
+  ASSERT_TRUE(cex.has_value());
+  EXPECT_EQ(cex->steps.back().post, g.state(2));
+  swap_at_top.pre_equals = {{3, kWide - 1}};
+  EXPECT_FALSE(g.check_edge_never(swap_at_top, &stats).has_value());
+  // Contradictory, though the two values ORed together would match.
+  swap_at_top.pre_equals = {{3, kWide - 2}, {3, 0}};
+  EXPECT_FALSE(g.check_edge_never(swap_at_top, &stats).has_value());
+
+  // A rejected target is recomputed from the key.
+  CheckOptions two;
+  two.max_states = 2;
+  const ReachGraph capped = ReachGraph::build(m, two);
+  ASSERT_EQ(capped.target(capped.edge_begin(1)), ReachGraph::kMissing);
+  EXPECT_EQ(capped.post(1, capped.edge_begin(1)), g.state(2));
+
+  // One more bit (5 phases need 3) does not fit the word.
+  EXPECT_THROW(ReachGraph::build(sixty_four_bit_model(5)), std::length_error);
 }
 
 // --- The guard table ------------------------------------------------------------
