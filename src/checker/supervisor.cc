@@ -40,6 +40,20 @@ std::optional<PropertyResult::Status> status_from_token(std::string_view t) {
   return std::nullopt;
 }
 
+/// The strings of array field `key` (none when it is absent), or nullopt
+/// when it holds anything but an array of strings.
+std::optional<std::vector<std::string>> strings_of(const Json& object, const std::string& key) {
+  std::vector<std::string> out;
+  const Json* field = object.find(key);
+  if (!field) return out;
+  if (!field->is(Json::Type::kArray)) return std::nullopt;
+  for (const Json& item : field->arr) {
+    if (!item.is(Json::Type::kString)) return std::nullopt;
+    out.push_back(item.s);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string encode_outcome(const PropertyOutcome& outcome) {
@@ -111,13 +125,9 @@ std::optional<PropertyOutcome> decode_outcome(std::string_view json) {
   out.failure = *failure;
   out.diagnostics = v->get_str("diag");
 
-  if (const Json* refs = v->find("refs")) {
-    if (!refs->is(Json::Type::kArray)) return std::nullopt;
-    for (const Json& item : refs->arr) {
-      if (!item.is(Json::Type::kString)) return std::nullopt;
-      r.refinements.push_back(item.s);
-    }
-  }
+  std::optional<std::vector<std::string>> refs = strings_of(*v, "refs");
+  if (!refs) return std::nullopt;
+  r.refinements = std::move(*refs);
   if (const Json* equiv = v->find("equiv")) {
     if (!equiv->is(Json::Type::kObject)) return std::nullopt;
     cpv::EquivalenceVerdict eq;
@@ -130,33 +140,43 @@ std::optional<PropertyOutcome> decode_outcome(std::string_view json) {
   if (const Json* cex = v->find("cex")) {
     if (!cex->is(Json::Type::kObject)) return std::nullopt;
     mc::CounterExample trace;
-    trace.loop_start = static_cast<int>(cex->get_int("loop", -1));
     const Json* steps = cex->find("steps");
     if (!steps || !steps->is(Json::Type::kArray)) return std::nullopt;
     for (const Json& item : steps->arr) {
       if (!item.is(Json::Type::kObject)) return std::nullopt;
+      // The enums are cast from these, so only their own values pass.
+      const long long actor = item.get_int("actor", -1);
+      const long long ckind = item.get_int("ckind", -1);
+      if (actor < 0 || actor > static_cast<int>(mc::CommandMeta::Actor::kAdversary) ||
+          ckind < 0 || ckind > static_cast<int>(mc::CommandMeta::Kind::kReplay)) {
+        return std::nullopt;
+      }
+      std::optional<std::vector<std::string>> atoms = strings_of(item, "atoms");
+      std::optional<std::vector<std::string>> acts = strings_of(item, "acts");
+      const Json* post = item.find("post");
+      if (!atoms || !acts || (post && !post->is(Json::Type::kArray))) return std::nullopt;
       mc::TraceStep step;
       step.label = item.get_str("label");
-      step.meta.actor = static_cast<mc::CommandMeta::Actor>(item.get_int("actor"));
-      step.meta.kind = static_cast<mc::CommandMeta::Kind>(item.get_int("ckind"));
+      step.meta.actor = static_cast<mc::CommandMeta::Actor>(actor);
+      step.meta.kind = static_cast<mc::CommandMeta::Kind>(ckind);
       step.meta.message = item.get_str("msg");
       step.meta.provenance = static_cast<int>(item.get_int("prov"));
       step.meta.from_state = item.get_str("from");
       step.meta.to_state = item.get_str("to");
-      if (const Json* atoms = item.find("atoms")) {
-        for (const Json& a : atoms->arr) step.meta.atoms.insert(a.s);
-      }
-      if (const Json* acts = item.find("acts")) {
-        for (const Json& a : acts->arr) step.meta.actions.insert(a.s);
-      }
-      if (const Json* post = item.find("post")) {
+      step.meta.atoms = {atoms->begin(), atoms->end()};
+      step.meta.actions = {acts->begin(), acts->end()};
+      if (post) {
         for (const Json& p : post->arr) {
-          if (!p.is(Json::Type::kInt)) return std::nullopt;
+          if (!p.is(Json::Type::kInt) || p.i != static_cast<std::int32_t>(p.i)) return std::nullopt;
           step.post.push_back(static_cast<std::int32_t>(p.i));
         }
       }
       trace.steps.push_back(std::move(step));
     }
+    // The loop start indexes the steps.
+    const long long loop = cex->get_int("loop", -1);
+    if (loop < -1 || loop >= static_cast<long long>(trace.steps.size())) return std::nullopt;
+    trace.loop_start = static_cast<int>(loop);
     r.counterexample = std::move(trace);
   }
   return out;
@@ -242,6 +262,20 @@ PropertyOutcome run_one_property(const mc::ReachGraph& graph, const fsm::Fsm& ue
   return out;
 }
 
+/// True when every state of a journaled trace is a state of `model`: one
+/// in-domain value per variable. Reports render these states, so a record
+/// that fails is re-verified instead of adopted.
+bool fits(const mc::Model& model, const PropertyOutcome& outcome) {
+  if (!outcome.result.counterexample) return true;
+  for (const mc::TraceStep& step : outcome.result.counterexample->steps) {
+    if (step.post.size() != model.var_count()) return false;
+    for (std::size_t v = 0; v < step.post.size(); ++v) {
+      if (step.post[v] < 0 || step.post[v] >= model.domain(static_cast<int>(v))) return false;
+    }
+  }
+  return true;
+}
+
 /// run_supervised proper: checks against `shared`, or, when that is null,
 /// against a graph of `model` it builds once no journaled outcome can stand
 /// in for the work.
@@ -270,9 +304,10 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
   // --- Journal adoption (resume) -------------------------------------------
   std::map<std::string, PropertyOutcome> adopted;
   std::vector<std::string> kept;
+  const mc::Model& run_model = shared ? shared->model() : *model;
   for (const std::string& payload : journal.records()) {
     std::optional<PropertyOutcome> outcome = decode_outcome(payload);
-    if (!outcome) continue;
+    if (!outcome || !fits(run_model, *outcome)) continue;
     adopted[outcome->result.property_id] = std::move(*outcome);
     kept.push_back(payload);
   }

@@ -41,6 +41,7 @@
 //       triages each against the 62-property catalog. Exit 0 when
 //       behaviorally equivalent, 1 on divergence, 3 when a side or the walk
 //       was inconclusive.
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -361,8 +362,15 @@ int cmd_analyze(ue::StackProfile profile, const Args& args) {
   if (args.has("freshness-limit")) profile.sqn_freshness_limit = freshness_limit;
   options.mem_ceiling_bytes = mem_ceiling_mb * 1024 * 1024;
   if (args.has("properties")) {
-    for (const std::string& id : split(args.get("properties"), ',')) {
-      options.only_properties.insert(std::string(trim(id)));
+    // Each item must be a catalog id: an empty or unknown one would quietly
+    // run less than was asked for.
+    const std::vector<checker::PropertyDef>& catalog = checker::property_catalog();
+    for (const std::string& item : split(args.get("properties"), ',')) {
+      const std::string id(trim(item));
+      if (std::none_of(catalog.begin(), catalog.end(), [&](const auto& p) { return p.id == id; })) {
+        return bad_option("properties", args.get("properties"));
+      }
+      options.only_properties.insert(id);
     }
   }
   if (args.has("journal")) options.journal_path = args.get("journal");

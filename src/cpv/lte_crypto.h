@@ -13,7 +13,6 @@
 // USIM implementation* (nas::Usim) on a replay scenario.
 #pragma once
 
-#include <optional>
 #include <set>
 #include <string>
 
@@ -53,14 +52,6 @@ class LteCryptoModel {
   /// fabricated). Genuine deliveries and pure adversary channel actions
   /// (drop/inject/replay placements) are trivially feasible.
   StepVerdict judge_delivery(const mc::CommandMeta& step) const;
-
-  /// Whole-trace validation: returns the first infeasible step's label, or
-  /// nullopt when every step conforms to the cryptographic assumptions.
-  struct TraceVerdict {
-    bool feasible = true;
-    std::string offending_label;
-    std::string reason;
-  };
 
   /// Observational equivalence: can an observer distinguish the victim UE
   /// from other UEs by their responses to a replayed/fabricated `message`?

@@ -479,10 +479,10 @@ class KeyMatch {
 /// them, so parents and the first bad edge are the ones a breadth-first
 /// search of the model itself finds, and traces stay the same whichever
 /// properties share the graph. The state cap applies to this traversal's
-/// discoveries. `bad_state(id)` and `bad_edge(id, edge)` say what violates.
-template <typename BadState, typename BadEdge>
+/// discoveries. `bad_edge(id, edge)` says what violates.
+template <typename BadEdge>
 std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& options,
-                                  CheckStats* out, BadState&& bad_state, BadEdge&& bad_edge) {
+                                  CheckStats* out, BadEdge&& bad_edge) {
   Timer timer;
   CheckStats stats;
   const std::vector<Command>& commands = g.model().commands();
@@ -513,7 +513,6 @@ std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& optio
 
   parent[0] = 0;
   queue.push_back(0);
-  if (bad_state(0)) return finish(CounterExample{});
   for (std::size_t head = 0; head < queue.size(); ++head) {
     if (budget_exhausted(options, timer, bytes(), stats)) break;
     const std::uint32_t at = queue[head];
@@ -543,7 +542,6 @@ std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& optio
       parent[to] = at;
       via[to] = static_cast<std::uint16_t>(j);
       queue.push_back(to);
-      if (bad_state(to)) return finish(trace_to(to));
     }
   }
   return finish(std::nullopt);
@@ -557,9 +555,9 @@ std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& optio
 // violation.
 //
 // Product nodes reference graph states by id, and the product index is a
-// dense per-state pair of node ids (pending=0/1). The state cap bounds both
-// the distinct graph states the product touches and its node count, as a
-// product built from the model itself would be bounded.
+// dense per-state pair of node ids (pending=0/1). The state cap bounds the
+// node count. Every graph state the product touches owns a node, so this
+// also caps the distinct states at k.
 // `labels(id, edge)` returns {trigger, response}.
 template <typename Labels>
 std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& options,
@@ -577,8 +575,6 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
   std::vector<std::uint32_t> node_parent;
   std::vector<std::int32_t> node_via;  // command index; -1 for the root
   std::vector<std::array<std::uint32_t, 2>> node_of(g.states(), {kNoId, kNoId});
-  std::vector<std::uint8_t> seen(g.states(), 0);  // graph states counted against the cap
-  std::size_t distinct = 0;
   // Edges among pending=true nodes (candidates for the violating cycle),
   // CSR by expanded node: (target node, command index or kStutter).
   std::vector<std::size_t> pending_begin{0};
@@ -593,7 +589,7 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
   auto bytes = [&] {
     return capacity_bytes(node_state) + capacity_bytes(node_pending) +
            capacity_bytes(node_parent) + capacity_bytes(node_via) + capacity_bytes(node_of) +
-           capacity_bytes(seen) + capacity_bytes(pending_begin) + capacity_bytes(pending_edges);
+           capacity_bytes(pending_begin) + capacity_bytes(pending_edges);
   };
   auto finish = [&](std::optional<CounterExample> cex) {
     stats.states_explored = node_state.size();
@@ -610,14 +606,6 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
     if (state == ReachGraph::kMissing) {
       stats.bound_hit = true;
       return kNoId;
-    }
-    if (!seen[state]) {
-      if (distinct >= options.max_states) {
-        stats.bound_hit = true;
-        return kNoId;
-      }
-      seen[state] = 1;
-      ++distinct;
     }
     std::uint32_t& slot = node_of[state][pending ? 1 : 0];
     if (slot != kNoId) return slot;
@@ -717,41 +705,6 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
   return finish(std::nullopt);
 }
 
-/// Evaluates a generic EdgePred on stored edges, materializing the pre- and
-/// post-states (the pre-state is reused across one state's edges).
-class EdgeStates {
- public:
-  explicit EdgeStates(const ReachGraph& g) : g_(g) {}
-
-  bool operator()(const EdgePred& pred, std::uint32_t id, std::size_t edge) {
-    if (id != id_) {
-      pre_ = g_.state(id);
-      id_ = id;
-    }
-    post_ = g_.post(id, edge);
-    return pred(pre_, g_.model().commands()[g_.command(edge)], post_);
-  }
-
- private:
-  const ReachGraph& g_;
-  std::uint32_t id_ = kNoId;
-  State pre_, post_;
-};
-
-/// Checker's one-call shape: build the graph under `options`, traverse it
-/// once, and report the two as one search.
-template <typename Traverse>
-std::optional<CounterExample> build_and_check(const Model& model, const CheckOptions& options,
-                                              CheckStats* stats, Traverse&& traverse) {
-  const ReachGraph graph = ReachGraph::build(model, options);
-  CheckStats own;
-  std::optional<CounterExample> cex = traverse(graph, &own);
-  own.seconds += graph.stats().seconds;
-  own.visited_bytes += graph.stats().visited_bytes;
-  if (stats) *stats = own;
-  return cex;
-}
-
 }  // namespace
 
 ReachGraph ReachGraph::build(const Model& model, const CheckOptions& options) {
@@ -832,9 +785,9 @@ std::optional<CounterExample> ReachGraph::check_edge_never(const EdgeMatch& bad,
                                                            CheckStats* stats,
                                                            const CheckOptions& options) const {
   const KeyMatch match(*model_, *layout_, bad);
-  return bfs(
-      *this, options, stats, [](std::uint32_t) { return false; },
-      [&](std::uint32_t id, std::size_t edge) { return match(keys_.data(), id, command(edge)); });
+  return bfs(*this, options, stats, [&](std::uint32_t id, std::size_t edge) {
+    return match(keys_.data(), id, command(edge));
+  });
 }
 
 std::optional<CounterExample> ReachGraph::check_response(const EdgeMatch& trigger,
@@ -849,35 +802,23 @@ std::optional<CounterExample> ReachGraph::check_response(const EdgeMatch& trigge
   });
 }
 
-std::optional<CounterExample> Checker::check_invariant(const Expr& good, CheckStats* stats,
-                                                       const CheckOptions& options) const {
-  return build_and_check(model_, options, stats, [&](const ReachGraph& g, CheckStats* s) {
-    return bfs(
-        g, options, s, [&](std::uint32_t id) { return !good.eval(g.state(id)); },
-        [](std::uint32_t, std::size_t) { return false; });
-  });
-}
-
 std::optional<CounterExample> Checker::check_edge_never(const EdgePred& bad, CheckStats* stats,
                                                         const CheckOptions& options) const {
-  return build_and_check(model_, options, stats, [&](const ReachGraph& g, CheckStats* s) {
-    EdgeStates edge(g);
-    return bfs(
-        g, options, s, [](std::uint32_t) { return false; },
-        [&](std::uint32_t id, std::size_t e) { return edge(bad, id, e); });
+  const ReachGraph g = ReachGraph::build(model_, options);
+  std::uint32_t pre_id = kNoId;
+  State pre;
+  CheckStats own;
+  std::optional<CounterExample> cex = bfs(g, options, &own, [&](std::uint32_t id, std::size_t e) {
+    if (id != pre_id) {  // a state's edges are tested in a row: unpack it once
+      pre = g.state(id);
+      pre_id = id;
+    }
+    return bad(pre, model_.commands()[g.command(e)], g.post(id, e));
   });
-}
-
-std::optional<CounterExample> Checker::check_response(const EdgePred& trigger,
-                                                      const EdgePred& response,
-                                                      CheckStats* stats,
-                                                      const CheckOptions& options) const {
-  return build_and_check(model_, options, stats, [&](const ReachGraph& g, CheckStats* s) {
-    EdgeStates edge(g);
-    return lasso(g, options, s, [&](std::uint32_t id, std::size_t e) {
-      return std::pair<bool, bool>(edge(trigger, id, e), edge(response, id, e));
-    });
-  });
+  own.seconds += g.stats().seconds;
+  own.visited_bytes += g.stats().visited_bytes;
+  if (stats) *stats = own;
+  return cex;
 }
 
 }  // namespace procheck::mc

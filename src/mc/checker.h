@@ -1,6 +1,6 @@
-// Explicit-state checker over mc::Model: invariants (G p), never-claims on
-// edges, and response liveness (G(trigger → F response)) with counterexample
-// traces — the verification features of nuXmv the paper's pipeline uses.
+// Explicit-state checker over mc::Model: never-claims on edges and response
+// liveness (G(trigger → F response)) with counterexample traces — the two
+// property shapes of the paper's catalog, which nuXmv checks there.
 //
 // Like nuXmv computing a model's reachable set once for all of its specs,
 // the model is explored once into a ReachGraph and every property is a
@@ -174,26 +174,18 @@ class ReachGraph {
   CheckStats stats_;
 };
 
-/// One-call checks with generic predicates: each call builds a ReachGraph
-/// under the options' budgets and runs one traversal of it, and `stats`
-/// covers both (seconds and bytes include the build). Checking many
-/// properties of one model should build the graph once and traverse it.
+/// The one-call never-claim that perfbench's traced pass times: it builds a
+/// ReachGraph under the options' budgets, then runs one traversal that
+/// tests `bad` on the materialized pre- and post-states of each edge.
+/// `stats` covers both (seconds and bytes include the build). Properties
+/// are checked as ReachGraph traversals with EdgeMatches instead.
 class Checker {
  public:
   explicit Checker(const Model& model) : model_(model) {}
 
-  /// G good — returns a finite trace to a state violating `good`.
-  std::optional<CounterExample> check_invariant(const Expr& good, CheckStats* stats,
-                                                const CheckOptions& options = {}) const;
-
   /// "bad edge never fires" — returns a finite trace ending with the edge.
   std::optional<CounterExample> check_edge_never(const EdgePred& bad, CheckStats* stats,
                                                  const CheckOptions& options = {}) const;
-
-  /// G(trigger → F response) over edges — see ReachGraph::check_response.
-  std::optional<CounterExample> check_response(const EdgePred& trigger,
-                                               const EdgePred& response, CheckStats* stats,
-                                               const CheckOptions& options = {}) const;
 
  private:
   const Model& model_;

@@ -17,30 +17,6 @@ Expr Expr::eq(int var, std::int32_t value) {
   return e;
 }
 
-Expr Expr::ne(int var, std::int32_t value) {
-  Expr e;
-  e.kind_ = Kind::kNe;
-  e.var_ = var;
-  e.value_ = value;
-  return e;
-}
-
-Expr Expr::lt(int var, std::int32_t value) {
-  Expr e;
-  e.kind_ = Kind::kLt;
-  e.var_ = var;
-  e.value_ = value;
-  return e;
-}
-
-Expr Expr::gt(int var, std::int32_t value) {
-  Expr e;
-  e.kind_ = Kind::kGt;
-  e.var_ = var;
-  e.value_ = value;
-  return e;
-}
-
 Expr Expr::land(Expr a, Expr b) {
   Expr e;
   e.kind_ = Kind::kAnd;
@@ -57,22 +33,9 @@ Expr Expr::lor(Expr a, Expr b) {
   return e;
 }
 
-Expr Expr::lnot(Expr a) {
-  Expr e;
-  e.kind_ = Kind::kNot;
-  e.lhs_ = std::make_shared<Expr>(std::move(a));
-  return e;
-}
-
 Expr Expr::all(std::vector<Expr> exprs) {
   Expr acc = constant(true);
   for (Expr& e : exprs) acc = land(std::move(acc), std::move(e));
-  return acc;
-}
-
-Expr Expr::any(std::vector<Expr> exprs) {
-  Expr acc = constant(false);
-  for (Expr& e : exprs) acc = lor(std::move(acc), std::move(e));
   return acc;
 }
 
@@ -81,18 +44,12 @@ void Expr::collect_vars(std::vector<int>& out) const {
     case Kind::kConst:
       return;
     case Kind::kEq:
-    case Kind::kNe:
-    case Kind::kLt:
-    case Kind::kGt:
       out.push_back(var_);
       return;
     case Kind::kAnd:
     case Kind::kOr:
       lhs_->collect_vars(out);
       rhs_->collect_vars(out);
-      return;
-    case Kind::kNot:
-      lhs_->collect_vars(out);
       return;
   }
 }
@@ -112,18 +69,10 @@ bool Expr::eval(const State& s) const {
       return const_value_;
     case Kind::kEq:
       return s[var_] == value_;
-    case Kind::kNe:
-      return s[var_] != value_;
-    case Kind::kLt:
-      return s[var_] < value_;
-    case Kind::kGt:
-      return s[var_] > value_;
     case Kind::kAnd:
       return lhs_->eval(s) && rhs_->eval(s);
     case Kind::kOr:
       return lhs_->eval(s) || rhs_->eval(s);
-    case Kind::kNot:
-      return !lhs_->eval(s);
   }
   return false;
 }

@@ -3,7 +3,8 @@
 // This is the nuXmv stand-in (DESIGN.md §1): the threat instrumentor
 // compiles the composed (UE ⊗ MME ⊗ channels ⊗ Dolev–Yao adversary) system
 // into a `Model` — an SMV-like description with enumerated variables and
-// guarded commands — and the checker (checker.h) explores it explicitly.
+// guarded commands whose guards are equalities joined by and/or — and the
+// checker (checker.h) explores it explicitly.
 // Commands carry rich metadata (`CommandMeta`) identifying the protocol
 // transition or adversary action they encode; properties and the
 // cryptographic-feasibility validation are phrased over that metadata.
@@ -23,24 +24,19 @@ using State = std::vector<std::int32_t>;
 
 class Model;
 
-/// Boolean expression over a state (guards and state-invariant properties).
+/// Boolean expression over a state: a command guard. These operators are
+/// the ones threat::compose builds guards from.
 class Expr {
  public:
   static Expr constant(bool v);
-  /// var == value / var != value (value by index into the domain).
+  /// var == value (value by index into the domain).
   static Expr eq(int var, std::int32_t value);
-  static Expr ne(int var, std::int32_t value);
-  static Expr lt(int var, std::int32_t value);
-  static Expr gt(int var, std::int32_t value);
-  /// var == value where value is named (resolved against the model on eval).
   static Expr land(Expr a, Expr b);
   static Expr lor(Expr a, Expr b);
-  static Expr lnot(Expr a);
-
-  bool eval(const State& s) const;
   /// Conjunction of a list (empty list = true).
   static Expr all(std::vector<Expr> exprs);
-  static Expr any(std::vector<Expr> exprs);
+
+  bool eval(const State& s) const;
 
   /// Appends every variable index this expression reads (with repeats).
   void collect_vars(std::vector<int>& out) const;
@@ -49,7 +45,7 @@ class Expr {
   void conjuncts(std::vector<const Expr*>& out) const;
 
  private:
-  enum class Kind : std::uint8_t { kConst, kEq, kNe, kLt, kGt, kAnd, kOr, kNot };
+  enum class Kind : std::uint8_t { kConst, kEq, kAnd, kOr };
   Kind kind_ = Kind::kConst;
   bool const_value_ = true;
   int var_ = -1;

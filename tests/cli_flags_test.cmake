@@ -1,8 +1,9 @@
-# Every numeric CLI flag, and --remote's host:port, rejects a malformed value
-# and an out-of-range value as a usage error: exit 2 and "invalid value for
-# --<flag>" on stderr, before any work starts. So do an option the subcommand does not take ("unknown
-# option --<flag>") and a value flag with nothing after it ("missing value
-# for --<flag>"). Run as
+# Every numeric CLI flag, --remote's host:port and --properties' list of
+# catalog ids reject a malformed value and an out-of-range value as a usage
+# error: exit 2 and "invalid value for --<flag>" on stderr, before any work
+# starts. So do an option the subcommand does not take ("unknown option
+# --<flag>") and a value flag with nothing after it ("missing value for
+# --<flag>"). Run as
 #   cmake -DPROCHECKER=<path to prochecker> -P cli_flags_test.cmake
 
 if(NOT PROCHECKER)
@@ -17,6 +18,7 @@ set(cases
   "analyze --profile cls|retries|1.5|17"
   "analyze --profile cls|deadline-per-property|soon|-0.5"
   "analyze --profile cls|mem-ceiling-mb|lots|0"
+  "analyze --profile cls|properties|S01,,S02|S99"
   "chaos --profile cls|intensity|high|1.5"
   "chaos --profile cls|jobs|x|1025"
   "serve-sul --profile cls|port|http|65536"

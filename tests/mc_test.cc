@@ -1,6 +1,9 @@
 // Model-checker kernel tests: expression evaluation, guarded-command
-// successors, invariant checking with trace extraction, edge never-claims,
-// and response liveness (lasso detection, stutter-deadlock semantics).
+// successors, and the two property shapes of the catalog as traversals of
+// the reachable graph — edge never-claims with trace extraction and
+// response liveness (lasso detection, stutter-deadlock semantics, the state
+// cap) — plus the graph's layout, state keys and guard table. One case pins
+// the one-call mc::Checker against ReachGraph::check_edge_never.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,6 +46,28 @@ Model counter_model(std::int32_t bound) {
   return m;
 }
 
+// A never-claim or liveness label over every command named `label` (an
+// unknown label matches no edge).
+EdgeMatch label_match(const Model& m, const std::string& label) {
+  EdgeMatch match;
+  for (const Command& cmd : m.commands()) match.commands.push_back(cmd.label == label ? 1 : 0);
+  return match;
+}
+
+// "No command labelled `bad` ever fires", on a graph of `m`.
+std::optional<CounterExample> check_never(const Model& m, const std::string& bad,
+                                          CheckStats* stats, const CheckOptions& options = {}) {
+  return ReachGraph::build(m).check_edge_never(label_match(m, bad), stats, options);
+}
+
+// G(trigger → F response) over command labels, on a graph of `m`.
+std::optional<CounterExample> check_response(const Model& m, const std::string& trigger,
+                                             const std::string& response, CheckStats* stats,
+                                             const CheckOptions& options = {}) {
+  return ReachGraph::build(m).check_response(label_match(m, trigger), label_match(m, response),
+                                             stats, options);
+}
+
 // The CEGAR refinement table banning every command with one of `labels`.
 std::vector<std::uint8_t> banned_labels(const Model& m, const std::set<std::string>& labels) {
   std::vector<std::uint8_t> banned(m.commands().size(), 0);
@@ -56,10 +81,8 @@ TEST(Expr, Atoms) {
   State s{2, 5};
   EXPECT_TRUE(Expr::eq(0, 2).eval(s));
   EXPECT_FALSE(Expr::eq(0, 3).eval(s));
-  EXPECT_TRUE(Expr::ne(1, 4).eval(s));
-  EXPECT_TRUE(Expr::lt(0, 3).eval(s));
-  EXPECT_FALSE(Expr::lt(0, 2).eval(s));
-  EXPECT_TRUE(Expr::gt(1, 4).eval(s));
+  EXPECT_TRUE(Expr::eq(1, 5).eval(s));
+  EXPECT_FALSE(Expr::eq(1, 2).eval(s));
   EXPECT_TRUE(Expr::constant(true).eval(s));
   EXPECT_FALSE(Expr::constant(false).eval(s));
 }
@@ -72,12 +95,9 @@ TEST(Expr, Connectives) {
   EXPECT_FALSE(Expr::land(yes, no).eval(s));
   EXPECT_TRUE(Expr::lor(no, yes).eval(s));
   EXPECT_FALSE(Expr::lor(no, no).eval(s));
-  EXPECT_TRUE(Expr::lnot(no).eval(s));
   EXPECT_TRUE(Expr::all({yes, yes, yes}).eval(s));
   EXPECT_FALSE(Expr::all({yes, no}).eval(s));
-  EXPECT_TRUE(Expr::any({no, yes}).eval(s));
-  EXPECT_TRUE(Expr::all({}).eval(s));   // empty conjunction
-  EXPECT_FALSE(Expr::any({}).eval(s));  // empty disjunction
+  EXPECT_TRUE(Expr::all({}).eval(s));  // empty conjunction
 }
 
 // --- Model --------------------------------------------------------------------
@@ -142,14 +162,18 @@ TEST(Model, RenderAndSmvDump) {
   EXPECT_TRUE(contains(smv, "step0"));
 }
 
-// --- Invariants -----------------------------------------------------------------
+// --- Invariants as never-claims ------------------------------------------------
+//
+// The catalog states a safety invariant G p as a never-claim on the edges
+// that reach a state violating p; BFS makes the trace a shortest one.
 
 TEST(Invariant, HoldsOnRing) {
   Model m = ring_model();
-  Checker checker(m);
   CheckStats stats;
-  // pos < 3 always.
-  auto cex = checker.check_invariant(Expr::lt(0, 3), &stats);
+  // The token never moves out of turn: step0 never fires at pos = p1.
+  EdgeMatch out_of_turn = label_match(m, "step0");
+  out_of_turn.pre_equals = {{0, 1}};
+  auto cex = ReachGraph::build(m).check_edge_never(out_of_turn, &stats);
   EXPECT_FALSE(cex.has_value());
   EXPECT_EQ(stats.states_explored, 3u);
   EXPECT_FALSE(stats.bound_hit);
@@ -157,40 +181,29 @@ TEST(Invariant, HoldsOnRing) {
 
 TEST(Invariant, ViolationWithMinimalTrace) {
   Model m = counter_model(5);
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_invariant(Expr::lt(0, 3), &stats);  // violated at c = 3
+  auto cex = check_never(m, "inc2", &stats);  // c < 3 is violated once inc2 fires
   ASSERT_TRUE(cex.has_value());
   EXPECT_EQ(cex->steps.size(), 3u);  // BFS finds the shortest path
   EXPECT_EQ(cex->steps.back().post[0], 3);
   EXPECT_EQ(cex->loop_start, -1);
 }
 
-TEST(Invariant, InitialStateViolation) {
-  Model m = counter_model(2);
-  Checker checker(m);
-  CheckStats stats;
-  auto cex = checker.check_invariant(Expr::gt(0, 0), &stats);  // c > 0 fails at init
-  ASSERT_TRUE(cex.has_value());
-  EXPECT_TRUE(cex->steps.empty());
-}
-
 TEST(Invariant, MaxStatesBoundsExploration) {
   Model m = counter_model(100);
-  Checker checker(m);
   CheckStats stats;
   CheckOptions options;
   options.max_states = 10;
-  auto cex = checker.check_invariant(Expr::lt(0, 50), &stats, options);
+  auto cex = ReachGraph::build(m, options).check_edge_never(label_match(m, "inc49"), &stats,
+                                                            options);
   EXPECT_FALSE(cex.has_value());  // bound hit before the violation
   EXPECT_TRUE(stats.bound_hit);
 }
 
 TEST(Invariant, TraceRenders) {
   Model m = counter_model(5);
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_invariant(Expr::lt(0, 2), &stats);
+  auto cex = check_never(m, "inc1", &stats);
   ASSERT_TRUE(cex.has_value());
   std::string text = cex->render(m);
   EXPECT_TRUE(contains(text, "inc0"));
@@ -201,11 +214,8 @@ TEST(Invariant, TraceRenders) {
 
 TEST(EdgeNever, FindsLabelledEdge) {
   Model m = counter_model(5);
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_edge_never(
-      [](const State&, const Command& cmd, const State&) { return cmd.label == "inc3"; },
-      &stats);
+  auto cex = check_never(m, "inc3", &stats);
   ASSERT_TRUE(cex.has_value());
   EXPECT_EQ(cex->steps.size(), 4u);
   EXPECT_EQ(cex->steps.back().label, "inc3");
@@ -213,26 +223,18 @@ TEST(EdgeNever, FindsLabelledEdge) {
 
 TEST(EdgeNever, VerifiedWhenEdgeAbsent) {
   Model m = counter_model(5);
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_edge_never(
-      [](const State&, const Command& cmd, const State&) { return cmd.label == "nope"; },
-      &stats);
-  EXPECT_FALSE(cex.has_value());
+  EXPECT_FALSE(check_never(m, "nope", &stats).has_value());
 }
 
 TEST(EdgeNever, AllowedFilterPrunes) {
   // CEGAR refinement semantics: banning the offending command verifies the
   // property.
   Model m = counter_model(5);
-  Checker checker(m);
   CheckStats stats;
   CheckOptions options;
   options.banned = banned_labels(m, {"inc2"});  // cuts the path at c = 2
-  auto cex = checker.check_edge_never(
-      [](const State&, const Command& cmd, const State&) { return cmd.label == "inc3"; },
-      &stats, options);
-  EXPECT_FALSE(cex.has_value());
+  EXPECT_FALSE(check_never(m, "inc3", &stats, options).has_value());
 }
 
 TEST(EdgeNever, MetaIsCarriedIntoTrace) {
@@ -246,16 +248,12 @@ TEST(EdgeNever, MetaIsCarriedIntoTrace) {
   cmd.meta.kind = CommandMeta::Kind::kInject;
   cmd.meta.message = "attach_reject";
   m.add_command(std::move(cmd));
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_edge_never(
-      [](const State&, const Command& c, const State&) {
-        return c.meta.message == "attach_reject";
-      },
-      &stats);
+  auto cex = check_never(m, "adv", &stats);
   ASSERT_TRUE(cex.has_value());
   EXPECT_EQ(cex->adversary_steps().size(), 1u);
   EXPECT_EQ(cex->adversary_steps()[0]->meta.kind, CommandMeta::Kind::kInject);
+  EXPECT_EQ(cex->adversary_steps()[0]->meta.message, "attach_reject");
 }
 
 // --- Response liveness ----------------------------------------------------------------
@@ -285,15 +283,10 @@ Model request_model(bool with_lazy_loop) {
   return m;
 }
 
-EdgePred label_is(std::string name) {
-  return [name](const State&, const Command& cmd, const State&) { return cmd.label == name; };
-}
-
 TEST(Response, ViolatedByStallingLoop) {
   Model m = request_model(/*with_lazy_loop=*/true);
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_response(label_is("request"), label_is("respond"), &stats);
+  auto cex = check_response(m, "request", "respond", &stats);
   ASSERT_TRUE(cex.has_value());
   EXPECT_GE(cex->loop_start, 0);
   // The loop must not contain the response.
@@ -306,10 +299,8 @@ TEST(Response, HoldsWithoutStallingLoop) {
   // Note G(req -> F resp) holds here because the only infinite behavior
   // alternates request/respond.
   Model m = request_model(/*with_lazy_loop=*/false);
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_response(label_is("request"), label_is("respond"), &stats);
-  EXPECT_FALSE(cex.has_value());
+  EXPECT_FALSE(check_response(m, "request", "respond", &stats).has_value());
 }
 
 TEST(Response, DeadlockWithPendingObligationIsViolation) {
@@ -322,9 +313,8 @@ TEST(Response, DeadlockWithPendingObligationIsViolation) {
   req.guard = Expr::eq(st, 0);
   req.updates = {{st, 1}};
   m.add_command(std::move(req));  // no command enabled at st = 1
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_response(label_is("request"), label_is("respond"), &stats);
+  auto cex = check_response(m, "request", "respond", &stats);
   ASSERT_TRUE(cex.has_value());
   EXPECT_GE(cex->loop_start, 0);
   EXPECT_EQ(cex->steps.back().label, "(stutter)");
@@ -332,38 +322,32 @@ TEST(Response, DeadlockWithPendingObligationIsViolation) {
 
 TEST(Response, NoTriggerNoViolation) {
   Model m = request_model(/*with_lazy_loop=*/true);
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_response(label_is("never_fires"), label_is("respond"), &stats);
-  EXPECT_FALSE(cex.has_value());
+  EXPECT_FALSE(check_response(m, "never_fires", "respond", &stats).has_value());
 }
 
 TEST(Response, TriggerAndResponseOnSameEdgeIsSatisfied) {
   Model m = request_model(/*with_lazy_loop=*/true);
-  Checker checker(m);
   CheckStats stats;
   // An edge that is both trigger and response discharges itself.
-  auto cex = checker.check_response(label_is("request"), label_is("request"), &stats);
-  EXPECT_FALSE(cex.has_value());
+  EXPECT_FALSE(check_response(m, "request", "request", &stats).has_value());
 }
 
 TEST(Response, AllowedFilterAppliesToLiveness) {
   Model m = request_model(/*with_lazy_loop=*/true);
-  Checker checker(m);
   CheckStats stats;
   CheckOptions options;
   options.banned = banned_labels(m, {"lazy"});
-  auto cex = checker.check_response(label_is("request"), label_is("respond"), &stats, options);
-  EXPECT_FALSE(cex.has_value());
+  EXPECT_FALSE(check_response(m, "request", "respond", &stats, options).has_value());
 }
 
 // --- Interned-state kernel: search equivalence pins -----------------------------
 //
 // The visited set is an open-addressing table of packed state keys, and
 // each state's enabled commands come from the guard table compiled at the
-// start of the build. These tests pin exact visited counts so any rewrite that
-// silently explores a different state space — over- or under-approximating
-// — fails loudly.
+// start of the build. These tests pin the build's exact state and edge
+// counts so any rewrite that silently explores a different state space —
+// over- or under-approximating — fails loudly.
 
 // Two independent toggles: 4 reachable states, discovered over 8 edges,
 // with every non-initial state reachable along two paths (dedup must fire).
@@ -387,15 +371,15 @@ Model toggle_model() {
 }
 
 TEST(Kernel, VisitedStateCountsArePinned) {
-  CheckStats stats;
-  auto cex = Checker(ring_model()).check_invariant(Expr::lt(0, 3), &stats);
-  EXPECT_FALSE(cex.has_value());
+  const Model ring = ring_model();
+  const CheckStats stats = ReachGraph::build(ring).stats();
+  EXPECT_FALSE(stats.truncated());
   EXPECT_EQ(stats.states_explored, 3u);
   EXPECT_EQ(stats.edges_explored, 3u);
 
-  CheckStats toggles;
-  cex = Checker(toggle_model()).check_invariant(Expr::constant(true), &toggles);
-  EXPECT_FALSE(cex.has_value());
+  const Model toggle = toggle_model();
+  const CheckStats toggles = ReachGraph::build(toggle).stats();
+  EXPECT_FALSE(toggles.truncated());
   EXPECT_EQ(toggles.states_explored, 4u);  // interning dedups the merged paths
   EXPECT_EQ(toggles.edges_explored, 8u);   // 2 enabled commands per state
 }
@@ -404,8 +388,8 @@ TEST(Kernel, GuardReadsAndCommandIndicesAreRecorded) {
   Model m = toggle_model();
   EXPECT_EQ(m.commands()[2].index, 2);
   std::vector<int> read;
-  Expr::land(Expr::eq(0, 1), Expr::lnot(Expr::ne(1, 0))).collect_vars(read);
-  EXPECT_EQ(read, (std::vector<int>{0, 1}));
+  Expr::land(Expr::eq(0, 1), Expr::lor(Expr::eq(1, 0), Expr::eq(1, 1))).collect_vars(read);
+  EXPECT_EQ(read, (std::vector<int>{0, 1, 1}));  // every read, repeats included
 }
 
 TEST(Kernel, SameValueWritesDoNotCreateNewStates) {
@@ -418,9 +402,8 @@ TEST(Kernel, SameValueWritesDoNotCreateNewStates) {
   noop.guard = Expr::eq(0, 0);
   noop.updates = {{0, 0}};  // pos := pos (it is 0 whenever enabled)
   m.add_command(std::move(noop));
-  CheckStats stats;
-  auto cex = Checker(m).check_invariant(Expr::lt(0, 3), &stats);
-  EXPECT_FALSE(cex.has_value());
+  const CheckStats stats = ReachGraph::build(m).stats();
+  EXPECT_FALSE(stats.truncated());
   EXPECT_EQ(stats.states_explored, 3u);  // noop adds edges, never states
   EXPECT_EQ(stats.edges_explored, 4u);
 }
@@ -437,22 +420,20 @@ TEST(Kernel, GuardsOnUnchangedVariablesStayEnabled) {
   watch.guard = Expr::land(Expr::eq(1, 0), Expr::eq(c, 0));  // reads b and c only
   watch.updates = {{c, 1}};
   m.add_command(std::move(watch));
-  CheckStats stats;
-  auto cex = Checker(m).check_invariant(Expr::constant(true), &stats);
-  EXPECT_FALSE(cex.has_value());
+  const CheckStats stats = ReachGraph::build(m).stats();
+  EXPECT_FALSE(stats.truncated());
   // States: (a,b,c) with c=0: all 4; c=1 reachable only from b=0: (0,0,1),
   // (1,0,1), then b toggles freely: (0,1,1), (1,1,1) -> 8 total.
   EXPECT_EQ(stats.states_explored, 8u);
 }
 
 TEST(Kernel, VisitedBytesAreReported) {
-  CheckStats stats;
-  Checker(toggle_model()).check_invariant(Expr::constant(true), &stats);
-  EXPECT_GT(stats.visited_bytes, 0u);
+  const Model toggle = toggle_model();
+  EXPECT_GT(ReachGraph::build(toggle).stats().visited_bytes, 0u);
 
   CheckStats lasso;
-  Model rm = request_model(/*with_lazy_loop=*/true);
-  Checker(rm).check_response(label_is("request"), label_is("respond"), &lasso);
+  const Model rm = request_model(/*with_lazy_loop=*/true);
+  check_response(rm, "request", "respond", &lasso);
   EXPECT_GT(lasso.visited_bytes, 0u);
 }
 
@@ -461,7 +442,7 @@ TEST(Kernel, LivenessProductCountsArePinned) {
   // (waiting, pending); respond folds back onto the initial node.
   Model m = request_model(/*with_lazy_loop=*/true);
   CheckStats stats;
-  auto cex = Checker(m).check_response(label_is("request"), label_is("respond"), &stats);
+  auto cex = check_response(m, "request", "respond", &stats);
   ASSERT_TRUE(cex.has_value());
   EXPECT_EQ(stats.states_explored, 2u);
 }
@@ -473,12 +454,6 @@ TEST(Kernel, LivenessProductCountsArePinned) {
 // breadth-first search of the model: states in discovery order, each
 // state's edges in command order, every enabled command an edge
 // (self-loops included).
-
-EdgeMatch label_match(const Model& m, const std::string& label) {
-  EdgeMatch match;
-  for (const Command& cmd : m.commands()) match.commands.push_back(cmd.label == label ? 1 : 0);
-  return match;
-}
 
 // (target, command) of every stored out-edge of `id`.
 std::vector<std::pair<std::uint32_t, std::size_t>> out_edges(const ReachGraph& g,
@@ -525,25 +500,73 @@ TEST(ReachGraph, SelfLoopStaysAnEdge) {
 
 TEST(ReachGraph, TraversalCapReproducesATruncatedSearch) {
   // A cap k inside the traversal of a complete graph stops exactly where a
-  // search of a graph built at k stops.
+  // search of a graph built at k stops. The one-call mc::Checker builds at
+  // k, and its predicate sees the edge's pre- and post-states.
   Model m = counter_model(100);
   ReachGraph full = ReachGraph::build(m);
   ASSERT_EQ(full.states(), 101u);
+  const Checker one_call_checker(m);
+  auto inc_from = [](std::int32_t c) {
+    return [c](const State& pre, const Command& cmd, const State& post) {
+      return pre[0] == c && post[0] == c + 1 && cmd.label == "inc" + std::to_string(c);
+    };
+  };
   CheckOptions capped;
   capped.max_states = 10;
   CheckStats on_full;
   EXPECT_FALSE(full.check_edge_never(label_match(m, "inc50"), &on_full, capped).has_value());
   CheckStats one_call;
-  EXPECT_FALSE(Checker(m)
-                   .check_edge_never(
-                       [](const State&, const Command& c, const State&) { return c.label == "inc50"; },
-                       &one_call, capped)
-                   .has_value());
+  EXPECT_FALSE(one_call_checker.check_edge_never(inc_from(50), &one_call, capped).has_value());
   EXPECT_TRUE(on_full.bound_hit);
   EXPECT_TRUE(one_call.bound_hit);
   EXPECT_EQ(on_full.states_explored, 10u);
   EXPECT_EQ(one_call.states_explored, 10u);
   EXPECT_EQ(on_full.edges_explored, one_call.edges_explored);
+
+  // Uncapped, both find the same trace; the one call adds the build's cost.
+  EdgeMatch at_fifty = label_match(m, "inc50");
+  at_fifty.pre_equals = {{0, 50}};
+  auto graph_cex = full.check_edge_never(at_fifty, &on_full);
+  auto call_cex = one_call_checker.check_edge_never(inc_from(50), &one_call);
+  ASSERT_TRUE(graph_cex.has_value());
+  ASSERT_TRUE(call_cex.has_value());
+  EXPECT_EQ(call_cex->render(m), graph_cex->render(m));
+  EXPECT_EQ(call_cex->steps.size(), 51u);
+  EXPECT_FALSE(one_call.truncated());
+  EXPECT_EQ(one_call.states_explored, on_full.states_explored);
+  EXPECT_EQ(one_call.edges_explored, on_full.edges_explored);
+  EXPECT_GT(one_call.visited_bytes, on_full.visited_bytes);
+}
+
+TEST(ReachGraph, LivenessCapBoundsProductNodes) {
+  // The liveness traversal caps its (state, pending) product nodes at k.
+  // ring_model with trigger step0 and no response: 4 nodes over 3 states,
+  // (p0, clear) and then p1, p2, p0 pending, whose cycle is the lasso.
+  // request_model: (idle, clear) and (waiting, pending), with the lazy
+  // self-loop as the lasso. Below the full node count nothing verifies.
+  struct Case {
+    Model model;
+    std::string trigger, response;
+    std::size_t nodes;
+  };
+  const Case cases[] = {{ring_model(), "step0", "none", 4},
+                        {request_model(/*with_lazy_loop=*/true), "request", "respond", 2}};
+  for (const Case& c : cases) {
+    const ReachGraph g = ReachGraph::build(c.model);
+    for (std::size_t k = 0; k <= c.nodes + 1; ++k) {
+      CheckOptions cap;
+      cap.max_states = k;
+      CheckStats stats;
+      auto cex = g.check_response(label_match(c.model, c.trigger),
+                                  label_match(c.model, c.response), &stats, cap);
+      EXPECT_EQ(stats.states_explored, std::min(k, c.nodes)) << c.trigger << " k=" << k;
+      EXPECT_EQ(stats.bound_hit, k < c.nodes) << c.trigger << " k=" << k;
+      EXPECT_EQ(cex.has_value(), k >= c.nodes) << c.trigger << " k=" << k;
+      if (cex) {
+        EXPECT_GE(cex->loop_start, 0) << c.trigger << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(ReachGraph, TruncatedBuildNeverVerifiesButFindsRealPaths) {
@@ -699,7 +722,11 @@ TEST(ReachGraph, StateKeysHoldSixtyFourBitsAndNoMore) {
 //
 // The build compiles every guard once into per-(variable, value) command
 // masks plus the conjuncts that read two or more variables. This model holds
-// every guard shape the table must get right, checked edge by edge against
+// every guard shape the table must get right — a constant conjunct, a
+// disjunction tabulated over one variable, two conjuncts sharing a
+// variable's row, a residual disjunction across variables (alone and beside
+// a tabulated conjunct that can disable it first), a variable declared after
+// its readers, and masks spanning two words — checked edge by edge against
 // Model::successors, which interprets the guards directly.
 
 Model guard_shapes_model() {
@@ -715,19 +742,29 @@ Model guard_shapes_model() {
     cmd.updates = std::move(updates);
     m.add_command(std::move(cmd));
   };
+  // x is one of `values`.
+  auto x_in = [&](std::vector<std::int32_t> values) {
+    Expr either = Expr::eq(x, values[0]);
+    for (std::size_t i = 1; i < values.size(); ++i) {
+      either = Expr::lor(std::move(either), Expr::eq(x, values[i]));
+    }
+    return either;
+  };
   add("or_across_vars", Expr::lor(Expr::eq(x, 3), Expr::eq(f, 1)), {{x, 0}, {f, 0}});
-  add("not_of_conjunction",
-      Expr::land(Expr::lnot(Expr::land(Expr::eq(x, 1), Expr::eq(y, 2))), Expr::eq(late, 0)),
+  // Not (x = 1 and y = 2), and late = 0.
+  add("or_across_vars_and_late",
+      Expr::land(Expr::lor(x_in({0, 2, 3}), Expr::lor(Expr::eq(y, 0), Expr::eq(y, 1))),
+                 Expr::eq(late, 0)),
       {{late, 1}});
-  add("not_of_one_var_conjunction", Expr::lnot(Expr::land(Expr::ne(x, 0), Expr::ne(x, 3))),
-      {{y, 2}});
-  add("lt_and_gt", Expr::land(Expr::lt(x, 2), Expr::gt(y, 0)), {{x, 2}});
+  add("or_on_one_var", x_in({0, 3}), {{y, 2}});
+  add("ors_on_two_vars", Expr::land(x_in({0, 1}), Expr::lor(Expr::eq(y, 1), Expr::eq(y, 2))),
+      {{x, 2}});
   add("constant_true", Expr::land(Expr::constant(true), Expr::eq(y, 0)), {{y, 1}});
   add("constant_false", Expr::land(Expr::eq(y, 1), Expr::constant(false)), {{y, 2}});
-  add("two_on_one_var", Expr::land(Expr::ne(x, 0), Expr::ne(x, 3)), {{f, 1}});
+  add("two_on_one_var", Expr::land(x_in({1, 2, 3}), x_in({0, 1, 2})), {{f, 1}});
   add("no_updates", Expr::eq(f, 0), {});
   add("reads_late_var", Expr::eq(late, 1), {{late, 0}, {f, 1}});
-  add("copy", Expr::gt(y, 1), {{x, 0, y}});
+  add("copy", Expr::eq(y, 2), {{x, 0, y}});
   // Enough commands that the masks span two words.
   for (std::int32_t i = 0; i < 60; ++i) {
     add("step" + std::to_string(i),
@@ -795,9 +832,8 @@ TEST(ReachGraph, RefusesAGuardReadingAMissingVariable) {
 
 TEST(Trace, DotExportHighlightsAdversaryAndLoop) {
   Model m = request_model(/*with_lazy_loop=*/true);
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_response(label_is("request"), label_is("respond"), &stats);
+  auto cex = check_response(m, "request", "respond", &stats);
   ASSERT_TRUE(cex.has_value());
   std::string dot = cex->to_dot(m);
   EXPECT_TRUE(contains(dot, "digraph counterexample"));
@@ -807,9 +843,8 @@ TEST(Trace, DotExportHighlightsAdversaryAndLoop) {
 
 TEST(Response, LassoRenderMarksLoop) {
   Model m = request_model(/*with_lazy_loop=*/true);
-  Checker checker(m);
   CheckStats stats;
-  auto cex = checker.check_response(label_is("request"), label_is("respond"), &stats);
+  auto cex = check_response(m, "request", "respond", &stats);
   ASSERT_TRUE(cex.has_value());
   std::string text = cex->render(m);
   EXPECT_TRUE(contains(text, "loop"));

@@ -28,6 +28,7 @@
 #include "checker/report.h"
 #include "checker/supervisor.h"
 #include "common/journal.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "learner/learn_supervisor.h"
@@ -256,8 +257,19 @@ PropertyOutcome sample_outcome() {
   step.meta.actions = {"authentication_response"};
   step.post = {4, 2, 0, -1, 7};
   cex.steps.push_back(step);
+  step.label = "ue_deliver_authentication_request";  // the loop
+  step.meta.actor = mc::CommandMeta::Actor::kUe;
+  step.meta.kind = mc::CommandMeta::Kind::kDeliver;
+  cex.steps.push_back(step);
   o.result.counterexample = cex;
   return o;
+}
+
+// `json` with the first `from` replaced by `to`.
+std::string with(std::string json, const std::string& from, const std::string& to) {
+  const std::size_t at = json.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? json : json.replace(at, from.size(), to);
 }
 
 TEST(OutcomeCodec, RoundTripsEveryField) {
@@ -278,7 +290,7 @@ TEST(OutcomeCodec, RoundTripsEveryField) {
   EXPECT_EQ(back->result.equivalence->reason, o.result.equivalence->reason);
   ASSERT_TRUE(back->result.counterexample.has_value());
   EXPECT_EQ(back->result.counterexample->loop_start, 1);
-  ASSERT_EQ(back->result.counterexample->steps.size(), 1u);
+  ASSERT_EQ(back->result.counterexample->steps.size(), 2u);
   const mc::TraceStep& s = back->result.counterexample->steps[0];
   EXPECT_EQ(s.label, "adv_replay_dl_authentication_request");
   EXPECT_EQ(s.meta.kind, mc::CommandMeta::Kind::kReplay);
@@ -298,6 +310,46 @@ TEST(OutcomeCodec, RejectsMalformedRecords) {
   std::string valid = encode_outcome(sample_outcome());
   EXPECT_TRUE(decode_outcome(valid).has_value());
   EXPECT_FALSE(decode_outcome(valid.substr(0, valid.size() / 2)).has_value());
+}
+
+TEST(OutcomeCodec, RefusesTraceShapesOutsideTheirTypes) {
+  // Decoding casts actor and ckind to enums and the report indexes the
+  // steps by loop, so a record is refused unless each is in range, and
+  // unless atoms, acts and post are arrays of strings and int32s.
+  const std::string valid = encode_outcome(sample_outcome());
+  ASSERT_TRUE(decode_outcome(valid).has_value());
+  ASSERT_TRUE(contains(valid, "\"loop\":1,")) << valid;
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"\"actor\":2", "\"actor\":3"},
+      {"\"actor\":2", "\"actor\":-1"},
+      {",\"actor\":2", ""},
+      {"\"ckind\":4", "\"ckind\":5"},
+      {"\"ckind\":4", "\"ckind\":-1"},
+      {"\"loop\":1,", "\"loop\":2,"},
+      {"\"loop\":1,", "\"loop\":-2,"},
+      {"\"loop\":1,", "\"loop\":4294967296,"},
+      {"\"atoms\":[\"mac_valid=1\"", "\"atoms\":\"mac_valid=1\",\"x\":[\"\""},
+      {"\"atoms\":[\"mac_valid=1\"", "\"atoms\":[1"},
+      {"\"acts\":[\"authentication_response\"]", "\"acts\":{}"},
+      {"\"acts\":[\"authentication_response\"]", "\"acts\":[null]"},
+      {"\"post\":[4,2,0,-1,7]", "\"post\":4"},
+      {"\"post\":[4,2,0,-1,7]", "\"post\":[4,\"2\"]"},
+      {"\"post\":[4,2,0,-1,7]", "\"post\":[4294967297]"},
+  };
+  for (const auto& [from, to] : bad) {
+    const std::string json = with(valid, from, to);
+    ASSERT_TRUE(json_parse(json).has_value()) << json;
+    EXPECT_FALSE(decode_outcome(json).has_value()) << to;
+  }
+  // The edges of each range still decode.
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"\"actor\":2", "\"actor\":0"},
+           {"\"ckind\":4", "\"ckind\":0"},
+           {"\"loop\":1,", "\"loop\":-1,"},
+           {"\"loop\":1,", "\"loop\":0,"},
+           {"\"post\":[4,2,0,-1,7]", "\"post\":[2147483647,-2147483648]"}}) {
+    EXPECT_TRUE(decode_outcome(with(valid, from, to)).has_value()) << to;
+  }
 }
 
 // --- Containment, retries, classification -----------------------------------
@@ -762,6 +814,55 @@ TEST(Supervisor, ResumeRefusedOnOptionsHashMismatch) {
   SupervisedRun adopted = run_sup(sel, matching, {});
   EXPECT_FALSE(adopted.aborted);
   EXPECT_EQ(adopted.resumed, sel.size());
+}
+
+// A journaled trace is rendered against the run's model, so a record whose
+// states do not fit it — a CRC-valid record cut short, or one from another
+// model — is re-verified, never adopted.
+TEST(Supervisor, ResumeReverifiesRecordsThatDoNotFitTheModel) {
+  auto sel = select({"S01"});
+  const std::string path = tmp_path("journal_misfit.jsonl");
+  std::remove(path.c_str());
+  SupervisorOptions opts;
+  opts.journal_path = path;
+  opts.run_tag = "cls";
+  const SupervisedRun reference = run_sup(sel, opts, {});
+  const JournalLoad load = load_journal(path);
+  ASSERT_EQ(load.payloads.size(), 2u);  // the header and S01's outcome
+  const std::optional<PropertyOutcome> journaled = decode_outcome(load.payloads[1]);
+  ASSERT_TRUE(journaled.has_value());
+  ASSERT_TRUE(journaled->result.counterexample.has_value());
+  const mc::Model& model = pipeline().tm.model;
+
+  using Edit = void (*)(mc::State&, const mc::Model&);
+  const std::pair<const char*, Edit> edits[] = {
+      {"every post cut to one value", [](mc::State& s, const mc::Model&) { s.resize(1); }},
+      {"one value too many", [](mc::State& s, const mc::Model&) { s.push_back(0); }},
+      {"a value past its domain",
+       [](mc::State& s, const mc::Model& m) {
+         s.back() = m.domain(static_cast<int>(s.size()) - 1);
+       }},
+      {"a negative value", [](mc::State& s, const mc::Model&) { s.front() = -1; }},
+  };
+  opts.resume = true;
+  for (const auto& [name, edit] : edits) {
+    PropertyOutcome misfit = *journaled;
+    for (mc::TraceStep& step : misfit.result.counterexample->steps) edit(step.post, model);
+    {
+      RunJournal writer(path, false, {"analyze", "cls", ""});
+      ASSERT_TRUE(writer.refusal().empty()) << writer.refusal();
+      writer.start({encode_outcome(misfit)});
+    }
+    ASSERT_TRUE(decode_outcome(encode_outcome(misfit)).has_value()) << name;
+    const SupervisedRun resumed = run_sup(sel, opts, {});
+    EXPECT_EQ(resumed.resumed, 0u) << name;
+    expect_outcomes_equal(resumed.outcomes, reference.outcomes);
+    EXPECT_EQ(resumed.journal_records, 1u) << name;
+  }
+  // The journal each resume left behind is adopted as it stands.
+  const SupervisedRun adopted = run_sup(sel, opts, {});
+  EXPECT_EQ(adopted.resumed, 1u);
+  expect_outcomes_equal(adopted.outcomes, reference.outcomes);
 }
 
 // --- Kill–resume determinism -------------------------------------------------
