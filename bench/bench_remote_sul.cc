@@ -21,8 +21,8 @@
 //
 // --rtt-ms M adds the RTT-amortization sweep for the word protocol: the same
 // workload through a chaos proxy that delays every chunk ~M ms, once per
-// protocol shape — word-level (batch 1: one kQueryWord per query) and
-// batched (the negotiated batch, default 16). On loopback the RTT is ~zero
+// protocol shape — word-level (batch 1: one word per kQueryBatch) and
+// batched (--batch words per frame, default 16). On loopback the RTT is ~zero
 // and both shapes tie; with a real RTT the word-level shape pays two delays
 // per query and the batched shape amortizes two delays across a whole
 // batch, which is the point of batching.
@@ -157,7 +157,7 @@ ClientsSample run_clients(int clients, const Workload& w,
 }
 
 struct RttRow {
-  int batch = 0;  // 1 = one kQueryWord per word
+  int batch = 0;  // words per kQueryBatch frame
   double seconds = 0;
   double queries_per_sec = 0;
   long server_resets = 0;  // what prefix-sorted execution actually saved
@@ -236,7 +236,7 @@ double run_supervised_learn(std::uint16_t port, const std::string& journal_path,
   }
   net::RemoteSulOptions opts;
   opts.port = port;
-  opts.max_batch_words = 1;  // one kQueryWord per word: every query pays the RTT
+  opts.max_batch_words = 1;  // one word per frame: every query pays the RTT
   opts.call_deadline_seconds = 5.0;
   net::RemoteUeSul sul(opts);
   learner::LearnSupervisorOptions lopts;

@@ -84,7 +84,7 @@ int usage() {
                " [options]\n"
                "  instrument <source-file> [--header <header-file>]\n"
                "  conformance --profile <cls|srsue|oai> [--log <file>] [--remote <host:port>]"
-               " [--batch <N>]\n"
+               " [--psk <key>]\n"
                "  extract --profile <cls|srsue|oai> [--log <file>] [--dot] [--basic]"
                " [--recovery]\n"
                "  analyze --profile <cls|srsue|oai> [--properties <ids>]"
@@ -101,8 +101,7 @@ int usage() {
                " [--seed <S>] [--dot] [--batch <N>]\n"
                "        [--journal <file>] [--resume <file>] [--arbitrate <k/n>]"
                " [--deadline <S>] [--retries <N>]\n"
-               "        (--batch 0 sends one word query per membership query; default"
-               " offers a 16-word batch;\n"
+               "        (--batch N sends up to N words per query frame, 1-64, default 16;\n"
                "         --resume continues a killed run from its journal;"
                " --arbitrate 0/0 disables k-of-n re-querying)\n"
                "  diff <left> <right> [--json] [--dot] [--jobs <N>] [--psk <key>]"
@@ -248,14 +247,13 @@ int cmd_instrument(const Args& args) {
 // every scenario passes, 1 on behavioral divergence, 3 when the transport
 // degraded and verdicts are inconclusive.
 int cmd_remote_conformance(const ue::StackProfile& profile, const std::string& endpoint,
-                           const std::string& psk, int batch_words) {
+                           const std::string& psk) {
   auto ep = net::parse_endpoint(endpoint);
   if (!ep) return bad_option("remote", endpoint);
   net::RemoteSulOptions ropts;
   ropts.host = ep->first;
   ropts.port = ep->second;
   ropts.psk = psk;
-  ropts.max_batch_words = batch_words;
   net::RemoteUeSul sul(ropts);
   net::RemoteConformanceReport report = net::run_remote_conformance(profile, sul);
   std::fputs(report.render().c_str(), stdout);
@@ -270,11 +268,7 @@ int cmd_remote_conformance(const ue::StackProfile& profile, const std::string& e
 
 int cmd_conformance(ue::StackProfile profile, const Args& args) {
   if (args.has("remote")) {
-    // --batch N: words offered per kQueryBatch in the hello (0 = no
-    // batches, one kQueryWord per query).
-    int batch = net::kDefaultBatchWords;
-    if (!read_flag(args, "batch", 0, net::kMaxBatchWords, &batch)) return 2;
-    return cmd_remote_conformance(profile, args.get("remote"), args.get("psk"), batch);
+    return cmd_remote_conformance(profile, args.get("remote"), args.get("psk"));
   }
   instrument::TraceLogger trace;
   testing::ConformanceReport report = testing::run_conformance(profile, trace);
@@ -286,6 +280,11 @@ int cmd_conformance(ue::StackProfile profile, const Args& args) {
   if (args.has("log")) {
     std::ofstream out(args.get("log"));
     out << trace.text();
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", args.get("log").c_str());
+      return 1;
+    }
     std::printf("log written to %s\n", args.get("log").c_str());
   }
   return 0;
@@ -511,7 +510,7 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
     ropts.port = ep->second;
     ropts.psk = args.get("psk");
     ropts.heartbeat_seconds = 0.5;
-    if (!read_flag(args, "batch", 0, net::kMaxBatchWords, &ropts.max_batch_words)) return 2;
+    if (!read_flag(args, "batch", 1, net::kMaxBatchWords, &ropts.max_batch_words)) return 2;
     net::RemoteUeSul sul(ropts);
     run = learner::learn_supervised(sul, sup);
     net::RemoteSulStats stats = sul.stats();
@@ -522,11 +521,8 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
                  "breaker: %s (%ld opens, %ld half-open probes, %ld unavailable answers)\n",
                  std::string(net::to_string(sul.breaker())).c_str(), stats.breaker_opens,
                  stats.breaker_probes, stats.unavailable_answers);
-    std::fprintf(stderr,
-                 "batching: negotiated %d words, %ld batches (%ld words), %ld word"
-                 " queries\n",
-                 sul.negotiated_batch_words(), stats.batch_queries, stats.batched_words,
-                 stats.word_queries);
+    std::fprintf(stderr, "batching: %ld batches (%ld words)\n", stats.batch_queries,
+                 stats.batched_words);
     // Structured server refusals (busy, draining, auth_failed, quota trips,
     // upgrade_required) surface here so an inconclusive run names its cause.
     const std::string reason = sul.last_close_reason();
@@ -650,7 +646,7 @@ int cmd_diff(const Args& args) {
   diff::DiffOptions dopts;
   diff::TriageOptions topts;
   topts.jobs = ThreadPool::default_parallelism();
-  if (!read_flag(args, "batch", 0, net::kMaxBatchWords, &src.batch_words) ||
+  if (!read_flag(args, "batch", 1, net::kMaxBatchWords, &src.batch_words) ||
       !read_flag(args, "seed", 0, kAnyCount, &src.learn_seed) ||
       !read_flag(args, "max-pairs", 1, kAnyCount, &dopts.max_product_pairs) ||
       !read_flag(args, "jobs", 1, 1024, &topts.jobs) ||
@@ -706,7 +702,7 @@ int main(int argc, char** argv) {
   static const std::map<std::string, Subcommand> subcommands = {
       {"instrument", {cmd_instrument, {"header"}, {}}},
       {"conformance",
-       {with_profile<cmd_conformance>, {"profile", "log", "remote", "psk", "batch"}, {}}},
+       {with_profile<cmd_conformance>, {"profile", "log", "remote", "psk"}, {}}},
       {"extract", {with_profile<cmd_extract>, {"profile", "log"}, {"dot", "basic", "recovery"}}},
       {"analyze",
        {with_profile<cmd_analyze>,

@@ -15,33 +15,9 @@ namespace {
 
 using checker::PropertyDef;
 
-/// The CommandMetas the threat composer would emit for one UE transition:
-/// one kInternal meta for trigger/tau transitions, one kDeliver meta per
-/// admissible provenance for received-message transitions (mirroring
-/// threat/compose.cc so static matching sees exactly the catalog's view).
-std::vector<mc::CommandMeta> metas_of(const fsm::Transition& t) {
-  threat::ConditionSplit cond = threat::split_conditions(t.conditions);
-  std::vector<mc::CommandMeta> out;
-  mc::CommandMeta base;
-  base.actor = mc::CommandMeta::Actor::kUe;
-  base.message = cond.message;
-  base.atoms = t.conditions;
-  base.actions = t.actions;
-  base.from_state = t.from;
-  base.to_state = t.to;
-  if (cond.is_trigger || cond.message.empty()) {
-    base.kind = mc::CommandMeta::Kind::kInternal;
-    out.push_back(std::move(base));
-    return out;
-  }
-  base.kind = mc::CommandMeta::Kind::kDeliver;
-  for (std::int32_t prov : threat::admissible_provenance(t)) {
-    mc::CommandMeta m = base;
-    m.provenance = prov;
-    out.push_back(std::move(m));
-  }
-  return out;
-}
+/// Both sides of a diff are UE machines: static matching sees each of their
+/// edges as the metadata of the composer's UE commands for it.
+constexpr mc::CommandMeta::Actor kUe = mc::CommandMeta::Actor::kUe;
 
 bool property_matches(const PropertyDef& prop, const std::vector<mc::CommandMeta>& metas) {
   for (const mc::CommandMeta& m : metas) {
@@ -85,7 +61,7 @@ void triage(DiffReport& report, const Side& left, const Side& right,
     if (it != meta_cache.end()) return &it->second;
     for (const fsm::Transition& t : machine.transitions()) {
       if (t.label() == label) {
-        return &meta_cache.emplace(label, metas_of(t)).first->second;
+        return &meta_cache.emplace(label, threat::transition_metas(t, kUe)).first->second;
       }
     }
     return nullptr;
@@ -119,7 +95,7 @@ void triage(DiffReport& report, const Side& left, const Side& right,
     for (const Side* side : {&left, &right}) {
       bool matched = false;
       for (const fsm::Transition& t : side->machine.transitions()) {
-        if (property_matches(prop, metas_of(t))) {
+        if (property_matches(prop, threat::transition_metas(t, kUe))) {
           matched = true;
           break;
         }

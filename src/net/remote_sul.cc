@@ -1,8 +1,7 @@
 #include "net/remote_sul.h"
 
 #include <algorithm>
-#include <deque>
-#include <set>
+#include <map>
 
 namespace procheck::net {
 
@@ -18,7 +17,11 @@ void sleep_seconds(double s) {
   if (s > 0) std::this_thread::sleep_for(std::chrono::duration<double>(s));
 }
 
-/// True when the v3 codec can carry this word verbatim: a word it cannot
+/// Query frames in flight before the client waits on an ack (acks come back
+/// in request order, so the window just hides RTTs).
+constexpr std::size_t kInflightFrames = 4;
+
+/// True when the batch codec can carry this word verbatim: a word it cannot
 /// carry degrades to kSulUnavailable, never to a lossy re-encoding.
 bool word_encodable(const std::vector<std::string>& word) {
   if (word.size() > kMaxWordSymbols) return false;
@@ -173,15 +176,7 @@ bool RemoteUeSul::connect_locked(double budget_seconds) {
   ++stats_.connects;
   if (stats_.connects > 1) ++stats_.reconnects;
 
-  // The hello may carry a batch offer; a server (or test fake) that echoes
-  // no grant in the ack gets one kQueryWord per query on this connection.
-  const std::string hello_payload =
-      options_.max_batch_words > 0
-          ? with_batch_token("prochecker-learner",
-                             std::min<int>(options_.max_batch_words,
-                                           static_cast<int>(kMaxBatchWords)))
-          : "prochecker-learner";
-  auto ack = rpc_locked(FrameType::kHello, hello_payload);
+  auto ack = rpc_locked(FrameType::kHello, "prochecker-learner");
   if (ack && ack->type == FrameType::kChallenge) {
     // PSK handshake: prove key possession with a MAC over the server's fresh
     // nonce and our epoch. An empty PSK still answers (with a wrong MAC) so
@@ -194,8 +189,7 @@ bool RemoteUeSul::connect_locked(double budget_seconds) {
     drop_connection_locked();
     return false;
   }
-  negotiated_batch_ = options_.max_batch_words > 0 ? parse_batch_token(ack->payload) : 0;
-  server_profile_ = strip_batch_token(ack->payload);
+  server_profile_ = ack->payload;
   return true;
 }
 
@@ -305,153 +299,132 @@ bool RemoteUeSul::attempt_locked(const std::function<bool()>& exchange) {
 // The Sul interface
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> RemoteUeSul::word_query_locked(const std::vector<std::string>& word) {
-  std::optional<std::vector<std::string>> outs;
-  if (word_encodable(word)) {
-    const std::string payload = encode_word(word);
-    attempt_locked([&] {
-      auto ack = rpc_locked(FrameType::kQueryWord, payload);
-      if (ack && ack->type == FrameType::kWordAck) outs = decode_word(ack->payload);
-      if (outs && outs->size() == word.size()) return true;
-      outs.reset();
-      return false;
-    });
-  }
-  if (!outs) {
+std::vector<std::vector<std::string>> RemoteUeSul::query_locked(
+    const std::vector<const std::vector<std::string>*>& words) {
+  std::vector<std::vector<std::string>> answers(words.size());
+  auto degrade = [&](std::size_t i) {
     // Beyond help for now: the structured unavailable symbol the learner
     // converts into "inconclusive".
     ++stats_.unavailable_answers;
-    return std::vector<std::string>(word.size(), learner::kSulUnavailable);
+    answers[i].assign(words[i]->size(), learner::kSulUnavailable);
+  };
+  // The words still unanswered, as indices into `words` in request order.
+  std::vector<std::size_t> todo;
+  todo.reserve(words.size());
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (word_encodable(*words[i])) {
+      todo.push_back(i);
+    } else {
+      degrade(i);
+    }
   }
-  ++stats_.word_queries;
-  return std::move(*outs);
+
+  // Every encodable word fits a frame on its own.
+  static_assert(kMaxWordSymbols <= kMaxBatchSymbols);
+  const std::size_t per_frame = static_cast<std::size_t>(
+      std::clamp(options_.max_batch_words, 1, static_cast<int>(kMaxBatchWords)));
+  // One pass over `todo` on the live link. Frames carry consecutive runs of
+  // it: up to per_frame words and kMaxBatchSymbols symbols, with ε alone
+  // (the codec carries it only as a one-item batch). Up to kInflightFrames
+  // frames are in the air and acks come back in request order, so the
+  // answered words are always a prefix of `todo`, which the pass erases. It
+  // succeeds once it answered anything: a link that makes progress earns a
+  // fresh attempt budget for the rest.
+  auto exchange = [&] {
+    std::vector<std::pair<std::uint32_t, std::size_t>> sends;  // (seq, end in todo)
+    std::size_t awaited = 0;  // sends[awaited..] are in flight
+    std::size_t sent = 0;
+    std::size_t acked = 0;
+    while (acked < todo.size()) {
+      while (sent < todo.size() && sends.size() - awaited < kInflightFrames) {
+        std::vector<const std::vector<std::string>*> chunk;
+        std::size_t symbols = 0;
+        std::size_t end = sent;
+        for (; end < todo.size() && chunk.size() < per_frame; ++end) {
+          const std::vector<std::string>* w = words[todo[end]];
+          if (!chunk.empty() &&
+              (w->empty() || chunk.front()->empty() || symbols + w->size() > kMaxBatchSymbols)) {
+            break;
+          }
+          symbols += w->size();
+          chunk.push_back(w);
+        }
+        std::uint32_t seq = 0;
+        if (!send_frame_locked(FrameType::kQueryBatch, encode_batch(chunk), &seq)) break;
+        sends.emplace_back(seq, end);
+        sent = end;
+      }
+      if (awaited == sends.size()) break;  // the link died under the sends
+      const auto [seq, end] = sends[awaited++];
+      const std::optional<Frame> ack = await_ack_locked(seq);
+      std::optional<std::vector<std::vector<std::string>>> outs;
+      if (ack && ack->type == FrameType::kBatchAck) outs = decode_batch(ack->payload, end - acked);
+      bool answers_match = outs && outs->size() == end - acked;
+      for (std::size_t k = acked; answers_match && k < end; ++k) {
+        answers_match = (*outs)[k - acked].size() == words[todo[k]]->size();
+      }
+      if (!answers_match) {
+        drop_connection_locked();  // the server answered something we never asked
+        break;
+      }
+      for (std::size_t k = acked; k < end; ++k) answers[todo[k]] = std::move((*outs)[k - acked]);
+      ++stats_.batch_queries;
+      stats_.batched_words += static_cast<long>(end - acked);
+      acked = end;
+    }
+    todo.erase(todo.begin(), todo.begin() + static_cast<std::ptrdiff_t>(acked));
+    return acked > 0;
+  };
+  while (!todo.empty() && attempt_locked(exchange)) {
+  }
+  for (const std::size_t i : todo) degrade(i);
+  return answers;
 }
 
 std::string RemoteUeSul::step(const std::string& input) {
   std::lock_guard<std::mutex> lock(mu_);
   ++steps_;
   word_.push_back(input);
-  return word_query_locked(word_).back();
+  return query_locked({&word_}).front().back();
 }
 
 std::vector<std::string> RemoteUeSul::query_word(const std::vector<std::string>& word) {
   std::lock_guard<std::mutex> lock(mu_);
   ++resets_;
   steps_ += static_cast<long>(word.size());
-  return word_query_locked(word);
-}
-
-void RemoteUeSul::batch_rpc_locked(
-    const std::vector<std::vector<std::string>>& words,
-    std::map<std::vector<std::string>, std::vector<std::string>>* answered) {
-  std::vector<std::vector<std::string>> remaining;
-  for (const auto& w : words) {
-    if (word_encodable(w) && !w.empty()) remaining.push_back(w);
-  }
-  if (remaining.empty()) return;
-
-  attempt_locked([&] {
-    if (negotiated_batch_ <= 0) return true;  // no grant: the caller goes word by word
-
-    // Chunk the remaining words by the negotiated count and the codec's
-    // total-symbol bound, keeping up to max_inflight_batches frames in the
-    // air; acks come back in request order. Every encodable word fits a
-    // chunk on its own, so each chunk carries at least one word.
-    static_assert(kMaxWordSymbols <= kMaxBatchSymbols);
-    const std::size_t cap = static_cast<std::size_t>(negotiated_batch_);
-    const std::size_t window =
-        static_cast<std::size_t>(std::max(1, options_.max_inflight_batches));
-    std::deque<std::pair<std::uint32_t, std::vector<std::vector<std::string>>>> inflight;
-    std::size_t next = 0;
-    bool failed = false;
-
-    auto drain_one = [&]() {
-      auto [seq, chunk] = std::move(inflight.front());
-      inflight.pop_front();
-      auto ack = await_ack_locked(seq);
-      if (!ack || ack->type != FrameType::kBatchAck) return false;
-      const auto items = decode_batch_ack(ack->payload, chunk.size());
-      if (!items || items->size() != chunk.size()) {
-        drop_connection_locked();  // the server answered something we never asked
-        return false;
-      }
-      ++stats_.batch_queries;
-      for (std::size_t i = 0; i < chunk.size(); ++i) {
-        const BatchItem& item = (*items)[i];
-        if (!item.ok || item.outputs.size() != chunk[i].size()) continue;
-        ++stats_.batched_words;
-        (*answered)[chunk[i]] = item.outputs;
-      }
-      return true;
-    };
-
-    while (next < remaining.size() || !inflight.empty()) {
-      while (next < remaining.size() && inflight.size() < window && conn_.valid()) {
-        std::vector<std::vector<std::string>> chunk;
-        std::size_t symbols = 0;
-        while (next < remaining.size() && chunk.size() < cap &&
-               symbols + remaining[next].size() <= kMaxBatchSymbols) {
-          symbols += remaining[next].size();
-          chunk.push_back(remaining[next]);
-          ++next;
-        }
-        std::uint32_t seq = 0;
-        if (!send_frame_locked(FrameType::kQueryBatch, encode_batch(chunk), &seq)) {
-          failed = true;
-          break;
-        }
-        inflight.emplace_back(seq, std::move(chunk));
-      }
-      if (inflight.empty()) break;
-      if (!drain_one()) {
-        failed = true;
-        break;
-      }
-    }
-
-    // A retry after a reconnect ships only what is still unanswered.
-    std::vector<std::vector<std::string>> still;
-    for (const auto& w : remaining) {
-      if (answered->count(w) == 0) still.push_back(w);
-    }
-    remaining = std::move(still);
-    return !failed;
-  });
+  return std::move(query_locked({&word}).front());
 }
 
 std::vector<std::vector<std::string>> RemoteUeSul::query_batch(
     const std::vector<std::vector<std::string>>& words) {
   // Dedupe identical words client-side: each distinct word rides the wire
   // once and fans its answer back out to every position that asked for it.
-  std::vector<std::vector<std::string>> unique;
-  std::set<std::vector<std::string>> seen;
-  for (const auto& w : words) {
-    if (seen.insert(w).second) unique.push_back(w);
+  std::vector<const std::vector<std::string>*> distinct;
+  std::vector<std::size_t> slot(words.size());  // each position's index in `distinct`
+  {
+    std::map<std::reference_wrapper<const std::vector<std::string>>, std::size_t,
+             std::less<std::vector<std::string>>>
+        seen;
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      const auto [it, fresh] = seen.emplace(words[i], distinct.size());
+      if (fresh) distinct.push_back(&words[i]);
+      slot[i] = it->second;
+    }
   }
-  std::map<std::vector<std::string>, std::vector<std::string>> answered;
+  std::vector<std::vector<std::string>> answers;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& w : unique) {
+    for (const std::vector<std::string>* w : distinct) {
       ++resets_;
-      steps_ += static_cast<long>(w.size());
+      steps_ += static_cast<long>(w->size());
     }
-    if (options_.max_batch_words > 0 && unique.size() > 1) batch_rpc_locked(unique, &answered);
-    // Anything a batch could not carry (no grant, transport failure, empty
-    // or unencodable words) goes out as its own kQueryWord.
-    for (const auto& w : unique) {
-      if (answered.count(w) == 0) answered[w] = word_query_locked(w);
-    }
+    answers = query_locked(distinct);
   }
 
   std::vector<std::vector<std::string>> results;
   results.reserve(words.size());
-  for (const auto& w : words) results.push_back(answered.at(w));
+  for (const std::size_t i : slot) results.push_back(answers[i]);
   return results;
-}
-
-int RemoteUeSul::negotiated_batch_words() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return negotiated_batch_;
 }
 
 // ---------------------------------------------------------------------------

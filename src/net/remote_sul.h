@@ -7,13 +7,14 @@
 //   * per-call deadlines — no call ever blocks past its budget;
 //   * reconnect with jittered exponential backoff, bumping the epoch so a
 //     stale answer from a dead link is discarded, never consumed;
-//   * one query shape: every query is a whole word from the initial state,
-//     sent as one kQueryWord (or one slot of a kQueryBatch). step() sends
-//     the word since the last reset(), which the server continues from the
-//     word it just ran; after a reconnect the fresh session simply replays
-//     it, reconstructing the deterministic server state exactly — which is
-//     why learning over a lossy-but-not-lying channel stays byte-identical
-//     to an in-process run;
+//   * one query path: every query is a whole word from the initial state,
+//     sent inside a kQueryBatch. step(), query_word() and query_batch() all
+//     ship their distinct words as pipelined batch frames of up to
+//     max_batch_words words each. step() sends the word since the last
+//     reset(), which the server continues from the word it just ran; after
+//     a reconnect the fresh session simply replays it, reconstructing the
+//     deterministic server state exactly — which is why learning over a
+//     lossy-but-not-lying channel stays byte-identical to an in-process run;
 //   * a circuit breaker (closed → open → half-open probe) that stops
 //     hammering a dead server and degrades to the structured
 //     learner::kSulUnavailable output symbol — learners converge to an
@@ -23,8 +24,9 @@
 //
 // Answers are returned exactly as the server sent them: a nondeterministic
 // SUT is the learning supervisor's to arbitrate (DESIGN.md §15), not the
-// transport's. A word the v3 codec cannot carry (over kMaxWordSymbols, or a
-// symbol outside its charset) degrades to kSulUnavailable.
+// transport's. A word the batch codec cannot carry (over kMaxWordSymbols, or
+// a symbol outside its charset), like any word the transport could not get
+// answered within its attempt budget, degrades to kSulUnavailable.
 //
 // Thread-safety: all client state lives under one mutex shared by the query
 // path and the heartbeat thread; the TSan suite pins this.
@@ -34,7 +36,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -77,14 +78,9 @@ struct RemoteSulOptions {
   /// Heartbeat period for the keepalive thread; 0 disables it.
   double heartbeat_seconds = 0.0;
 
-  /// Words offered per kQueryBatch in the hello negotiation; 0 offers none,
-  /// so every query is its own kQueryWord. The server grants min(offer, its
-  /// own cap) and echoes the grant in the hello-ack; a server that echoes no
-  /// grant leaves the client on one kQueryWord per query too.
+  /// Words per kQueryBatch frame, 1 to kMaxBatchWords (values outside are
+  /// clamped); 1 sends every word in a frame of its own.
   int max_batch_words = kDefaultBatchWords;
-  /// Batch frames allowed in flight before query_batch waits on an ack
-  /// (acks come back in request order, so the window just hides RTTs).
-  int max_inflight_batches = 4;
 
   /// Jitter seed (deterministic backoff for reproducible tests).
   std::uint64_t seed = 0x5EEDF00D;
@@ -105,9 +101,8 @@ struct RemoteSulStats {
   long auth_challenges = 0;     // kChallenge frames answered
   long busy_rejects = 0;        // kServerBusy rejects (admission/drain)
   long server_closes = 0;       // structured kClose frames received
-  long word_queries = 0;        // words answered over kQueryWord (steps too)
   long batch_queries = 0;       // kQueryBatch frames acked
-  long batched_words = 0;       // words answered inside those batches
+  long batched_words = 0;       // words answered inside those frames
 };
 
 /// Circuit-breaker state (exposed for tests and status lines).
@@ -127,28 +122,23 @@ class RemoteUeSul final : public learner::Sul {
   void reset() override;
 
   /// Appends `input` to the word since the last reset() and sends that whole
-  /// word as one kQueryWord; the server continues from the word it last ran,
-  /// so only the new symbol executes. Returns the last output. Never throws,
-  /// never blocks past the attempt budget; degrades to
+  /// word as a one-word batch; the server continues from the word it last
+  /// ran, so only the new symbol executes. Returns the last output. Never
+  /// throws, never blocks past the attempt budget; degrades to
   /// learner::kSulUnavailable when the transport is beyond help.
   std::string step(const std::string& input) override;
 
-  /// One whole membership query in one kQueryWord round trip, under the same
-  /// retry and degradation rules as step().
+  /// One whole membership query in one round trip, under the same retry and
+  /// degradation rules as step().
   std::vector<std::string> query_word(const std::vector<std::string>& word) override;
 
-  /// Deduplicates the words, ships the distinct ones as pipelined kQueryBatch
-  /// frames (up to max_inflight_batches in the air), and finishes any word a
-  /// batch left unanswered with its own kQueryWord.
+  /// Deduplicates the words and ships the distinct ones as pipelined
+  /// kQueryBatch frames (up to four in the air).
   std::vector<std::vector<std::string>> query_batch(
       const std::vector<std::vector<std::string>>& words) override;
 
   long resets() const override;
   long steps() const override;
-
-  /// Batch capacity granted by the server in the last hello-ack (0 before
-  /// first contact, or when no batch was offered or granted).
-  int negotiated_batch_words() const;
 
   RemoteSulStats stats() const;
   BreakerState breaker() const;
@@ -180,14 +170,11 @@ class RemoteUeSul final : public learner::Sul {
   /// succeeds.
   bool attempt_locked(const std::function<bool()>& exchange);
 
-  /// One word over kQueryWord; all kSulUnavailable when the transport is
-  /// beyond help or the codec cannot carry the word.
-  std::vector<std::string> word_query_locked(const std::vector<std::string>& word);
-  /// Best-effort pipelined batches over the distinct `words`; every answered
-  /// word lands in `*answered`. Words left behind (no grant, failed link,
-  /// unencodable symbols) are the caller's to finish one word at a time.
-  void batch_rpc_locked(const std::vector<std::vector<std::string>>& words,
-                        std::map<std::vector<std::string>, std::vector<std::string>>* answered);
+  /// The one query path: answers the distinct `words`, index-aligned, over
+  /// pipelined kQueryBatch frames under attempt_locked. Every word the
+  /// transport could not carry is answered with kSulUnavailable.
+  std::vector<std::vector<std::string>> query_locked(
+      const std::vector<const std::vector<std::string>*>& words);
 
   void heartbeat_loop();
 
@@ -201,7 +188,6 @@ class RemoteUeSul final : public learner::Sul {
   std::vector<std::string> word_;  // inputs since the last reset()
   std::string server_profile_;
   std::string last_close_reason_;
-  int negotiated_batch_ = 0;  // words per batch the server granted (0 = denied)
 
   BreakerState breaker_ = BreakerState::kClosed;
   int consecutive_failures_ = 0;

@@ -109,9 +109,8 @@ std::string SulServer::render_stats() const {
   out << "traffic: " << agg.requests << " requests (" << agg.resets << " resets, "
       << agg.steps << " steps), " << agg.pings << " pings, " << agg.framing_errors
       << " framing errors, " << agg.protocol_errors << " protocol errors\n";
-  out << "words: " << agg.word_queries << " word queries, " << agg.batch_queries
-      << " batches (" << agg.batched_words << " words), " << agg.prefix_hits
-      << " prefix hits, " << agg.batch_refusals << " refusals\n";
+  out << "words: " << agg.batch_queries << " batches (" << agg.batched_words << " words), "
+      << agg.prefix_hits << " prefix hits, " << agg.batch_refusals << " refusals\n";
   char line[200];
   std::snprintf(line, sizeof(line), "%4s %5s %9s %7s %7s %7s %7s %7s %10s %10s  %s\n", "id",
                 "auth", "requests", "resets", "steps", "words", "batches", "pfx_hit",
@@ -121,7 +120,7 @@ std::string SulServer::render_stats() const {
     std::snprintf(line, sizeof(line),
                   "%4ld %5s %9ld %7ld %7ld %7ld %7ld %7ld %10ld %10ld  %s\n", s.id,
                   s.authenticated ? "yes" : "no", s.requests, s.resets, s.steps,
-                  s.word_queries + s.batched_words, s.batch_queries, s.prefix_hits,
+                  s.batched_words, s.batch_queries, s.prefix_hits,
                   s.bytes_in, s.bytes_out,
                   s.close_reason.empty() ? "(live)" : s.close_reason.c_str());
     out << line;
@@ -194,9 +193,8 @@ void SulServer::run_session(std::shared_ptr<TcpConn> conn, long session_id) {
   std::string close_reason = "eof";
   try {
     FrameReader reader;
-    int batch_words = 0;
-    if (handshake(*conn, session_id, reader, &close_reason, &batch_words)) {
-      close_reason = session_loop(*conn, session_id, reader, batch_words);
+    if (handshake(*conn, session_id, reader, &close_reason)) {
+      close_reason = session_loop(*conn, session_id, reader);
     }
   } catch (const std::exception& e) {
     // Crash isolation: an exception tears down this session only. The close
@@ -218,9 +216,10 @@ void SulServer::run_session(std::shared_ptr<TcpConn> conn, long session_id) {
 
 void SulServer::send_control(TcpConn& conn, long session_id, FrameType type,
                              const std::string& reason, std::uint32_t epoch,
-                             std::uint32_t seq) {
+                             std::uint32_t seq, std::uint8_t version) {
   Frame f;
   f.type = type;
+  f.version = version;
   f.epoch = epoch;
   f.seq = seq;
   f.payload = reason;
@@ -267,8 +266,7 @@ SulServer::ReadStatus SulServer::read_frame(TcpConn& conn, long session_id,
 }
 
 bool SulServer::handshake(TcpConn& conn, long session_id, FrameReader& reader,
-                          std::string* close_reason, int* batch_words) {
-  *batch_words = 0;
+                          std::string* close_reason) {
   Frame hello;
   switch (read_frame(conn, session_id, reader, options_.handshake_timeout_seconds, &hello)) {
     case ReadStatus::kFrame:
@@ -296,20 +294,18 @@ bool SulServer::handshake(TcpConn& conn, long session_id, FrameReader& reader,
     *close_reason = "protocol_error";
     return false;
   }
-  // Version gate: a v1 (pre-auth) or v2 (per-symbol) client gets a
-  // structured upgrade notice and a closed socket — never a half-open
-  // connection. A v3 hello may offer a batch capacity, granted below and
-  // echoed in the hello-ack.
+  // Version gate: a v1 (pre-auth), v2 (per-symbol) or v3 (single-word
+  // frame) client gets a structured upgrade notice and a closed socket —
+  // never a half-open connection. The notice goes out in the client's own
+  // version: its decoder refuses any newer frame as a framing error.
   if (hello.version < kMinServedVersion) {
     send_control(conn, session_id, FrameType::kClose, kReasonUpgradeRequired, hello.epoch,
-                 hello.seq);
+                 hello.seq, hello.version);
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.upgrade_rejects;
     *close_reason = kReasonUpgradeRequired;
     return false;
   }
-  const int offered = parse_batch_token(hello.payload);
-  if (offered > 0) *batch_words = std::min(offered, kDefaultBatchWords);
 
   // The final hello-ack answers the last client frame of the handshake — the
   // hello in open mode, the auth response in PSK mode — so the client's
@@ -354,10 +350,7 @@ bool SulServer::handshake(TcpConn& conn, long session_id, FrameReader& reader,
     ack_seq = auth.seq;
   }
 
-  // The ack payload is the profile name; a granted batch offer rides as a
-  // " batch=N" suffix the client strips back off.
-  send_control(conn, session_id, FrameType::kHelloAck,
-               with_batch_token(profile_.name, *batch_words), ack_epoch, ack_seq);
+  send_control(conn, session_id, FrameType::kHelloAck, profile_.name, ack_epoch, ack_seq);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.sessions_authenticated;
   if (static_cast<std::size_t>(session_id) < sessions_.size()) {
@@ -366,8 +359,7 @@ bool SulServer::handshake(TcpConn& conn, long session_id, FrameReader& reader,
   return true;
 }
 
-std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader& reader,
-                                    int batch_words) {
+std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader& reader) {
   // The SUL exists only for an authenticated session — a rejected handshake
   // can never have touched stack state.
   learner::UeSul sul(profile_);
@@ -408,14 +400,6 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
       outputs.push_back(std::move(out));
     }
     return outputs;
-  };
-
-  // Malformed or oversized payloads get a structured per-request refusal;
-  // the session survives — a refused request touched no SUL state.
-  auto refuse = [&](const Frame& req, const char* reason) {
-    send_control(conn, session_id, FrameType::kError, reason, req.epoch, req.seq);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.batch_refusals;
   };
 
   for (;;) {
@@ -464,10 +448,9 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
     }
     last_activity = Clock::now();
 
-    const bool is_app_request =
-        req.type == FrameType::kQueryWord || req.type == FrameType::kQueryBatch;
+    const bool is_app_request = req.type == FrameType::kQueryBatch;
 
-    // Drain: every word/batch frame is a word boundary — the words before it
+    // Drain: every batch frame is a word boundary — the words before it
     // have provably finished. Close there with a structured reason instead
     // of starting another word. Read the flag after the frame arrived, so a
     // drain that began while this loop waited still applies to it.
@@ -526,57 +509,44 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
       case FrameType::kHello:
         // A repeated hello inside a live session is harmless: re-ack.
         ack.type = FrameType::kHelloAck;
-        ack.payload = with_batch_token(profile_.name, batch_words);
+        ack.payload = profile_.name;
         break;
-      case FrameType::kQueryWord: {
-        const auto word = decode_word(req.payload);
-        if (!word) {
-          refuse(req, kReasonBadWord);
-          continue;
-        }
-        app_cost = 1 + static_cast<long>(word->size());
-        ack.type = FrameType::kWordAck;
-        ack.payload =
-            encode_word(run_word(*word, &resets_done, &steps_done, &prefix_continuations));
-        break;
-      }
       case FrameType::kQueryBatch: {
-        const std::size_t cap =
-            batch_words > 0 ? static_cast<std::size_t>(batch_words)
-                            : static_cast<std::size_t>(kDefaultBatchWords);
         const auto words = decode_batch(req.payload, kMaxBatchWords);
-        if (!words || words->size() > cap) {
-          // Distinguish "too large" from "malformed" for the structured
-          // refusal even when decoding bailed early: separator counts bound
-          // the item/symbol totals without trusting the payload.
+        if (!words) {
+          // A structured refusal; the session survives — a refused request
+          // touched no SUL state. Separator counts bound the word and symbol
+          // totals without trusting the payload, so "too large" is told
+          // apart from "malformed" even when decoding bailed early.
           const std::size_t semis = static_cast<std::size_t>(
               std::count(req.payload.begin(), req.payload.end(), ';'));
           const std::size_t commas = static_cast<std::size_t>(
               std::count(req.payload.begin(), req.payload.end(), ','));
-          const bool too_large = (words && words->size() > cap) || semis + 1 > cap ||
-                                 semis + commas + 1 > kMaxBatchSymbols;
-          refuse(req, too_large ? kReasonBatchTooLarge : kReasonBadBatch);
+          const bool too_large =
+              semis + 1 > kMaxBatchWords || semis + commas + 1 > kMaxBatchSymbols;
+          send_control(conn, session_id, FrameType::kError,
+                       too_large ? kReasonBatchTooLarge : kReasonBadBatch, req.epoch, req.seq);
+          std::lock_guard<std::mutex> lock(stats_mu_);
+          ++stats_.batch_refusals;
           continue;
         }
         words_served = static_cast<long>(words->size());
         // Prefix-sorted execution: lexicographic order lands every word right
         // after its longest batched prefix, so run_word continues stepping
-        // instead of resetting. Acks go back in the *request* order.
+        // instead of resetting. Outputs go back in the *request* order.
         std::vector<std::size_t> order(words->size());
         for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
         std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
           return (*words)[a] < (*words)[b];
         });
-        std::vector<BatchItem> items(words->size());
+        std::vector<std::vector<std::string>> outputs(words->size());
         for (const std::size_t idx : order) {
-          BatchItem& item = items[idx];
-          item.ok = true;
-          item.outputs =
+          outputs[idx] =
               run_word((*words)[idx], &resets_done, &steps_done, &prefix_continuations);
           app_cost += 1 + static_cast<long>((*words)[idx].size());
         }
         ack.type = FrameType::kBatchAck;
-        ack.payload = encode_batch_ack(items);
+        ack.payload = encode_batch(outputs);
         break;
       }
       case FrameType::kPing:
@@ -586,7 +556,7 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
         return "bye";  // orderly end; no ack expected
       default: {
         // A frame type the server never expects (acks, pongs, control
-        // frames, the retired per-symbol reset/step): answer with a
+        // frames, the retired reset/step and query_word): answer with a
         // structured refusal and drop the session.
         send_control(conn, session_id, FrameType::kError,
                      "unexpected frame type: " + std::string(to_string(req.type)),
@@ -612,17 +582,12 @@ std::string SulServer::session_loop(TcpConn& conn, long session_id, FrameReader&
         s.steps += steps_done;
         stats_.prefix_hits += prefix_continuations;
         s.prefix_hits += prefix_continuations;
-        if (req.type == FrameType::kQueryWord) {
-          ++stats_.word_queries;
-          ++s.word_queries;
-        } else {
-          ++stats_.batch_queries;
-          ++s.batch_queries;
-          stats_.batched_words += words_served;
-          s.batched_words += words_served;
-        }
+        ++stats_.batch_queries;
+        ++s.batch_queries;
+        stats_.batched_words += words_served;
+        s.batched_words += words_served;
         if (options_.kill_after_requests >= 0) {
-          // Threshold crossing, not equality: a word/batch advances the count
+          // Threshold crossing, not equality: a batch advances the count
           // by more than one unit, and the kill-at-every-message sweeps need
           // the hook to fire for *any* threshold inside that request.
           const long post = pre + app_cost;

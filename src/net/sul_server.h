@@ -22,24 +22,23 @@
 //     in constant time. Failed or replayed handshakes close with
 //     kClose(auth_failed) before any SUL state exists. A non-loopback
 //     `bind_host` *requires* a PSK (start() refuses otherwise);
-//   * version gating — a v1 or v2 hello gets a structured
-//     kClose(upgrade_required), not a silent half-open socket; a v3 hello
-//     may negotiate the word-batch capacity (DESIGN.md §14) echoed in the
-//     hello-ack;
-//   * word-level execution — kQueryWord runs a whole membership query per
-//     frame and kQueryBatch up to the negotiated number of words, executed
-//     in prefix-sorted order; a word that extends the previous one continues
-//     stepping instead of resetting (the prefix_hits counter). Malformed or
-//     oversized word/batch payloads get a structured kError refusal and the
-//     session lives on — a refused request touched no SUL state. Any other
-//     request type (the retired per-symbol kReset/kStep included) is a
-//     protocol error that closes the session;
+//   * version gating — a v1, v2 or v3 hello gets a structured
+//     kClose(upgrade_required), not a silent half-open socket;
+//   * word-level execution — every query is a kQueryBatch of 1 to
+//     kMaxBatchWords whole words (DESIGN.md §14), executed in prefix-sorted
+//     order; a word that extends the previous one continues stepping
+//     instead of resetting (the prefix_hits counter). A malformed batch, or
+//     one over the codec's word or symbol bounds, gets a structured kError
+//     refusal and the session lives on — a refused request touched no SUL
+//     state. Any other request type (the retired per-symbol reset/step and
+//     single-word query_word frames included) is a protocol error that
+//     closes the session;
 //   * per-session quotas — query count, received bytes, and wall clock;
 //     tripping one closes that session with a structured reason;
 //   * graceful drain — drain() admits no new sessions (kServerBusy
 //     "draining") and lets in-flight words finish: each session closes with
-//     kClose(drained) at its next word boundary (its next word or batch
-//     frame) or at the drain deadline, whichever comes first;
+//     kClose(drained) at its next word boundary (its next batch frame) or at
+//     the drain deadline, whichever comes first;
 //   * idle reaping — sessions quiet longer than `idle_timeout_seconds`
 //     (keepalive pings count as activity) are closed with
 //     kClose(idle_timeout);
@@ -122,7 +121,7 @@ struct SulServerStats {
   long rejected_busy = 0;           // kServerBusy: cap reached
   long rejected_draining = 0;       // kServerBusy: drain in progress
   long auth_failures = 0;           // bad/replayed MAC, missing auth frame
-  long upgrade_rejects = 0;         // v1/v2 hello answered with upgrade_required
+  long upgrade_rejects = 0;         // v1–v3 hello answered with upgrade_required
   long quota_trips = 0;
   long reaped_idle = 0;
   long drained_closes = 0;
@@ -131,15 +130,14 @@ struct SulServerStats {
   long resets = 0;           // SUL resets actually executed
   long steps = 0;            // SUL steps actually executed
   long pings = 0;
-  long word_queries = 0;     // kQueryWord frames served
   long batch_queries = 0;    // kQueryBatch frames served
   long batched_words = 0;    // words carried by those batches
   long prefix_hits = 0;      // words continued from the previous word's state
                              // (prefix-sorted execution amortized the reset)
   long framing_errors = 0;   // sessions dropped for mis-framed input
   long protocol_errors = 0;  // well-framed but unexpected frame types
-  long batch_refusals = 0;   // malformed/oversized word or batch payloads
-                             // answered with a structured kError (session lives)
+  long batch_refusals = 0;   // malformed/oversized batch payloads answered
+                             // with a structured kError (session lives)
   long kills = 0;            // connections dropped by the kill hook
 };
 
@@ -152,7 +150,6 @@ struct SessionStats {
   long requests = 0;  // logical units (a word counts 1 + its length)
   long resets = 0;
   long steps = 0;
-  long word_queries = 0;
   long batch_queries = 0;
   long batched_words = 0;
   long prefix_hits = 0;
@@ -203,18 +200,16 @@ class SulServer {
   /// a pool worker; never throws out.
   void run_session(std::shared_ptr<TcpConn> conn, long session_id);
   /// Handshake half of run_session. True when the session is admitted to
-  /// the request loop (sets *close_reason on refusal). The hello may carry
-  /// a "batch=N" offer; the granted per-batch word capacity (0 when none was
-  /// offered) is returned through *batch_words and echoed in the hello-ack.
+  /// the request loop (sets *close_reason on refusal).
   bool handshake(TcpConn& conn, long session_id, FrameReader& reader,
-                 std::string* close_reason, int* batch_words);
+                 std::string* close_reason);
   /// Request loop half; returns the close reason.
-  std::string session_loop(TcpConn& conn, long session_id, FrameReader& reader,
-                           int batch_words);
+  std::string session_loop(TcpConn& conn, long session_id, FrameReader& reader);
 
   /// Sends a structured frame (best-effort) and accounts bytes_out.
   void send_control(TcpConn& conn, long session_id, FrameType type,
-                    const std::string& reason, std::uint32_t epoch, std::uint32_t seq);
+                    const std::string& reason, std::uint32_t epoch, std::uint32_t seq,
+                    std::uint8_t version = kWireVersion);
   /// Reads one frame within `budget` seconds; accounts bytes_in and the
   /// byte quota. Status mirrors the frame reader plus timeout/eof.
   enum class ReadStatus : std::uint8_t { kFrame, kTimeout, kEof, kBadFrame, kStop };

@@ -85,7 +85,7 @@ bool known_frame_type(std::uint8_t raw) {
 }
 
 // ---------------------------------------------------------------------------
-// Word / batch payload codec (wire v3)
+// Batch payload codec
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -115,29 +115,25 @@ bool decode_word_into(std::string_view text, std::vector<std::string>* out) {
   return true;
 }
 
-}  // namespace
-
-std::string encode_word(const std::vector<std::string>& word) {
-  std::string out;
-  for (std::size_t i = 0; i < word.size(); ++i) {
-    if (i > 0) out += ',';
-    out += word[i];
+void append_item(std::string* out, bool first, const std::vector<std::string>& word) {
+  if (!first) *out += ';';
+  for (std::size_t k = 0; k < word.size(); ++k) {
+    if (k > 0) *out += ',';
+    *out += word[k];
   }
-  return out;
 }
 
-std::optional<std::vector<std::string>> decode_word(std::string_view text) {
-  std::vector<std::string> word;
-  if (!decode_word_into(text, &word)) return std::nullopt;
-  return word;
-}
+}  // namespace
 
 std::string encode_batch(const std::vector<std::vector<std::string>>& words) {
   std::string out;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    if (i > 0) out += ';';
-    out += encode_word(words[i]);
-  }
+  for (std::size_t i = 0; i < words.size(); ++i) append_item(&out, i == 0, words[i]);
+  return out;
+}
+
+std::string encode_batch(const std::vector<const std::vector<std::string>*>& words) {
+  std::string out;
+  for (std::size_t i = 0; i < words.size(); ++i) append_item(&out, i == 0, *words[i]);
   return out;
 }
 
@@ -163,84 +159,6 @@ std::optional<std::vector<std::vector<std::string>>> decode_batch(std::string_vi
   }
   if (words.empty()) return std::nullopt;
   return words;
-}
-
-std::string encode_batch_ack(const std::vector<BatchItem>& items) {
-  // Per-item status prefix: '+' carries outputs, '!' carries a reason token.
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ';';
-    if (items[i].ok) {
-      out += '+';
-      out += encode_word(items[i].outputs);
-    } else {
-      out += '!';
-      for (char c : items[i].error) out += valid_symbol_char(c) ? c : '_';
-    }
-  }
-  return out;
-}
-
-std::optional<std::vector<BatchItem>> decode_batch_ack(std::string_view text,
-                                                       std::size_t max_words) {
-  std::vector<BatchItem> items;
-  const std::size_t cap = max_words == 0 || max_words > kMaxBatchWords ? kMaxBatchWords
-                                                                       : max_words;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i < text.size() && text[i] != ';') continue;
-    if (items.size() >= cap) return std::nullopt;
-    std::string_view item = text.substr(start, i - start);
-    if (item.empty()) return std::nullopt;
-    BatchItem decoded;
-    if (item[0] == '+') {
-      decoded.ok = true;
-      if (!decode_word_into(item.substr(1), &decoded.outputs)) return std::nullopt;
-    } else if (item[0] == '!') {
-      decoded.ok = false;
-      std::string_view reason = item.substr(1);
-      if (reason.empty() || reason.size() > kMaxSymbolChars) return std::nullopt;
-      for (char c : reason) {
-        if (!valid_symbol_char(c)) return std::nullopt;
-      }
-      decoded.error.assign(reason);
-    } else {
-      return std::nullopt;
-    }
-    items.push_back(std::move(decoded));
-    start = i + 1;
-  }
-  if (items.empty()) return std::nullopt;
-  return items;
-}
-
-std::string with_batch_token(const std::string& base, int batch_words) {
-  if (batch_words <= 0) return base;
-  return base + " batch=" + std::to_string(batch_words);
-}
-
-int parse_batch_token(std::string_view payload) {
-  const std::string_view token = " batch=";
-  const std::size_t at = payload.rfind(token);
-  if (at == std::string_view::npos) return 0;
-  std::string_view digits = payload.substr(at + token.size());
-  if (digits.empty() || digits.size() > 4) return 0;
-  int value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return 0;
-    value = value * 10 + (c - '0');
-  }
-  if (value <= 0) return 0;
-  return value > static_cast<int>(kMaxBatchWords) ? static_cast<int>(kMaxBatchWords) : value;
-}
-
-std::string strip_batch_token(std::string_view payload) {
-  const std::string_view token = " batch=";
-  const std::size_t at = payload.rfind(token);
-  if (at == std::string_view::npos || parse_batch_token(payload) == 0) {
-    return std::string(payload);
-  }
-  return std::string(payload.substr(0, at));
 }
 
 std::string auth_mac(const std::string& psk, const std::string& nonce_hex,

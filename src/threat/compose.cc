@@ -49,12 +49,6 @@ bool clears_context(const fsm::Transition& t, const std::string& message) {
          message == "authentication_reject" || message == "service_reject";
 }
 
-}  // namespace
-
-bool is_replay_tolerant_atom(const std::string& atom) {
-  return atom == "replay_accepted=1" || atom == "smc_replay=1" || atom == "counter_reset=1";
-}
-
 /// Which provenance values a received-message transition structurally
 /// admits (crypto feasibility is the CPV's job, not encoded here).
 std::vector<std::int32_t> admissible_provenance(const fsm::Transition& t) {
@@ -78,6 +72,35 @@ std::vector<std::int32_t> admissible_provenance(const fsm::Transition& t) {
       (replay_tolerant || plain || (!protected_hdr && !integrity_flag))) {
     out.push_back(mc::kProvReplayed);
   }
+  return out;
+}
+
+}  // namespace
+
+bool is_replay_tolerant_atom(const std::string& atom) {
+  return atom == "replay_accepted=1" || atom == "smc_replay=1" || atom == "counter_reset=1";
+}
+
+std::vector<mc::CommandMeta> transition_metas(const fsm::Transition& t,
+                                              mc::CommandMeta::Actor actor) {
+  const ConditionSplit cond = split_conditions(t.conditions);
+  mc::CommandMeta base;
+  base.actor = actor;
+  base.message = cond.message;
+  base.atoms = t.conditions;
+  base.actions = t.actions;
+  base.from_state = t.from;
+  base.to_state = t.to;
+  std::vector<mc::CommandMeta> out;
+  if (cond.is_trigger || cond.message.empty()) {
+    base.kind = mc::CommandMeta::Kind::kInternal;
+    out.push_back(std::move(base));
+    return out;
+  }
+  base.kind = mc::CommandMeta::Kind::kDeliver;
+  const std::vector<std::int32_t> provs = admissible_provenance(t);
+  out.assign(provs.size(), base);
+  for (std::size_t i = 0; i < provs.size(); ++i) out[i].provenance = provs[i];
   return out;
 }
 
@@ -189,6 +212,7 @@ ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm,
     const int out_prov = is_ue ? tm.chan_ul_prov : tm.chan_dl_prov;
     const std::vector<std::string>& out_alphabet = is_ue ? tm.ul_alphabet : tm.dl_alphabet;
     const std::string prefix = is_ue ? "ue" : "mme";
+    const CommandMeta::Actor actor = is_ue ? CommandMeta::Actor::kUe : CommandMeta::Actor::kMme;
 
     for (const TransitionView& v : views) {
       const std::int32_t from = tm.model.value_index(state_var, v.t->from);
@@ -237,7 +261,8 @@ ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm,
         }
       };
 
-      if (v.cond.is_trigger || v.cond.message.empty()) {
+      std::vector<CommandMeta> metas = transition_metas(*v.t, actor);
+      if (metas.front().kind == CommandMeta::Kind::kInternal) {
         // Internal-event transition: fires when the outgoing channel has
         // room for the responsive action.
         Command cmd;
@@ -254,13 +279,7 @@ ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm,
         flag_updates(updates);
         cmd.guard = std::move(guard);
         cmd.updates = std::move(updates);
-        cmd.meta.actor = is_ue ? CommandMeta::Actor::kUe : CommandMeta::Actor::kMme;
-        cmd.meta.kind = CommandMeta::Kind::kInternal;
-        cmd.meta.message = v.cond.message;
-        cmd.meta.atoms = v.t->conditions;
-        cmd.meta.actions = v.t->actions;
-        cmd.meta.from_state = v.t->from;
-        cmd.meta.to_state = v.t->to;
+        cmd.meta = std::move(metas.front());
         tm.model.add_command(std::move(cmd));
         continue;
       }
@@ -270,7 +289,8 @@ ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm,
       const std::int32_t msg =
           index_of(is_ue ? tm.dl_alphabet : tm.ul_alphabet, v.cond.message);
       if (msg < 0) continue;
-      for (std::int32_t prov : admissible_provenance(*v.t)) {
+      for (CommandMeta& meta : metas) {
+        const std::int32_t prov = meta.provenance;
         Command cmd;
         cmd.label = prefix + "_recv_" + v.cond.message + "_at_" + v.t->from + "_" +
                     tm.model.value_name(in_prov, prov);
@@ -321,14 +341,7 @@ ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm,
         flag_updates(updates);
         cmd.guard = std::move(guard);
         cmd.updates = std::move(updates);
-        cmd.meta.actor = is_ue ? CommandMeta::Actor::kUe : CommandMeta::Actor::kMme;
-        cmd.meta.kind = CommandMeta::Kind::kDeliver;
-        cmd.meta.message = v.cond.message;
-        cmd.meta.atoms = v.t->conditions;
-        cmd.meta.actions = v.t->actions;
-        cmd.meta.from_state = v.t->from;
-        cmd.meta.to_state = v.t->to;
-        cmd.meta.provenance = prov;
+        cmd.meta = std::move(meta);
         tm.model.add_command(std::move(cmd));
       }
     }

@@ -107,11 +107,12 @@ ConditionSplit split_conditions(const std::set<fsm::Atom>& conditions);
 /// deviation indicators.
 bool is_replay_tolerant_atom(const std::string& atom);
 
-/// Which provenance values a received-message transition structurally
-/// admits (crypto feasibility is the CPV's job, not encoded here). Exposed
-/// so the diff triage layer can rebuild the same per-provenance CommandMeta
-/// the composer emits when matching properties against diverging edges.
-std::vector<std::int32_t> admissible_provenance(const fsm::Transition& t);
+/// The metadata compose() stamps on the commands of one `actor` transition:
+/// one kInternal meta for a trigger or τ transition, and one kDeliver meta
+/// per admissible provenance for a received-message transition. The diff
+/// triage layer matches properties against diverging edges through it.
+std::vector<mc::CommandMeta> transition_metas(const fsm::Transition& t,
+                                              mc::CommandMeta::Actor actor);
 
 /// Builds IMP^μ from the two machines.
 ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm,

@@ -3,7 +3,9 @@
 # error: exit 2 and "invalid value for --<flag>" on stderr, before any work
 # starts. So do an option the subcommand does not take ("unknown option
 # --<flag>") and a value flag with nothing after it ("missing value for
-# --<flag>"). Run as
+# --<flag>"). A file the command cannot write (conformance --log into a
+# missing directory) is a failure, not a usage error: exit 1 and "cannot
+# write <path>" on stderr, never a "log written" claim. Run as
 #   cmake -DPROCHECKER=<path to prochecker> -P cli_flags_test.cmake
 
 if(NOT PROCHECKER)
@@ -33,10 +35,11 @@ set(cases
   "learn --profile cls|deadline|d|-1"
   "learn --profile cls|retries|r|17"
   "learn --profile cls --remote 127.0.0.1:1|batch|b|65"
-  "conformance --profile cls --remote 127.0.0.1:1|batch|b|65"
+  "learn --profile cls --remote 127.0.0.1:1|batch|1.5|0"
   "learn --profile cls|remote|localhost|127.0.0.1:65536"
   "conformance --profile cls|remote|localhost|127.0.0.1:65536"
   "diff profile:cls profile:oai|batch|b|65"
+  "diff profile:cls profile:oai|batch|1.5|0"
   "diff profile:cls profile:oai|seed|s|99999999999999999999"
   "diff profile:cls profile:oai|max-pairs|p|0"
   "diff profile:cls profile:oai|jobs|j|0"
@@ -46,19 +49,21 @@ set(cases
 )
 
 # <subcommand and its required arguments>|<option it does not take>: a
-# removed flag (--budget-seconds) or a misspelt one must not silently run
-# with the default, unbounded budget.
+# removed flag (--budget-seconds, conformance's --batch) or a misspelt one
+# must not silently run with the default.
 set(unknown_cases
   "analyze --profile cls|budget-seconds"
   "analyze --profile cls|max-state"
   "diff profile:cls profile:oai|budget-seconds"
+  "conformance --profile cls --remote 127.0.0.1:1|batch"
 )
 
 set(failures "")
 set(runs 0)
 
-# Runs prochecker with `args` and expects exit 2 with `diagnostic` on stderr.
-function(expect_usage_error args diagnostic)
+# Runs prochecker with `args` and expects exit `code` with `diagnostic` on
+# stderr.
+function(expect_exit code args diagnostic)
   math(EXPR runs "${runs} + 1")
   set(runs ${runs} PARENT_SCOPE)
   execute_process(
@@ -68,7 +73,7 @@ function(expect_usage_error args diagnostic)
     ERROR_VARIABLE err
     TIMEOUT 30)
   string(FIND "${err}" "${diagnostic}" at)
-  if(NOT rc EQUAL 2 OR at EQUAL -1)
+  if(NOT rc EQUAL code OR at EQUAL -1)
     string(STRIP "${err}" err)
     list(JOIN args " " line)
     list(APPEND failures "${line}: exit ${rc}, stderr '${err}'")
@@ -83,7 +88,7 @@ foreach(case IN LISTS cases)
   list(SUBLIST parts 2 2 values)
   separate_arguments(command_args UNIX_COMMAND "${command}")
   foreach(value IN LISTS values)
-    expect_usage_error("${command_args};--${flag};${value}" "invalid value for --${flag}")
+    expect_exit(2 "${command_args};--${flag};${value}" "invalid value for --${flag}")
   endforeach()
 endforeach()
 
@@ -92,14 +97,18 @@ foreach(case IN LISTS unknown_cases)
   list(GET parts 0 command)
   list(GET parts 1 flag)
   separate_arguments(command_args UNIX_COMMAND "${command}")
-  expect_usage_error("${command_args};--${flag};1" "unknown option --${flag}")
+  expect_exit(2 "${command_args};--${flag};1" "unknown option --${flag}")
 endforeach()
 
 # A value flag at the end of the line with no value.
-expect_usage_error("analyze;--profile;cls;--max-states" "missing value for --max-states")
+expect_exit(2 "analyze;--profile;cls;--max-states" "missing value for --max-states")
+
+# A log file that cannot be written.
+set(unwritable "${CMAKE_CURRENT_BINARY_DIR}/no_such_dir/conformance.log")
+expect_exit(1 "conformance;--profile;cls;--log;${unwritable}" "cannot write ${unwritable}")
 
 if(failures)
   list(JOIN failures "\n  " report)
-  message(FATAL_ERROR "flags not rejected as usage errors:\n  ${report}")
+  message(FATAL_ERROR "bad invocations not rejected:\n  ${report}")
 endif()
-message(STATUS "${runs} bad flag uses rejected with exit 2")
+message(STATUS "${runs} bad invocations rejected")

@@ -222,50 +222,37 @@ std::vector<net::Frame> frame_corpus() {
   f.type = net::FrameType::kError;
   f.payload = std::string(512, 'x');  // a fat diagnostic
   corpus.push_back(f);
-  // Wire v3 word/batch shapes: a whole-word query, a multi-word batch (with
-  // a duplicate and a prefix chain), and a mixed-status batch ack.
-  f.type = net::FrameType::kQueryWord;
+  // Query shapes: a one-word batch, a multi-word batch (with a duplicate and
+  // a prefix chain), and a batch ack carrying outputs in the same codec.
+  f.type = net::FrameType::kQueryBatch;
   f.epoch = 2;
   f.seq = 9;
-  f.payload = net::encode_word({"power_on", "authentication_request", "security_mode_command"});
+  f.payload = net::encode_batch({{"power_on", "authentication_request", "security_mode_command"}});
   corpus.push_back(f);
-  f.type = net::FrameType::kQueryBatch;
   f.payload = net::encode_batch({{"power_on"},
                                  {"power_on"},
                                  {"power_on", "authentication_request"},
                                  {"paging", "detach_request"}});
   corpus.push_back(f);
   f.type = net::FrameType::kBatchAck;
-  f.payload = net::encode_batch_ack([] {
-    std::vector<net::BatchItem> items(3);
-    items[0].ok = true;
-    items[0].outputs = {"attach_request"};
-    items[1].ok = false;
-    items[1].error = net::kReasonBadWord;
-    items[2].ok = true;
-    items[2].outputs = {"attach_request", "authentication_response"};
-    return items;
-  }());
+  f.payload = net::encode_batch({{"attach_request"},
+                                 {"attach_request"},
+                                 {"attach_request", "authentication_response"},
+                                 {"null", "null"}});
   corpus.push_back(f);
   return corpus;
 }
 
 TEST(FuzzSmoke, BatchPayloadCodecsTotalAndRoundTrip) {
-  // The v3 payload codecs under the same mutation pressure as the frame
-  // layer: decode is total, and whatever it accepts re-encodes to the same
-  // value (otherwise the server could ack a batch the client never sent).
+  // The batch payload codec, which carries every query and every answer,
+  // under the same mutation pressure as the frame layer: decode is total,
+  // and whatever it accepts re-encodes to the same value (otherwise the
+  // server could answer a batch the client never sent).
   Rng rng(0xBA7C4C0DECULL);
   const std::vector<std::string> seeds = {
-      net::encode_word({"power_on", "authentication_request"}),
+      net::encode_batch({{"power_on", "authentication_request"}}),
       net::encode_batch({{"power_on"}, {"power_on", "paging"}, {"detach_request"}}),
-      net::encode_batch_ack([] {
-        std::vector<net::BatchItem> items(2);
-        items[0].ok = true;
-        items[0].outputs = {"null", "attach_request"};
-        items[1].ok = false;
-        items[1].error = net::kReasonBadBatch;
-        return items;
-      }()),
+      net::encode_batch({{"null", "attach_request"}, {"authentication_response"}}),
   };
   std::size_t accepted = 0;
   std::size_t rejected = 0;
@@ -278,27 +265,12 @@ TEST(FuzzSmoke, BatchPayloadCodecsTotalAndRoundTrip) {
       text.assign(bytes.begin(), bytes.end());
     }
 
-    bool ok = false;
-    if (auto word = net::decode_word(text)) {
-      EXPECT_EQ(net::decode_word(net::encode_word(*word)), *word);
-      ok = true;
+    const auto batch = net::decode_batch(text, net::kMaxBatchWords);
+    if (batch) {
+      EXPECT_EQ(net::encode_batch(*batch), text);
+      EXPECT_EQ(net::decode_batch(net::encode_batch(*batch), batch->size()), *batch);
     }
-    if (auto batch = net::decode_batch(text, net::kMaxBatchWords)) {
-      EXPECT_EQ(net::decode_batch(net::encode_batch(*batch), net::kMaxBatchWords), *batch);
-      ok = true;
-    }
-    if (auto ack = net::decode_batch_ack(text, net::kMaxBatchWords)) {
-      auto again = net::decode_batch_ack(net::encode_batch_ack(*ack), net::kMaxBatchWords);
-      ASSERT_TRUE(again.has_value());
-      ASSERT_EQ(again->size(), ack->size());
-      for (std::size_t i = 0; i < ack->size(); ++i) {
-        EXPECT_EQ((*again)[i].ok, (*ack)[i].ok);
-        EXPECT_EQ((*again)[i].outputs, (*ack)[i].outputs);
-        EXPECT_EQ((*again)[i].error, (*ack)[i].error);
-      }
-      ok = true;
-    }
-    (ok ? accepted : rejected) += 1;
+    (batch ? accepted : rejected) += 1;
   }
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
@@ -560,14 +532,14 @@ TEST(FuzzSmoke, MutatedHandshakesNeverCrashOrAuthenticate) {
     ASSERT_TRUE(ack.has_value());
     ASSERT_EQ(ack->type, net::FrameType::kHelloAck);
     net::Frame query;
-    query.type = net::FrameType::kQueryWord;
+    query.type = net::FrameType::kQueryBatch;
     query.epoch = 1;
     query.seq = 3;
-    query.payload = net::encode_word({"power_on"});
+    query.payload = net::encode_batch({{"power_on"}});
     ASSERT_TRUE(handshake::send_bytes(*conn, net::encode_frame(query)));
-    auto word_ack = handshake::read_one(*conn, reader, 2.0);
-    ASSERT_TRUE(word_ack.has_value());
-    EXPECT_EQ(word_ack->type, net::FrameType::kWordAck);
+    auto batch_ack = handshake::read_one(*conn, reader, 2.0);
+    ASSERT_TRUE(batch_ack.has_value());
+    EXPECT_EQ(batch_ack->type, net::FrameType::kBatchAck);
   }
 
   server.stop();
@@ -581,7 +553,7 @@ TEST(FuzzSmoke, MutatedHandshakesNeverCrashOrAuthenticate) {
               refusals, legit, busy, stats.auth_failures);
 }
 
-// Satellite: structure-aware mutation of v3 batch queries against a *live*
+// Satellite: structure-aware mutation of batch queries against a *live*
 // admitted session. The contract under fuzz: every kQueryBatch — valid-ish,
 // mutated, or deliberately oversized — is answered with a kBatchAck or a
 // structured kError refusal; the session is never corrupted (a clean probe
@@ -597,12 +569,11 @@ TEST(FuzzSmoke, MutatedBatchQueriesNeverCrashOrCorruptSession) {
   hello.type = net::FrameType::kHello;
   hello.epoch = 1;
   hello.seq = 1;
-  hello.payload = net::with_batch_token("fuzz-client", 8);
+  hello.payload = "fuzz-client";
   ASSERT_TRUE(handshake::send_bytes(*conn, net::encode_frame(hello)));
   auto ack = handshake::read_one(*conn, reader);
   ASSERT_TRUE(ack.has_value());
   ASSERT_EQ(ack->type, net::FrameType::kHelloAck);
-  ASSERT_EQ(net::parse_batch_token(ack->payload), 8);
 
   // The clean probe the session must keep answering correctly: cls boots
   // with an attach_request and answers the auth challenge.
@@ -627,11 +598,16 @@ TEST(FuzzSmoke, MutatedBatchQueriesNeverCrashOrCorruptSession) {
     bool oversized = false;
     const std::uint64_t mode = rng.next_below(4);
     if (mode == 3) {
-      // Deliberately over the negotiated 8-word grant (sometimes over the
-      // hard kMaxBatchWords bound too): must refuse as batch_too_large.
-      const std::uint64_t n = 9 + rng.next_below(70);
+      // Deliberately over the codec's kMaxBatchWords or kMaxBatchSymbols
+      // bound: must refuse as batch_too_large.
       std::vector<std::vector<std::string>> words;
-      for (std::uint64_t i = 0; i < n; ++i) words.push_back({"paging"});
+      if (rng.next_below(2) == 0) {
+        words.assign(net::kMaxBatchWords + 1 + rng.next_below(14), {"paging"});
+      } else {
+        const std::vector<std::string> long_word(net::kMaxWordSymbols, "paging");
+        words.assign(net::kMaxBatchSymbols / net::kMaxWordSymbols, long_word);
+        words.emplace_back(1 + rng.next_below(net::kMaxWordSymbols), "paging");
+      }
       payload = net::encode_batch(words);
       oversized = true;
     } else {
@@ -655,8 +631,8 @@ TEST(FuzzSmoke, MutatedBatchQueriesNeverCrashOrCorruptSession) {
     ASSERT_TRUE(reply.has_value()) << "round " << round << ": no structured reply";
     if (reply->type == net::FrameType::kBatchAck) {
       ASSERT_FALSE(oversized) << "round " << round << ": oversized batch was served";
-      auto items = net::decode_batch_ack(reply->payload, 8);
-      ASSERT_TRUE(items.has_value()) << "round " << round << ": ack does not decode";
+      auto outputs = net::decode_batch(reply->payload, net::kMaxBatchWords);
+      ASSERT_TRUE(outputs.has_value()) << "round " << round << ": ack does not decode";
       ++acked;
     } else {
       ASSERT_EQ(reply->type, net::FrameType::kError) << "round " << round;
@@ -674,15 +650,17 @@ TEST(FuzzSmoke, MutatedBatchQueriesNeverCrashOrCorruptSession) {
     // probe correctly — refusals and mutations corrupt no SUL state.
     if (round % 25 == 0) {
       net::Frame word;
-      word.type = net::FrameType::kQueryWord;
+      word.type = net::FrameType::kQueryBatch;
       word.epoch = 1;
       word.seq = ++seq;
-      word.payload = net::encode_word(probe);
+      word.payload = net::encode_batch({probe});
       ASSERT_TRUE(handshake::send_bytes(*conn, net::encode_frame(word)));
       auto answer = handshake::read_one(*conn, reader);
       ASSERT_TRUE(answer.has_value()) << "round " << round;
-      ASSERT_EQ(answer->type, net::FrameType::kWordAck) << "round " << round;
-      EXPECT_EQ(net::decode_word(answer->payload), probe_expect) << "round " << round;
+      ASSERT_EQ(answer->type, net::FrameType::kBatchAck) << "round " << round;
+      EXPECT_EQ(net::decode_batch(answer->payload, 1),
+                std::vector<std::vector<std::string>>{probe_expect})
+          << "round " << round;
     }
   }
 

@@ -722,9 +722,9 @@ TEST(LearnSupervisorRemote, KillResumeByteIdenticalBatched) {
   run_remote_sweep("batched", net::kDefaultBatchWords, nullptr);
 }
 
-TEST(LearnSupervisorRemote, KillResumeByteIdenticalUnbatched) {
-  // No batch offered: every membership query is its own kQueryWord.
-  run_remote_sweep("unbatched", 0, nullptr);
+TEST(LearnSupervisorRemote, KillResumeByteIdenticalOneWordPerFrame) {
+  // Every membership query rides in a kQueryBatch frame of its own.
+  run_remote_sweep("one_word", 1, nullptr);
 }
 
 TEST(LearnSupervisorRemote, KillResumeUnderLosslessChaos) {

@@ -169,28 +169,30 @@ TEST(Wire, ReaderPoisonSticksUntilReset) {
   EXPECT_EQ(d.frame.type, FrameType::kPong);
 }
 
-// --- Word / batch payload codec (wire v3) ------------------------------------
+// --- Batch payload codec ------------------------------------------------------
 
 TEST(Wire, WordCodecRoundTripsAndEnforcesBounds) {
+  // A word travels as one item of a batch; the item codec bounds each word.
   const std::vector<std::string> word = {"power_on", "authentication_request",
                                          "security_mode_command"};
-  EXPECT_EQ(decode_word(encode_word(word)), word);
-  EXPECT_EQ(decode_word(encode_word({})), std::vector<std::string>{});
+  using Batch = std::vector<std::vector<std::string>>;
+  EXPECT_EQ(decode_batch(encode_batch({word}), 1), Batch{word});
+  EXPECT_EQ(encode_batch(Batch{{}}), "");
+  EXPECT_EQ(decode_batch("", 1), Batch{{}});
 
   // Separators and illegal bytes inside a symbol are structured failures.
-  EXPECT_FALSE(decode_word("power_on,,paging").has_value());
-  EXPECT_FALSE(decode_word("power on").has_value());
-  EXPECT_FALSE(decode_word("power_on;paging").has_value());
+  EXPECT_FALSE(decode_batch("power_on,,paging", 1).has_value());
+  EXPECT_FALSE(decode_batch("power on", 1).has_value());
 
   // One symbol over kMaxSymbolChars, and one word over kMaxWordSymbols.
-  EXPECT_FALSE(decode_word(std::string(kMaxSymbolChars + 1, 'a')).has_value());
+  EXPECT_FALSE(decode_batch(std::string(kMaxSymbolChars + 1, 'a'), 1).has_value());
   std::string too_many;
   for (std::size_t i = 0; i <= kMaxWordSymbols; ++i) {
     if (!too_many.empty()) too_many += ',';
     too_many += 'x';
   }
-  EXPECT_FALSE(decode_word(too_many).has_value());
-  EXPECT_TRUE(decode_word(std::string(kMaxSymbolChars, 'a')).has_value());
+  EXPECT_FALSE(decode_batch(too_many, 1).has_value());
+  EXPECT_TRUE(decode_batch(std::string(kMaxSymbolChars, 'a'), 1).has_value());
 }
 
 TEST(Wire, BatchCodecRoundTripsAndEnforcesBounds) {
@@ -205,40 +207,26 @@ TEST(Wire, BatchCodecRoundTripsAndEnforcesBounds) {
   EXPECT_FALSE(decode_batch(encode_batch(words), 2).has_value());
   // A malformed word inside an otherwise fine batch poisons the whole batch.
   EXPECT_FALSE(decode_batch("power_on;bad word;paging", kMaxBatchWords).has_value());
-}
+  // ε only travels alone: an empty item inside a longer batch is malformed.
+  EXPECT_FALSE(decode_batch("power_on;;paging", kMaxBatchWords).has_value());
+  EXPECT_FALSE(decode_batch(";power_on", kMaxBatchWords).has_value());
 
-TEST(Wire, BatchAckCodecRoundTripsMixedResults) {
-  std::vector<BatchItem> items(3);
-  items[0].ok = true;
-  items[0].outputs = {"null", "authentication_response"};
-  items[1].ok = false;
-  items[1].error = kReasonBadWord;
-  items[2].ok = true;  // empty word → empty outputs
-  std::optional<std::vector<BatchItem>> back =
-      decode_batch_ack(encode_batch_ack(items), items.size());
-  ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->size(), items.size());
-  EXPECT_TRUE((*back)[0].ok);
-  EXPECT_EQ((*back)[0].outputs, items[0].outputs);
-  EXPECT_FALSE((*back)[1].ok);
-  EXPECT_EQ((*back)[1].error, kReasonBadWord);
-  EXPECT_TRUE((*back)[2].ok);
-  EXPECT_TRUE((*back)[2].outputs.empty());
-
-  // More items than the request had words → a lying server, refused.
-  EXPECT_FALSE(decode_batch_ack(encode_batch_ack(items), 2).has_value());
-}
-
-TEST(Wire, BatchTokenNegotiationRoundTrips) {
-  EXPECT_EQ(with_batch_token("cls", 16), "cls batch=16");
-  EXPECT_EQ(parse_batch_token("cls batch=16"), 16);
-  EXPECT_EQ(strip_batch_token("cls batch=16"), "cls");
-  // A v2 peer never sends the token: parse yields 0, strip is the identity.
-  EXPECT_EQ(parse_batch_token("cls"), 0);
-  EXPECT_EQ(strip_batch_token("cls"), "cls");
-  EXPECT_EQ(with_batch_token("cls", 0), "cls");
-  // Garbage after "batch=" must not parse into a grant.
-  EXPECT_EQ(parse_batch_token("cls batch=lots"), 0);
+  // The hard bounds: kMaxBatchWords words and kMaxBatchSymbols symbols.
+  EXPECT_TRUE(decode_batch(encode_batch(std::vector<std::vector<std::string>>(
+                               kMaxBatchWords, {"paging"})),
+                           0)
+                  .has_value());
+  EXPECT_FALSE(decode_batch(encode_batch(std::vector<std::vector<std::string>>(
+                                kMaxBatchWords + 1, {"paging"})),
+                            0)
+                   .has_value());
+  const std::vector<std::string> long_word(kMaxWordSymbols, "paging");
+  EXPECT_TRUE(decode_batch(encode_batch(std::vector<std::vector<std::string>>(
+                               kMaxBatchSymbols / kMaxWordSymbols, long_word)),
+                           0)
+                  .has_value());
+  EXPECT_FALSE(decode_batch(encode_batch({long_word, long_word, long_word, long_word, {"x"}}), 0)
+                   .has_value());
 }
 
 // --- Clean loopback transport -------------------------------------------------
@@ -386,18 +374,18 @@ TEST(NetTransport, ReconnectMidWordReplaysAndStaysCorrect) {
 
 // --- Nondeterministic server ---------------------------------------------------
 
-// A minimal hand-rolled server that answers kQueryWord *nondeterministically*:
-// every kWordAck alternates the first output symbol. It serves one
-// connection at a time.
-class FlakyWordServer {
+// A minimal hand-rolled server that answers kQueryBatch *nondeterministically*:
+// every non-empty word it answers alternates its first output symbol. It
+// serves one connection at a time.
+class FlakyBatchServer {
  public:
-  FlakyWordServer() {
+  FlakyBatchServer() {
     auto listener = TcpListener::listen(0);
     EXPECT_TRUE(listener.has_value());
     listener_ = std::move(*listener);
     thread_ = std::thread([this] { loop(); });
   }
-  ~FlakyWordServer() {
+  ~FlakyBatchServer() {
     stop_.store(true);
     if (thread_.joinable()) thread_.join();
   }
@@ -427,14 +415,17 @@ class FlakyWordServer {
         switch (d.frame.type) {
           case FrameType::kHello:
             ack.type = FrameType::kHelloAck;
-            ack.payload = with_batch_token("flaky", kDefaultBatchWords);
+            ack.payload = "flaky";
             break;
-          case FrameType::kQueryWord: {
-            ack.type = FrameType::kWordAck;
-            auto word = decode_word(d.frame.payload);
-            std::vector<std::string> outs(word ? word->size() : 0, "null");
-            if (!outs.empty() && (++word_no_ % 2 != 0)) outs[0] = "attach_request";
-            ack.payload = encode_word(outs);
+          case FrameType::kQueryBatch: {
+            ack.type = FrameType::kBatchAck;
+            std::vector<std::vector<std::string>> outs;
+            for (const auto& word : decode_batch(d.frame.payload, kMaxBatchWords).value_or(
+                     std::vector<std::vector<std::string>>{})) {
+              outs.emplace_back(word.size(), "null");
+              if (!word.empty() && (++word_no_ % 2 != 0)) outs.back()[0] = "attach_request";
+            }
+            ack.payload = encode_batch(outs);
             break;
           }
           case FrameType::kPing:
@@ -456,9 +447,8 @@ class FlakyWordServer {
 };
 
 TEST(NetTransport, FlakyServerAnswersRawAndArbitrationQuarantines) {
-  FlakyWordServer server;
+  FlakyBatchServer server;
   RemoteSulOptions opts = client_options(server.port());
-  opts.max_batch_words = 0;  // the fake answers kQueryWord only
   {
     // The transport smooths nothing: consecutive queries of one word
     // surface the alternation exactly as the server sent it.
@@ -466,7 +456,8 @@ TEST(NetTransport, FlakyServerAnswersRawAndArbitrationQuarantines) {
     const std::vector<std::string> word = {"power_on", "paging"};
     EXPECT_EQ(remote.query_word(word), (std::vector<std::string>{"attach_request", "null"}));
     EXPECT_EQ(remote.query_word(word), (std::vector<std::string>{"null", "null"}));
-    EXPECT_EQ(remote.stats().word_queries, 2);
+    EXPECT_EQ(remote.stats().batch_queries, 2);
+    EXPECT_EQ(remote.stats().batched_words, 2);
   }  // hang up: the fake serves one connection at a time
 
   // The learning supervisor's k-of-n arbitration owns the lie. A first
@@ -616,6 +607,27 @@ TEST(BatchedProtocol, SortedBatchContinuesSharedPrefixesOnServer) {
   EXPECT_EQ(server.stats().resets, 1) << "a prefix chain needs exactly one reset";
 }
 
+// The empty word travels as a one-item batch (the codec carries ε only
+// alone), whatever the frame size, and still answers with no outputs.
+TEST(BatchedProtocol, EmptyWordTravelsAsOneItemBatch) {
+  learner::UeSul local(ue::StackProfile::cls());
+  const std::vector<std::string> power_on = local.run({"power_on"});
+  for (const int per_frame : {1, 16}) {
+    SulServer server(ue::StackProfile::cls());
+    ASSERT_TRUE(server.start());
+    RemoteSulOptions opts = client_options(server.port());
+    opts.max_batch_words = per_frame;
+    RemoteUeSul remote(opts);
+    const std::vector<std::vector<std::string>> answers =
+        remote.query_batch({{}, {"power_on"}, {}});
+    EXPECT_EQ(answers, (std::vector<std::vector<std::string>>{{}, power_on, {}}))
+        << per_frame << " words per frame";
+    EXPECT_EQ(remote.stats().unavailable_answers, 0) << per_frame << " words per frame";
+    server.stop();
+    EXPECT_EQ(server.stats().batch_refusals, 0) << per_frame << " words per frame";
+  }
+}
+
 // Batched learning renders byte-identical to the in-process run, with the
 // same query schedule.
 TEST(BatchedProtocol, LearnByteIdenticalToInProcess) {
@@ -629,7 +641,6 @@ TEST(BatchedProtocol, LearnByteIdenticalToInProcess) {
     ASSERT_TRUE(server.start());
     RemoteUeSul remote(client_options(server.port()));
     batched = learner::learn_mealy(remote, quick_learn_options());
-    EXPECT_EQ(remote.negotiated_batch_words(), kDefaultBatchWords);
     EXPECT_GT(remote.stats().batch_queries, 0);
     EXPECT_GT(remote.stats().batched_words, 0);
     server.stop();
@@ -684,7 +695,7 @@ TEST(BatchedProtocol, LearnByteIdenticalUnderLosslessChaos) {
 // unit k, both before and after the ack goes out), a reconnected
 // remote-conformance run must render byte-identical to the uninterrupted
 // in-process reference. This pins the replay design: no interruption point
-// leaks, duplicates, or reorders an observation. One kQueryWord is 1 + len
+// leaks, duplicates, or reorders an observation. One word is 1 + len
 // logical units, so a kill can land mid-word on the server and the whole
 // word replays.
 TEST(KillSweep, WordProtocolByteIdenticalAtEveryKillPoint) {

@@ -321,12 +321,13 @@ TEST(Session, StartRefusesNonLoopbackBindWithoutPsk) {
 
 // --- Version gating ----------------------------------------------------------
 
-TEST(Session, LegacyV1HelloGetsStructuredUpgradeClose) {
+TEST(Session, LegacyHellosGetStructuredUpgradeClose) {
   SulServer server(ue::StackProfile::cls());
   ASSERT_TRUE(server.start());
 
-  // v1: a pre-auth client; v2: a per-symbol reset/step client.
-  for (const int version : {1, 2}) {
+  // v1: a pre-auth client; v2: a per-symbol reset/step client; v3: a client
+  // that sends single words as kQueryWord frames.
+  for (const int version : {1, 2, 3}) {
     auto conn = TcpConn::connect("127.0.0.1", server.port(), 1.0);
     ASSERT_TRUE(conn.has_value());
     Frame hello = hello_frame();
@@ -337,54 +338,60 @@ TEST(Session, LegacyV1HelloGetsStructuredUpgradeClose) {
     ASSERT_TRUE(close.has_value()) << "v" << version;
     EXPECT_EQ(close->type, FrameType::kClose) << "v" << version;
     EXPECT_NE(close->payload.find("upgrade_required"), std::string::npos) << close->payload;
+    // In the client's own version, so a legacy decoder can read the reason.
+    EXPECT_EQ(close->version, version);
     // The server closed the socket — not a half-open connection.
     Bytes chunk;
     EXPECT_EQ(conn->recv_some(chunk, 64, 1.0), TcpConn::RecvStatus::kEof) << "v" << version;
   }
 
   server.stop();
-  EXPECT_EQ(server.stats().upgrade_rejects, 2);
+  EXPECT_EQ(server.stats().upgrade_rejects, 3);
   EXPECT_EQ(server.stats().sessions_authenticated, 0);
 }
 
-// A stale client that gets past the hello but still speaks the retired
-// per-symbol frames is a protocol error: a structured kError naming the
-// frame, then a closed socket — never a crash, never a half-served word.
-TEST(Session, RetiredPerSymbolFrameGetsProtocolErrorAndClose) {
+// A stale client that gets past the hello but still speaks a retired query
+// frame (v2's per-symbol kStep, v3's single-word kQueryWord) is a protocol
+// error: a structured kError naming the frame, then a closed socket — never
+// a crash, never a half-served word.
+TEST(Session, RetiredQueryFramesGetProtocolErrorAndClose) {
   SulServer server(ue::StackProfile::cls());
   ASSERT_TRUE(server.start());
 
-  auto conn = TcpConn::connect("127.0.0.1", server.port(), 1.0);
-  ASSERT_TRUE(conn.has_value());
-  FrameReader reader;
-  ASSERT_TRUE(send_raw(*conn, hello_frame()));
-  auto ack = read_raw(*conn, reader);
-  ASSERT_TRUE(ack.has_value());
-  ASSERT_EQ(ack->type, FrameType::kHelloAck);
+  const FrameType retired[] = {FrameType::kStep, FrameType::kQueryWord};
+  for (const FrameType type : retired) {
+    auto conn = TcpConn::connect("127.0.0.1", server.port(), 1.0);
+    ASSERT_TRUE(conn.has_value());
+    FrameReader reader;
+    ASSERT_TRUE(send_raw(*conn, hello_frame()));
+    auto ack = read_raw(*conn, reader);
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_EQ(ack->type, FrameType::kHelloAck);
 
-  Frame step;
-  step.type = FrameType::kStep;
-  step.epoch = 1;
-  step.seq = 2;
-  step.payload = "power_on";
-  ASSERT_TRUE(send_raw(*conn, step));
-  auto error = read_raw(*conn, reader);
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->type, FrameType::kError);
-  EXPECT_EQ(error->payload.rfind("unexpected frame type", 0), 0u) << error->payload;
-  Bytes chunk;
-  EXPECT_EQ(conn->recv_some(chunk, 64, 1.0), TcpConn::RecvStatus::kEof);
+    Frame query;
+    query.type = type;
+    query.epoch = 1;
+    query.seq = 2;
+    query.payload = "power_on";
+    ASSERT_TRUE(send_raw(*conn, query));
+    auto error = read_raw(*conn, reader);
+    ASSERT_TRUE(error.has_value()) << to_string(type);
+    EXPECT_EQ(error->type, FrameType::kError) << to_string(type);
+    EXPECT_EQ(error->payload, "unexpected frame type: " + std::string(to_string(type)));
+    Bytes chunk;
+    EXPECT_EQ(conn->recv_some(chunk, 64, 1.0), TcpConn::RecvStatus::kEof) << to_string(type);
+  }
 
   server.stop();
-  EXPECT_EQ(server.stats().protocol_errors, 1);
+  EXPECT_EQ(server.stats().protocol_errors, 2);
   EXPECT_EQ(server.stats().session_errors, 0);
   EXPECT_EQ(server.stats().requests, 0);
   std::vector<SessionStats> sessions = server.session_stats();
-  ASSERT_EQ(sessions.size(), 1u);
-  EXPECT_EQ(sessions[0].close_reason, "protocol_error");
+  ASSERT_EQ(sessions.size(), 2u);
+  for (const SessionStats& s : sessions) EXPECT_EQ(s.close_reason, "protocol_error");
 }
 
-// --- Batched word protocol at the session layer (wire v3) --------------------
+// --- Batch queries at the session layer ---------------------------------------
 
 // Satellite (a): the RemoteUeSul client dedupes before sending, but the wire
 // contract is that a *server* also tolerates duplicate words inside one
@@ -398,13 +405,11 @@ TEST(Session, RawBatchWithDuplicateWordsIsTolerated) {
   auto conn = TcpConn::connect("127.0.0.1", server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
   FrameReader reader;
-  Frame hello = hello_frame();
-  hello.payload = with_batch_token(hello.payload, 4);
-  ASSERT_TRUE(send_raw(*conn, hello));
+  ASSERT_TRUE(send_raw(*conn, hello_frame()));
   auto ack = read_raw(*conn, reader);
   ASSERT_TRUE(ack.has_value());
   ASSERT_EQ(ack->type, FrameType::kHelloAck);
-  EXPECT_EQ(parse_batch_token(ack->payload), 4);
+  EXPECT_EQ(ack->payload, "cls") << "the hello-ack carries only the profile name";
 
   const std::vector<std::vector<std::string>> words = {
       {"power_on"},
@@ -420,12 +425,11 @@ TEST(Session, RawBatchWithDuplicateWordsIsTolerated) {
   auto reply = read_raw(*conn, reader);
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, FrameType::kBatchAck);
-  auto items = decode_batch_ack(reply->payload, words.size());
-  ASSERT_TRUE(items.has_value());
-  ASSERT_EQ(items->size(), words.size());
+  auto outputs = decode_batch(reply->payload, words.size());
+  ASSERT_TRUE(outputs.has_value());
+  ASSERT_EQ(outputs->size(), words.size());
   for (std::size_t i = 0; i < words.size(); ++i) {
-    EXPECT_TRUE((*items)[i].ok) << "position " << i << ": " << (*items)[i].error;
-    EXPECT_EQ((*items)[i].outputs, local.run(words[i])) << "position " << i;
+    EXPECT_EQ((*outputs)[i], local.run(words[i])) << "position " << i;
   }
 
   server.stop();
@@ -435,8 +439,9 @@ TEST(Session, RawBatchWithDuplicateWordsIsTolerated) {
   EXPECT_EQ(server.stats().batch_refusals, 0);
 }
 
-// A malformed or over-cap batch is refused with a *structured* kError whose
-// reason names the problem — and the session survives it untouched.
+// A malformed batch, or one over the codec's word or symbol bounds, is
+// refused with a *structured* kError whose reason names the problem — and
+// the session survives it untouched.
 TEST(Session, OversizedAndMalformedBatchesGetStructuredRefusal) {
   SulServer server(ue::StackProfile::cls());
   ASSERT_TRUE(server.start());
@@ -445,65 +450,52 @@ TEST(Session, OversizedAndMalformedBatchesGetStructuredRefusal) {
   auto conn = TcpConn::connect("127.0.0.1", server.port(), 1.0);
   ASSERT_TRUE(conn.has_value());
   FrameReader reader;
-  Frame hello = hello_frame();
-  hello.payload = with_batch_token(hello.payload, 2);  // tiny negotiated cap
-  ASSERT_TRUE(send_raw(*conn, hello));
+  ASSERT_TRUE(send_raw(*conn, hello_frame()));
   auto ack = read_raw(*conn, reader);
   ASSERT_TRUE(ack.has_value());
   ASSERT_EQ(ack->type, FrameType::kHelloAck);
-  ASSERT_EQ(parse_batch_token(ack->payload), 2);
 
-  // Three words through a two-word grant: refused as too large.
-  Frame over;
-  over.type = FrameType::kQueryBatch;
-  over.epoch = 1;
-  over.seq = 2;
-  over.payload = "power_on;paging;detach_request";
-  ASSERT_TRUE(send_raw(*conn, over));
-  auto refusal = read_raw(*conn, reader);
-  ASSERT_TRUE(refusal.has_value());
-  EXPECT_EQ(refusal->type, FrameType::kError);
-  EXPECT_EQ(refusal->payload, kReasonBatchTooLarge);
+  std::uint32_t seq = 1;
+  auto refusal_of = [&](const std::string& payload) -> std::string {
+    Frame batch;
+    batch.type = FrameType::kQueryBatch;
+    batch.epoch = 1;
+    batch.seq = ++seq;
+    batch.payload = payload;
+    if (!send_raw(*conn, batch)) return "send failed";
+    auto reply = read_raw(*conn, reader);
+    if (!reply) return "no reply";
+    if (reply->type != FrameType::kError) return std::string(to_string(reply->type));
+    return reply->payload;
+  };
 
+  // One word over kMaxBatchWords, and one symbol over kMaxBatchSymbols.
+  const std::vector<std::vector<std::string>> many(kMaxBatchWords + 1, {"paging"});
+  EXPECT_EQ(refusal_of(encode_batch(many)), kReasonBatchTooLarge);
+  const std::vector<std::string> long_word(kMaxWordSymbols, "paging");
+  EXPECT_EQ(refusal_of(encode_batch({long_word, long_word, long_word, long_word, {"paging"}})),
+            kReasonBatchTooLarge);
   // A batch whose words don't decode: refused as malformed.
-  Frame bad;
-  bad.type = FrameType::kQueryBatch;
-  bad.epoch = 1;
-  bad.seq = 3;
-  bad.payload = "power_on;not a symbol";
-  ASSERT_TRUE(send_raw(*conn, bad));
-  refusal = read_raw(*conn, reader);
-  ASSERT_TRUE(refusal.has_value());
-  EXPECT_EQ(refusal->type, FrameType::kError);
-  EXPECT_EQ(refusal->payload, kReasonBadBatch);
-
-  // A word query with an illegal symbol: refused, same contract.
-  Frame bad_word;
-  bad_word.type = FrameType::kQueryWord;
-  bad_word.epoch = 1;
-  bad_word.seq = 4;
-  bad_word.payload = "power on";
-  ASSERT_TRUE(send_raw(*conn, bad_word));
-  refusal = read_raw(*conn, reader);
-  ASSERT_TRUE(refusal.has_value());
-  EXPECT_EQ(refusal->type, FrameType::kError);
-  EXPECT_EQ(refusal->payload, kReasonBadWord);
+  EXPECT_EQ(refusal_of("power_on;not a symbol"), kReasonBadBatch);
 
   // The session survived all three refusals: a real query still answers.
-  Frame word;
-  word.type = FrameType::kQueryWord;
-  word.epoch = 1;
-  word.seq = 5;
-  word.payload = encode_word({"power_on", "authentication_request"});
-  ASSERT_TRUE(send_raw(*conn, word));
+  Frame batch;
+  batch.type = FrameType::kQueryBatch;
+  batch.epoch = 1;
+  batch.seq = ++seq;
+  batch.payload = encode_batch({{"power_on", "authentication_request"}});
+  ASSERT_TRUE(send_raw(*conn, batch));
   auto answer = read_raw(*conn, reader);
   ASSERT_TRUE(answer.has_value());
-  ASSERT_EQ(answer->type, FrameType::kWordAck);
-  EXPECT_EQ(decode_word(answer->payload), local.run({"power_on", "authentication_request"}));
+  ASSERT_EQ(answer->type, FrameType::kBatchAck);
+  const std::vector<std::vector<std::string>> expect = {
+      local.run({"power_on", "authentication_request"})};
+  EXPECT_EQ(decode_batch(answer->payload, 1), expect);
 
   server.stop();
   EXPECT_EQ(server.stats().batch_refusals, 3);
-  EXPECT_EQ(server.stats().word_queries, 1) << "refused requests ran no SUL work";
+  EXPECT_EQ(server.stats().batch_queries, 1) << "refused requests ran no SUL work";
+  EXPECT_EQ(server.stats().steps, 2);
 }
 
 // Satellite (b): the per-session registry and the rendered stats table carry
@@ -513,7 +505,7 @@ TEST(Session, BatchCountersSurfaceInRegistryAndRender) {
   ASSERT_TRUE(server.start());
   {
     RemoteUeSul remote(client_options(server.port()));
-    remote.run({"power_on"});  // one kQueryWord
+    remote.run({"power_on"});  // one kQueryBatch, one word
     remote.query_batch({{"power_on"},
                         {"power_on", "authentication_request"},
                         {"paging"}});  // one kQueryBatch, three words
@@ -523,14 +515,13 @@ TEST(Session, BatchCountersSurfaceInRegistryAndRender) {
 
   std::vector<SessionStats> sessions = server.session_stats();
   ASSERT_EQ(sessions.size(), 1u);
-  EXPECT_EQ(sessions[0].word_queries, 1);
-  EXPECT_EQ(sessions[0].batch_queries, 1);
-  EXPECT_EQ(sessions[0].batched_words, 3);
+  EXPECT_EQ(sessions[0].batch_queries, 2);
+  EXPECT_EQ(sessions[0].batched_words, 4);
   EXPECT_GT(sessions[0].prefix_hits, 0);
 
   const std::string table = server.render_stats();
   EXPECT_NE(table.find("words:"), std::string::npos) << table;
-  EXPECT_NE(table.find("1 batches (3 words)"), std::string::npos) << table;
+  EXPECT_NE(table.find("2 batches (4 words)"), std::string::npos) << table;
 }
 
 // --- Per-session quotas ------------------------------------------------------
@@ -603,10 +594,11 @@ TEST(Session, DrainClosesAtNextWordAndShedsNewcomers) {
   EXPECT_EQ(newcomer.step("power_on"), learner::kSulUnavailable);
   EXPECT_EQ(newcomer.last_close_reason(), kReasonDraining);
 
-  // Every word is one frame, and every word frame is a word boundary: the
-  // words answered before the drain are complete, and the session closes
-  // with kClose(drained) at its next frame — even a step() continuing the
-  // same logical word. Its reconnect attempts are shed like the newcomer's.
+  // Every step() is one batch frame, and every batch frame is a word
+  // boundary: the words answered before the drain are complete, and the
+  // session closes with kClose(drained) at its next frame — even a step()
+  // continuing the same logical word. Its reconnect attempts are shed like
+  // the newcomer's.
   EXPECT_EQ(inflight.step("security_mode_command"), learner::kSulUnavailable);
   EXPECT_EQ(inflight.last_close_reason(), kReasonDraining);
   EXPECT_GT(inflight.stats().server_closes, 0);
@@ -617,7 +609,7 @@ TEST(Session, DrainClosesAtNextWordAndShedsNewcomers) {
   std::vector<SessionStats> sessions = server.session_stats();
   ASSERT_EQ(sessions.size(), 1u);
   EXPECT_EQ(sessions[0].close_reason, kReasonDrained);
-  EXPECT_EQ(sessions[0].word_queries, 2) << "both pre-drain words were served";
+  EXPECT_EQ(sessions[0].batched_words, 2) << "both pre-drain words were served";
 }
 
 // --- Idle reaping ------------------------------------------------------------
