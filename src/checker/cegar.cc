@@ -107,11 +107,10 @@ PropertyResult check_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fs
       return result;
     }
 
-    // CPV validation of every adversary-dependent consumption in the trace.
+    // CPV validation of every step in the trace (judge_delivery decides
+    // which kinds of step can be infeasible).
     std::vector<std::pair<std::string, std::string>> infeasible;
     for (const mc::TraceStep& step : cex->steps) {
-      if (step.meta.kind != mc::CommandMeta::Kind::kDeliver) continue;
-      if (step.meta.provenance == mc::kProvGenuine) continue;
       cpv::StepVerdict v = crypto.judge_delivery(step.meta);
       if (!v.feasible) infeasible.emplace_back(step.label, v.reason);
     }

@@ -73,6 +73,46 @@ std::string analysis_options_hash(const AnalysisOptions& options,
   return hex64(prf64(0x0A75BA5E, Bytes(canon.begin(), canon.end())));
 }
 
+namespace {
+
+/// Fingerprint (16 hex digits) of a threat model: its variables, domain
+/// value names and initial state, and each command's label, guard, updates
+/// and meta, every field length-prefixed.
+std::string model_digest(const mc::Model& model) {
+  std::string canon;
+  auto put = [&canon](const std::string& field) {
+    canon += std::to_string(field.size()) + ':' + field;
+  };
+  auto put_set = [&put](const std::set<std::string>& fields) {
+    put(std::to_string(fields.size()));
+    for (const std::string& field : fields) put(field);
+  };
+  const mc::State init = model.initial();
+  for (int v = 0; v < static_cast<int>(model.var_count()); ++v) {
+    put(model.var_name(v) + '=' + std::to_string(init[v]) + '/' + std::to_string(model.domain(v)));
+    for (std::int32_t x = 0; x < model.domain(v); ++x) put(model.value_name(v, x));
+  }
+  for (const mc::Command& cmd : model.commands()) {
+    const mc::CommandMeta& meta = cmd.meta;
+    put(cmd.label);
+    put(cmd.guard.to_string());
+    put(std::to_string(cmd.updates.size()));
+    for (const mc::Assign& a : cmd.updates) {
+      put(std::to_string(a.var) + '=' + std::to_string(a.value) + '<' + std::to_string(a.src));
+    }
+    put(std::to_string(static_cast<int>(meta.actor)) + ',' +
+        std::to_string(static_cast<int>(meta.kind)) + ',' + std::to_string(meta.provenance));
+    put(meta.message);
+    put(meta.from_state);
+    put(meta.to_state);
+    put_set(meta.atoms);
+    put_set(meta.actions);
+  }
+  return hex64(prf64(0x30DE1D16, Bytes(canon.begin(), canon.end())));
+}
+
+}  // namespace
+
 ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
                                          const AnalysisOptions& options) {
   ImplementationReport report;
@@ -105,13 +145,10 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
   //
   // The unit of parallelism is one property's whole CEGAR loop: refinement
   // state (banned commands) is strictly per-property, so workers share only
-  // immutables — the ThreatModel and its reachable graph (built once by the
-  // supervisor), the extracted FSM, and the catalog. The
-  // cryptographic verifier is NOT shared: cpv::Knowledge saturates lazily
-  // behind a const interface (mutable cache), so the supervisor hands each
-  // concurrent worker its own LteCryptoModel (reused via a free-list).
-  // Outcomes land in catalog order, making the report byte-identical to a
-  // sequential run.
+  // immutables — the ThreatModel and its reachable graph and the
+  // cryptographic verifier (each built once by the supervisor), the
+  // extracted FSM, and the catalog. Outcomes land in catalog order, making
+  // the report byte-identical to a sequential run.
   cpv::LteCryptoModel::Options crypto_options;
   crypto_options.usim_freshness_limit = profile.sqn_freshness_limit.has_value();
 
@@ -137,6 +174,9 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
   sup.resume = options.resume;
   sup.run_tag = profile.name;
   sup.options_hash = analysis_options_hash(options, profile);
+  // A journal also binds the model its verdicts were computed on, so a
+  // resume after the stack or the composer changed is refused.
+  if (!options.journal_path.empty()) sup.options_hash += "." + model_digest(tm.model);
   sup.jobs = options.jobs > 0 ? static_cast<std::size_t>(options.jobs)
                               : ThreadPool::default_parallelism();
   sup.fault_hook = options.fault_hook;

@@ -31,8 +31,8 @@ struct AnalysisOptions {
   std::set<std::string> only_properties;
   /// Worker threads for the per-property CEGAR fan-out: 0 = one per
   /// hardware thread, 1 = sequential. The report is byte-identical at any
-  /// value — results land in catalog order and each worker owns its own
-  /// cryptographic verifier (see DESIGN.md §10).
+  /// value — results land in catalog order and workers share only
+  /// immutables (see DESIGN.md §10).
   int jobs = 0;
 
   // --- Supervisor knobs (DESIGN.md §11) ------------------------------------

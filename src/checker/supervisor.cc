@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <mutex>
 
 #include "common/journal.h"
@@ -369,11 +368,8 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
   }
 
   // One fan-out at every jobs level (parallel_for runs inline at jobs <= 1).
-  // Verifiers are reused across properties through a free-list (the
-  // cpv::Knowledge saturation cache stays warm) but never shared
-  // concurrently.
-  std::mutex crypto_mutex;
-  std::vector<std::unique_ptr<cpv::LteCryptoModel>> idle_verifiers;
+  // Every worker judges with the one verifier: it is immutable once built.
+  const cpv::LteCryptoModel crypto(crypto_options);
   parallel_for(options.jobs, work.size(), [&](std::size_t k) {
     const std::size_t i = work[k];
     // A cancelled run skips every property not yet started.
@@ -381,22 +377,7 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
     // Catch-all even outside run_one_property: a throwing task would reach
     // std::terminate through the pool, taking down the whole run.
     try {
-      std::unique_ptr<cpv::LteCryptoModel> crypto;
-      {
-        std::lock_guard<std::mutex> lock(crypto_mutex);
-        if (!idle_verifiers.empty()) {
-          crypto = std::move(idle_verifiers.back());
-          idle_verifiers.pop_back();
-        }
-      }
-      if (!crypto) crypto = std::make_unique<cpv::LteCryptoModel>(crypto_options);
-      PropertyOutcome outcome =
-          run_one_property(graph, ue_fsm, *selected[i], *crypto, cegar, options);
-      {
-        std::lock_guard<std::mutex> lock(crypto_mutex);
-        idle_verifiers.push_back(std::move(crypto));
-      }
-      record(i, std::move(outcome));
+      record(i, run_one_property(graph, ue_fsm, *selected[i], crypto, cegar, options));
     } catch (const std::exception& e) {
       record(i, exception_outcome(*selected[i], 1, e.what()));
     } catch (...) {

@@ -1,8 +1,10 @@
 // Analysis supervisor (DESIGN.md §11 "Failure containment & resume").
 //
 // Layered between ProChecker::analyze (and diff triage) and the per-property
-// CEGAR workers. The threat model's reachable graph is built once, before
-// the fan-out, and every worker checks its property against it read-only.
+// CEGAR workers. The threat model's reachable graph and the cryptographic
+// verifier are each built once, before the fan-out, and every worker checks
+// its property against the graph and judges its counterexamples with the
+// verifier, both read-only.
 // Each property runs crash-isolated under one budget, the caller's
 // CegarOptions: a state cap plus a cooperative watchdog (wall-clock
 // deadline, approximate memory ceiling and cancel token, polled in the MC
@@ -74,7 +76,8 @@ struct SupervisorOptions {
   std::string run_tag;
   /// Fingerprint of the analysis options that shape verdicts (budgets,
   /// property selection — anything jobs-independent; see
-  /// checker::analysis_options_hash). Recorded in the journal header; a
+  /// checker::analysis_options_hash), and for ProChecker::analyze also of
+  /// the threat model checked. Recorded in the journal header; a
   /// --resume against a journal written under a *different* fingerprint is
   /// refused outright (aborted run) — adopting those verdicts would silently
   /// mix incompatible budgets into one report.
@@ -115,7 +118,8 @@ struct SupervisedRun {
 /// across jobs levels and across interrupt/resume cycles for deterministic
 /// budgets (see DESIGN.md §11 for the determinism argument). Builds the
 /// reachable graph of `tm` under cegar's state cap, memory ceiling and
-/// cancel token, unless no selected property needs checking.
+/// cancel token, unless no selected property needs checking, and one
+/// cryptographic verifier from `crypto_options` that every worker shares.
 SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                              const std::vector<const PropertyDef*>& selected,
                              const cpv::LteCryptoModel::Options& crypto_options,

@@ -1,20 +1,13 @@
 #include "cpv/knowledge.h"
 
+#include <vector>
+
 namespace procheck::cpv {
 
-void Knowledge::learn(Term t) {
-  base_.insert(std::move(t));
-  dirty_ = true;
-}
-
-const std::set<Term>& Knowledge::saturated() const {
-  saturate();
-  return analyzed_;
-}
-
-void Knowledge::saturate() const {
-  if (!dirty_) return;
-  analyzed_ = base_;
+void Knowledge::learn(Term term) {
+  if (!analyzed_.insert(std::move(term)).second) return;
+  // Analysis to fixpoint: the new term may open earlier ones (as a key) and
+  // earlier ones may open it, so every pass rescans the whole set.
   bool changed = true;
   while (changed) {
     changed = false;
@@ -22,36 +15,9 @@ void Knowledge::saturate() const {
     for (const Term& t : analyzed_) {
       if (t.is_name()) continue;
       if (t.symbol() == "pair") {
-        for (const Term& a : t.args()) {
-          if (analyzed_.count(a) == 0) to_add.push_back(a);
-        }
-      } else if (t.symbol() == "senc" && t.args().size() == 2) {
-        // senc(m, k): m recoverable iff k derivable from the current set.
-        // (Key derivability uses the in-progress analyzed set; iterating to
-        // fixpoint makes this sound.)
-        const Term& m = t.args()[0];
-        const Term& k = t.args()[1];
-        // Synthesis check against the current analyzed snapshot.
-        if (analyzed_.count(m) == 0) {
-          // Defer the derivability test to a local lambda to avoid
-          // recursion into saturate().
-          struct Synth {
-            const std::set<Term>& set;
-            bool can(const Term& t) const {
-              if (set.count(t) > 0) return true;
-              if (t.is_name()) return false;
-              if (t.symbol() == "mac" || t.symbol() == "kdf" || t.symbol() == "senc" ||
-                  t.symbol() == "pair") {
-                for (const Term& a : t.args()) {
-                  if (!can(a)) return false;
-                }
-                return true;
-              }
-              return false;
-            }
-          };
-          if (Synth{analyzed_}.can(k)) to_add.push_back(m);
-        }
+        to_add.insert(to_add.end(), t.args().begin(), t.args().end());
+      } else if (t.symbol() == "senc" && t.args().size() == 2 && derivable(t.args()[1])) {
+        to_add.push_back(t.args()[0]);
       }
       // mac/kdf: one-way, nothing to decompose.
     }
@@ -59,11 +25,9 @@ void Knowledge::saturate() const {
       changed = analyzed_.insert(std::move(t)).second || changed;
     }
   }
-  dirty_ = false;
 }
 
 bool Knowledge::derivable(const Term& t) const {
-  saturate();
   // Synthesis: t is derivable if it is in the analyzed set, or it is a
   // constructor application whose arguments are all derivable.
   if (analyzed_.count(t) > 0) return true;

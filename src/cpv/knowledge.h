@@ -3,17 +3,19 @@
 //
 // Analysis rules (decomposition, to fixpoint):
 //   pair(a, b) ∈ K            ⇒ a ∈ K, b ∈ K
-//   senc(m, k) ∈ K, k ⊢ K     ⇒ m ∈ K
+//   senc(m, k) ∈ K, K ⊢ k     ⇒ m ∈ K
 // Synthesis rules (composition, on demand):
 //   t ∈ K                                     ⇒ K ⊢ t
 //   K ⊢ a1..an for constructor f              ⇒ K ⊢ f(a1..an)
 // mac/kdf are one-way: they decompose to nothing, and synthesizing them
 // requires deriving every argument (including the key).
+//
+// learn() saturates at once, so derivable() and saturated() only read: a
+// const Knowledge is safe to share between threads.
 #pragma once
 
 #include <set>
 #include <string>
-#include <vector>
 
 #include "cpv/term.h"
 
@@ -21,7 +23,7 @@ namespace procheck::cpv {
 
 class Knowledge {
  public:
-  /// Adds a term to the attacker's knowledge (and re-saturates lazily).
+  /// Adds a term to the attacker's knowledge and re-saturates.
   void learn(Term t);
   /// Public constants (message skeletons, identities broadcast in clear)
   /// are names every attacker can produce.
@@ -30,16 +32,11 @@ class Knowledge {
   /// K ⊢ t — can the attacker derive `t`?
   bool derivable(const Term& t) const;
 
-  std::size_t size() const { return base_.size(); }
   /// The saturated (analyzed) knowledge set, for diagnostics.
-  const std::set<Term>& saturated() const;
+  const std::set<Term>& saturated() const { return analyzed_; }
 
  private:
-  void saturate() const;
-
-  std::set<Term> base_;
-  mutable std::set<Term> analyzed_;
-  mutable bool dirty_ = true;
+  std::set<Term> analyzed_;
 };
 
 }  // namespace procheck::cpv

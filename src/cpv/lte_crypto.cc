@@ -69,20 +69,6 @@ bool LteCryptoModel::stale_sqn_accepted() const {
   return replay.result == nas::Usim::Result::kOk;
 }
 
-bool LteCryptoModel::equal_sqn_accepted(bool accept_equal_deviation) {
-  nas::Usim usim(0x5EC2E7, nas::UsimConfig{std::nullopt, accept_equal_deviation});
-  nas::SqnGenerator gen;
-  nas::Sqn sqn = gen.next();
-  Bytes rand{0xAA, 0xBB};
-  nas::Autn autn;
-  autn.sqn_xor_ak = (sqn.value() ^ nas::f5_ak(usim.permanent_key(), rand)) & nas::kSqnMask;
-  autn.amf = 0x8000;
-  autn.mac = nas::f1_mac(usim.permanent_key(), sqn.value(), rand, autn.amf);
-  Bytes autn_raw = autn.encode();
-  if (usim.authenticate(rand, autn_raw).result != nas::Usim::Result::kOk) return false;
-  return usim.authenticate(rand, autn_raw).result == nas::Usim::Result::kOk;
-}
-
 StepVerdict LteCryptoModel::judge_delivery(const mc::CommandMeta& step) const {
   if (step.kind != mc::CommandMeta::Kind::kDeliver &&
       step.kind != mc::CommandMeta::Kind::kInternal) {

@@ -11,6 +11,9 @@
 // replays — and (b) for authentication_request, whether a stale SQN passes
 // the USIM's TS 33.102 Annex C check, which is decided by *running the real
 // USIM implementation* (nas::Usim) on a replay scenario.
+//
+// An LteCryptoModel is immutable once built: every judgment only reads it.
+// Share one across threads (the analysis supervisor builds one per run).
 #pragma once
 
 #include <set>
@@ -47,10 +50,10 @@ class LteCryptoModel {
 
   explicit LteCryptoModel(Options options = Options());
 
-  /// Judges a counterexample step that consumes a message of non-genuine
-  /// provenance (mc::CommandMeta::Kind::kDeliver with provenance replayed or
-  /// fabricated). Genuine deliveries and pure adversary channel actions
-  /// (drop/inject/replay placements) are trivially feasible.
+  /// Judges any counterexample step. Only a step that consumes a message of
+  /// non-genuine provenance (mc::CommandMeta::Kind::kDeliver with provenance
+  /// replayed or fabricated) can be infeasible: genuine deliveries, internal
+  /// transitions and adversary channel actions are trivially feasible.
   StepVerdict judge_delivery(const mc::CommandMeta& step) const;
 
   /// Observational equivalence: can an observer distinguish the victim UE
@@ -65,9 +68,6 @@ class LteCryptoModel {
   /// Exposes the Annex C decision (used directly and by tests): does a
   /// USIM accept a *stale, previously-issued* SQN (an out-of-order replay)?
   bool stale_sqn_accepted() const;
-  /// Does a USIM accept the *same* SQN twice (equal SEQ)? Only under the
-  /// I3 deviation; parameterized because it is implementation behavior.
-  static bool equal_sqn_accepted(bool accept_equal_deviation);
 
   const Knowledge& attacker_knowledge() const { return knowledge_; }
 

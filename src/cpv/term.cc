@@ -22,7 +22,6 @@ Term Term::func(std::string fn, std::vector<Term> args) {
 Term Term::pair(Term a, Term b) { return func("pair", {std::move(a), std::move(b)}); }
 Term Term::senc(Term m, Term k) { return func("senc", {std::move(m), std::move(k)}); }
 Term Term::mac(Term m, Term k) { return func("mac", {std::move(m), std::move(k)}); }
-Term Term::kdf(Term k, Term x) { return func("kdf", {std::move(k), std::move(x)}); }
 
 const std::vector<Term>& Term::args() const { return args_ ? *args_ : kNoArgs; }
 

@@ -24,7 +24,6 @@ class Term {
   static Term pair(Term a, Term b);
   static Term senc(Term m, Term k);  // symmetric encryption
   static Term mac(Term m, Term k);   // message authentication code
-  static Term kdf(Term k, Term x);   // key derivation
 
   bool is_name() const { return args_ == nullptr; }
   const std::string& symbol() const { return symbol_; }  // name or function symbol

@@ -389,14 +389,6 @@ std::string CounterExample::to_dot(const Model& model) const {
   return out;
 }
 
-std::vector<const TraceStep*> CounterExample::adversary_steps() const {
-  std::vector<const TraceStep*> out;
-  for (const TraceStep& s : steps) {
-    if (s.meta.actor == CommandMeta::Actor::kAdversary) out.push_back(&s);
-  }
-  return out;
-}
-
 // --- The reachable graph ----------------------------------------------------
 
 namespace {

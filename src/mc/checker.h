@@ -30,6 +30,9 @@ struct TraceStep {
   State post;
 };
 
+/// A trace of the model. The CEGAR loop (checker/cegar.h) submits every
+/// step to the cryptographic verifier, which decides which of them could be
+/// infeasible.
 struct CounterExample {
   std::vector<TraceStep> steps;  // from the initial state
   /// For liveness violations, index into `steps` where the lasso loop
@@ -40,8 +43,6 @@ struct CounterExample {
   /// Graphviz rendering of the trace as a message-sequence-like chain
   /// (adversary steps highlighted; the lasso loop marked).
   std::string to_dot(const Model& model) const;
-  /// The adversary steps of the trace (what the CPV must validate).
-  std::vector<const TraceStep*> adversary_steps() const;
 };
 
 struct CheckStats {

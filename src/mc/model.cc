@@ -77,6 +77,20 @@ bool Expr::eval(const State& s) const {
   return false;
 }
 
+std::string Expr::to_string() const {
+  switch (kind_) {
+    case Kind::kConst:
+      return const_value_ ? "true" : "false";
+    case Kind::kEq:
+      return "v" + std::to_string(var_) + "=" + std::to_string(value_);
+    case Kind::kAnd:
+      return "(" + lhs_->to_string() + " & " + rhs_->to_string() + ")";
+    case Kind::kOr:
+      return "(" + lhs_->to_string() + " | " + rhs_->to_string() + ")";
+  }
+  return "?";
+}
+
 int Model::add_var(const std::string& name, std::int32_t domain, std::int32_t init,
                    std::vector<std::string> value_names) {
   names_.push_back(name);

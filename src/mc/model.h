@@ -37,6 +37,9 @@ class Expr {
   static Expr all(std::vector<Expr> exprs);
 
   bool eval(const State& s) const;
+  /// Canonical text, variables by index: `v3=1`, `(a & b)`, `(a | b)`,
+  /// `true`, `false`.
+  std::string to_string() const;
 
   /// Appends every variable index this expression reads (with repeats).
   void collect_vars(std::vector<int>& out) const;

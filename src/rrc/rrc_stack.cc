@@ -2,32 +2,6 @@
 
 namespace procheck::rrc {
 
-std::string_view standard_name(RrcMsgType t) {
-  switch (t) {
-    case RrcMsgType::kConnectionRequest:
-      return "rrc_connection_request";
-    case RrcMsgType::kConnectionSetup:
-      return "rrc_connection_setup";
-    case RrcMsgType::kConnectionSetupComplete:
-      return "rrc_connection_setup_complete";
-    case RrcMsgType::kUlInformationTransfer:
-      return "rrc_ul_information_transfer";
-    case RrcMsgType::kDlInformationTransfer:
-      return "rrc_dl_information_transfer";
-    case RrcMsgType::kSecurityModeCommand:
-      return "rrc_security_mode_command";
-    case RrcMsgType::kSecurityModeComplete:
-      return "rrc_security_mode_complete";
-    case RrcMsgType::kConnectionReconfiguration:
-      return "rrc_connection_reconfiguration";
-    case RrcMsgType::kConnectionReconfigurationComplete:
-      return "rrc_connection_reconfiguration_complete";
-    case RrcMsgType::kConnectionRelease:
-      return "rrc_connection_release";
-  }
-  return "rrc_unknown";
-}
-
 std::string_view to_string(RrcState s) {
   switch (s) {
     case RrcState::kIdle:

@@ -42,8 +42,6 @@ enum class RrcMsgType : std::uint8_t {
   kConnectionRelease,
 };
 
-std::string_view standard_name(RrcMsgType t);
-
 /// RRC PDU: a typed header plus an optional encapsulated NAS PDU.
 struct RrcPdu {
   RrcMsgType type = RrcMsgType::kConnectionRequest;

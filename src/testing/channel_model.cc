@@ -5,24 +5,6 @@
 
 namespace procheck::testing {
 
-std::string_view to_string(ChannelFault fault) {
-  switch (fault) {
-    case ChannelFault::kNone:
-      return "none";
-    case ChannelFault::kDrop:
-      return "drop";
-    case ChannelFault::kDuplicate:
-      return "duplicate";
-    case ChannelFault::kReorder:
-      return "reorder";
-    case ChannelFault::kDelay:
-      return "delay";
-    case ChannelFault::kCorrupt:
-      return "corrupt";
-  }
-  return "none";
-}
-
 void ChannelStats::merge(const ChannelStats& other) {
   auto add = [](Direction& into, const Direction& from) {
     into.offered += from.offered;

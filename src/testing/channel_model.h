@@ -52,8 +52,6 @@ enum class ChannelFault : std::uint8_t {
   kCorrupt,
 };
 
-std::string_view to_string(ChannelFault fault);
-
 struct ChannelStats {
   struct Direction {
     std::size_t offered = 0;  // PDUs that entered the channel

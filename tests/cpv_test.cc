@@ -1,7 +1,12 @@
 // Cryptographic-protocol-verifier tests: the Dolev–Yao term algebra and
 // knowledge saturation, the LTE feasibility judgments used by the CEGAR
-// loop, and the observational-equivalence (linkability) queries.
+// loop, the observational-equivalence (linkability) queries, and one
+// verifier judging from several threads at once.
 #include <gtest/gtest.h>
+
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "checker/baseline.h"
 #include "cpv/knowledge.h"
@@ -72,6 +77,17 @@ TEST(Knowledge, EncryptionUnderDerivedKeyOpens) {
   Knowledge k;
   k.learn(Term::senc(Term::name("m"), Term::name("key")));
   k.learn(Term::pair(Term::name("key"), Term::name("junk")));
+  EXPECT_TRUE(k.derivable(Term::name("m")));
+}
+
+TEST(Knowledge, AnyDerivableKeyOpensEncryption) {
+  // senc(m, k) ∈ K, K ⊢ k ⇒ m ∈ K: saturation opens an encryption under
+  // any key derivable() composes, not only names and the LTE constructors.
+  Knowledge k;
+  const Term key = Term::func("h", {Term::name("a")});
+  k.learn(Term::senc(Term::name("m"), key));
+  k.learn(Term::name("a"));
+  EXPECT_TRUE(k.derivable(key));
   EXPECT_TRUE(k.derivable(Term::name("m")));
 }
 
@@ -201,11 +217,6 @@ TEST(LteCrypto, StaleSqnReplayInfeasibleWithFreshnessLimit) {
   EXPECT_FALSE(v.feasible);
 }
 
-TEST(LteCrypto, EqualSqnJudgment) {
-  EXPECT_TRUE(LteCryptoModel::equal_sqn_accepted(/*accept_equal_deviation=*/true));
-  EXPECT_FALSE(LteCryptoModel::equal_sqn_accepted(/*accept_equal_deviation=*/false));
-}
-
 TEST(LteCrypto, CounterResetReplayFeasible) {
   // The I3 transition is the implementation's own logged behavior.
   LteCryptoModel crypto;
@@ -328,6 +339,57 @@ TEST(Equivalence, I6SmcReplayDistinguishable) {
   EquivalenceVerdict v =
       crypto.distinguishability(m, "security_mode_command", {"smc_replay=1"});
   EXPECT_TRUE(v.distinguishable);
+}
+
+// --- One verifier shared by concurrent workers -----------------------------------
+
+// The analysis supervisor judges every property with one LteCryptoModel.
+// Four threads start together on one const instance, and each one's
+// judgments must equal those of a separate instance made sequentially.
+// Under ThreadSanitizer (the cpv_tsan ctest entry) this also checks that a
+// judgment writes nothing the threads share.
+TEST(CpvTsan, SharedVerifierJudgesConcurrently) {
+  const mc::CommandMeta fabricated =
+      deliver("security_mode_command", mc::kProvFabricated, {"mac_valid=1"});
+  const mc::CommandMeta replayed =
+      deliver("authentication_request", mc::kProvReplayed, {"sqn_ok=1"});
+  const fsm::Fsm ue = linkable_auth_fsm();
+  struct Judgments {
+    StepVerdict fabricated;  // the derivable() path
+    StepVerdict replayed;    // the Annex C path
+    EquivalenceVerdict linkable;
+  };
+  auto judge = [&](const LteCryptoModel& crypto) {
+    return Judgments{crypto.judge_delivery(fabricated), crypto.judge_delivery(replayed),
+                     crypto.distinguishability(ue, "authentication_request", {"sqn_ok=1"})};
+  };
+  const Judgments expected = judge(LteCryptoModel());
+  EXPECT_FALSE(expected.fabricated.feasible);
+  EXPECT_TRUE(expected.replayed.feasible);
+  EXPECT_TRUE(expected.linkable.distinguishable);
+
+  const LteCryptoModel shared;
+  constexpr int kThreads = 4;
+  std::vector<Judgments> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      got[i] = judge(shared);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Judgments& g : got) {
+    EXPECT_EQ(g.fabricated.feasible, expected.fabricated.feasible);
+    EXPECT_EQ(g.fabricated.reason, expected.fabricated.reason);
+    EXPECT_EQ(g.replayed.feasible, expected.replayed.feasible);
+    EXPECT_EQ(g.replayed.reason, expected.replayed.reason);
+    EXPECT_EQ(g.linkable.distinguishable, expected.linkable.distinguishable);
+    EXPECT_EQ(g.linkable.victim_response, expected.linkable.victim_response);
+    EXPECT_EQ(g.linkable.other_response, expected.linkable.other_response);
+    EXPECT_EQ(g.linkable.reason, expected.linkable.reason);
+  }
 }
 
 }  // namespace

@@ -251,9 +251,10 @@ TEST(EdgeNever, MetaIsCarriedIntoTrace) {
   CheckStats stats;
   auto cex = check_never(m, "adv", &stats);
   ASSERT_TRUE(cex.has_value());
-  EXPECT_EQ(cex->adversary_steps().size(), 1u);
-  EXPECT_EQ(cex->adversary_steps()[0]->meta.kind, CommandMeta::Kind::kInject);
-  EXPECT_EQ(cex->adversary_steps()[0]->meta.message, "attach_reject");
+  ASSERT_EQ(cex->steps.size(), 1u);
+  EXPECT_EQ(cex->steps[0].meta.actor, CommandMeta::Actor::kAdversary);
+  EXPECT_EQ(cex->steps[0].meta.kind, CommandMeta::Kind::kInject);
+  EXPECT_EQ(cex->steps[0].meta.message, "attach_reject");
 }
 
 // --- Response liveness ----------------------------------------------------------------

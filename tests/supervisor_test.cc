@@ -1145,6 +1145,50 @@ TEST(AnalyzeResume, RefusedWhenVerdictShapingOptionsChange) {
   EXPECT_EQ(resumed.resumed_count, ref.results.size());
 }
 
+// The header also binds the threat model the verdicts were computed on: a
+// stack rebuilt with another behaviour, or another stack under the same
+// name, refuses the journal and leaves it untouched.
+TEST(AnalyzeResume, RefusedWhenTheModelChanges) {
+  AnalysisOptions options;
+  options.only_properties = {"S07"};
+  options.jobs = 1;
+  const std::string path = tmp_path("analyze_model.jsonl");
+  std::remove(path.c_str());
+  options.journal_path = path;
+  const ImplementationReport ref = ProChecker::analyze(ue::StackProfile::cls(), options);
+  ASSERT_FALSE(ref.aborted);
+  ASSERT_EQ(ref.results.size(), 1u);
+  EXPECT_EQ(ref.results[0].status, PropertyResult::Status::kVerified);
+  const std::string bytes = slurp(path);
+
+  ue::StackProfile equal_sqn = ue::StackProfile::cls();  // as rebuilt with I3
+  equal_sqn.accept_equal_sqn = true;
+  ue::StackProfile renamed = ue::StackProfile::oai();
+  renamed.name = "cls";
+  AnalysisOptions resume = options;
+  resume.resume = true;
+  for (const ue::StackProfile& other : {equal_sqn, renamed}) {
+    const ImplementationReport refused = ProChecker::analyze(other, resume);
+    EXPECT_TRUE(refused.aborted);
+    EXPECT_TRUE(contains(refused.abort_reason, "resume refused")) << refused.abort_reason;
+    EXPECT_TRUE(refused.results.empty());
+    EXPECT_EQ(slurp(path), bytes);
+  }
+
+  // The journaled verdict would have been wrong for the rebuilt stack.
+  AnalysisOptions fresh = options;
+  fresh.journal_path.clear();
+  const ImplementationReport rebuilt = ProChecker::analyze(equal_sqn, fresh);
+  ASSERT_EQ(rebuilt.results.size(), 1u);
+  EXPECT_EQ(rebuilt.results[0].status, PropertyResult::Status::kAttack);
+  EXPECT_EQ(rebuilt.attacks_found, std::set<std::string>{"I3"});
+
+  const ImplementationReport same = ProChecker::analyze(ue::StackProfile::cls(), resume);
+  EXPECT_FALSE(same.aborted);
+  EXPECT_EQ(same.resumed_count, 1u);
+  EXPECT_EQ(render_verdicts(same), render_verdicts(ref));
+}
+
 TEST(AnalyzeResume, OptionsHashCoversVerdictKnobsOnly) {
   AnalysisOptions a;
   a.only_properties = {"S01", "P04"};
