@@ -30,9 +30,6 @@ bool MetaMatch::matches_meta(const CommandMeta& m) const {
     for (const std::string& a : actions_any) any = any || m.has_action(a);
     if (!any) return false;
   }
-  for (const std::string& a : actions_none) {
-    if (m.has_action(a)) return false;
-  }
   if (!provenance_any.empty() &&
       std::find(provenance_any.begin(), provenance_any.end(), m.provenance) ==
           provenance_any.end()) {

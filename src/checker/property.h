@@ -37,7 +37,6 @@ struct MetaMatch {
   std::vector<std::string> atoms_all;        // all must be present
   std::vector<std::string> atoms_none;       // none may be present
   std::vector<std::string> actions_any;      // at least one present (if non-empty)
-  std::vector<std::string> actions_none;
   std::vector<std::int32_t> provenance_any;  // non-empty = must be one of
   std::vector<std::string> from_states;      // non-empty = must be one of
   std::vector<std::string> to_states;

@@ -31,8 +31,8 @@
 //       transport; degraded runs end inconclusive, never hang). Runs under
 //       the learning supervisor (DESIGN.md §15): a crash-safe observation
 //       journal makes `--resume` continue byte-identically from any kill
-//       point, contradictory answers are arbitrated k-of-n, and watchdogs
-//       bound every attempt.
+//       point, contradictory answers are arbitrated k-of-n, and a deadline
+//       bounds every attempt.
 //   diff <left> <right> [--json] [--dot] [--jobs <N>]
 //       Differential cross-implementation analysis (DESIGN.md §16): builds
 //       one FSM per side (profile:<name>, log:[<profile>:]<path>,
@@ -42,7 +42,9 @@
 //       behaviorally equivalent, 1 on divergence, 3 when a side or the walk
 //       was inconclusive.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -163,22 +165,21 @@ struct Args {
 };
 
 // Numeric option parsing: a malformed value is a usage error, not a crash.
+// An unsigned value is decimal digits only: no sign, no whitespace.
 std::optional<std::uint64_t> parse_u64(const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    std::uint64_t v = std::stoull(text, &pos);
-    if (pos != text.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
 }
 
+// A real value must be finite: NaN fails every range compare.
 std::optional<double> parse_double(const std::string& text) {
   try {
     std::size_t pos = 0;
     double v = std::stod(text, &pos);
-    if (pos != text.size()) return std::nullopt;
+    if (pos != text.size() || !std::isfinite(v)) return std::nullopt;
     return v;
   } catch (const std::exception&) {
     return std::nullopt;
@@ -473,7 +474,7 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
   sup.run_tag = profile.name;
   if (!read_flag(args, "seed", 0, kAnyCount, &sup.learn.seed)) return 2;
 
-  // Supervisor knobs (crash-safe journal, arbitration, watchdogs —
+  // Supervisor knobs (crash-safe journal, arbitration, deadline —
   // DESIGN.md §15), mirroring analyze's journal/resume discipline.
   if (args.has("journal")) sup.journal_path = args.get("journal");
   if (args.has("resume")) {

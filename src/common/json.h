@@ -1,10 +1,10 @@
-// Minimal JSON value/parser plus the matching encoder helpers, shared by the
-// analysis-journal codec (checker/supervisor.cc) and the diff-report codec
-// (diff/report_json.cc). Only the shapes our encoders emit are supported:
+// Minimal JSON value/parser plus the matching encoder helpers. The encoder
+// helpers serve the analysis-journal codec (checker/supervisor.cc) and the
+// diff-report encoder (diff/report_json.cc); the parser's one program reader
+// is the analysis journal. Only the shapes our encoders emit are supported:
 // objects, arrays, strings, integers, booleans, null. The parser is strict —
-// any malformation fails the whole document — which is exactly what both
-// consumers want: a corrupt journal record is treated as absent and
-// re-verified, a corrupt diff report is refused.
+// any malformation fails the whole document — which is what the journal
+// wants: a corrupt record is treated as absent and re-verified.
 #pragma once
 
 #include <cstdint>

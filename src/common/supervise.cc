@@ -12,8 +12,7 @@ namespace {
 
 /// Classes a smaller search can cure: the next attempt runs degraded.
 bool is_resource(Failure f) {
-  return f == Failure::kDeadline || f == Failure::kMemCeiling || f == Failure::kBudget ||
-         f == Failure::kQueryBudget || f == Failure::kByteBudget;
+  return f == Failure::kDeadline || f == Failure::kMemCeiling || f == Failure::kBudget;
 }
 
 }  // namespace
@@ -25,8 +24,6 @@ std::string_view to_string(Failure f) {
     case Failure::kDeadline: return "deadline";
     case Failure::kMemCeiling: return "mem-ceiling";
     case Failure::kBudget: return "budget";
-    case Failure::kQueryBudget: return "query_budget";
-    case Failure::kByteBudget: return "byte_budget";
     case Failure::kCancelled: return "cancelled";
     case Failure::kContested: return "contested";
     case Failure::kUnavailable: return "sul_unavailable";

@@ -23,8 +23,6 @@ namespace procheck::supervise {
 ///   kDeadline    a wall-clock watchdog tripped;
 ///   kMemCeiling  the approximate visited-set ceiling tripped (analyze);
 ///   kBudget      the state bound / CEGAR iteration cap tripped (analyze);
-///   kQueryBudget the fresh membership-query budget tripped (learn);
-///   kByteBudget  the fresh input-symbol budget tripped (learn);
 ///   kCancelled   the caller's CancelToken fired: interrupted, not concluded;
 ///   kContested   no k-of-n majority for a learned cell (learn);
 ///   kUnavailable the system under learning stopped answering (learn).
@@ -34,8 +32,6 @@ enum class Failure : std::uint8_t {
   kDeadline,
   kMemCeiling,
   kBudget,
-  kQueryBudget,
-  kByteBudget,
   kCancelled,
   kContested,
   kUnavailable,
@@ -72,7 +68,7 @@ struct Outcome : Attempt {
 /// Runs attempt(k) for k = 1 .. 1 + retries:
 ///   - an exception thrown by attempt becomes kException and never escapes;
 ///   - kNone, kCancelled and kContested stop the ladder;
-///   - resource classes (deadline, memory, state/query/byte budgets) call
+///   - resource classes (deadline, memory ceiling, state budget) call
 ///     degrade() before the next attempt; every other class retries at the
 ///     full budget, because the search size was not the problem.
 /// The returned outcome is the last attempt's classification.

@@ -42,6 +42,9 @@ std::string input_key(const std::set<fsm::Atom>& conditions) {
 
 namespace {
 
+/// The divergence list stops growing here, and the report's note says so.
+constexpr std::size_t kMaxDivergences = 256;
+
 /// Per-state transition index keyed by the canonical condition-set rendering
 /// — the product walk's input symbol. std::map keeps iteration sorted, which
 /// is what makes the BFS expansion (and thus every report) canonical.
@@ -172,7 +175,7 @@ DiffReport diff_machines(const Side& left, const Side& right, const DiffOptions&
 
       if (lt != nullptr && rt != nullptr) {
         if (lt->actions != rt->actions &&
-            report.divergences.size() < options.max_divergences) {
+            report.divergences.size() < kMaxDivergences) {
           Divergence d;
           d.kind = DivergenceKind::kOutputMismatch;
           d.input = input;
@@ -204,7 +207,7 @@ DiffReport diff_machines(const Side& left, const Side& right, const DiffOptions&
         continue;
       }
 
-      if (report.divergences.size() >= options.max_divergences) {
+      if (report.divergences.size() >= kMaxDivergences) {
         divergences_capped = true;
         continue;
       }
@@ -246,7 +249,7 @@ DiffReport diff_machines(const Side& left, const Side& right, const DiffOptions&
           ExtraScan{&right, &right_index, &covered_right, DivergenceKind::kExtraStateRight}}) {
       for (const std::string& state : scan.side->machine.reachable()) {  // sorted
         if (scan.covered->count(state) > 0) continue;
-        if (report.divergences.size() >= options.max_divergences) {
+        if (report.divergences.size() >= kMaxDivergences) {
           divergences_capped = true;
           break;
         }
@@ -264,7 +267,7 @@ DiffReport diff_machines(const Side& left, const Side& right, const DiffOptions&
   }
   if (divergences_capped) {
     if (!report.note.empty()) report.note += "; ";
-    report.note += "divergence list truncated at " + std::to_string(options.max_divergences);
+    report.note += "divergence list truncated at " + std::to_string(kMaxDivergences);
   }
 
   report.equivalent = report.divergences.empty() && !report.inconclusive;

@@ -128,10 +128,9 @@ struct DiffReport {
 };
 
 struct DiffOptions {
-  /// Walk caps: a pathological pair degrades to a structured inconclusive
+  /// Walk cap: a pathological pair degrades to a structured inconclusive
   /// report instead of an unbounded product exploration.
   std::size_t max_product_pairs = 1 << 16;
-  std::size_t max_divergences = 256;
 };
 
 /// Canonical " & "-joined rendering of a condition set — the product walk's

@@ -4,48 +4,7 @@
 
 namespace procheck::diff {
 
-namespace {
-
 constexpr int kReportVersion = 1;
-
-std::optional<DivergenceKind> kind_from_token(std::string_view t) {
-  for (DivergenceKind k :
-       {DivergenceKind::kOutputMismatch, DivergenceKind::kMissingLeft,
-        DivergenceKind::kMissingRight, DivergenceKind::kExtraStateLeft,
-        DivergenceKind::kExtraStateRight}) {
-    if (t == to_string(k)) return k;
-  }
-  return std::nullopt;
-}
-
-std::optional<Finding::Class> class_from_token(std::string_view t) {
-  for (Finding::Class c : {Finding::Class::kDivergent, Finding::Class::kCommon,
-                           Finding::Class::kInconclusive}) {
-    if (t == to_string(c)) return c;
-  }
-  return std::nullopt;
-}
-
-/// Strict string-array read: nullopt unless `key` maps to an array whose
-/// every element is a string.
-std::optional<std::vector<std::string>> string_array(const Json& v, const std::string& key) {
-  const Json* arr = v.find(key);
-  if (arr == nullptr || !arr->is(Json::Type::kArray)) return std::nullopt;
-  std::vector<std::string> out;
-  out.reserve(arr->arr.size());
-  for (const Json& e : arr->arr) {
-    if (!e.is(Json::Type::kString)) return std::nullopt;
-    out.push_back(e.s);
-  }
-  return out;
-}
-
-bool has_string(const Json& v, const std::string& key) {
-  const Json* f = v.find(key);
-  return f != nullptr && f->is(Json::Type::kString);
-}
-
-}  // namespace
 
 std::string encode_report(const DiffReport& report) {
   std::string out = "{\"diff\":" + std::to_string(kReportVersion);
@@ -89,82 +48,6 @@ std::string encode_report(const DiffReport& report) {
   }
   out += "]}";
   return out;
-}
-
-std::optional<DiffReport> decode_report(std::string_view json) {
-  std::optional<Json> v = json_parse(json);
-  if (!v || !v->is(Json::Type::kObject)) return std::nullopt;
-  if (v->get_int("diff") != kReportVersion) return std::nullopt;
-  if (!has_string(*v, "left") || !has_string(*v, "right")) return std::nullopt;
-
-  DiffReport report;
-  report.left_name = v->get_str("left");
-  report.right_name = v->get_str("right");
-  report.equivalent = v->get_bool("equivalent");
-  report.inconclusive = v->get_bool("inconclusive");
-  report.note = v->get_str("note");
-  const long long pairs = v->get_int("pairs", -1);
-  if (pairs < 0) return std::nullopt;
-  report.product_pairs = static_cast<std::size_t>(pairs);
-
-  const Json* edges = v->find("edges");
-  if (edges == nullptr || !edges->is(Json::Type::kArray)) return std::nullopt;
-  for (const Json& e : edges->arr) {
-    if (!e.is(Json::Type::kObject)) return std::nullopt;
-    if (!has_string(e, "from") || !has_string(e, "to") || !has_string(e, "input")) {
-      return std::nullopt;
-    }
-    report.edges.push_back({e.get_str("from"), e.get_str("to"), e.get_str("input")});
-  }
-
-  const Json* divergences = v->find("divergences");
-  if (divergences == nullptr || !divergences->is(Json::Type::kArray)) return std::nullopt;
-  for (const Json& e : divergences->arr) {
-    if (!e.is(Json::Type::kObject)) return std::nullopt;
-    std::optional<DivergenceKind> kind = kind_from_token(e.get_str("kind"));
-    if (!kind) return std::nullopt;
-    std::optional<std::vector<std::string>> sequence = string_array(e, "sequence");
-    std::optional<std::vector<std::string>> properties = string_array(e, "properties");
-    if (!sequence || !properties) return std::nullopt;
-    if (!has_string(e, "input") || !has_string(e, "left_state") ||
-        !has_string(e, "right_state") || !has_string(e, "left_edge") ||
-        !has_string(e, "right_edge")) {
-      return std::nullopt;
-    }
-    Divergence d;
-    d.kind = *kind;
-    d.input = e.get_str("input");
-    d.sequence = std::move(*sequence);
-    d.left_state = e.get_str("left_state");
-    d.right_state = e.get_str("right_state");
-    d.left_edge = e.get_str("left_edge");
-    d.right_edge = e.get_str("right_edge");
-    d.properties = std::move(*properties);
-    report.divergences.push_back(std::move(d));
-  }
-
-  const Json* findings = v->find("findings");
-  if (findings == nullptr || !findings->is(Json::Type::kArray)) return std::nullopt;
-  for (const Json& e : findings->arr) {
-    if (!e.is(Json::Type::kObject)) return std::nullopt;
-    std::optional<Finding::Class> cls = class_from_token(e.get_str("class"));
-    if (!cls) return std::nullopt;
-    if (!has_string(e, "property") || !has_string(e, "attack") || !has_string(e, "violates") ||
-        !has_string(e, "left_status") || !has_string(e, "right_status") ||
-        !has_string(e, "note")) {
-      return std::nullopt;
-    }
-    Finding f;
-    f.property_id = e.get_str("property");
-    f.attack_id = e.get_str("attack");
-    f.cls = *cls;
-    f.violates = e.get_str("violates");
-    f.left_status = e.get_str("left_status");
-    f.right_status = e.get_str("right_status");
-    f.note = e.get_str("note");
-    report.findings.push_back(std::move(f));
-  }
-  return report;
 }
 
 }  // namespace procheck::diff

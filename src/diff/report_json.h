@@ -1,23 +1,17 @@
-// Diff-report JSON codec (DESIGN.md §16): the machine-readable `prochecker
-// diff --json` output and its strict inverse. Encoding covers exactly the
-// deterministic slice of a DiffReport — there are no timing fields — so
-// encode(report) is byte-identical across runs and jobs levels, and
-// decode(encode(r)) == r. The decoder is strict: unknown kinds, missing
-// fields, or wrong value shapes fail the whole document (nullopt), never a
-// partial or invented report. The fuzz smoke (tests/fuzz_smoke_test.cc)
-// holds both codecs to the decode–encode–decode fixpoint under structure-
-// aware mutation.
+// Diff-report JSON encoder (DESIGN.md §16): the machine-readable `prochecker
+// diff --json` output, written for outside tools. Encoding covers exactly
+// the deterministic slice of a DiffReport — there are no timing fields — so
+// encode_report(report) is byte-identical across runs and jobs levels, and
+// the document is strict JSON (common/json.h's parser reads it back in the
+// tests and the fuzz smoke).
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "diff/diff.h"
 
 namespace procheck::diff {
 
 std::string encode_report(const DiffReport& report);
-std::optional<DiffReport> decode_report(std::string_view json);
 
 }  // namespace procheck::diff

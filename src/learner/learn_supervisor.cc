@@ -27,6 +27,11 @@ constexpr std::size_t kMaxObservationLength = 1024;
 // contested: each override restarts the learn, so this bounds the restarts.
 constexpr int kMaxOverrides = 8;
 
+// The degrade ladder: eq_test_words and eq_test_max_length shrink by this
+// factor on every retry after a deadline trip, so a learn that cannot
+// afford its oracle converges to an explicit inconclusive.
+constexpr double kDegradeFactor = 0.5;
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -71,7 +76,7 @@ std::string word_text(const Word& w) {
 
 /// The crash-safety decorator learn_mealy actually talks to. Every answered
 /// membership query flows through exactly one of two paths:
-///   replay — the (exact) word is in the adopted/committed record set, so it
+///   replay — every edge of the word is in the adopted/committed trie, so it
 ///   is served without SUL contact but *counted* as if run (one reset +
 ///   |word| steps), keeping the learner's cost metrics byte-identical to an
 ///   uninterrupted run;
@@ -82,15 +87,15 @@ std::string word_text(const Word& w) {
 /// a structured inconclusive without further SUL contact.
 class JournaledSul final : public Sul {
  public:
+  /// `adopted` are the journal records resume kept, and `trie` holds
+  /// exactly their edges.
   JournaledSul(Sul& inner, const LearnSupervisorOptions& options, RunJournal& journal,
-               std::vector<LearnObservation> adopted)
-      : inner_(inner), options_(options), journal_(journal) {
-    for (LearnObservation& obs : adopted) {
-      trie_.insert(obs.word, obs.outputs);
-      replay_[obs.word] = obs.outputs;
-      records_.push_back(std::move(obs));
-    }
-  }
+               std::vector<LearnObservation> adopted, OutputTrie trie)
+      : inner_(inner),
+        options_(options),
+        journal_(journal),
+        records_(std::move(adopted)),
+        trie_(std::move(trie)) {}
 
   // --- supervisor-facing --------------------------------------------------
   const CancelToken* token() const { return &token_; }
@@ -98,8 +103,6 @@ class JournaledSul final : public Sul {
   void begin_attempt() {
     resets_ = 0;
     steps_ = 0;
-    fresh_queries_ = 0;
-    fresh_bytes_ = 0;
     poisoned_ = false;
     restart_ = false;
     failure_ = LearnFailure::kNone;
@@ -141,66 +144,44 @@ class JournaledSul final : public Sul {
     poll_external_cancel();
     std::vector<Word> answers(words.size());
     std::vector<std::size_t> fresh_idx;
-    long fresh_syms = 0;
     for (std::size_t i = 0; i < words.size(); ++i) {
       if (poisoned_) {
         answers[i] = unavailable_word(words[i].size());
-      } else if (std::optional<Word> hit = replay_answer(words[i])) {
+      } else if (std::optional<Word> hit = trie_.lookup(words[i])) {
         count_served(words[i]);
         ++replayed_total_;
         answers[i] = *std::move(hit);
       } else {
         fresh_idx.push_back(i);
-        fresh_syms += static_cast<long>(words[i].size());
       }
     }
     if (fresh_idx.empty()) return answers;
-    // Budgets admit a *prefix* of the fresh set: a tripped attempt still
-    // ships (and journals) every word that fit, so progress per attempt is
-    // monotone even when one batch is larger than the whole budget.
-    std::size_t admitted = 0;
-    long planned_syms = 0;
-    while (admitted < fresh_idx.size()) {
-      const long len = static_cast<long>(words[fresh_idx[admitted]].size());
-      if (!admit_fresh(static_cast<long>(admitted) + 1, planned_syms + len)) break;
-      planned_syms += len;
-      ++admitted;
+    if (!admit_fresh()) {
+      for (std::size_t i : fresh_idx) answers[i] = unavailable_word(words[i].size());
+      return answers;
     }
-    for (std::size_t j = admitted; j < fresh_idx.size(); ++j) {
-      answers[fresh_idx[j]] = unavailable_word(words[fresh_idx[j]].size());
-    }
-    fresh_idx.resize(admitted);
-    if (fresh_idx.empty()) return answers;
-    fresh_syms = planned_syms;
     std::vector<Word> fresh_words;
     fresh_words.reserve(fresh_idx.size());
     for (std::size_t i : fresh_idx) fresh_words.push_back(words[i]);
     fire_hook();
     const std::vector<Word> fresh_answers = inner_.query_batch(fresh_words);
-    fresh_queries_ += static_cast<long>(fresh_idx.size());
-    fresh_bytes_ += fresh_syms;
     fire_hook();
-    // A budget poison during admission must not discard the answers the
-    // batch already paid for — only a poison arising *here* (unavailable
-    // answer, contested arbitration, override restart) halts the commits.
-    bool halted = false;
+    // A poison arising here (unavailable answer, contested arbitration,
+    // override restart) halts the commits of the rest of the batch.
     for (std::size_t j = 0; j < fresh_idx.size(); ++j) {
       const std::size_t i = fresh_idx[j];
       const Word& word = words[i];
-      if (halted) {
+      if (poisoned_) {
         answers[i] = unavailable_word(word.size());
         continue;
       }
       count_served(word);
       if (j >= fresh_answers.size() || !answer_ok(fresh_answers[j], word.size())) {
         poison(LearnFailure::kUnavailable, unavailable_diag(word));
-        halted = true;
         answers[i] = unavailable_word(word.size());
         continue;
       }
-      const bool poisoned_before = poisoned_;
       answers[i] = commit(word, fresh_answers[j]);
-      if (restart_ || (poisoned_ && !poisoned_before)) halted = true;
     }
     return answers;
   }
@@ -209,17 +190,6 @@ class JournaledSul final : public Sul {
   void count_served(const Word& word) {
     ++resets_;
     steps_ += static_cast<long>(word.size());
-  }
-
-  std::optional<Word> replay_answer(const Word& word) {
-    const auto it = replay_.find(word);
-    if (it != replay_.end()) return it->second;
-    // The journal holds exactly the words the learner asked, so the exact
-    // map is normally complete; the trie path only fires when an adopted
-    // longer word subsumes a shorter one (e.g. a journal from a further
-    // progressed run) — the committed edges still answer it consistently.
-    if (trie_.contains(word)) return trie_.lookup(word);
-    return std::nullopt;
   }
 
   static bool answer_ok(const Word& outs, std::size_t expected) {
@@ -255,28 +225,16 @@ class JournaledSul final : public Sul {
     token_.cancel();
   }
 
-  /// Watchdogs: only *fresh* SUL contact is gated, so a resumed attempt
-  /// always replays its journal for free and makes incremental progress.
-  bool admit_fresh(long queries, long symbols) {
-    if (poisoned_) return false;
+  /// The watchdog: false, with the SUL poisoned, once the attempt's
+  /// deadline has passed. Only *fresh* SUL contact is gated, so a resumed
+  /// attempt always replays its journal for free and makes incremental
+  /// progress.
+  bool admit_fresh() {
     if (options_.deadline_seconds > 0 &&
         seconds_since(attempt_start_) > options_.deadline_seconds) {
       poison(LearnFailure::kDeadline,
              "attempt deadline (" + fmt_seconds(options_.deadline_seconds) +
                  "s) exceeded");
-      return false;
-    }
-    if (options_.query_budget > 0 &&
-        fresh_queries_ + queries > options_.query_budget) {
-      poison(LearnFailure::kQueryBudget,
-             "fresh membership-query budget (" +
-                 std::to_string(options_.query_budget) + ") exhausted");
-      return false;
-    }
-    if (options_.byte_budget > 0 && fresh_bytes_ + symbols > options_.byte_budget) {
-      poison(LearnFailure::kByteBudget,
-             "fresh input-symbol budget (" + std::to_string(options_.byte_budget) +
-                 ") exhausted");
       return false;
     }
     return true;
@@ -331,13 +289,9 @@ class JournaledSul final : public Sul {
     std::vector<Word> samples;
     samples.reserve(static_cast<std::size_t>(n));
     for (int s = 0; s < n; ++s) {
-      if (!admit_fresh(1, static_cast<long>(word.size()))) {
-        return unavailable_word(word.size());
-      }
+      if (!admit_fresh()) return unavailable_word(word.size());
       fire_hook();
       Word sample = inner_.query_word_fresh(word);
-      ++fresh_queries_;
-      fresh_bytes_ += static_cast<long>(word.size());
       fire_hook();
       count_served(word);
       ++arbitration_requeries_;
@@ -426,18 +380,13 @@ class JournaledSul final : public Sul {
 
   void commit_record(const Word& word, const Word& outs) {
     trie_.insert(word, outs);
-    replay_[word] = outs;
     records_.push_back({word, outs});
     if (journal_.enabled()) journal_.append(encode_observation(word, outs));
   }
 
   void rebuild_cache() {
     trie_ = OutputTrie();
-    replay_.clear();
-    for (const LearnObservation& r : records_) {
-      trie_.insert(r.word, r.outputs);
-      replay_[r.word] = r.outputs;
-    }
+    for (const LearnObservation& r : records_) trie_.insert(r.word, r.outputs);
   }
 
   Sul& inner_;
@@ -445,8 +394,7 @@ class JournaledSul final : public Sul {
   RunJournal& journal_;
 
   std::vector<LearnObservation> records_;  // journal order
-  std::map<Word, Word> replay_;            // exact word -> outputs
-  OutputTrie trie_;                        // committed edges (conflict oracle)
+  OutputTrie trie_;                        // committed edges: replay + conflict oracle
 
   CancelToken token_;
   Word pending_;  // reset()/step() compatibility path
@@ -454,8 +402,6 @@ class JournaledSul final : public Sul {
 
   long resets_ = 0;  // logical: replayed words count as if run
   long steps_ = 0;
-  long fresh_queries_ = 0;
-  long fresh_bytes_ = 0;
   std::size_t replayed_total_ = 0;
   long probe_counter_ = 0;
 
@@ -484,7 +430,9 @@ std::string learn_options_hash(const LearnOptions& learn, int arbitration_k,
   canon += ";eq_words=" + std::to_string(learn.eq_test_words);
   canon += ";eq_len=" + std::to_string(learn.eq_test_max_length);
   canon += ";seed=" + std::to_string(learn.seed);
-  canon += ";rounds=" + std::to_string(learn.max_rounds);
+  // A constant, but it stays in the text: dropping it would change the
+  // fingerprint of every learn journal already written.
+  canon += ";rounds=" + std::to_string(kMaxRounds);
   canon += ";arbitrate=" + std::to_string(arbitration_k) + "/" +
            std::to_string(arbitration_n) + ";";
   return hex64(prf64(0x13AD0CA7, Bytes(canon.begin(), canon.end())));
@@ -558,8 +506,8 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
   // Adopt records through a validation trie: a malformed record or one
   // contradicting an earlier record ends adoption at the valid prefix —
   // resume never guesses at damage. The journal is then rewritten from
-  // exactly what was adopted, so it and the replay cache agree on the
-  // durable state.
+  // exactly what was adopted, and the trie becomes the wrapper's replay
+  // cache, so the two agree on the durable state.
   const std::vector<std::string>& records = journal.records();
   std::vector<LearnObservation> adopted;
   OutputTrie vtrie;
@@ -588,7 +536,7 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
   journal.start({records.begin(), records.begin() + static_cast<std::ptrdiff_t>(adopted.size())});
   run.adopted = adopted.size();
 
-  JournaledSul wrapper(sul, options, journal, std::move(adopted));
+  JournaledSul wrapper(sul, options, journal, std::move(adopted), std::move(vtrie));
   LearnOptions eff = options.learn;
   eff.cancel = wrapper.token();
 
@@ -614,10 +562,10 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
         return {};  // max_rounds exhausted: honest non-convergence
       },
       [&] {
-        eff.eq_test_words = static_cast<int>(
-            supervise::shrink(eff.eq_test_words, options.degrade_factor, 1));
-        eff.eq_test_max_length = static_cast<int>(
-            supervise::shrink(eff.eq_test_max_length, options.degrade_factor, 1));
+        eff.eq_test_words =
+            static_cast<int>(supervise::shrink(eff.eq_test_words, kDegradeFactor, 1));
+        eff.eq_test_max_length =
+            static_cast<int>(supervise::shrink(eff.eq_test_max_length, kDegradeFactor, 1));
       });
   journal.commit();  // a throwing last attempt left records queued
   std::string diag = ladder.diagnostics;

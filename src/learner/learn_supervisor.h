@@ -20,12 +20,11 @@
 //     when the *committed* edge loses — and cells with no k-majority are
 //     quarantined into a structured inconclusive result instead of silently
 //     keeping the first observation;
-//   * per-attempt watchdogs (wall-clock deadline, fresh-query and
-//     input-symbol budgets) poison the SUL cooperatively (CancelToken +
-//     the structured kSulUnavailable symbol), and the shared retry ladder
-//     (common/supervise.h) degrades the equivalence-oracle effort before
-//     giving up — learn_supervised can never hang and never lets an
-//     exception escape.
+//   * a per-attempt wall-clock deadline poisons the SUL cooperatively
+//     (CancelToken + the structured kSulUnavailable symbol), and the shared
+//     retry ladder (common/supervise.h) degrades the equivalence-oracle
+//     effort before giving up — learn_supervised can never hang and never
+//     lets an exception escape.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +42,11 @@
 namespace procheck::learner {
 
 /// How a supervised learn failed to converge cleanly: kException,
-/// kDeadline, kQueryBudget, kByteBudget, kCancelled, kContested (no
-/// k-majority for a cell, or the override bound tripped) or kUnavailable.
-/// kContested and kCancelled are terminal; the resource classes retry on the
-/// degrade ladder; kException and kUnavailable retry at full budget (the
-/// search size was not the problem — the environment was).
+/// kDeadline, kCancelled, kContested (no k-majority for a cell, or the
+/// override bound tripped) or kUnavailable. kContested and kCancelled are
+/// terminal; kDeadline retries on the degrade ladder; kException and
+/// kUnavailable retry at full budget (the search size was not the problem —
+/// the environment was).
 using LearnFailure = supervise::Failure;
 
 struct LearnSupervisorOptions {
@@ -77,19 +76,11 @@ struct LearnSupervisorOptions {
   /// are free — only fresh SUL contact is gated — so a resumed attempt
   /// always makes incremental progress.
   double deadline_seconds = 0.0;
-  /// Fresh membership queries / fresh input symbols allowed per attempt;
-  /// 0 = unbounded.
-  long query_budget = 0;
-  long byte_budget = 0;
 
   /// Extra attempts after the first for failed (non-terminal) runs.
   int retries = 0;
   /// Base of the exponential retry backoff (seconds); 0 disables the sleep.
   double backoff_seconds = 0.05;
-  /// Degrade ladder: eq_test_words and eq_test_max_length shrink by this
-  /// factor on every retry after a resource trip, so a learn that cannot
-  /// afford its oracle converges to an explicit inconclusive.
-  double degrade_factor = 0.5;
 
   /// Cooperative run-level cancellation (polled on every query).
   const CancelToken* cancel = nullptr;
@@ -103,7 +94,7 @@ struct SupervisedLearn {
   LearnResult result;
   int attempts = 1;
   LearnFailure failure = LearnFailure::kNone;
-  /// Failure detail of the last attempt (exception message, tripped budget,
+  /// Failure detail of the last attempt (exception message, tripped deadline,
   /// quarantined cell).
   std::string diagnostics;
   /// Observations adopted from the journal at startup / served from it.

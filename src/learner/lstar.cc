@@ -255,7 +255,7 @@ LearnResult learn_mealy(Sul& sul, const LearnOptions& options) {
     return options.cancel != nullptr && options.cancel->cancelled();
   };
 
-  for (int round = 0; round < options.max_rounds && !cancelled(); ++round) {
+  for (int round = 0; round < kMaxRounds && !cancelled(); ++round) {
     result.machine = table.close_and_build();
     if (table.unavailable()) break;
     ++result.equivalence_queries;

@@ -83,15 +83,16 @@ struct LearnResult {
   std::vector<std::string> quarantined;
 };
 
+/// Safety bound on refinement rounds.
+constexpr int kMaxRounds = 25;
+
 struct LearnOptions {
   /// Random-testing equivalence oracle: words per round and maximum length.
   int eq_test_words = 300;
   int eq_test_max_length = 8;
   std::uint64_t seed = 0xC0FFEE;
-  /// Safety bound on refinement rounds.
-  int max_rounds = 25;
   /// Cooperative cancellation, polled at round boundaries and per
-  /// equivalence-oracle word (the supervisor's watchdogs cancel through
+  /// equivalence-oracle word (the supervisor's deadline cancels through
   /// here). A cancelled, unconverged learn returns a structured
   /// inconclusive result — never a partial machine presented as final.
   const CancelToken* cancel = nullptr;

@@ -115,7 +115,6 @@ struct NasMessage {
   NasMessage& set_s(const std::string& k, std::string v);
   NasMessage& set_b(const std::string& k, Bytes v);
 
-  bool is_protected() const { return sec_hdr != SecHdr::kPlain; }
   bool operator==(const NasMessage&) const = default;
 };
 

@@ -48,8 +48,6 @@ class SqnGenerator {
 
   Sqn next();
 
-  std::uint64_t current_seq() const { return seq_; }
-
  private:
   std::uint64_t seq_ = 0;
   std::uint32_t ind_ = kIndCount - 1;  // first next() yields IND 0

@@ -1,9 +1,9 @@
 #include "net/socket.h"
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
-#include <stdexcept>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -40,16 +40,14 @@ void tune(int fd) {
 }  // namespace
 
 std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(const std::string& text) {
-  std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) return std::nullopt;
-  try {
-    std::size_t pos = 0;
-    unsigned long port = std::stoul(text.substr(colon + 1), &pos);
-    if (pos != text.size() - colon - 1 || port == 0 || port > 65535) return std::nullopt;
-    return std::make_pair(text.substr(0, colon), static_cast<std::uint16_t>(port));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  const std::size_t colon = text.rfind(':');
+  if (colon == std::string::npos || colon == 0) return std::nullopt;
+  // The port is decimal digits only: no sign, no whitespace.
+  std::uint16_t port = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data() + colon + 1, end, port);
+  if (ec != std::errc() || ptr != end || port == 0) return std::nullopt;
+  return std::make_pair(text.substr(0, colon), port);
 }
 
 // --- TcpConn -----------------------------------------------------------------

@@ -15,7 +15,8 @@
 
 namespace procheck::net {
 
-/// Splits "host:port" (port 1..65535); nullopt on malformation.
+/// Splits "host:port" (port: decimal digits, 1..65535); nullopt on
+/// malformation.
 std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(const std::string& text);
 
 /// One TCP connection. Movable, not copyable; the destructor closes the fd.

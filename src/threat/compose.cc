@@ -132,8 +132,7 @@ std::int32_t ThreatModel::mme_state_index(const std::string& name) const {
   return model.value_index(mme_state, name);
 }
 
-ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm,
-                    const ComposeOptions& options) {
+ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm) {
   ThreatModel tm;
 
   const std::vector<TransitionView> ue_views = views_of(ue_fsm);
@@ -157,14 +156,6 @@ ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm,
       dl_set.insert(v.action);
       dl_genuine.insert(v.action);
     }
-  }
-  for (const std::string& m : options.extra_downlink) {
-    dl_set.insert(m);
-    dl_genuine.insert(m);  // observable in past sessions
-  }
-  for (const std::string& m : options.extra_uplink) {
-    ul_set.insert(m);
-    ul_genuine.insert(m);
   }
 
   tm.dl_alphabet = {"none"};
@@ -397,8 +388,8 @@ ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm,
     }
   };
 
-  if (options.adversary_downlink) add_adversary(/*downlink=*/true);
-  if (options.adversary_uplink) add_adversary(/*downlink=*/false);
+  add_adversary(/*downlink=*/true);
+  add_adversary(/*downlink=*/false);
 
   return tm;
 }

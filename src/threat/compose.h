@@ -39,16 +39,6 @@
 
 namespace procheck::threat {
 
-struct ComposeOptions {
-  bool adversary_downlink = true;  // c2 adversary-controlled
-  bool adversary_uplink = true;    // c1 adversary-controlled
-  /// Extra downlink messages the adversary may inject/replay even if absent
-  /// from the MME model's action alphabet (e.g. attach_reject for reject-
-  /// based attacks).
-  std::vector<std::string> extra_downlink;
-  std::vector<std::string> extra_uplink;
-};
-
 /// The compiled threat model plus the variable handles and alphabets the
 /// property layer needs.
 struct ThreatModel {
@@ -114,8 +104,8 @@ bool is_replay_tolerant_atom(const std::string& atom);
 std::vector<mc::CommandMeta> transition_metas(const fsm::Transition& t,
                                               mc::CommandMeta::Actor actor);
 
-/// Builds IMP^μ from the two machines.
-ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm,
-                    const ComposeOptions& options = {});
+/// Builds IMP^μ from the two machines, with the adversary in control of
+/// both channels.
+ThreatModel compose(const fsm::Fsm& ue_fsm, const fsm::Fsm& mme_fsm);
 
 }  // namespace procheck::threat

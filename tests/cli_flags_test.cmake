@@ -12,7 +12,8 @@ if(NOT PROCHECKER)
   message(FATAL_ERROR "pass -DPROCHECKER=<path to the prochecker binary>")
 endif()
 
-# <subcommand and its required arguments>|<flag>|<malformed>|<out of range>
+# <subcommand and its required arguments>|<flag>|<bad value>...: each row
+# below gives a malformed and an out-of-range value.
 set(cases
   "analyze --profile cls|freshness-limit|x|99999999999999999999"
   "analyze --profile cls|max-states|1e3|99999999999999999999"
@@ -46,6 +47,15 @@ set(cases
   "diff profile:cls profile:oai|max-states|m|0"
   "diff profile:cls profile:oai|deadline-per-property|d|-1"
   "diff profile:cls profile:oai|retries|r|17"
+  # A sign, leading whitespace or a non-finite real is malformed too: "-1"
+  # must not wrap to 2^64-1, and NaN fails every range compare.
+  "analyze --profile cls|max-states|-1|+5"
+  "analyze --profile cls|deadline-per-property|nan|inf"
+  "serve-sul --profile cls|quota-queries|-1| 7"
+  "learn --profile cls|seed|-1"
+  "learn --profile cls|remote|127.0.0.1:+80"
+  "chaos --profile cls|intensity|nan"
+  "diff profile:cls profile:oai|max-pairs|-1"
 )
 
 # <subcommand and its required arguments>|<option it does not take>: a
@@ -85,7 +95,7 @@ foreach(case IN LISTS cases)
   string(REPLACE "|" ";" parts "${case}")
   list(GET parts 0 command)
   list(GET parts 1 flag)
-  list(SUBLIST parts 2 2 values)
+  list(SUBLIST parts 2 -1 values)
   separate_arguments(command_args UNIX_COMMAND "${command}")
   foreach(value IN LISTS values)
     expect_exit(2 "${command_args};--${flag};${value}" "invalid value for --${flag}")

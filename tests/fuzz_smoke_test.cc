@@ -27,6 +27,7 @@
 
 #include "checker/prochecker.h"
 #include "checker/supervisor.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "diff/report_json.h"
 #include "instrument/trace_log.h"
@@ -932,7 +933,12 @@ TEST(FuzzSmoke, MutatedAnalysisJournalsResumeOrRefuseNeverLie) {
               adopted, fresh, refused);
 }
 
-// --- Diff-report JSON codec (DESIGN.md §16) ----------------------------------
+// --- The JSON parser on mutated diff reports (DESIGN.md §16) -----------------
+//
+// json_parse reads every analysis-journal record, yet the journal fuzz above
+// never hands it malformed JSON: a byte mutation fails the line's CRC, and a
+// line-level edit keeps each payload whole. The diff report is the richest
+// document the encoders write, so mutants of it are the parser's fuzz.
 
 /// Small but shape-complete reports — every divergence kind, every finding
 /// class, non-ASCII and quote-bearing strings — the corpus the mutator
@@ -995,15 +1001,16 @@ std::vector<diff::DiffReport> diff_report_corpus() {
 
 /// Structure-aware mutation: half the time raw byte mutation, half the time
 /// a token-level edit that keeps the document JSON-shaped — swapping kind /
-/// class / status tokens, twiddling digits, or duplicating a key — to reach
-/// the deep validation paths the byte mutator rarely survives to.
+/// class / status tokens, twiddling digits, or injecting values — so the
+/// parser also sees well-formed documents of new shapes, which the byte
+/// mutator rarely leaves.
 std::string mutate_diff_json(const std::string& input, Rng& rng) {
   if (rng.next_below(2) == 0) return mutate_text(input, rng);
   std::string out = input;
   static const std::vector<std::pair<std::string, std::string>> swaps = {
       {"output-mismatch", "missing-left"},
       {"missing-right", "extra-state-left"},
-      {"extra-state-right", "sideways"},  // unknown kind: must reject whole doc
+      {"extra-state-right", "sideways"},
       {"divergent", "common"},
       {"inconclusive", "divergent"},
       {"\"equivalent\":true", "\"equivalent\":false"},
@@ -1019,14 +1026,12 @@ std::string mutate_diff_json(const std::string& input, Rng& rng) {
   return out;
 }
 
-TEST(FuzzSmoke, DiffReportCodecTotalAndRoundTrips) {
+TEST(FuzzSmoke, JsonParserTotalOnMutatedReports) {
   Rng rng(0xD1FFC0DECULL);
   std::vector<diff::DiffReport> corpus = diff_report_corpus();
-  // The corpus itself must round-trip exactly before any mutation.
+  // Every unmutated report is strict JSON.
   for (const diff::DiffReport& seed : corpus) {
-    std::optional<diff::DiffReport> back = diff::decode_report(diff::encode_report(seed));
-    ASSERT_TRUE(back.has_value());
-    ASSERT_EQ(*back, seed);
+    ASSERT_TRUE(json_parse(diff::encode_report(seed)).has_value());
   }
   std::size_t accepted = 0;
   std::size_t rejected = 0;
@@ -1034,25 +1039,13 @@ TEST(FuzzSmoke, DiffReportCodecTotalAndRoundTrips) {
     std::string text = diff::encode_report(corpus[rng.next_below(corpus.size())]);
     std::uint64_t depth = 1 + rng.next_below(3);
     for (std::uint64_t d = 0; d < depth; ++d) text = mutate_diff_json(text, rng);
-
-    // Decode is total: reject (nullopt) or a value — never a crash.
-    std::optional<diff::DiffReport> decoded = diff::decode_report(text);
-    if (!decoded) {
-      ++rejected;
-      continue;
-    }
-    ++accepted;
-    // Decode–encode–decode fixpoint: whatever the decoder accepted must
-    // survive a round trip exactly, or --json output drifts per hop.
-    const std::string re = diff::encode_report(*decoded);
-    std::optional<diff::DiffReport> again = diff::decode_report(re);
-    ASSERT_TRUE(again.has_value()) << "re-encode rejected";
-    EXPECT_EQ(*again, *decoded);
-    EXPECT_EQ(diff::encode_report(*again), re);
+    // The parse is total: reject (nullopt) or a value — never a crash.
+    ++(json_parse(text) ? accepted : rejected);
   }
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
-  std::printf("[fuzz] diff report: %zu accepted, %zu rejected\n", accepted, rejected);
+  std::printf("[fuzz] json parser on diff reports: %zu accepted, %zu rejected\n", accepted,
+              rejected);
 }
 
 }  // namespace

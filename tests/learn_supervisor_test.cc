@@ -1,6 +1,6 @@
 // Learning-supervisor suite (DESIGN.md §15): crash-safe journal + resume
 // determinism, the kill-at-every-journal-byte sweep, exception injection at
-// every query probe, watchdog budgets and the retry/degrade ladder, k-of-n
+// every query probe, the deadline and the retry/degrade ladder, k-of-n
 // nondeterminism arbitration (convergence where first-observation-wins pins
 // a wrong edge, quarantine where no majority exists), and the remote
 // variants over the multi-session server — clean and under lossless chaos.
@@ -198,6 +198,12 @@ TEST(LearnJournalCodec, OptionsHashDependsOnEveryKnob) {
   EXPECT_NE(learn_options_hash(len, 3, 5), h);
   EXPECT_NE(learn_options_hash(base, 4, 5), h);
   EXPECT_NE(learn_options_hash(base, 3, 4), h);
+}
+
+TEST(LearnJournalCodec, OptionsHashIsPinned) {
+  // A learn journal resumes only under the fingerprint it was written with,
+  // so a change to the hashed text orphans every existing journal.
+  EXPECT_EQ(learn_options_hash(LearnOptions{}, 3, 5), "bb9ea17749511f62");
 }
 
 // ---------------------------------------------------------------------------
@@ -478,64 +484,29 @@ TEST(LearnSupervisor, ExceptionWithoutRetryIsStructuredThenResumable) {
 }
 
 // ---------------------------------------------------------------------------
-// Watchdogs and the retry/degrade ladder
+// The deadline and the retry/degrade ladder
 
 TEST(LearnSupervisor, DeadlineTripsToStructuredInconclusive) {
-  LearnSupervisorOptions o;
-  o.learn = tiny_options();
-  o.deadline_seconds = 1e-9;  // every fresh query is already too late
-  o.backoff_seconds = 0;
-  UeSul sul(ue::StackProfile::cls());
-  const SupervisedLearn run = learn_supervised(sul, o);
-  EXPECT_FALSE(run.aborted);
-  EXPECT_EQ(run.failure, LearnFailure::kDeadline);
-  EXPECT_TRUE(run.result.inconclusive);
-  EXPECT_FALSE(run.result.converged);
-  EXPECT_NE(run.result.note.find("deadline"), std::string::npos) << run.result.note;
-}
-
-TEST(LearnSupervisor, QueryBudgetWithJournalMakesIncrementalProgress) {
-  const std::string path = temp_path("learn_budget.journal");
-  remove_journal(path);
-  LearnSupervisorOptions o;
-  o.learn = tiny_options();
-  o.journal_path = path;
-  o.run_tag = "cls";
-  o.query_budget = 150;  // far below the total query count
-  o.retries = 30;
-  o.degrade_factor = 1.0;  // keep the oracle intact so the run stays byte-identical
-  o.backoff_seconds = 0;
-  UeSul sul(ue::StackProfile::cls());
-  const SupervisedLearn run = learn_supervised(sul, o);
-  expect_matches_reference(run, "budgeted");
-  EXPECT_GT(run.attempts, 1);
-  EXPECT_GT(run.replayed, 0u);
-}
-
-TEST(LearnSupervisor, ExhaustedBudgetSurfacesPersistedFailure) {
-  LearnSupervisorOptions o;
-  o.learn = tiny_options();
-  o.query_budget = 5;  // no journal: every attempt starts over and trips
-  o.retries = 2;
-  o.backoff_seconds = 0;
-  UeSul sul(ue::StackProfile::cls());
-  const SupervisedLearn run = learn_supervised(sul, o);
-  EXPECT_EQ(run.failure, LearnFailure::kQueryBudget);
-  EXPECT_EQ(run.attempts, 3);
-  EXPECT_TRUE(run.result.inconclusive);
-  EXPECT_NE(run.result.note.find("persisted through 3 attempts"), std::string::npos)
-      << run.result.note;
-}
-
-TEST(LearnSupervisor, ByteBudgetTripsStructured) {
-  LearnSupervisorOptions o;
-  o.learn = tiny_options();
-  o.byte_budget = 20;
-  o.backoff_seconds = 0;
-  UeSul sul(ue::StackProfile::cls());
-  const SupervisedLearn run = learn_supervised(sul, o);
-  EXPECT_EQ(run.failure, LearnFailure::kByteBudget);
-  EXPECT_TRUE(run.result.inconclusive);
+  for (const int retries : {0, 2}) {
+    SCOPED_TRACE("retries " + std::to_string(retries));
+    LearnSupervisorOptions o;
+    o.learn = tiny_options();
+    o.deadline_seconds = 1e-9;  // every fresh query is already too late
+    o.retries = retries;        // no journal: every attempt starts over and trips
+    o.backoff_seconds = 0;
+    UeSul sul(ue::StackProfile::cls());
+    const SupervisedLearn run = learn_supervised(sul, o);
+    EXPECT_FALSE(run.aborted);
+    EXPECT_EQ(run.failure, LearnFailure::kDeadline);
+    EXPECT_EQ(run.attempts, 1 + retries);
+    EXPECT_TRUE(run.result.inconclusive);
+    EXPECT_FALSE(run.result.converged);
+    EXPECT_NE(run.result.note.find("deadline"), std::string::npos) << run.result.note;
+    if (retries > 0) {
+      EXPECT_NE(run.result.note.find("persisted through 3 attempts"), std::string::npos)
+          << run.result.note;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

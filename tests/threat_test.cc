@@ -143,19 +143,6 @@ TEST(Compose, AdversaryCommandSet) {
   EXPECT_FALSE(replay_attach_reject);
 }
 
-TEST(Compose, ExtraDownlinkBecomesInjectableAndReplayable) {
-  ComposeOptions options;
-  options.extra_downlink = {"attach_reject"};
-  ThreatModel tm = compose(tiny_ue(), tiny_mme(), options);
-  bool replay_attach_reject = false;
-  for (const mc::Command& cmd : tm.model.commands()) {
-    replay_attach_reject = replay_attach_reject ||
-                           (cmd.meta.kind == mc::CommandMeta::Kind::kReplay &&
-                            cmd.meta.message == "attach_reject");
-  }
-  EXPECT_TRUE(replay_attach_reject);
-}
-
 TEST(Compose, ProvenanceAdmissibility) {
   ThreatModel tm = tiny_model();
   // Collect (message, provenance) pairs of UE deliver commands.
