@@ -10,6 +10,7 @@
 #include <map>
 
 #include "checker/prochecker.h"
+#include "checker/report.h"
 #include "common/table.h"
 
 namespace {
@@ -31,18 +32,6 @@ std::map<std::string, std::map<std::string, Outcome>>& outcomes() {
   return o;
 }
 
-std::string status_name(PropertyResult::Status s) {
-  switch (s) {
-    case PropertyResult::Status::kVerified:
-      return "verified";
-    case PropertyResult::Status::kAttack:
-      return "ATTACK";
-    case PropertyResult::Status::kNotApplicable:
-      return "n/a";
-  }
-  return "?";
-}
-
 void BM_SqnProperties(benchmark::State& state, bool with_limit) {
   ue::StackProfile profile = ue::StackProfile::cls();
   if (with_limit) profile.sqn_freshness_limit = 1;
@@ -52,7 +41,7 @@ void BM_SqnProperties(benchmark::State& state, bool with_limit) {
     checker::ImplementationReport rep = checker::ProChecker::analyze(profile, options);
     auto& slot = outcomes()[with_limit ? "with L" : "without L"];
     for (const PropertyResult& r : rep.results) {
-      slot[r.property_id] = {status_name(r.status), r.iterations,
+      slot[r.property_id] = {checker::to_string(r.status), r.iterations,
                              static_cast<int>(r.refinements.size()), r.total_seconds};
     }
     state.counters["attacks"] = rep.attack_count();

@@ -14,22 +14,6 @@
 using namespace procheck;
 using checker::PropertyResult;
 
-namespace {
-
-const char* status_str(PropertyResult::Status s) {
-  switch (s) {
-    case PropertyResult::Status::kVerified:
-      return "verified";
-    case PropertyResult::Status::kAttack:
-      return "ATTACK";
-    case PropertyResult::Status::kNotApplicable:
-      return "n/a";
-  }
-  return "?";
-}
-
-}  // namespace
-
 int main() {
   std::map<std::string, checker::ImplementationReport> reports;
   for (const auto& profile :
@@ -76,8 +60,9 @@ int main() {
     const checker::PropertyDef& def = checker::property_catalog()[i];
     t.add_row({c.property_id,
                def.type == checker::PropertyDef::Type::kSecurity ? "sec" : "priv",
-               c.attack_id.empty() ? "-" : c.attack_id, status_str(c.status),
-               status_str(srs.results[i].status), status_str(oai.results[i].status)});
+               c.attack_id.empty() ? "-" : c.attack_id, checker::to_string(c.status),
+               checker::to_string(srs.results[i].status),
+               checker::to_string(oai.results[i].status)});
   }
   std::printf("Findings matrix (verified-everywhere properties omitted):\n%s\n",
               t.render().c_str());

@@ -546,6 +546,17 @@ std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& optio
 // states stutter, so a dead end with a pending obligation is also a
 // violation.
 //
+// The product is a BFS over (state, pending) nodes that advances only as
+// far as the cycle search reads: before the DFS reads a node's pending
+// edges, the BFS expands every node up to that one, and the root loop
+// expands until its next root exists. Ids are discovery order either way,
+// so nodes, parents, DFS order and traces are those of building the whole
+// product first (tests/graph_oracle.h keeps that search as the reference).
+// A cycle found early leaves the rest of the product unbuilt; a property
+// that holds expands all of it. A budget stop ends the search with no
+// verdict, so a lasso is reported only when its cycle closed first: the
+// one a search without budgets reports.
+//
 // Product nodes reference graph states by id, and the product index is a
 // dense per-state pair of node ids (pending=0/1). The state cap bounds the
 // node count. Every graph state the product touches owns a node, so this
@@ -559,6 +570,7 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
   constexpr std::int32_t kStutter = -1;
   const std::vector<Command>& commands = g.model().commands();
   const std::uint8_t* banned = banned_table(g, options);
+  auto allowed = [&](std::size_t edge) { return !(banned && banned[g.command(edge)]); };
 
   // Product nodes in discovery order, which is also the order the BFS
   // expands them.
@@ -566,11 +578,9 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
   std::vector<std::uint8_t> node_pending;
   std::vector<std::uint32_t> node_parent;
   std::vector<std::int32_t> node_via;  // command index; -1 for the root
+  std::vector<std::uint8_t> color;     // 0 white, 1 grey (on the DFS stack), 2 black
   std::vector<std::array<std::uint32_t, 2>> node_of(g.states(), {kNoId, kNoId});
-  // Edges among pending=true nodes (candidates for the violating cycle),
-  // CSR by expanded node: (target node, command index or kStutter).
-  std::vector<std::size_t> pending_begin{0};
-  std::vector<std::pair<std::uint32_t, std::int32_t>> pending_edges;
+  std::uint32_t expanded = 0;  // nodes [0, expanded) have their edges
 
   auto edge_label = [&](std::int32_t cmd) -> std::string {
     return cmd == kStutter ? "(stutter)" : commands[cmd].label;
@@ -580,8 +590,8 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
   };
   auto bytes = [&] {
     return capacity_bytes(node_state) + capacity_bytes(node_pending) +
-           capacity_bytes(node_parent) + capacity_bytes(node_via) + capacity_bytes(node_of) +
-           capacity_bytes(pending_begin) + capacity_bytes(pending_edges);
+           capacity_bytes(node_parent) + capacity_bytes(node_via) + capacity_bytes(color) +
+           capacity_bytes(node_of);
   };
   auto finish = [&](std::optional<CounterExample> cex) {
     stats.states_explored = node_state.size();
@@ -610,61 +620,93 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
     node_pending.push_back(pending ? 1 : 0);
     node_parent.push_back(parent);
     node_via.push_back(via);
+    color.push_back(0);
     return slot;
   };
 
-  add_node(0, false, kNoId, -1);
-  for (std::uint32_t at = 0; at < node_state.size(); ++at) {
-    if (budget_exhausted(options, timer, bytes(), stats)) break;
+  // Expands the next node in BFS order; false once every node is expanded
+  // or a budget stops the search. Polls the budgets once per node.
+  auto advance = [&] {
+    if (expanded == node_state.size() || budget_exhausted(options, timer, bytes(), stats)) {
+      return false;
+    }
+    const std::uint32_t at = expanded++;
     const std::uint32_t state = node_state[at];
     const bool pending = node_pending[at] != 0;
     if (state >= g.expanded()) {
       inherit_stop(g.stats(), stats);
-      pending_begin.push_back(pending_edges.size());
-      continue;
+      return true;
     }
-    bool any_successor = false;
     for (std::size_t e = g.edge_begin(state); e < g.edge_end(state); ++e) {
-      const std::int32_t j = static_cast<std::int32_t>(g.command(e));
-      if (banned && banned[j]) continue;
-      any_successor = true;
+      if (!allowed(e)) continue;
       ++stats.edges_explored;
       const auto [trig, resp] = labels(state, e);
-      const bool next_pending = (pending || trig) && !resp;
-      const std::uint32_t to = add_node(g.target(e), next_pending, at, j);
-      if (to == kNoId) continue;
-      if (pending && next_pending) pending_edges.push_back({to, j});
+      const auto j = static_cast<std::int32_t>(g.command(e));
+      add_node(g.target(e), (pending || trig) && !resp, at, j);
     }
-    if (!any_successor && pending) {
-      // Deadlock with an unanswered trigger: stutter self-loop.
-      pending_edges.push_back({at, kStutter});
-    }
-    pending_begin.push_back(pending_edges.size());
-  }
-  // Nodes the BFS never expanded (it stopped at a budget) have no edges.
-  pending_begin.resize(node_state.size() + 1, pending_edges.size());
+    return true;
+  };
 
-  // Cycle detection restricted to pending=true nodes (iterative DFS). The
-  // memory ceiling is not polled here: the DFS adds only its colour array.
-  std::vector<std::uint8_t> color(node_state.size(), 0);  // 0 white, 1 grey, 2 black
-  for (std::uint32_t root = 0; root < node_state.size(); ++root) {
-    if (budget_exhausted(options, timer, 0, stats)) break;
+  // Cycle detection restricted to pending=true nodes (iterative DFS). A
+  // frame reads its node's graph edges [next_edge, end_edge) in order.
+  struct Frame {
+    std::uint32_t node;
+    std::size_t next_edge, end_edge;
+    std::int32_t via_cmd;  // edge used to reach this node
+  };
+  std::vector<Frame> stack;
+  // Expands through `node` and pushes its frame; false when a budget stops
+  // the search first. A state the graph's build never expanded has no edges.
+  auto push = [&](std::uint32_t node, std::int32_t via) {
+    while (expanded <= node) {
+      if (!advance()) return false;
+    }
+    color[node] = 1;
+    const std::uint32_t state = node_state[node];
+    const bool read = state < g.expanded();
+    stack.push_back({node, read ? g.edge_begin(state) : 0, read ? g.edge_end(state) : 0, via});
+    return true;
+  };
+  // The next pending edge out of the top frame's node, as (target node,
+  // command index or kStutter); kNoId once none is left. A pending node's
+  // pending edges are its allowed edges that do not answer the trigger,
+  // each to the target's pending node, which expanding the node created
+  // unless the state cap refused it. An expanded dead end (no allowed edge)
+  // has one: the stutter self-loop.
+  auto next_pending = [&](Frame& f) -> std::pair<std::uint32_t, std::int32_t> {
+    const std::uint32_t state = node_state[f.node];
+    while (f.next_edge < f.end_edge) {
+      const std::size_t e = f.next_edge++;
+      if (!allowed(e) || labels(state, e).second) continue;
+      const std::uint32_t target = g.target(e);
+      const std::uint32_t to = target == ReachGraph::kMissing ? kNoId : node_of[target][1];
+      if (to != kNoId) return {to, static_cast<std::int32_t>(g.command(e))};
+    }
+    if (state < g.expanded()) {
+      bool dead_end = true;
+      for (std::size_t e = g.edge_begin(state); dead_end && e < g.edge_end(state); ++e) {
+        dead_end = !allowed(e);
+      }
+      if (dead_end) return {f.node, kStutter};
+    }
+    return {kNoId, kStutter};
+  };
+
+  add_node(0, false, kNoId, -1);
+  for (std::uint32_t root = 0;; ++root) {
+    while (root >= node_state.size() && advance()) {
+    }
+    if (root >= node_state.size()) break;
     if (!node_pending[root] || color[root] != 0) continue;
-    struct Frame {
-      std::uint32_t node;
-      std::size_t next_edge;
-      std::int32_t via_cmd;  // edge used to reach this node
-    };
-    std::vector<Frame> stack{{root, pending_begin[root], kStutter}};
-    color[root] = 1;
+    if (budget_exhausted(options, timer, 0, stats) || !push(root, kStutter)) break;
     while (!stack.empty()) {
       Frame& f = stack.back();
-      if (f.next_edge >= pending_begin[f.node + 1]) {
+      const auto [to, via] = next_pending(f);
+      if (to == kNoId) {
         color[f.node] = 2;
         stack.pop_back();
         continue;
       }
-      auto [to, via] = pending_edges[f.next_edge++];
       if (color[to] == 1) {
         // Found a cycle. Prefix: initial -> `to` via BFS parents.
         CounterExample cex;
@@ -688,10 +730,7 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
         cex.steps.push_back({edge_label(via), edge_meta(via), g.state(node_state[to])});
         return finish(std::move(cex));
       }
-      if (color[to] == 0) {
-        color[to] = 1;
-        stack.push_back({to, pending_begin[to], via});
-      }
+      if (color[to] == 0 && !push(to, via)) return finish(std::nullopt);
     }
   }
   return finish(std::nullopt);

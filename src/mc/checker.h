@@ -83,9 +83,11 @@ struct EdgeMatch {
 };
 
 /// The state cap every budget layer defaults to (CheckOptions, CegarOptions,
-/// AnalysisOptions, TriageOptions). The largest search on any profile is
-/// srsue's liveness product for P07 (1 101 148 nodes), so at this cap no
-/// default-budget search truncates.
+/// AnalysisOptions, TriageOptions). It bounds the graph build and every
+/// traversal. The largest graph on any profile is srsue's (552 536 states),
+/// and a liveness product holds at most two nodes per graph state, so even
+/// a response property that holds, which expands its whole product, stays
+/// under this cap: no default-budget search truncates.
 inline constexpr std::size_t kDefaultMaxStates = 2'000'000;
 
 struct CheckOptions {

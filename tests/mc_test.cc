@@ -3,10 +3,13 @@
 // the reachable graph — edge never-claims with trace extraction and
 // response liveness (lasso detection, stutter-deadlock semantics, the state
 // cap) — plus the graph's layout, state keys and guard table. One case pins
-// the one-call mc::Checker against ReachGraph::check_edge_never.
+// the one-call mc::Checker against ReachGraph::check_edge_never, and the
+// Oracle cases check every traversal on seeded random models against the
+// references in graph_oracle.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
 #include <stdexcept>
 
@@ -829,6 +832,354 @@ TEST(ReachGraph, RefusesAGuardReadingAMissingVariable) {
   ghost.guard = Expr::land(Expr::eq(0, 0), Expr::eq(1, 0));  // the model has one variable
   m.add_command(std::move(ghost));
   EXPECT_THROW(ReachGraph::build(m), std::invalid_argument);
+}
+
+// --- The on-demand liveness product -----------------------------------------------
+//
+// The lasso grows its (state, pending) product only as far as its cycle
+// search reads. eager_lasso (graph_oracle.h) is the search that built the
+// whole product first.
+
+// `toggles` free boolean toggles beside request_model: a request with its
+// lazy self-loop closes a cycle two nodes in, while the product holds every
+// toggle combination.
+Model toggled_request_model(int toggles) {
+  Model m = request_model(/*with_lazy_loop=*/true);
+  for (int t = 0; t < toggles; ++t) {
+    const int v = m.add_var("t" + std::to_string(t), 2, 0);
+    for (std::int32_t value = 0; value < 2; ++value) {
+      Command flip;
+      flip.label = "flip" + std::to_string(t) + "_" + std::to_string(value);
+      flip.guard = Expr::eq(v, value);
+      flip.updates = {{v, 1 - value}};
+      m.add_command(std::move(flip));
+    }
+  }
+  return m;
+}
+
+TEST(Response, AnEarlyCycleLeavesTheProductUnbuilt) {
+  const Model m = toggled_request_model(10);
+  const ReachGraph g = ReachGraph::build(m);
+  ASSERT_EQ(g.states(), 2048u);
+  const EdgeMatch request = label_match(m, "request"), respond = label_match(m, "respond");
+  CheckStats lazy, eager;
+  auto found = g.check_response(request, respond, &lazy);
+  auto reference = eager_lasso(g, request, respond, &eager);
+  ASSERT_TRUE(found.has_value());
+  ASSERT_TRUE(reference.has_value());
+  EXPECT_EQ(found->render(m), reference->render(m));
+  EXPECT_EQ(found->loop_start, reference->loop_start);
+  // Node 0 and node 1 (the request) are expanded, and the lazy self-loop
+  // out of node 1 closes the cycle: 1 + 11 + 10 nodes of the 2048.
+  EXPECT_EQ(lazy.states_explored, 22u);
+  EXPECT_EQ(eager.states_explored, 2048u);
+  EXPECT_LT(lazy.visited_bytes, eager.visited_bytes);
+  EXPECT_FALSE(lazy.truncated());
+}
+
+TEST(Response, AHoldingPropertyExpandsTheWholeProduct) {
+  // c counts up to 40 and deadlocks; inc0 raises the obligation, inc39
+  // answers it: 41 nodes, (0, clear) through (39, pending), then (40, clear).
+  const Model m = counter_model(40);
+  const ReachGraph g = ReachGraph::build(m);
+  const EdgeMatch first = label_match(m, "inc0"), last = label_match(m, "inc39");
+  CheckStats lazy, eager;
+  EXPECT_FALSE(g.check_response(first, last, &lazy).has_value());
+  EXPECT_FALSE(eager_lasso(g, first, last, &eager).has_value());
+  EXPECT_EQ(lazy.states_explored, 41u);
+  EXPECT_EQ(lazy.states_explored, eager.states_explored);
+  EXPECT_EQ(lazy.edges_explored, eager.edges_explored);
+  EXPECT_FALSE(lazy.bound_hit);
+  EXPECT_FALSE(lazy.truncated());
+}
+
+TEST(Response, ABudgetStopDuringExpansionNeverVerifies) {
+  // The property holds, so only a complete product could verify it. The
+  // cycle search drives the expansion down the chain of pending nodes.
+  const Model m = counter_model(200);
+  const ReachGraph g = ReachGraph::build(m);
+  const EdgeMatch first = label_match(m, "inc0"), last = label_match(m, "inc199");
+  CheckStats full;
+  ASSERT_FALSE(g.check_response(first, last, &full).has_value());
+  ASSERT_EQ(full.states_explored, 201u);
+  ASSERT_FALSE(full.truncated());
+
+  // A memory ceiling the product passes halfway down the chain.
+  CheckOptions ceiling;
+  ceiling.max_visited_bytes = full.visited_bytes / 2;
+  CheckStats mem;
+  EXPECT_FALSE(g.check_response(first, last, &mem, ceiling).has_value());
+  EXPECT_TRUE(mem.mem_hit);
+  EXPECT_GT(mem.states_explored, 2u);
+  EXPECT_LT(mem.states_explored, full.states_explored);
+
+  // A fired token and a spent deadline stop the first expansion.
+  CancelToken token;
+  token.cancel();
+  CheckOptions cancelled;
+  cancelled.cancel = &token;
+  CheckOptions deadline;
+  deadline.max_seconds = 1e-9;
+  for (const CheckOptions& options : {cancelled, deadline}) {
+    CheckStats stats;
+    EXPECT_FALSE(g.check_response(first, last, &stats, options).has_value());
+    EXPECT_TRUE(stats.truncated());
+    EXPECT_EQ(stats.cancelled, options.cancel != nullptr);
+    EXPECT_EQ(stats.deadline_hit, options.max_seconds > 0);
+    EXPECT_EQ(stats.states_explored, 1u);
+  }
+}
+
+// --- The kernel oracle ---------------------------------------------------------------
+//
+// Seeded random guarded-command models that the build accepts: 2–8
+// variables with small domains, 5–40 commands whose guards nest eq, land and
+// lor and whose updates write constants or copy variables (a command with
+// no update is a self-loop, and a halt value most guards exclude leaves
+// dead ends), checked with random EdgeMatches, pre-state equalities
+// included, and random ban tables. On every model the graph's traversals
+// must agree with the references in graph_oracle.h.
+
+/// Draws that depend on the seed alone, not on a library's distributions.
+class Draw {
+ public:
+  explicit Draw(std::uint64_t seed) : rng_(seed) {}
+  std::int32_t below(std::int32_t n) {
+    return static_cast<std::int32_t>(rng_() % static_cast<std::uint64_t>(n));
+  }
+  bool percent(int p) { return below(100) < p; }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+Expr random_guard(Draw& d, const Model& m, int depth) {
+  const int shape = depth == 0 ? 0 : d.below(3);
+  if (shape == 0) {
+    if (d.percent(4)) return Expr::constant(d.percent(75));
+    const int v = d.below(static_cast<std::int32_t>(m.var_count()));
+    return Expr::eq(v, d.below(m.domain(v)));
+  }
+  Expr a = random_guard(d, m, depth - 1);
+  Expr b = random_guard(d, m, depth - 1);
+  if (shape == 1) return Expr::land(std::move(a), std::move(b));
+  return Expr::lor(std::move(a), std::move(b));
+}
+
+Model random_model(std::uint64_t seed) {
+  Draw d(seed);
+  Model m;
+  const int vars = 2 + d.below(7);
+  std::int64_t space = 1;  // at most 4096 states
+  for (int v = 0; v < vars; ++v) {
+    std::int32_t domain = d.percent(10) && v > 0 ? 1 : 2 + d.below(d.percent(20) ? 7 : 3);
+    while (space * domain > 4096) domain /= 2;
+    space *= domain;
+    m.add_var("v" + std::to_string(v), domain, v == 0 ? 0 : d.below(domain));
+  }
+  // v0 at its top value halts every command whose guard requires it lower
+  // (most of them), so the commands that write that value lead toward
+  // dead ends.
+  const std::int32_t halt = m.domain(0) - 1;
+  Expr running = Expr::eq(0, 0);
+  for (std::int32_t x = 1; x < halt; ++x) running = Expr::lor(std::move(running), Expr::eq(0, x));
+  const int commands = 5 + d.below(36);
+  for (int c = 0; c < commands; ++c) {
+    Command cmd;
+    cmd.label = "c" + std::to_string(c);
+    cmd.guard = random_guard(d, m, d.below(3));
+    if (d.percent(80)) cmd.guard = Expr::land(running, std::move(cmd.guard));
+    // No write: a self-loop wherever the command is enabled.
+    for (int w = d.percent(10) ? 0 : 1 + d.below(3); w > 0; --w) {
+      const int var = d.below(vars);
+      const int src = d.below(vars);
+      if (d.percent(30) && m.domain(src) <= m.domain(var)) {
+        cmd.updates.push_back({var, 0, src});
+      } else {
+        cmd.updates.push_back({var, d.below(m.domain(var)), -1});
+      }
+    }
+    if (d.percent(10)) cmd.updates.push_back({0, halt, -1});
+    m.add_command(std::move(cmd));
+  }
+  return m;
+}
+
+EdgeMatch random_match(Draw& d, const Model& m) {
+  EdgeMatch match;
+  const int p = 10 + d.below(40);
+  for (std::size_t j = 0; j < m.commands().size(); ++j) match.commands.push_back(d.percent(p));
+  for (int k = d.below(3); k > 0; --k) {
+    const int v = d.below(static_cast<std::int32_t>(m.var_count()));
+    match.pre_equals.push_back({v, d.below(m.domain(v))});
+  }
+  return match;
+}
+
+std::vector<std::uint8_t> random_bans(Draw& d, const Model& m) {
+  std::vector<std::uint8_t> banned;
+  if (d.percent(50)) return banned;
+  for (std::size_t j = 0; j < m.commands().size(); ++j) banned.push_back(d.percent(15));
+  return banned;
+}
+
+constexpr std::uint64_t kOracleModels = 300;
+constexpr int kChecksPerModel = 4;
+
+TEST(Oracle, NeverClaimsMatchABreadthFirstSearchOfTheModel) {
+  std::size_t hits = 0, misses = 0;
+  for (std::uint64_t seed = 1; seed <= kOracleModels; ++seed) {
+    const Model m = random_model(seed);
+    const ReachGraph g = ReachGraph::build(m);
+    ASSERT_EQ(first_edge_mismatch(g), "") << "seed " << seed;
+    Draw d(seed * 7919);
+    for (int check = 0; check < kChecksPerModel; ++check) {
+      const EdgeMatch bad = random_match(d, m);
+      CheckOptions options;
+      options.banned = random_bans(d, m);
+      for (std::size_t cap : {kDefaultMaxStates, std::size_t{1}, std::size_t{3}, g.states() / 2}) {
+        options.max_states = cap;
+        CheckStats got, want;
+        auto found = g.check_edge_never(bad, &got, options);
+        auto reference = reference_edge_never(m, bad, &want, options);
+        const std::string where = "seed " + std::to_string(seed) + " check " +
+                                  std::to_string(check) + " cap " + std::to_string(cap);
+        ASSERT_EQ(found.has_value(), reference.has_value()) << where;
+        if (found) {
+          EXPECT_EQ(found->render(m), reference->render(m)) << where;
+        }
+        EXPECT_EQ(got.states_explored, want.states_explored) << where;
+        EXPECT_EQ(got.edges_explored, want.edges_explored) << where;
+        EXPECT_EQ(got.bound_hit, want.bound_hit) << where;
+        if (cap == kDefaultMaxStates) ++(found ? hits : misses);
+      }
+    }
+  }
+  // Both verdicts are common, so neither side of the comparison is idle.
+  EXPECT_GT(hits, kOracleModels / 4);
+  EXPECT_GT(misses, kOracleModels / 4);
+}
+
+TEST(Oracle, LivenessMatchesTheEagerLassoByteForByte) {
+  std::size_t lassos = 0, stutters = 0, capped = 0;
+  for (std::uint64_t seed = 1; seed <= kOracleModels; ++seed) {
+    const Model m = random_model(seed);
+    const ReachGraph g = ReachGraph::build(m);
+    Draw d(seed * 104729);
+    for (int check = 0; check < kChecksPerModel; ++check) {
+      const EdgeMatch trigger = random_match(d, m), response = random_match(d, m);
+      CheckOptions options;
+      options.banned = random_bans(d, m);
+      CheckStats whole;
+      eager_lasso(g, trigger, response, &whole, options);
+      const std::size_t nodes = whole.states_explored;
+      // Uncapped, then a cap sweep both inside the traversal and at the build.
+      for (std::size_t cap : {kDefaultMaxStates, std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{3}, std::size_t{5}, nodes / 2, nodes - 1}) {
+        const std::string where = "seed " + std::to_string(seed) + " check " +
+                                  std::to_string(check) + " cap " + std::to_string(cap);
+        CheckOptions build;
+        build.max_states = cap;
+        const ReachGraph small = ReachGraph::build(m, build);
+        for (const ReachGraph* graph : {&g, &small}) {
+          CheckOptions traversal = options;
+          if (graph == &g) traversal.max_states = cap;
+          CheckStats got, want;
+          auto found = graph->check_response(trigger, response, &got, traversal);
+          auto reference = eager_lasso(*graph, trigger, response, &want, traversal);
+          ASSERT_EQ(found.has_value(), reference.has_value()) << where;
+          if (found) {
+            EXPECT_EQ(found->render(m), reference->render(m)) << where;
+            EXPECT_EQ(found->loop_start, reference->loop_start) << where;
+            EXPECT_LE(got.states_explored, want.states_explored) << where;
+            EXPECT_EQ(lasso_defect(m, trigger, response, *found, traversal), "") << where;
+            if (cap == kDefaultMaxStates) {
+              ++lassos;
+              stutters += found->steps.back().label == "(stutter)";
+            }
+          } else {
+            // Nothing found: the whole product was expanded, as before.
+            EXPECT_EQ(got.states_explored, want.states_explored) << where;
+            EXPECT_EQ(got.edges_explored, want.edges_explored) << where;
+            EXPECT_EQ(got.bound_hit, want.bound_hit) << where;
+          }
+          capped += want.bound_hit && found.has_value();
+        }
+      }
+    }
+  }
+  EXPECT_GT(lassos, kOracleModels / 4);
+  EXPECT_GT(stutters, 10u);  // dead ends that keep a trigger pending
+  EXPECT_GT(capped, 10u);    // lassos found inside a capped product
+}
+
+TEST(Oracle, AMemoryStopNeverChangesTheLasso) {
+  // A budget stop ends the lasso with no verdict, so under any memory
+  // ceiling it either reports the lasso a search without budgets reports
+  // or stops with mem_hit. The sweep puts the stop at nine points of the
+  // product's growth; the cancel token and the deadline stop at the same
+  // poll.
+  std::size_t stopped = 0, finished = 0;
+  for (std::uint64_t seed = 1; seed <= kOracleModels; ++seed) {
+    const Model m = random_model(seed);
+    const ReachGraph g = ReachGraph::build(m);
+    Draw d(seed * 32452843);
+    for (int check = 0; check < kChecksPerModel; ++check) {
+      const EdgeMatch trigger = random_match(d, m), response = random_match(d, m);
+      CheckOptions options;
+      options.banned = random_bans(d, m);
+      CheckStats whole;
+      const auto unbounded = g.check_response(trigger, response, &whole, options);
+      const std::size_t index = g.states() * sizeof(std::array<std::uint32_t, 2>);
+      for (std::size_t step = 0; step <= 8; ++step) {
+        options.max_visited_bytes = index + (whole.visited_bytes - index) * step / 8;
+        CheckStats stats;
+        const auto found = g.check_response(trigger, response, &stats, options);
+        const std::string where = "seed " + std::to_string(seed) + " check " +
+                                  std::to_string(check) + " ceiling " +
+                                  std::to_string(options.max_visited_bytes);
+        if (!found) {
+          EXPECT_TRUE(stats.mem_hit || !unbounded) << where;
+          ++(stats.mem_hit ? stopped : finished);
+          continue;
+        }
+        ++finished;
+        ASSERT_TRUE(unbounded.has_value()) << where;
+        EXPECT_FALSE(stats.mem_hit) << where;
+        EXPECT_EQ(found->render(m), unbounded->render(m)) << where;
+        EXPECT_EQ(found->loop_start, unbounded->loop_start) << where;
+      }
+    }
+  }
+  EXPECT_GT(stopped, kOracleModels);
+  EXPECT_GT(finished, kOracleModels);
+}
+
+TEST(Oracle, LivenessVerdictsMatchAProductFreeDecision) {
+  std::size_t violated = 0, held = 0;
+  for (std::uint64_t seed = 1; seed <= kOracleModels; ++seed) {
+    const Model m = random_model(seed);
+    const ReachGraph g = ReachGraph::build(m);
+    Draw d(seed * 15485863);
+    for (int check = 0; check < kChecksPerModel; ++check) {
+      const EdgeMatch trigger = random_match(d, m), response = random_match(d, m);
+      CheckOptions options;
+      options.banned = random_bans(d, m);
+      CheckStats stats;
+      auto found = g.check_response(trigger, response, &stats, options);
+      const std::string where = "seed " + std::to_string(seed) + " check " + std::to_string(check);
+      ASSERT_FALSE(stats.truncated()) << where;
+      EXPECT_EQ(found.has_value(), reference_response_violated(m, trigger, response, options))
+          << where;
+      if (found) {
+        EXPECT_EQ(lasso_defect(m, trigger, response, *found, options), "") << where;
+      }
+      ++(found ? violated : held);
+    }
+  }
+  EXPECT_GT(violated, kOracleModels / 4);
+  EXPECT_GT(held, kOracleModels / 4);
 }
 
 TEST(Trace, DotExportHighlightsAdversaryAndLoop) {
