@@ -51,8 +51,8 @@ struct PropertyResult {
 };
 
 /// The budget of one attempt at one property. `analyze` and `diff` triage
-/// fill it, and the supervisor runs every attempt under exactly this budget
-/// (halved on a degraded retry).
+/// fill it, and the supervisor runs every attempt, retries included, under
+/// exactly this budget.
 struct CegarOptions {
   /// State cap of each traversal. At the default no search on any profile
   /// truncates, so kInconclusive only appears under tightened budgets.

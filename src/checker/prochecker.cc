@@ -61,6 +61,9 @@ std::string analysis_options_hash(const AnalysisOptions& options,
   canon += "max_states=" + std::to_string(options.max_states);
   canon += ";cegar=" + std::to_string(options.max_cegar_iterations);
   canon += ";retries=" + std::to_string(options.retries);
+  // Retries repeat their attempt at full budget: a journal whose retries
+  // ran at halved budgets has the bare text, and is refused.
+  if (options.retries > 0) canon += "/repeat";
   canon += ";deadline=" + std::to_string(options.deadline_per_property);
   canon += ";mem=" + std::to_string(options.mem_ceiling_bytes);
   canon += ";freshness=";
@@ -169,7 +172,6 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
 
   SupervisorOptions sup;
   sup.retries = options.retries;
-  sup.backoff_seconds = options.retry_backoff_seconds;
   sup.journal_path = options.journal_path;
   sup.resume = options.resume;
   sup.run_tag = profile.name;

@@ -36,12 +36,11 @@ struct AnalysisOptions {
   int jobs = 0;
 
   // --- Supervisor knobs (DESIGN.md §11) ------------------------------------
-  /// Extra attempts for properties that throw or trip a budget; each retry
-  /// runs degraded (smaller state/deadline budgets). 0 = fail fast to a
-  /// structured kInconclusive (exceptions are still contained).
+  /// Extra attempts for properties that throw or trip their deadline, each
+  /// under the same budgets (a state-cap or memory-ceiling trip is final).
+  /// 0 = fail fast to a structured kInconclusive (exceptions are still
+  /// contained).
   int retries = 0;
-  /// Base of the exponential retry backoff, seconds (see SupervisorOptions).
-  double retry_backoff_seconds = 0.05;
   /// Wall-clock deadline (seconds) per attempt at a property, across its
   /// CEGAR iterations; 0 = none. Exhaustion yields Status::kInconclusive.
   double deadline_per_property = 0.0;

@@ -185,12 +185,6 @@ std::optional<PropertyOutcome> decode_outcome(std::string_view json) {
 
 namespace {
 
-// The degrade ladder's step: each retry after a resource trip halves the
-// state bound and the deadline, down to these floors.
-constexpr double kDegradeFactor = 0.5;
-constexpr double kDegradeFloorStates = 4096;
-constexpr double kDegradeFloorSeconds = 0.01;
-
 FailureClass classify(const PropertyResult& r) {
   if (r.status != PropertyResult::Status::kInconclusive) return FailureClass::kNone;
   const mc::CheckStats& s = r.last_stats;
@@ -225,28 +219,19 @@ PropertyOutcome cancelled_outcome(const PropertyDef& prop) {
   return out;
 }
 
-/// One property under the watchdog + the shared retry/degrade ladder.
-/// Exceptions from the MC/CEGAR loop (or the test fault hook) never escape.
+/// One property under the watchdog + the shared retry ladder, every attempt
+/// under `cegar`. Exceptions from the MC/CEGAR loop (or the test fault hook)
+/// never escape.
 PropertyOutcome run_one_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
                                  const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                                  const CegarOptions& cegar, const SupervisorOptions& options) {
-  CegarOptions per_attempt = cegar;
   PropertyOutcome out;
   const supervise::Outcome ladder = supervise::run_attempts(
-      {options.retries, options.backoff_seconds},
-      [&](int attempt) -> supervise::Attempt {
+      {options.retries}, [&](int attempt) -> supervise::Attempt {
         if (options.fault_hook) options.fault_hook(prop.id, attempt);
-        out.result = check_property(graph, ue_fsm, prop, crypto, per_attempt);
+        out.result = check_property(graph, ue_fsm, prop, crypto, cegar);
         const FailureClass failure = classify(out.result);
         return {failure, failure == FailureClass::kNone ? std::string() : out.result.note};
-      },
-      [&] {
-        // A property that OOMs or wedges converges to an explicit
-        // kInconclusive instead of failing identically N times.
-        per_attempt.max_states = static_cast<std::size_t>(supervise::shrink(
-            static_cast<double>(per_attempt.max_states), kDegradeFactor, kDegradeFloorStates));
-        per_attempt.max_seconds =
-            supervise::shrink(per_attempt.max_seconds, kDegradeFactor, kDegradeFloorSeconds);
       });
   if (ladder.failure == FailureClass::kException) {
     out = exception_outcome(prop, ladder.attempts, ladder.diagnostics);

@@ -10,10 +10,11 @@
 // deadline, approximate memory ceiling and cancel token, polled in the MC
 // hot loop), so any single property can throw, trip a budget, or be
 // cancelled and the catalog run still completes with a structured outcome
-// for every property. Failed or inconclusive properties are retried on the
-// shared degrade ladder (common/supervise.h: halved state/deadline budgets,
-// exponential backoff); the final attempt falls back to kInconclusive with
-// the failure class embedded. Every completed outcome is appended to a
+// for every property. A property whose attempt threw or ran out of time is
+// retried on the shared ladder (common/supervise.h) under the same budget;
+// a state-cap or memory-ceiling trip is final, since a repeat trips it at
+// the same point. The last attempt falls back to kInconclusive with the
+// failure class embedded. Every completed outcome is appended to a
 // crash-safe JSONL run journal (common/journal.h), and a resumed run adopts
 // journaled outcomes instead of re-verifying them — reproducing a verdict
 // report byte-identical to an uninterrupted run.
@@ -57,14 +58,10 @@ struct PropertyOutcome {
 };
 
 struct SupervisorOptions {
-  /// Extra attempts after the first for failed/inconclusive properties.
+  /// Extra attempts after the first for a property whose attempt threw or
+  /// tripped its deadline. Every attempt runs under the same CegarOptions,
+  /// and none sleeps before the next.
   int retries = 0;
-  /// Base of the exponential retry backoff (seconds): attempt k sleeps
-  /// backoff * 2^(k-1) before re-running. 0 disables the sleep. Each retry
-  /// after a resource trip halves the CegarOptions' max_states and
-  /// max_seconds (floored at 4096 states / 0.01 s, never above the previous
-  /// attempt).
-  double backoff_seconds = 0.05;
 
   /// Path of the crash-safe run journal; "" disables journaling.
   std::string journal_path;

@@ -8,15 +8,6 @@
 
 namespace procheck::supervise {
 
-namespace {
-
-/// Classes a smaller search can cure: the next attempt runs degraded.
-bool is_resource(Failure f) {
-  return f == Failure::kDeadline || f == Failure::kMemCeiling || f == Failure::kBudget;
-}
-
-}  // namespace
-
 std::string_view to_string(Failure f) {
   switch (f) {
     case Failure::kNone: return "none";
@@ -39,8 +30,7 @@ std::optional<Failure> failure_from_token(std::string_view token) {
   return std::nullopt;
 }
 
-Outcome run_attempts(const Policy& policy, const std::function<Attempt(int attempt)>& attempt,
-                     const std::function<void()>& degrade) {
+Outcome run_attempts(const Policy& policy, const std::function<Attempt(int attempt)>& attempt) {
   const int total = 1 + std::max(0, policy.retries);
   Outcome out;
   Attempt& last = out;
@@ -53,12 +43,12 @@ Outcome run_attempts(const Policy& policy, const std::function<Attempt(int attem
       last = {Failure::kException, "unknown exception type"};
     }
     out.attempts = k;
-    if (out.failure == Failure::kNone || out.failure == Failure::kCancelled ||
-        out.failure == Failure::kContested) {
+    // Only these can come out otherwise on a repeat under the same budget.
+    if (out.failure != Failure::kException && out.failure != Failure::kDeadline &&
+        out.failure != Failure::kUnavailable) {
       return out;
     }
     if (k == total) break;
-    if (is_resource(out.failure)) degrade();
     if (policy.backoff_seconds > 0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(policy.backoff_seconds * std::ldexp(1.0, k - 1)));
@@ -69,10 +59,6 @@ Outcome run_attempts(const Policy& policy, const std::function<Attempt(int attem
                          " persisted through " + std::to_string(total) + " attempts]";
   }
   return out;
-}
-
-double shrink(double value, double factor, double floor) {
-  return std::min(value, std::max(floor, value * factor));
 }
 
 }  // namespace procheck::supervise

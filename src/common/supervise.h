@@ -4,8 +4,8 @@
 // both run work that may throw, trip a budget, or be cancelled, and both
 // want the same answer: a structured failure class, never an escaped
 // exception. This module holds what they share — the failure taxonomy and
-// the retry/degrade ladder. Each supervisor keeps only how one attempt runs,
-// how its result is classified, and what "degrade" shrinks.
+// the retry ladder. Each supervisor keeps only how one attempt runs and how
+// its result is classified.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,9 @@ struct Policy {
   /// Extra attempts after the first.
   int retries = 0;
   /// Attempt k sleeps backoff_seconds * 2^(k-1) before the next; 0 = none.
-  double backoff_seconds = 0.05;
+  /// Learn sets one, since its SUL may be remote; an analyze attempt reads
+  /// only immutable inputs, so a sleep would change nothing it reads.
+  double backoff_seconds = 0;
 };
 
 /// One attempt's classification.
@@ -65,19 +67,14 @@ struct Outcome : Attempt {
   std::string exhausted_note;
 };
 
-/// Runs attempt(k) for k = 1 .. 1 + retries:
+/// Runs attempt(k) for k = 1 .. 1 + retries, every attempt under the
+/// caller's budget:
 ///   - an exception thrown by attempt becomes kException and never escapes;
-///   - kNone, kCancelled and kContested stop the ladder;
-///   - resource classes (deadline, memory ceiling, state budget) call
-///     degrade() before the next attempt; every other class retries at the
-///     full budget, because the search size was not the problem.
+///   - kNone, kCancelled and kContested stop the ladder, and so do kBudget
+///     and kMemCeiling: the same graph, bans and byte accounting trip them
+///     at the same point on a repeat;
+///   - kException, kDeadline and kUnavailable are retried.
 /// The returned outcome is the last attempt's classification.
-Outcome run_attempts(const Policy& policy, const std::function<Attempt(int attempt)>& attempt,
-                     const std::function<void()>& degrade);
-
-/// One degrade step: `value` scaled by `factor`, floored at `floor`, and
-/// never above `value` itself — a retry never gets a bigger budget than the
-/// attempt before it. 0 (unbounded) stays 0.
-double shrink(double value, double factor, double floor);
+Outcome run_attempts(const Policy& policy, const std::function<Attempt(int attempt)>& attempt);
 
 }  // namespace procheck::supervise

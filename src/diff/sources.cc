@@ -39,11 +39,10 @@ SideResult resolve_profile(const std::string& spec, const std::string& name) {
   if (!profile) return spec_error(spec, "unknown profile '" + name + "'");
   instrument::TraceLogger trace;
   testing::run_conformance(*profile, trace);
-  std::vector<instrument::LogRecord> records = instrument::parse_log(trace.text());
   SideResult r;
   r.ok = true;
   r.side.name = spec;
-  r.side.machine = extract_flat(records, *profile);
+  r.side.machine = extract_flat(trace.records(), *profile);
   return r;
 }
 

@@ -109,8 +109,9 @@ void triage(DiffReport& report, const Side& left, const Side& right,
   if (candidates.empty()) return;
 
   // (3) Model-check every candidate on both sides under the analysis
-  // supervisor: crash isolation, watchdog deadlines, degrade-to-inconclusive
-  // — and run_supervised's byte-determinism across jobs levels.
+  // supervisor: crash isolation, watchdog deadlines, a tripped budget as a
+  // structured inconclusive — and run_supervised's byte-determinism across
+  // jobs levels.
   std::vector<const PropertyDef*> selected;
   for (const PropertyDef& prop : catalog) {
     if (candidates.count(prop.id) > 0) selected.push_back(&prop);

@@ -13,8 +13,8 @@
 // Static matching alone over-approximates (a matcher with pre-state
 // constraints matches many benign edges), so the verdict is always the model
 // checker's: every candidate property is verified on BOTH sides under the
-// analysis supervisor (crash isolation, watchdog deadlines, budget degrade —
-// DESIGN.md §11), fanned across common/thread_pool. The verdict matrix then
+// analysis supervisor (crash isolation, watchdog deadlines, retries under
+// the same budget — DESIGN.md §11), fanned across common/thread_pool. The verdict matrix then
 // classifies:
 //
 //   attack on exactly one side  -> divergent finding (that side violates)
@@ -47,7 +47,8 @@ struct TriageOptions {
   /// byte-identity-across-machines guarantee for boundedness, so they are
   /// opt-in here exactly as in `analyze`).
   double deadline_per_property = 0.0;
-  /// Extra degraded attempts for properties that trip a budget.
+  /// Extra attempts, under the same budget, for properties that throw or
+  /// trip their deadline.
   int retries = 0;
   /// Cooperative run-level cancellation.
   const CancelToken* cancel = nullptr;

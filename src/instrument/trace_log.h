@@ -8,8 +8,11 @@
 // (used for coverage accounting; the extractor ignores it).
 //
 // The log has both a structured form (`LogRecord`) and a canonical text
-// form. The model extractor consumes the *text* form to demonstrate that
-// the pipeline needs nothing beyond the log the paper describes.
+// form, and `parse_log(text())` gives back `records()` exactly (pinned per
+// profile by conformance_test). `analyze` and diff's `profile:` sides
+// extract from the records; `extract --log` and diff's `log:` sides parse
+// the text, which is all the pipeline needs beyond the log the paper
+// describes.
 #pragma once
 
 #include <cstdint>

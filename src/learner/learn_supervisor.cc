@@ -27,11 +27,6 @@ constexpr std::size_t kMaxObservationLength = 1024;
 // contested: each override restarts the learn, so this bounds the restarts.
 constexpr int kMaxOverrides = 8;
 
-// The degrade ladder: eq_test_words and eq_test_max_length shrink by this
-// factor on every retry after a deadline trip, so a learn that cannot
-// afford its oracle converges to an explicit inconclusive.
-constexpr double kDegradeFactor = 0.5;
-
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -540,10 +535,11 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
   LearnOptions eff = options.learn;
   eff.cancel = wrapper.token();
 
+  // Every attempt runs the configured oracle. The wrapper's trie outlives
+  // the attempts, so a retry replays what earlier ones committed for free.
   LearnResult result;
   const supervise::Outcome ladder = supervise::run_attempts(
-      {options.retries, options.backoff_seconds},
-      [&](int) -> supervise::Attempt {
+      {options.retries, options.backoff_seconds}, [&](int) -> supervise::Attempt {
         do {
           if (options.cancel != nullptr && options.cancel->cancelled()) {
             return {LearnFailure::kCancelled, "learning cancelled by caller"};
@@ -560,12 +556,6 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
         }
         if (result.inconclusive) return {LearnFailure::kUnavailable, result.note};
         return {};  // max_rounds exhausted: honest non-convergence
-      },
-      [&] {
-        eff.eq_test_words =
-            static_cast<int>(supervise::shrink(eff.eq_test_words, kDegradeFactor, 1));
-        eff.eq_test_max_length =
-            static_cast<int>(supervise::shrink(eff.eq_test_max_length, kDegradeFactor, 1));
       });
   journal.commit();  // a throwing last attempt left records queued
   std::string diag = ladder.diagnostics;

@@ -22,9 +22,9 @@
 //     keeping the first observation;
 //   * a per-attempt wall-clock deadline poisons the SUL cooperatively
 //     (CancelToken + the structured kSulUnavailable symbol), and the shared
-//     retry ladder (common/supervise.h) degrades the equivalence-oracle
-//     effort before giving up — learn_supervised can never hang and never
-//     lets an exception escape.
+//     retry ladder (common/supervise.h) repeats the learn under the same
+//     equivalence oracle, replaying what earlier attempts committed —
+//     learn_supervised can never hang and never lets an exception escape.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +44,8 @@ namespace procheck::learner {
 /// How a supervised learn failed to converge cleanly: kException,
 /// kDeadline, kCancelled, kContested (no k-majority for a cell, or the
 /// override bound tripped) or kUnavailable. kContested and kCancelled are
-/// terminal; kDeadline retries on the degrade ladder; kException and
-/// kUnavailable retry at full budget (the search size was not the problem —
-/// the environment was).
+/// terminal; kException, kDeadline and kUnavailable are retried under the
+/// same options.
 using LearnFailure = supervise::Failure;
 
 struct LearnSupervisorOptions {

@@ -147,26 +147,4 @@ std::string Model::render_state(const State& s) const {
   return out;
 }
 
-std::string Model::to_smv() const {
-  std::string out = "MODULE main\nVAR\n";
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    out += "  " + names_[i] + " : {";
-    for (std::int32_t v = 0; v < domains_[i]; ++v) {
-      if (v > 0) out += ", ";
-      out += value_name(static_cast<int>(i), v);
-    }
-    out += "};\n";
-  }
-  out += "INIT\n ";
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (i > 0) out += " &";
-    out += " " + names_[i] + " = " + value_name(static_cast<int>(i), init_[i]);
-  }
-  out += "\n-- " + std::to_string(commands_.size()) + " guarded commands:\n";
-  for (const Command& cmd : commands_) {
-    out += "--   " + cmd.label + "\n";
-  }
-  return out;
-}
-
 }  // namespace procheck::mc

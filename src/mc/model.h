@@ -133,9 +133,6 @@ class Model {
 
   /// Human-readable diff-style rendering of a state (for counterexamples).
   std::string render_state(const State& s) const;
-  /// SMV-like textual dump of the whole model (the paper's "model generator
-  /// outputs an SMV description"); useful for debugging and docs.
-  std::string to_smv() const;
 
  private:
   std::vector<std::string> names_;

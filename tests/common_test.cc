@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "common/supervise.h"
 #include "common/table.h"
 
 namespace procheck {
@@ -213,6 +219,39 @@ TEST(TextTable, ShortRowsPadded) {
   TextTable t({"a", "b", "c"});
   t.add_row({"only-one"});
   EXPECT_NO_THROW(t.render());
+}
+
+// --- supervise: the retry ladder ------------------------------------------
+
+TEST(Supervise, RepeatsOnlyAThrowADeadlineOrAnUnavailableSul) {
+  // A repeat runs under the same budget, so only these three can end
+  // otherwise. A result, an interruption, a contested cell, a state cap and
+  // a memory ceiling all come out the same on a repeat.
+  using supervise::Failure;
+  const std::vector<std::pair<Failure, int>> cases = {
+      {Failure::kNone, 1},      {Failure::kCancelled, 1},  {Failure::kContested, 1},
+      {Failure::kBudget, 1},    {Failure::kMemCeiling, 1}, {Failure::kException, 3},
+      {Failure::kDeadline, 3},  {Failure::kUnavailable, 3},
+  };
+  for (const auto& [failure, expected] : cases) {
+    const std::string token(supervise::to_string(failure));
+    SCOPED_TRACE(token);
+    const Failure f = failure;
+    int calls = 0;
+    const supervise::Outcome out =
+        supervise::run_attempts({2}, [&](int attempt) -> supervise::Attempt {
+          calls = attempt;
+          if (f == Failure::kException) throw std::runtime_error("thrown");
+          return {f, "detail"};
+        });
+    EXPECT_EQ(calls, expected);
+    EXPECT_EQ(out.attempts, expected);
+    EXPECT_EQ(out.failure, f);
+    EXPECT_EQ(out.diagnostics, f == Failure::kException ? "thrown" : "detail");
+    EXPECT_EQ(out.exhausted_note,
+              expected == 1 ? ""
+                            : " [supervisor: " + token + " persisted through 3 attempts]");
+  }
 }
 
 }  // namespace

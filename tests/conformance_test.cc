@@ -82,6 +82,25 @@ INSTANTIATE_TEST_SUITE_P(Profiles, CoveragePerProfile,
                                            ue::StackProfile::oai()),
                          [](const auto& info) { return info.param.name; });
 
+class LogPerProfile : public ::testing::TestWithParam<ue::StackProfile> {};
+
+// `analyze` and diff's profile: sides extract from the records; `extract
+// --log` and diff's log: sides parse the text form. Both read one model
+// because the text parses back to exactly the records, with no line shed.
+TEST_P(LogPerProfile, TextParsesBackToTheRecords) {
+  instrument::TraceLogger trace;
+  run_conformance(GetParam(), trace);
+  instrument::ParseStats stats;
+  EXPECT_EQ(instrument::parse_log(trace.text(), &stats), trace.records());
+  EXPECT_EQ(stats.records, trace.records().size());
+  EXPECT_EQ(stats.skipped + stats.truncated, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Profiles, LogPerProfile,
+                         ::testing::Values(ue::StackProfile::cls(), ue::StackProfile::srsue(),
+                                           ue::StackProfile::oai()),
+                         [](const auto& info) { return info.param.name; });
+
 TEST(Conformance, ExpectedHandlersUseProfilePrefixes) {
   auto handlers = expected_ue_handlers(ue::StackProfile::oai());
   bool saw_recv = false;

@@ -376,10 +376,10 @@ TEST(Graph, ProfileGraphsArePinned) {
 }
 
 TEST(Pipeline, ReportsAreDeterministic) {
-  ImplementationReport a = ProChecker::analyze(ue::StackProfile::srsue(),
-                                               {.only_properties = {"S01", "S05", "S07"}});
-  ImplementationReport b = ProChecker::analyze(ue::StackProfile::srsue(),
-                                               {.only_properties = {"S01", "S05", "S07"}});
+  AnalysisOptions options;
+  options.only_properties = {"S01", "S05", "S07"};
+  ImplementationReport a = ProChecker::analyze(ue::StackProfile::srsue(), options);
+  ImplementationReport b = ProChecker::analyze(ue::StackProfile::srsue(), options);
   EXPECT_EQ(a.attacks_found, b.attacks_found);
   EXPECT_EQ(a.checking_model, b.checking_model);
 }

@@ -1,6 +1,6 @@
 // Learning-supervisor suite (DESIGN.md §15): crash-safe journal + resume
 // determinism, the kill-at-every-journal-byte sweep, exception injection at
-// every query probe, the deadline and the retry/degrade ladder, k-of-n
+// every query probe, the deadline and the retry ladder, k-of-n
 // nondeterminism arbitration (convergence where first-observation-wins pins
 // a wrong edge, quarantine where no majority exists), and the remote
 // variants over the multi-session server — clean and under lossless chaos.
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +23,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/journal.h"
@@ -484,7 +486,7 @@ TEST(LearnSupervisor, ExceptionWithoutRetryIsStructuredThenResumable) {
 }
 
 // ---------------------------------------------------------------------------
-// The deadline and the retry/degrade ladder
+// The deadline and the retry ladder
 
 TEST(LearnSupervisor, DeadlineTripsToStructuredInconclusive) {
   for (const int retries : {0, 2}) {
@@ -507,6 +509,46 @@ TEST(LearnSupervisor, DeadlineTripsToStructuredInconclusive) {
           << run.result.note;
     }
   }
+}
+
+/// Sleeps through its first batch, so the attempt that sent it is past its
+/// deadline by the time the batch is answered.
+class SlowFirstBatchSul final : public Sul {
+ public:
+  SlowFirstBatchSul() : inner_(ue::StackProfile::cls()) {}
+
+  void reset() override { inner_.reset(); }
+  std::string step(const std::string& input) override { return inner_.step(input); }
+  long resets() const override { return inner_.resets(); }
+  long steps() const override { return inner_.steps(); }
+
+  std::vector<Word> query_batch(const std::vector<Word>& words) override {
+    if (!slept_) {
+      slept_ = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    }
+    return inner_.query_batch(words);
+  }
+
+ private:
+  UeSul inner_;
+  bool slept_ = false;
+};
+
+TEST(LearnSupervisor, DeadlineRetryMatchesAnUninterruptedLearn) {
+  // Attempt 1 commits the slow batch and trips at its next admission. The
+  // retry replays that batch without SUL contact and runs the configured
+  // oracle to the machine an uninterrupted learn prints.
+  SlowFirstBatchSul slow;
+  LearnSupervisorOptions o;
+  o.learn = tiny_options();
+  o.deadline_seconds = 1;
+  o.retries = 1;
+  o.backoff_seconds = 0;
+  const SupervisedLearn run = learn_supervised(slow, o);
+  EXPECT_EQ(run.attempts, 2);
+  EXPECT_EQ(run.failure, LearnFailure::kNone) << run.diagnostics;
+  expect_matches_reference(run, "deadline retry");
 }
 
 // ---------------------------------------------------------------------------

@@ -156,13 +156,9 @@ TEST(Model, LaterAssignmentWins) {
   m.successors(m.initial(), [&](const State& next, const Command&) { EXPECT_EQ(next[0], 3); });
 }
 
-TEST(Model, RenderAndSmvDump) {
+TEST(Model, RenderState) {
   Model m = ring_model();
   EXPECT_EQ(m.render_state(m.initial()), "pos=p0");
-  std::string smv = m.to_smv();
-  EXPECT_TRUE(contains(smv, "MODULE main"));
-  EXPECT_TRUE(contains(smv, "pos : {p0, p1, p2}"));
-  EXPECT_TRUE(contains(smv, "step0"));
 }
 
 // --- Invariants as never-claims ------------------------------------------------

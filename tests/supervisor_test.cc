@@ -1,5 +1,5 @@
-// Supervisor and journal tests: crash containment, the retry/degrade
-// ladder, watchdog failure classification, crash-safe journal durability
+// Supervisor and journal tests: crash containment, the retry ladder,
+// watchdog failure classification, crash-safe journal durability
 // (kill-point simulation at every byte offset, a short append, SIGKILLed
 // analyze processes), the single-writer lock, and the resume determinism
 // contract — an interrupted-and-resumed analysis reproduces the
@@ -387,7 +387,6 @@ TEST(Supervisor, RetryRecoversFromTransientCrash) {
   cegar.max_states = 400000;
   SupervisorOptions opts;
   opts.retries = 2;
-  opts.backoff_seconds = 0;  // keep the test fast
   opts.fault_hook = [](const std::string&, int attempt) {
     if (attempt == 1) throw std::runtime_error("transient");
   };
@@ -480,20 +479,40 @@ TEST(Supervisor, ModelOutsideItsDomainsIsContainedPerProperty) {
 TEST(Supervisor, ExhaustedRetriesFallBackToStructuredInconclusive) {
   auto sel = select({"S05"});
   CegarOptions cegar;
-  cegar.max_states = 3;  // every attempt hits the state bound
+  cegar.max_seconds = 1e-9;  // every attempt trips its deadline
   SupervisorOptions opts;
   opts.retries = 2;
-  opts.backoff_seconds = 0;
   SupervisedRun run = run_sup(sel, opts, cegar);
   ASSERT_EQ(run.outcomes.size(), 1u);
   const PropertyOutcome& o = run.outcomes[0];
   EXPECT_EQ(o.result.status, PropertyResult::Status::kInconclusive);
-  EXPECT_EQ(o.failure, FailureClass::kBudget);
+  EXPECT_EQ(o.failure, FailureClass::kDeadline);
   EXPECT_EQ(o.attempts, 3);
-  // A degraded retry never gets a bigger budget than the attempt before it.
-  EXPECT_LE(o.result.last_stats.states_explored, 3u);
-  EXPECT_TRUE(contains(o.result.note, "budget persisted through 3 attempts"))
+  EXPECT_TRUE(contains(o.result.note, "deadline persisted through 3 attempts"))
       << o.result.note;
+}
+
+TEST(Supervisor, DeterministicBudgetTripsAreNotRetried) {
+  // The same graph, bans and byte accounting trip a state cap or a memory
+  // ceiling at the same point on a repeat, so the first trip is final.
+  auto sel = select({"S05"});
+  CegarOptions capped;
+  capped.max_states = 3;
+  CegarOptions ceiling;
+  ceiling.max_visited_bytes = 1;
+  SupervisorOptions opts;
+  opts.retries = 2;
+  for (const auto& [cegar, failure] : {std::pair{capped, FailureClass::kBudget},
+                                       std::pair{ceiling, FailureClass::kMemCeiling}}) {
+    SCOPED_TRACE(std::string(supervise::to_string(failure)));
+    SupervisedRun run = run_sup(sel, opts, cegar);
+    ASSERT_EQ(run.outcomes.size(), 1u);
+    const PropertyOutcome& o = run.outcomes[0];
+    EXPECT_EQ(o.result.status, PropertyResult::Status::kInconclusive);
+    EXPECT_EQ(o.failure, failure);
+    EXPECT_EQ(o.attempts, 1);
+    EXPECT_FALSE(contains(o.result.note, "persisted through")) << o.result.note;
+  }
 }
 
 TEST(Supervisor, ParallelOutcomesMatchSequential) {
@@ -1098,7 +1117,6 @@ TEST(AnalyzeResume, InjectedCrashDegradesOnePropertyOthersVerify) {
   options.only_properties = {"S01", "S05", "P04"};
   options.jobs = 2;
   options.retries = 1;
-  options.retry_backoff_seconds = 0;
   options.fault_hook = [](const std::string& id, int) {
     if (id == "S05") throw std::runtime_error("induced OOM");
   };
@@ -1211,6 +1229,17 @@ TEST(AnalyzeResume, OptionsHashCoversVerdictKnobsOnly) {
   mitigated.sqn_freshness_limit = 64;
   EXPECT_NE(analysis_options_hash(a, mitigated),
             analysis_options_hash(a, ue::StackProfile::cls()));
+}
+
+TEST(AnalyzeResume, OptionsHashKeepsDefaultJournalsAndRefusesRetriedOnes) {
+  // Journals written before retries stopped shrinking their budgets: one
+  // under the default options, which still resumes, and one under
+  // --retries 2, which may hold a smaller-cap verdict and is refused.
+  const AnalysisOptions defaults;
+  EXPECT_EQ(analysis_options_hash(defaults, ue::StackProfile::cls()), "79cea045e1478b9b");
+  AnalysisOptions retried;
+  retried.retries = 2;
+  EXPECT_NE(analysis_options_hash(retried, ue::StackProfile::cls()), "d245bc1a5646a41b");
 }
 
 }  // namespace
