@@ -19,7 +19,6 @@ mc::CheckOptions check_options(const CegarOptions& options) {
   out.max_states = options.max_states;
   out.max_seconds = options.max_seconds;
   out.max_visited_bytes = options.max_visited_bytes;
-  out.cancel = options.cancel;
   return out;
 }
 
@@ -59,12 +58,6 @@ PropertyResult check_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fs
   mc::CheckOptions mc_options = check_options(options);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    if (options.cancel && options.cancel->cancelled()) {
-      result.status = PropertyResult::Status::kInconclusive;
-      result.last_stats.cancelled = true;
-      result.note = "cancelled before iteration " + std::to_string(result.iterations + 1);
-      return result;
-    }
     ++result.iterations;
     if (options.max_seconds > 0) {
       const double remaining = options.max_seconds - result.total_seconds;
@@ -93,8 +86,7 @@ PropertyResult check_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fs
         // unexplored remainder may still hold one, so this is not a verdict.
         const char* why = stats.bound_hit      ? "state bound"
                           : stats.deadline_hit ? "wall-clock deadline"
-                          : stats.mem_hit      ? "memory ceiling"
-                                               : "cancellation";
+                                               : "memory ceiling";
         result.status = PropertyResult::Status::kInconclusive;
         result.note = std::string("search budget exhausted (") + why + " after " +
                       std::to_string(stats.states_explored) +

@@ -65,14 +65,10 @@ struct CegarOptions {
   /// structures (bytes); 0 = unbounded. A trip yields kInconclusive with
   /// the ceiling named in the note (the supervisor's OOM containment).
   std::size_t max_visited_bytes = 0;
-  /// Cooperative cancellation (polled in the MC hot loop and between CEGAR
-  /// iterations); a cancelled run yields kInconclusive. The supervisor also
-  /// skips properties not yet started once it fires.
-  const CancelToken* cancel = nullptr;
 };
 
 /// The MC budget `options` sets for a traversal or graph build: its state
-/// cap, deadline, memory ceiling and cancel token.
+/// cap, deadline and memory ceiling.
 mc::CheckOptions check_options(const CegarOptions& options);
 
 /// Whether the UE machine implements the procedure `prop` is about: every
@@ -83,8 +79,8 @@ bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm);
 /// Runs the full MC ⇄ CPV loop for one property as traversals of `graph`,
 /// the reachable graph of the threat model (built once and shared by every
 /// property). `ue_fsm` is the extracted machine used for observational-
-/// equivalence queries. The options' state cap, deadline, memory ceiling
-/// and cancellation apply to each traversal.
+/// equivalence queries. The options' state cap, deadline and memory
+/// ceiling apply to each traversal.
 PropertyResult check_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
                               const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                               const CegarOptions& options = {});

@@ -43,7 +43,7 @@ int ImplementationReport::inconclusive_count() const {
 int ImplementationReport::contained_count() const {
   int n = 0;
   for (const PropertyOutcome& o : outcomes) {
-    n += o.failure != FailureClass::kNone && o.failure != FailureClass::kCancelled ? 1 : 0;
+    n += o.failure != FailureClass::kNone ? 1 : 0;
   }
   return n;
 }
@@ -160,7 +160,6 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
   cegar.max_iterations = options.max_cegar_iterations;
   cegar.max_seconds = options.deadline_per_property;
   cegar.max_visited_bytes = options.mem_ceiling_bytes;
-  cegar.cancel = options.cancel;
 
   std::vector<const PropertyDef*> selected;
   for (const PropertyDef& prop : property_catalog()) {
@@ -191,7 +190,6 @@ ImplementationReport ProChecker::analyze(const ue::StackProfile& profile,
     return report;
   }
   report.resumed_count = run.resumed;
-  report.cancelled_count = run.cancelled;
   report.graph_stats = run.graph_stats;
   report.journal_error = std::move(run.journal_error);
 

@@ -51,9 +51,6 @@ struct AnalysisOptions {
   std::string journal_path;
   /// Adopt completed outcomes from journal_path (skip re-verification).
   bool resume = false;
-  /// Cooperative run-level cancellation (properties not yet started are
-  /// shed and reported as cancelled outcomes).
-  const CancelToken* cancel = nullptr;
   /// Test hook forwarded to the supervisor: called at the start of every
   /// attempt; a throw simulates a worker crash.
   std::function<void(const std::string& property_id, int attempt)> fault_hook;
@@ -63,7 +60,7 @@ struct AnalysisOptions {
 /// configuration: budgets, property selection, retries, and the profile's
 /// freshness-limit mitigation — everything that can change a journaled
 /// verdict. Deliberately excludes `jobs` (reports are byte-identical at any
-/// parallelism) and the journal/resume/cancel plumbing. Recorded in the run
+/// parallelism) and the journal/resume plumbing. Recorded in the run
 /// journal header; --resume refuses a mismatch.
 std::string analysis_options_hash(const AnalysisOptions& options,
                                   const ue::StackProfile& profile);
@@ -85,8 +82,7 @@ struct ImplementationReport {
   /// Supervisor outcome per property (parallel to `results`): attempt
   /// counts, failure classes, resume provenance.
   std::vector<PropertyOutcome> outcomes;
-  std::size_t resumed_count = 0;    // outcomes adopted from the run journal
-  std::size_t cancelled_count = 0;  // properties interrupted by cancellation
+  std::size_t resumed_count = 0;  // outcomes adopted from the run journal
   /// Non-empty when the run journal could not be written (analysis continued).
   std::string journal_error;
   /// The run refused to start (journal held by a live concurrent run, or
@@ -103,7 +99,7 @@ struct ImplementationReport {
   int not_applicable_count() const;
   int inconclusive_count() const;
   /// Properties whose failure was contained (exception/deadline/mem/budget
-  /// — everything except clean verdicts and cancellations).
+  /// — everything except clean verdicts).
   int contained_count() const;
 };
 

@@ -49,7 +49,7 @@ std::string render_verdicts(const ImplementationReport& report) {
   if (report.contained_count() > 0) {
     out += "contained failures:";
     for (const PropertyOutcome& o : report.outcomes) {
-      if (o.failure == FailureClass::kNone || o.failure == FailureClass::kCancelled) continue;
+      if (o.failure == FailureClass::kNone) continue;
       out += ' ' + o.result.property_id + ':' + std::string(to_string(o.failure)) + '(' +
              std::to_string(o.attempts) + ')';
     }

@@ -188,7 +188,6 @@ namespace {
 FailureClass classify(const PropertyResult& r) {
   if (r.status != PropertyResult::Status::kInconclusive) return FailureClass::kNone;
   const mc::CheckStats& s = r.last_stats;
-  if (s.cancelled) return FailureClass::kCancelled;
   if (s.mem_hit) return FailureClass::kMemCeiling;
   if (s.deadline_hit) return FailureClass::kDeadline;
   return FailureClass::kBudget;
@@ -204,18 +203,6 @@ PropertyOutcome exception_outcome(const PropertyDef& prop, int attempt,
   out.result.property_id = prop.id;
   out.result.attack_id = prop.attack_id;
   out.result.note = "worker exception: " + what;
-  return out;
-}
-
-PropertyOutcome cancelled_outcome(const PropertyDef& prop) {
-  PropertyOutcome out;
-  out.attempts = 0;
-  out.failure = FailureClass::kCancelled;
-  out.diagnostics = "run cancelled";
-  out.result.status = PropertyResult::Status::kInconclusive;
-  out.result.property_id = prop.id;
-  out.result.attack_id = prop.attack_id;
-  out.result.note = "cancelled before verification started";
   return out;
 }
 
@@ -281,9 +268,9 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
   }
   run.journal_error = journal.note();
 
-  // A property never started (cancelled run) keeps this placeholder, so the
-  // report has one row per selected property.
-  for (const PropertyDef* prop : selected) run.outcomes.push_back(cancelled_outcome(*prop));
+  // One row per selected property, each filled below: adopted from the
+  // journal, or recorded when its work item ends.
+  run.outcomes.resize(selected.size());
 
   // --- Journal adoption (resume) -------------------------------------------
   std::map<std::string, PropertyOutcome> adopted;
@@ -312,10 +299,9 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
 
   // Outcomes are appended as they complete and the journal group-commits
   // them: a kill loses at most those since its last commit, and a resume
-  // re-verifies them. Cancelled outcomes are interruptions, not verdicts —
-  // never journaled, so a resume re-verifies them too.
+  // re-verifies them.
   auto record = [&](std::size_t i, PropertyOutcome outcome) {
-    if (outcome.failure != FailureClass::kCancelled && journal.enabled()) {
+    if (journal.enabled()) {
       std::lock_guard<std::mutex> lock(journal_mutex);
       journal.append(encode_outcome(outcome));
     }
@@ -357,8 +343,6 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
   const cpv::LteCryptoModel crypto(crypto_options);
   parallel_for(options.jobs, work.size(), [&](std::size_t k) {
     const std::size_t i = work[k];
-    // A cancelled run skips every property not yet started.
-    if (cegar.cancel && cegar.cancel->cancelled()) return;
     // Catch-all even outside run_one_property: a throwing task would reach
     // std::terminate through the pool, taking down the whole run.
     try {
@@ -372,9 +356,6 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
 
   // Every verdict the report shows is durable.
   journal.commit();
-  for (const PropertyOutcome& outcome : run.outcomes) {
-    if (outcome.failure == FailureClass::kCancelled) ++run.cancelled;
-  }
   run.journal_records = journal.committed();
   if (!journal.error().empty()) run.journal_error = journal.error();
   return run;

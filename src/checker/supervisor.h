@@ -7,17 +7,17 @@
 // verifier, both read-only.
 // Each property runs crash-isolated under one budget, the caller's
 // CegarOptions: a state cap plus a cooperative watchdog (wall-clock
-// deadline, approximate memory ceiling and cancel token, polled in the MC
-// hot loop), so any single property can throw, trip a budget, or be
-// cancelled and the catalog run still completes with a structured outcome
-// for every property. A property whose attempt threw or ran out of time is
-// retried on the shared ladder (common/supervise.h) under the same budget;
-// a state-cap or memory-ceiling trip is final, since a repeat trips it at
-// the same point. The last attempt falls back to kInconclusive with the
-// failure class embedded. Every completed outcome is appended to a
-// crash-safe JSONL run journal (common/journal.h), and a resumed run adopts
-// journaled outcomes instead of re-verifying them — reproducing a verdict
-// report byte-identical to an uninterrupted run.
+// deadline and approximate memory ceiling, polled in the MC hot loop), so
+// any single property can throw or trip a budget and the catalog run still
+// completes with a structured outcome for every property. A property whose
+// attempt threw or ran out of time is retried on the shared ladder
+// (common/supervise.h) under the same budget; a state-cap or memory-ceiling
+// trip is final, since a repeat trips it at the same point. The last
+// attempt falls back to kInconclusive with the failure class embedded.
+// Every completed outcome is appended to a crash-safe JSONL run journal
+// (common/journal.h), and a resumed run adopts journaled outcomes instead of
+// re-verifying them — reproducing a verdict report byte-identical to an
+// uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +37,7 @@
 namespace procheck::checker {
 
 /// How a property's verification failed to reach a clean verdict: one of
-/// kException, kDeadline, kMemCeiling, kBudget, or kCancelled (the run's
-/// CancelToken fired — the property was interrupted, not concluded, so it is
-/// never journaled and a resumed run re-verifies it).
+/// kException, kDeadline, kMemCeiling or kBudget.
 using FailureClass = supervise::Failure;
 
 /// Stable lower-case token of a verdict (journal records, diff reports).
@@ -90,8 +88,7 @@ struct SupervisorOptions {
 struct SupervisedRun {
   /// One outcome per selected property, in selection (catalog) order.
   std::vector<PropertyOutcome> outcomes;
-  std::size_t resumed = 0;    // outcomes adopted from the journal
-  std::size_t cancelled = 0;  // properties interrupted by the CancelToken
+  std::size_t resumed = 0;  // outcomes adopted from the journal
   std::size_t journal_records = 0;
   /// Non-empty when --resume discarded a foreign journal, or journaling
   /// failed mid-run: the analysis continued (containment) either way.
@@ -108,15 +105,14 @@ struct SupervisedRun {
   mc::CheckStats graph_stats;
 };
 
-/// Runs `selected` under supervision, every attempt under `cegar`. Once
-/// cegar.cancel fires, properties not yet started are skipped and reported
-/// as kCancelled outcomes. Exceptions never escape a worker: every property
-/// produces a PropertyOutcome. The verdicts are byte-for-byte deterministic
-/// across jobs levels and across interrupt/resume cycles for deterministic
-/// budgets (see DESIGN.md §11 for the determinism argument). Builds the
-/// reachable graph of `tm` under cegar's state cap, memory ceiling and
-/// cancel token, unless no selected property needs checking, and one
-/// cryptographic verifier from `crypto_options` that every worker shares.
+/// Runs `selected` under supervision, every attempt under `cegar`.
+/// Exceptions never escape a worker: every property produces a
+/// PropertyOutcome. The verdicts are byte-for-byte deterministic across jobs
+/// levels and across kill/resume cycles for deterministic budgets (see
+/// DESIGN.md §11 for the determinism argument). Builds the reachable graph
+/// of `tm` under cegar's state cap and memory ceiling, unless no selected
+/// property needs checking, and one cryptographic verifier from
+/// `crypto_options` that every worker shares.
 SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
                              const std::vector<const PropertyDef*>& selected,
                              const cpv::LteCryptoModel::Options& crypto_options,

@@ -40,7 +40,7 @@
 //       to enumerate divergences with minimal distinguishing sequences, and
 //       triages each against the 62-property catalog. Exit 0 when
 //       behaviorally equivalent, 1 on divergence, 3 when a side or the walk
-//       was inconclusive.
+//       was inconclusive, 2 on a malformed side spec.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -408,9 +408,6 @@ int cmd_analyze(ue::StackProfile profile, const Args& args) {
     std::fprintf(stderr, "resumed %zu of %zu properties from %s\n", rep.resumed_count,
                  rep.results.size(), options.journal_path.c_str());
   }
-  if (rep.cancelled_count > 0) {
-    std::fprintf(stderr, "%zu properties cancelled before completion\n", rep.cancelled_count);
-  }
   if (!rep.journal_error.empty()) {
     std::fprintf(stderr, "journal warning: %s\n", rep.journal_error.c_str());
   }
@@ -659,12 +656,18 @@ int cmd_diff(const Args& args) {
 
   diff::SideResult left = diff::resolve_side(left_spec, src);
   diff::SideResult right = diff::resolve_side(right_spec, src);
+  // A bad spec on either side is a usage error. Only when both specs are
+  // well-formed does a degraded side (remote down, learning inconclusive)
+  // make the comparison inconclusive.
+  for (const diff::SideResult* side : {&left, &right}) {
+    if (side->ok || side->inconclusive) continue;
+    std::fprintf(stderr, "error: %s\n", side->error.c_str());
+    return usage();
+  }
   for (const diff::SideResult* side : {&left, &right}) {
     if (side->ok) continue;
     std::fprintf(stderr, "error: %s\n", side->error.c_str());
-    // A degraded-but-well-formed side (remote down, learning inconclusive)
-    // is an inconclusive comparison, not a usage error.
-    return (left.inconclusive || right.inconclusive) ? 3 : usage();
+    return 3;
   }
 
   diff::DiffReport report = diff::diff_machines(left.side, right.side, dopts);

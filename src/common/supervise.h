@@ -1,11 +1,11 @@
 // Shared supervision core (DESIGN.md §11, §15).
 //
 // `analyze` (checker::run_supervised) and `learn` (learner::learn_supervised)
-// both run work that may throw, trip a budget, or be cancelled, and both
-// want the same answer: a structured failure class, never an escaped
-// exception. This module holds what they share — the failure taxonomy and
-// the retry ladder. Each supervisor keeps only how one attempt runs and how
-// its result is classified.
+// both run work that may throw or trip a budget, and both want the same
+// answer: a structured failure class, never an escaped exception. This
+// module holds what they share — the failure taxonomy and the retry ladder.
+// Each supervisor keeps only how one attempt runs and how its result is
+// classified.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,8 @@ namespace procheck::supervise {
 ///   kDeadline    a wall-clock watchdog tripped;
 ///   kMemCeiling  the approximate visited-set ceiling tripped (analyze);
 ///   kBudget      the state bound / CEGAR iteration cap tripped (analyze);
-///   kCancelled   the caller's CancelToken fired: interrupted, not concluded;
+///   kCancelled   produced by nothing (a run stops by finishing or by being
+///                killed); kept only because perfbench names it;
 ///   kContested   no k-of-n majority for a learned cell (learn);
 ///   kUnavailable the system under learning stopped answering (learn).
 enum class Failure : std::uint8_t {

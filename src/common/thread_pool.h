@@ -22,9 +22,10 @@
 namespace procheck {
 
 /// Cooperative cancellation: one sticky flag set by a supervisor/watchdog
-/// and polled in hot loops (the MC search polls it per dequeued state, the
-/// supervisor's fan-out polls it per property). Cancellation is a
-/// request, not preemption — holders finish their current poll interval.
+/// and polled in hot loops (the learn supervisor cancels its own token when
+/// it poisons the SUL, and learn_mealy polls it per round and per
+/// equivalence-oracle word). Cancellation is a request, not preemption —
+/// holders finish their current poll interval.
 class CancelToken {
  public:
   void cancel() { cancelled_.store(true, std::memory_order_relaxed); }

@@ -126,12 +126,8 @@ SideResult resolve_remote(const std::string& spec, const std::string& endpoint,
   ropts.psk = options.psk;
   if (options.batch_words >= 0) ropts.max_batch_words = options.batch_words;
   net::RemoteUeSul sul(ropts);
-  SideResult r = learned_side(spec, sul, options, "remote learning degraded: ");
-  if (r.inconclusive) {
-    const std::string why = sul.unavailable_reason();
-    if (!why.empty()) r.error += " (" + why + ")";
-  }
-  return r;
+  // learn_mealy's note already names the SUL's unavailable_reason().
+  return learned_side(spec, sul, options, "remote learning degraded: ");
 }
 
 }  // namespace

@@ -121,7 +121,6 @@ void triage(DiffReport& report, const Side& left, const Side& right,
   checker::CegarOptions cegar;
   cegar.max_states = options.max_states;
   cegar.max_seconds = options.deadline_per_property;
-  cegar.cancel = options.cancel;
   checker::SupervisorOptions sup;
   sup.jobs = options.jobs;
   sup.retries = options.retries;

@@ -30,7 +30,6 @@
 
 #include <cstddef>
 
-#include "common/thread_pool.h"
 #include "diff/diff.h"
 #include "mc/checker.h"
 
@@ -50,8 +49,6 @@ struct TriageOptions {
   /// Extra attempts, under the same budget, for properties that throw or
   /// trip their deadline.
   int retries = 0;
-  /// Cooperative run-level cancellation.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Runs triage over `report` (in place): attaches property ids to each

@@ -136,7 +136,6 @@ class JournaledSul final : public Sul {
   Word query_word(const Word& word) override { return query_batch({word}).front(); }
 
   std::vector<Word> query_batch(const std::vector<Word>& words) override {
-    poll_external_cancel();
     std::vector<Word> answers(words.size());
     std::vector<std::size_t> fresh_idx;
     for (std::size_t i = 0; i < words.size(); ++i) {
@@ -200,12 +199,6 @@ class JournaledSul final : public Sul {
     const std::string why = inner_.unavailable_reason();
     if (!why.empty()) diag += " (" + why + ")";
     return diag;
-  }
-
-  void poll_external_cancel() {
-    if (!poisoned_ && options_.cancel != nullptr && options_.cancel->cancelled()) {
-      poison(LearnFailure::kCancelled, "learning cancelled by caller");
-    }
   }
 
   void fire_hook() {
@@ -541,9 +534,6 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
   const supervise::Outcome ladder = supervise::run_attempts(
       {options.retries, options.backoff_seconds}, [&](int) -> supervise::Attempt {
         do {
-          if (options.cancel != nullptr && options.cancel->cancelled()) {
-            return {LearnFailure::kCancelled, "learning cancelled by caller"};
-          }
           wrapper.begin_attempt();
           result = learn_mealy(wrapper, eff);
           journal.commit();
@@ -568,10 +558,7 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
     result.inconclusive = true;
     result.converged = false;
   }
-  if ((ladder.failure == LearnFailure::kContested || ladder.failure == LearnFailure::kCancelled) &&
-      !diag.empty()) {
-    result.note = diag;
-  }
+  if (ladder.failure == LearnFailure::kContested && !diag.empty()) result.note = diag;
   result.note += ladder.exhausted_note;
   result.arbitrations = wrapper.arbitrations();
   result.arbitration_requeries = wrapper.arbitration_requeries();

@@ -35,17 +35,15 @@
 #include <vector>
 
 #include "common/supervise.h"
-#include "common/thread_pool.h"
 #include "learner/lstar.h"
 #include "learner/sul.h"
 
 namespace procheck::learner {
 
 /// How a supervised learn failed to converge cleanly: kException,
-/// kDeadline, kCancelled, kContested (no k-majority for a cell, or the
-/// override bound tripped) or kUnavailable. kContested and kCancelled are
-/// terminal; kException, kDeadline and kUnavailable are retried under the
-/// same options.
+/// kDeadline, kContested (no k-majority for a cell, or the override bound
+/// tripped) or kUnavailable. kContested is terminal; kException, kDeadline
+/// and kUnavailable are retried under the same options.
 using LearnFailure = supervise::Failure;
 
 struct LearnSupervisorOptions {
@@ -81,8 +79,6 @@ struct LearnSupervisorOptions {
   /// Base of the exponential retry backoff (seconds); 0 disables the sleep.
   double backoff_seconds = 0.05;
 
-  /// Cooperative run-level cancellation (polled on every query).
-  const CancelToken* cancel = nullptr;
   /// Test hook: invoked with a monotonically increasing probe index before
   /// (even index) and after (odd index) every fresh SUL query or batch; a
   /// throw simulates a crash at exactly that point in the learn.

@@ -397,10 +397,6 @@ namespace {
 /// true when the search must stop, with the reason recorded in `stats`.
 bool budget_exhausted(const CheckOptions& options, const Timer& timer, std::size_t bytes,
                       CheckStats& stats) {
-  if (options.cancel && options.cancel->cancelled()) {
-    stats.cancelled = true;
-    return true;
-  }
   if (options.max_seconds > 0 && timer.seconds() > options.max_seconds) {
     stats.deadline_hit = true;
     return true;
@@ -417,7 +413,6 @@ bool budget_exhausted(const CheckOptions& options, const Timer& timer, std::size
 void inherit_stop(const CheckStats& build, CheckStats& stats) {
   stats.deadline_hit = stats.deadline_hit || build.deadline_hit;
   stats.mem_hit = stats.mem_hit || build.mem_hit;
-  stats.cancelled = stats.cancelled || build.cancelled;
 }
 
 /// The CEGAR ban table, or null when nothing is banned. Traversals index it

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "mc/model.h"
 
 namespace procheck::mc {
@@ -59,11 +58,10 @@ struct CheckStats {
   bool bound_hit = false;
   bool deadline_hit = false;  // exploration stopped at max_seconds
   bool mem_hit = false;       // exploration stopped at max_visited_bytes
-  bool cancelled = false;     // exploration stopped by a CancelToken
 
   /// True when the search stopped early: absence of a counterexample then
   /// means "not found within budget", not "verified".
-  bool truncated() const { return bound_hit || deadline_hit || mem_hit || cancelled; }
+  bool truncated() const { return bound_hit || deadline_hit || mem_hit; }
 };
 
 /// Edge predicate over (pre-state, command, post-state).
@@ -101,9 +99,6 @@ struct CheckOptions {
   /// overshoot by one poll interval — a supervisor guardrail against OOM,
   /// not an allocator limit.
   std::size_t max_visited_bytes = 0;
-  /// Cooperative cancellation (the supervisor's watchdog): polled once per
-  /// dequeued state; a cancelled search stops with stats->cancelled set.
-  const CancelToken* cancel = nullptr;
   /// CEGAR refinement of the threat model: edges of commands whose entry is
   /// nonzero are pruned. Empty = nothing banned; otherwise one entry per
   /// command, by command index (a traversal throws std::invalid_argument on
@@ -129,7 +124,7 @@ class ReachGraph {
   ReachGraph() = default;  // empty: no model, no states
 
   /// Explores `model` under the budgets in `options` (max_states,
-  /// max_seconds, max_visited_bytes, cancel; `banned` is ignored). The
+  /// max_seconds, max_visited_bytes; `banned` is ignored). The
   /// graph refers to `model`, which must outlive it at the same address.
   /// A budget stop truncates the graph: stats().truncated() is set, and a
   /// traversal that reaches a state or edge the build left out reports that
@@ -144,7 +139,7 @@ class ReachGraph {
   std::size_t states() const { return stats_.states_explored; }
   std::size_t edges() const { return targets_.size(); }
   /// States whose out-edges are stored: ids [0, expanded()). All of them
-  /// unless a deadline, memory ceiling or cancellation stopped the build.
+  /// unless a deadline or memory ceiling stopped the build.
   std::size_t expanded() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   /// Out-edges of an expanded state: indices [edge_begin, edge_end).
   std::size_t edge_begin(std::uint32_t id) const { return offsets_[id]; }

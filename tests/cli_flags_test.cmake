@@ -2,8 +2,8 @@
 # catalog ids reject a malformed value and an out-of-range value as a usage
 # error: exit 2 and "invalid value for --<flag>" on stderr, before any work
 # starts. So do an option the subcommand does not take ("unknown option
-# --<flag>") and a value flag with nothing after it ("missing value for
-# --<flag>"). A file the command cannot write (conformance --log into a
+# --<flag>"), a value flag with nothing after it ("missing value for
+# --<flag>") and a malformed diff side spec ("bad side spec"). A file the command cannot write (conformance --log into a
 # missing directory) is a failure, not a usage error: exit 1 and "cannot
 # write <path>" on stderr, never a "log written" claim. Run as
 #   cmake -DPROCHECKER=<path to prochecker> -P cli_flags_test.cmake
@@ -112,6 +112,11 @@ endforeach()
 
 # A value flag at the end of the line with no value.
 expect_exit(2 "analyze;--profile;cls;--max-states" "missing value for --max-states")
+
+# A malformed diff side spec, on either side, beside a side that degrades
+# (nothing listens on port 1).
+expect_exit(2 "diff;nonsense;remote:127.0.0.1:1" "bad side spec 'nonsense'")
+expect_exit(2 "diff;remote:127.0.0.1:1;nonsense" "bad side spec 'nonsense'")
 
 # A log file that cannot be written.
 set(unwritable "${CMAKE_CURRENT_BINARY_DIR}/no_such_dir/conformance.log")

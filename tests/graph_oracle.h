@@ -175,7 +175,6 @@ inline std::optional<CounterExample> eager_lasso(const ReachGraph& g, const Edge
     if (state >= g.expanded()) {
       stats.deadline_hit = stats.deadline_hit || g.stats().deadline_hit;
       stats.mem_hit = stats.mem_hit || g.stats().mem_hit;
-      stats.cancelled = stats.cancelled || g.stats().cancelled;
       pending_begin.push_back(pending_edges.size());
       continue;
     }

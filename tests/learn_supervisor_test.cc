@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/journal.h"
-#include "common/thread_pool.h"
 #include "learner/learn_supervisor.h"
 #include "learner/lstar.h"
 #include "learner/sul.h"
@@ -409,20 +408,6 @@ TEST(LearnSupervisor, InvalidArbitrationThresholdAborts) {
   const SupervisedLearn run = learn_supervised(sul, o);
   EXPECT_TRUE(run.aborted);
   EXPECT_NE(run.abort_reason.find("invalid arbitration"), std::string::npos);
-}
-
-TEST(LearnSupervisor, ExternalCancelIsStructured) {
-  CancelToken cancel;
-  cancel.cancel();
-  LearnSupervisorOptions o;
-  o.learn = tiny_options();
-  o.cancel = &cancel;
-  UeSul sul(ue::StackProfile::cls());
-  const SupervisedLearn run = learn_supervised(sul, o);
-  EXPECT_FALSE(run.aborted);
-  EXPECT_EQ(run.failure, LearnFailure::kCancelled);
-  EXPECT_TRUE(run.result.inconclusive);
-  EXPECT_FALSE(run.result.converged);
 }
 
 // ---------------------------------------------------------------------------

@@ -910,21 +910,14 @@ TEST(Response, ABudgetStopDuringExpansionNeverVerifies) {
   EXPECT_GT(mem.states_explored, 2u);
   EXPECT_LT(mem.states_explored, full.states_explored);
 
-  // A fired token and a spent deadline stop the first expansion.
-  CancelToken token;
-  token.cancel();
-  CheckOptions cancelled;
-  cancelled.cancel = &token;
+  // A spent deadline stops the first expansion.
   CheckOptions deadline;
   deadline.max_seconds = 1e-9;
-  for (const CheckOptions& options : {cancelled, deadline}) {
-    CheckStats stats;
-    EXPECT_FALSE(g.check_response(first, last, &stats, options).has_value());
-    EXPECT_TRUE(stats.truncated());
-    EXPECT_EQ(stats.cancelled, options.cancel != nullptr);
-    EXPECT_EQ(stats.deadline_hit, options.max_seconds > 0);
-    EXPECT_EQ(stats.states_explored, 1u);
-  }
+  CheckStats stats;
+  EXPECT_FALSE(g.check_response(first, last, &stats, deadline).has_value());
+  EXPECT_TRUE(stats.truncated());
+  EXPECT_TRUE(stats.deadline_hit);
+  EXPECT_EQ(stats.states_explored, 1u);
 }
 
 // --- The kernel oracle ---------------------------------------------------------------
@@ -1114,8 +1107,7 @@ TEST(Oracle, AMemoryStopNeverChangesTheLasso) {
   // A budget stop ends the lasso with no verdict, so under any memory
   // ceiling it either reports the lasso a search without budgets reports
   // or stops with mem_hit. The sweep puts the stop at nine points of the
-  // product's growth; the cancel token and the deadline stop at the same
-  // poll.
+  // product's growth; the deadline stops at the same poll.
   std::size_t stopped = 0, finished = 0;
   for (std::uint64_t seed = 1; seed <= kOracleModels; ++seed) {
     const Model m = random_model(seed);

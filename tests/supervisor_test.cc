@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -420,8 +419,8 @@ TEST(Supervisor, MemCeilingTripClassified) {
 
 TEST(Supervisor, GraphBuildHonoursTheRunsBudgets) {
   // The supervisor's own build (threat-model overload) stops at the run's
-  // state cap, memory ceiling and cancel token, and what a stopped build
-  // left out reaches the property as that budget, never as a verdict.
+  // state cap and memory ceiling, and what a stopped build left out
+  // reaches the property as that budget, never as a verdict.
   auto sel = select({"S05"});
   const threat::ThreatModel& tm = pipeline().tm;
   CegarOptions capped;
@@ -436,14 +435,6 @@ TEST(Supervisor, GraphBuildHonoursTheRunsBudgets) {
   SupervisedRun mem = run_supervised(tm, pipeline().flat, sel, {}, ceiling, {});
   EXPECT_TRUE(mem.graph_stats.mem_hit);
   EXPECT_EQ(mem.outcomes[0].failure, FailureClass::kMemCeiling);
-
-  CancelToken token;
-  token.cancel();
-  CegarOptions cancelled;
-  cancelled.cancel = &token;
-  SupervisedRun shed = run_supervised(tm, pipeline().flat, sel, {}, cancelled, {});
-  EXPECT_TRUE(shed.graph_stats.cancelled);
-  EXPECT_EQ(shed.cancelled, 1u);
 }
 
 TEST(Supervisor, ModelOutsideItsDomainsIsContainedPerProperty) {
@@ -526,137 +517,6 @@ TEST(Supervisor, ParallelOutcomesMatchSequential) {
   SupervisedRun a = run_sup(sel, seq, cegar);
   SupervisedRun b = run_sup(sel, par, cegar);
   expect_outcomes_equal(a.outcomes, b.outcomes);
-}
-
-TEST(Supervisor, PreCancelledRunShedsEverythingAndJournalsNothing) {
-  auto sel = select({"S01", "S05", "P04"});
-  const std::string path = tmp_path("journal_cancelled.jsonl");
-  std::remove(path.c_str());
-  CancelToken token;
-  token.cancel();
-  CegarOptions cancelled;
-  cancelled.cancel = &token;
-  SupervisorOptions opts;
-  opts.journal_path = path;
-  opts.run_tag = "cls";
-  SupervisedRun run = run_sup(sel, opts, cancelled);
-  EXPECT_EQ(run.cancelled, sel.size());
-  EXPECT_EQ(run.journal_records, 0u);  // interruptions are never journaled
-  for (const PropertyOutcome& o : run.outcomes) {
-    EXPECT_EQ(o.failure, FailureClass::kCancelled);
-    EXPECT_EQ(o.result.status, PropertyResult::Status::kInconclusive);
-  }
-  // Resuming that journal re-verifies everything (nothing was adopted).
-  SupervisorOptions resume;
-  resume.journal_path = path;
-  resume.resume = true;
-  resume.run_tag = "cls";
-  CegarOptions cegar;
-  cegar.max_states = 400000;
-  SupervisedRun redo = run_sup(sel, resume, cegar);
-  EXPECT_EQ(redo.resumed, 0u);
-  EXPECT_EQ(redo.cancelled, 0u);
-  EXPECT_EQ(redo.journal_records, sel.size());
-}
-
-TEST(Supervisor, CancelBeforeTheFirstTraversalIsClassifiedByItsFlag) {
-  // The token fires once the attempt has started, so check_property stops
-  // before its first traversal; its stats flag, not its note, classifies it.
-  auto sel = select({"S05"});
-  CancelToken token;
-  CegarOptions cegar;
-  cegar.cancel = &token;
-  SupervisorOptions opts;
-  opts.fault_hook = [&token](const std::string&, int) { token.cancel(); };
-  SupervisedRun run = run_sup(sel, opts, cegar);
-  ASSERT_EQ(run.outcomes.size(), 1u);
-  const PropertyOutcome& o = run.outcomes[0];
-  EXPECT_EQ(o.result.note, "cancelled before iteration 1");
-  EXPECT_TRUE(o.result.last_stats.cancelled);
-  EXPECT_EQ(o.result.last_stats.states_explored, 0u);
-  EXPECT_EQ(o.failure, FailureClass::kCancelled);
-  EXPECT_EQ(run.cancelled, 1u);
-}
-
-// A cancel in the middle of a jobs=4 run: in-flight properties conclude or
-// stop as cancelled, and properties not yet started are skipped. Nothing
-// cancelled is journaled, so a resume re-verifies exactly the cancelled set
-// (the supervisor_tsan ctest entry runs this under ThreadSanitizer).
-TEST(Supervisor, MidRunCancelAtJobsFourResumesTheCancelledSet) {
-  auto sel = select({"S01", "S02", "S05", "S07", "S21", "S31", "P01", "P02", "P03"});
-  ASSERT_EQ(sel[4]->id, "S21");
-  const std::set<std::string> after_s21 = {"S31", "P01", "P02", "P03"};
-  SupervisorOptions parallel;
-  parallel.jobs = 4;
-  const SupervisedRun reference = run_sup(sel, parallel, {});
-
-  const std::string path = tmp_path("journal_midrun_cancel.jsonl");
-  std::remove(path.c_str());
-  CancelToken token;
-  CegarOptions cancellable;
-  cancellable.cancel = &token;
-  std::mutex mutex;
-  std::set<std::string> started;
-  SupervisorOptions opts;
-  opts.journal_path = path;
-  opts.run_tag = "cls";
-  opts.jobs = 4;
-  opts.fault_hook = [&](const std::string& id, int) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      started.insert(id);
-    }
-    if (id == "S21") token.cancel();
-    // A property after S21 holds its worker until the token fires: at most
-    // three of the four after it start, so at least one is never started.
-    if (after_s21.count(id) > 0) {
-      while (!token.cancelled()) std::this_thread::yield();
-    }
-  };
-  const SupervisedRun cut = run_sup(sel, opts, cancellable);
-  ASSERT_EQ(cut.outcomes.size(), sel.size());
-
-  std::set<std::string> cancelled;
-  std::size_t concluded = 0;
-  std::size_t never_started = 0;
-  for (std::size_t i = 0; i < sel.size(); ++i) {
-    const PropertyOutcome& o = cut.outcomes[i];
-    if (o.failure == FailureClass::kNone) {
-      ++concluded;
-      EXPECT_EQ(encode_outcome(o), encode_outcome(reference.outcomes[i])) << sel[i]->id;
-      continue;
-    }
-    ASSERT_EQ(o.failure, FailureClass::kCancelled) << sel[i]->id << ": " << o.result.note;
-    cancelled.insert(sel[i]->id);
-    if (started.count(sel[i]->id) == 0) {
-      ++never_started;
-      EXPECT_EQ(o.result.note, "cancelled before verification started") << sel[i]->id;
-      EXPECT_EQ(o.attempts, 0) << sel[i]->id;
-    }
-  }
-  EXPECT_TRUE(cancelled.count("S21"));
-  // Four workers claimed the five properties up to S21 before its hook
-  // ran, so one of those finished before the token fired.
-  EXPECT_GE(concluded, 1u);
-  EXPECT_GE(never_started, 1u);
-  EXPECT_EQ(cut.cancelled, cancelled.size());
-  EXPECT_EQ(cut.journal_records, concluded);
-  EXPECT_FALSE(contains(slurp(path), "\"failure\":\"cancelled\""));
-
-  std::set<std::string> reverified;
-  SupervisorOptions resume;
-  resume.journal_path = path;
-  resume.resume = true;
-  resume.run_tag = "cls";
-  resume.jobs = 4;
-  resume.fault_hook = [&](const std::string& id, int) {
-    std::lock_guard<std::mutex> lock(mutex);
-    reverified.insert(id);
-  };
-  const SupervisedRun resumed = run_sup(sel, resume, {});
-  EXPECT_EQ(resumed.resumed, concluded);
-  EXPECT_EQ(reverified, cancelled);
-  expect_outcomes_equal(resumed.outcomes, reference.outcomes);
 }
 
 TEST(Supervisor, HeaderTagMismatchDiscardsForeignJournal) {
