@@ -54,8 +54,10 @@ struct PropertyResult {
 /// fill it, and the supervisor runs every attempt, retries included, under
 /// exactly this budget.
 struct CegarOptions {
-  /// State cap of each traversal. At the default no search on any profile
-  /// truncates, so kInconclusive only appears under tightened budgets.
+  /// State cap of the graph build the attempt checks against (the
+  /// supervisor's shared build, or the one-call check_property's own). At
+  /// the default no build on any profile truncates, so kInconclusive only
+  /// appears under tightened budgets.
   std::size_t max_states = mc::kDefaultMaxStates;
   int max_iterations = 16;
   /// Wall-clock deadline (seconds) across all MC iterations of one
@@ -67,8 +69,8 @@ struct CegarOptions {
   std::size_t max_visited_bytes = 0;
 };
 
-/// The MC budget `options` sets for a traversal or graph build: its state
-/// cap, deadline and memory ceiling.
+/// The MC budget `options` sets for a graph build or traversal: its state
+/// cap (read by the build alone), deadline and memory ceiling.
 mc::CheckOptions check_options(const CegarOptions& options);
 
 /// Whether the UE machine implements the procedure `prop` is about: every
@@ -79,8 +81,9 @@ bool applicable(const PropertyDef& prop, const fsm::Fsm& ue_fsm);
 /// Runs the full MC ⇄ CPV loop for one property as traversals of `graph`,
 /// the reachable graph of the threat model (built once and shared by every
 /// property). `ue_fsm` is the extracted machine used for observational-
-/// equivalence queries. The options' state cap, deadline and memory
-/// ceiling apply to each traversal.
+/// equivalence queries. The options' deadline and memory ceiling apply to
+/// each traversal; their state cap is not read, since `graph` is the
+/// search's only state bound.
 PropertyResult check_property(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
                               const PropertyDef& prop, const cpv::LteCryptoModel& crypto,
                               const CegarOptions& options = {});

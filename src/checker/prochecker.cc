@@ -59,6 +59,10 @@ std::string analysis_options_hash(const AnalysisOptions& options,
   // it (or adding a knob) intentionally invalidates old journals.
   std::string canon;
   canon += "max_states=" + std::to_string(options.max_states);
+  // The cap bounds the graph build alone: a journal written while the
+  // lasso also capped its product at it may hold another lasso, has the
+  // bare text, and is refused. At the default nothing ever reached it.
+  if (options.max_states != mc::kDefaultMaxStates) canon += "/build";
   canon += ";cegar=" + std::to_string(options.max_cegar_iterations);
   canon += ";retries=" + std::to_string(options.retries);
   // Retries repeat their attempt at full budget: a journal whose retries

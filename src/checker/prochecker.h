@@ -23,8 +23,8 @@
 namespace procheck::checker {
 
 struct AnalysisOptions {
-  /// Explicit-state budget per MC run (see CegarOptions::max_states: large
-  /// enough that no default-budget search truncates on any profile).
+  /// State cap of the run's one graph build (see CegarOptions::max_states:
+  /// large enough that no default-budget build truncates on any profile).
   std::size_t max_states = mc::kDefaultMaxStates;
   int max_cegar_iterations = 16;
   /// Restrict to properties whose id is in this set (empty = all 62).

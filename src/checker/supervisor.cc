@@ -247,13 +247,12 @@ bool fits(const mc::Model& model, const PropertyOutcome& outcome) {
   return true;
 }
 
-/// run_supervised proper: checks against `shared`, or, when that is null,
-/// against a graph of `model` it builds once no journaled outcome can stand
-/// in for the work.
-SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
-                        const fsm::Fsm& ue_fsm, const std::vector<const PropertyDef*>& selected,
-                        const cpv::LteCryptoModel::Options& crypto_options,
-                        const CegarOptions& cegar, const SupervisorOptions& options) {
+}  // namespace
+
+SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
+                             const std::vector<const PropertyDef*>& selected,
+                             const cpv::LteCryptoModel::Options& crypto_options,
+                             const CegarOptions& cegar, const SupervisorOptions& options) {
   SupervisedRun run;
 
   // Lock, header check and (on resume) the candidate records. A refused run
@@ -275,10 +274,9 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
   // --- Journal adoption (resume) -------------------------------------------
   std::map<std::string, PropertyOutcome> adopted;
   std::vector<std::string> kept;
-  const mc::Model& run_model = shared ? shared->model() : *model;
   for (const std::string& payload : journal.records()) {
     std::optional<PropertyOutcome> outcome = decode_outcome(payload);
-    if (!outcome || !fits(run_model, *outcome)) continue;
+    if (!outcome || !fits(tm.model, *outcome)) continue;
     adopted[outcome->result.property_id] = std::move(*outcome);
     kept.push_back(payload);
   }
@@ -308,20 +306,19 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
     run.outcomes[i] = std::move(outcome);
   };
 
-  // One reachable graph serves the whole fan-out, read-only. Adopted and
-  // inapplicable properties never touch it, so when nothing else is left
-  // the build is skipped.
-  mc::ReachGraph built;
-  const mc::ReachGraph& graph = shared ? *shared : built;
+  // One reachable graph, built at the run's state cap, serves the whole
+  // fan-out read-only. Adopted and inapplicable properties never touch it,
+  // so when nothing else is left the build is skipped.
+  mc::ReachGraph graph;
   const bool needed = std::any_of(work.begin(), work.end(), [&](std::size_t i) {
     return applicable(*selected[i], ue_fsm);
   });
-  if (!shared && needed) {
+  if (needed) {
     // The deadline is per property; the shared build is no one property's.
     mc::CheckOptions budget = check_options(cegar);
     budget.max_seconds = 0;
     try {
-      built = mc::ReachGraph::build(*model, budget);
+      graph = mc::ReachGraph::build(tm.model, budget);
     } catch (const std::exception& e) {
       // Contained like a worker crash: every property that needs the graph
       // gets an exception outcome; inapplicable ones never read it.
@@ -335,7 +332,7 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
       }
       work = std::move(rest);
     }
-    run.graph_stats = built.stats();
+    run.graph_stats = graph.stats();
   }
 
   // One fan-out at every jobs level (parallel_for runs inline at jobs <= 1).
@@ -359,22 +356,6 @@ SupervisedRun supervise(const mc::Model* model, const mc::ReachGraph* shared,
   run.journal_records = journal.committed();
   if (!journal.error().empty()) run.journal_error = journal.error();
   return run;
-}
-
-}  // namespace
-
-SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
-                             const std::vector<const PropertyDef*>& selected,
-                             const cpv::LteCryptoModel::Options& crypto_options,
-                             const CegarOptions& cegar, const SupervisorOptions& options) {
-  return supervise(&tm.model, nullptr, ue_fsm, selected, crypto_options, cegar, options);
-}
-
-SupervisedRun run_supervised(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
-                             const std::vector<const PropertyDef*>& selected,
-                             const cpv::LteCryptoModel::Options& crypto_options,
-                             const CegarOptions& cegar, const SupervisorOptions& options) {
-  return supervise(nullptr, &graph, ue_fsm, selected, crypto_options, cegar, options);
 }
 
 }  // namespace procheck::checker

@@ -101,7 +101,7 @@ struct SupervisedRun {
   /// The reachable-graph build this run did before the fan-out: states,
   /// edges, retained bytes, seconds and truncation. All zero when it built
   /// none (every selected property adopted from the journal or not
-  /// applicable, or the caller supplied the graph).
+  /// applicable).
   mc::CheckStats graph_stats;
 };
 
@@ -111,16 +111,10 @@ struct SupervisedRun {
 /// levels and across kill/resume cycles for deterministic budgets (see
 /// DESIGN.md §11 for the determinism argument). Builds the reachable graph
 /// of `tm` under cegar's state cap and memory ceiling, unless no selected
-/// property needs checking, and one cryptographic verifier from
+/// property needs checking, so every property is checked against a graph
+/// built at the run's own cap; and builds one cryptographic verifier from
 /// `crypto_options` that every worker shares.
 SupervisedRun run_supervised(const threat::ThreatModel& tm, const fsm::Fsm& ue_fsm,
-                             const std::vector<const PropertyDef*>& selected,
-                             const cpv::LteCryptoModel::Options& crypto_options,
-                             const CegarOptions& cegar, const SupervisorOptions& options);
-
-/// The same, checking against a graph the caller built (and may share
-/// across runs on the same threat model).
-SupervisedRun run_supervised(const mc::ReachGraph& graph, const fsm::Fsm& ue_fsm,
                              const std::vector<const PropertyDef*>& selected,
                              const cpv::LteCryptoModel::Options& crypto_options,
                              const CegarOptions& cegar, const SupervisorOptions& options);

@@ -93,6 +93,7 @@ int usage() {
                " [--freshness-limit <L>] [--max-states <N>] [--jobs <N>]\n"
                "          [--retries <N>] [--deadline-per-property <S>]"
                " [--mem-ceiling-mb <M>] [--journal <file>] [--resume <file>]\n"
+               "          [--traces] [--dot-traces]\n"
                "  chaos --profile <cls|srsue|oai> [--intensity <p>] [--jobs <N>]\n"
                "  serve-sul --profile <cls|srsue|oai> [--port <N>] [--bind <addr>]"
                " [--psk <key>] [--max-sessions <N>]\n"
@@ -107,12 +108,14 @@ int usage() {
                "         --resume continues a killed run from its journal;"
                " --arbitrate 0/0 disables k-of-n re-querying)\n"
                "  diff <left> <right> [--json] [--dot] [--jobs <N>] [--psk <key>]"
-               " [--batch <N>]\n"
+               " [--batch <N>] [--seed <S>]\n"
                "       [--max-pairs <N>] [--max-states <N>]"
                " [--deadline-per-property <S>] [--retries <N>]\n"
-               "       (sides: profile:<cls|srsue|oai>, log:[<profile>:]<path>,"
-               " learn:<name>, remote:<host:port>;\n"
-               "        exit 0 equivalent, 1 divergent, 3 inconclusive)\n");
+               "       (sides, positional or as --left <spec> --right <spec>:"
+               " profile:<cls|srsue|oai>,\n"
+               "        log:[<profile>:]<path>, learn:<name>, remote:<host:port>;"
+               " exit 0 equivalent, 1 divergent,\n"
+               "        3 inconclusive)\n");
   return 2;
 }
 
@@ -174,16 +177,17 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
   return v;
 }
 
-// A real value must be finite: NaN fails every range compare.
+// A real value is a decimal or scientific number: no sign (no real flag
+// takes a negative value), no whitespace, no hex. It must be finite: NaN
+// fails every range compare.
 std::optional<double> parse_double(const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    double v = std::stod(text, &pos);
-    if (pos != text.size() || !std::isfinite(v)) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v, std::chars_format::general);
+  if (ec != std::errc() || ptr != end || text.front() == '-' || !std::isfinite(v)) {
     return std::nullopt;
   }
+  return v;
 }
 
 int bad_option(const char* flag, const std::string& value) {

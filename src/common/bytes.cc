@@ -6,13 +6,6 @@ namespace procheck {
 
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
-
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
 }  // namespace
 
 std::string to_hex(const Bytes& data) {
@@ -29,19 +22,6 @@ std::string hex64(std::uint64_t v) {
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(v));
   return hex;
-}
-
-std::optional<Bytes> from_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) return std::nullopt;
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    int hi = hex_value(hex[i]);
-    int lo = hex_value(hex[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
-  return out;
 }
 
 void ByteWriter::u8(std::uint8_t v) { buf_.push_back(v); }

@@ -20,10 +20,6 @@ std::string to_hex(const Bytes& data);
 /// Renders `v` as 16 lowercase hex digits (fingerprints, nonces, MACs).
 std::string hex64(std::uint64_t v);
 
-/// Parses lowercase/uppercase hex into octets. Returns std::nullopt on odd
-/// length or non-hex characters.
-std::optional<Bytes> from_hex(std::string_view hex);
-
 /// Serializes primitives into a growing byte buffer (big-endian network
 /// order, as NAS PDUs use).
 class ByteWriter {

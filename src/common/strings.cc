@@ -53,25 +53,4 @@ bool contains(std::string_view s, std::string_view needle) {
   return s.find(needle) != std::string_view::npos;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-std::string replace_all(std::string_view s, std::string_view from, std::string_view to) {
-  std::string out;
-  std::size_t start = 0;
-  while (true) {
-    std::size_t pos = s.find(from, start);
-    if (pos == std::string_view::npos) {
-      out += s.substr(start);
-      return out;
-    }
-    out += s.substr(start, pos - start);
-    out += to;
-    start = pos + from.size();
-  }
-}
-
 }  // namespace procheck

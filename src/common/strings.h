@@ -24,10 +24,4 @@ bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 bool contains(std::string_view s, std::string_view needle);
 
-/// Lowercases ASCII.
-std::string to_lower(std::string_view s);
-
-/// Replaces every occurrence of `from` with `to`.
-std::string replace_all(std::string_view s, std::string_view from, std::string_view to);
-
 }  // namespace procheck

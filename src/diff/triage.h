@@ -38,8 +38,9 @@ namespace procheck::diff {
 struct TriageOptions {
   /// Worker threads for the per-property fan-out on each side.
   std::size_t jobs = 1;
-  /// Per-property state cap (mirroring checker::AnalysisOptions): a
-  /// pathological side degrades to a structured inconclusive finding.
+  /// State cap of each side's graph build (mirroring
+  /// checker::AnalysisOptions): a pathological side degrades to a
+  /// structured inconclusive finding.
   std::size_t max_states = mc::kDefaultMaxStates;
   /// Watchdog wall-clock deadline per property per side (seconds; 0 = none,
   /// matching checker::AnalysisOptions — wall-clock watchdogs trade the

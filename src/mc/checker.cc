@@ -465,8 +465,9 @@ class KeyMatch {
 /// each state's edges in command order — the order the build discovered
 /// them, so parents and the first bad edge are the ones a breadth-first
 /// search of the model itself finds, and traces stay the same whichever
-/// properties share the graph. The state cap applies to this traversal's
-/// discoveries. `bad_edge(id, edge)` says what violates.
+/// properties share the graph. It discovers only states the graph holds, so
+/// the build's state cap is its only one. `bad_edge(id, edge)` says what
+/// violates.
 template <typename BadEdge>
 std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& options,
                                   CheckStats* out, BadEdge&& bad_edge) {
@@ -477,7 +478,7 @@ std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& optio
   std::vector<std::uint32_t> parent(g.states(), kNoId);  // the root is its own parent
   std::vector<std::uint16_t> via(g.states());              // discovering command
   std::vector<std::uint32_t> queue;                        // discovery order
-  queue.reserve(std::min(options.max_states, g.states()));
+  queue.reserve(g.states());
 
   auto trace_to = [&](std::uint32_t node) {
     std::vector<TraceStep> rev;
@@ -522,10 +523,6 @@ std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& optio
         continue;
       }
       if (parent[to] != kNoId) continue;
-      if (queue.size() >= options.max_states) {
-        stats.bound_hit = true;
-        continue;
-      }
       parent[to] = at;
       via[to] = static_cast<std::uint16_t>(j);
       queue.push_back(to);
@@ -553,9 +550,8 @@ std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& optio
 // one a search without budgets reports.
 //
 // Product nodes reference graph states by id, and the product index is a
-// dense per-state pair of node ids (pending=0/1). The state cap bounds the
-// node count. Every graph state the product touches owns a node, so this
-// also caps the distinct states at k.
+// dense per-state pair of node ids (pending=0/1), so a product holds at most
+// two nodes per graph state: the build's state cap is its only one.
 // `labels(id, edge)` returns {trigger, response}.
 template <typename Labels>
 std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& options,
@@ -597,7 +593,7 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
   };
 
   // Adds/returns the product node for (state, pending); kNoId when the
-  // graph lacks the state or a cap rejects it.
+  // graph lacks the state.
   auto add_node = [&](std::uint32_t state, bool pending, std::uint32_t parent,
                       std::int32_t via) -> std::uint32_t {
     if (state == ReachGraph::kMissing) {
@@ -606,10 +602,6 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
     }
     std::uint32_t& slot = node_of[state][pending ? 1 : 0];
     if (slot != kNoId) return slot;
-    if (node_state.size() >= options.max_states) {
-      stats.bound_hit = true;
-      return kNoId;
-    }
     slot = static_cast<std::uint32_t>(node_state.size());
     node_state.push_back(state);
     node_pending.push_back(pending ? 1 : 0);
@@ -666,8 +658,8 @@ std::optional<CounterExample> lasso(const ReachGraph& g, const CheckOptions& opt
   // command index or kStutter); kNoId once none is left. A pending node's
   // pending edges are its allowed edges that do not answer the trigger,
   // each to the target's pending node, which expanding the node created
-  // unless the state cap refused it. An expanded dead end (no allowed edge)
-  // has one: the stutter self-loop.
+  // unless the graph lacks the target. An expanded dead end (no allowed
+  // edge) has one: the stutter self-loop.
   auto next_pending = [&](Frame& f) -> std::pair<std::uint32_t, std::int32_t> {
     const std::uint32_t state = node_state[f.node];
     while (f.next_edge < f.end_edge) {

@@ -53,8 +53,8 @@ struct CheckStats {
   /// is also the peak.
   std::size_t visited_bytes = 0;
   double seconds = 0.0;
-  /// Exploration stopped at max_states, or reached a state a truncated
-  /// graph lacks because its build stopped there.
+  /// A graph build stopped at max_states, or a traversal took an edge to a
+  /// state that build left out.
   bool bound_hit = false;
   bool deadline_hit = false;  // exploration stopped at max_seconds
   bool mem_hit = false;       // exploration stopped at max_visited_bytes
@@ -81,14 +81,15 @@ struct EdgeMatch {
 };
 
 /// The state cap every budget layer defaults to (CheckOptions, CegarOptions,
-/// AnalysisOptions, TriageOptions). It bounds the graph build and every
-/// traversal. The largest graph on any profile is srsue's (552 536 states),
-/// and a liveness product holds at most two nodes per graph state, so even
-/// a response property that holds, which expands its whole product, stays
-/// under this cap: no default-budget search truncates.
+/// AnalysisOptions, TriageOptions). It bounds the graph build, and so every
+/// traversal of the graph. The largest graph on any profile is srsue's
+/// (552 536 states), so no default-budget build truncates.
 inline constexpr std::size_t kDefaultMaxStates = 2'000'000;
 
 struct CheckOptions {
+  /// States a graph build keeps (ReachGraph::build reads it, and nothing
+  /// else does). A traversal is bounded by its graph: it discovers no state
+  /// the graph lacks.
   std::size_t max_states = kDefaultMaxStates;
   /// Wall-clock budget in seconds; 0 = unbounded. Exploration stops (with
   /// stats->deadline_hit) once exceeded — a guardrail, not a fairness bound.
@@ -153,11 +154,14 @@ class ReachGraph {
   State post(std::uint32_t id, std::size_t edge) const;
 
   /// "bad edge never fires" — returns a finite trace ending with the edge.
+  /// Both traversals read the options' deadline, memory ceiling and bans;
+  /// the graph itself is their only state bound (max_states is not read).
   std::optional<CounterExample> check_edge_never(const EdgeMatch& bad, CheckStats* stats,
                                                  const CheckOptions& options = {}) const;
 
   /// G(trigger → F response) over edges — returns a lasso trace on which a
   /// trigger fires and the loop never answers it. Deadlocked states stutter.
+  /// Its (state, pending) product holds at most two nodes per graph state.
   std::optional<CounterExample> check_response(const EdgeMatch& trigger,
                                                const EdgeMatch& response, CheckStats* stats,
                                                const CheckOptions& options = {}) const;

@@ -150,8 +150,7 @@ bool Testbed::step() {
   return channel_ && !delayed_.empty();
 }
 
-Testbed::QuiesceReport Testbed::run_until_quiet_report(int max_steps) {
-  QuiesceReport report;
+bool Testbed::run_until_quiet(int max_steps) {
   for (int i = 0; i < max_steps; ++i) {
     if (channel_ && downlink_queue_.empty() && uplink_queue_.empty() && !delayed_.empty()) {
       // Only parked traffic remains: each step would age the delay line one
@@ -161,19 +160,12 @@ Testbed::QuiesceReport Testbed::run_until_quiet_report(int max_steps) {
       for (const DelayedItem& d : delayed_) horizon = std::min(horizon, d.steps_left);
       if (horizon > 1) {
         for (DelayedItem& d : delayed_) d.steps_left -= horizon - 1;
-        ++report.horizon_skips;
       }
     }
-    if (!step()) return report;
-    ++report.deliveries;
+    if (!step()) return true;
   }
   ++step_limit_hits_;
-  report.verdict = QuiesceReport::Verdict::kStepBudget;
-  return report;
-}
-
-bool Testbed::run_until_quiet(int max_steps) {
-  return run_until_quiet_report(max_steps).quiet();
+  return false;
 }
 
 void Testbed::tick(int n) {

@@ -98,28 +98,16 @@ class Testbed {
   void inject_downlink(int conn_id, const nas::NasPdu& pdu);
   void inject_uplink(int conn_id, const nas::NasPdu& pdu);
 
-  /// Structured quiescence verdict: how run_until_quiet ended and how much
-  /// work it did. kStepBudget is the testbed-level watchdog trip — traffic
-  /// was still in flight when the delivery budget ran out (a fault-induced
-  /// livelock), which callers surface instead of silently treating the
-  /// scenario as settled.
-  struct QuiesceReport {
-    enum class Verdict : std::uint8_t { kQuiet, kStepBudget };
-    Verdict verdict = Verdict::kQuiet;
-    int deliveries = 0;     // steps that moved or aged traffic
-    int horizon_skips = 0;  // logical-clock fast-forwards over idle delay ticks
-    bool quiet() const { return verdict == Verdict::kQuiet; }
-  };
-
   /// Delivers queued messages (through the interceptors) until both
-  /// directions are quiescent or `max_steps` deliveries happened. When the
-  /// only remaining traffic is parked in the delay line, the logical clock
-  /// fast-forwards to the next release horizon, so the iteration count is
-  /// bounded by actual deliveries — a long kDelay draw cannot eat the whole
-  /// step budget one idle tick at a time.
-  QuiesceReport run_until_quiet_report(int max_steps = 1000);
-
-  /// Convenience wrapper: true iff the testbed quiesced (see QuiesceReport).
+  /// directions are quiescent or `max_steps` deliveries happened; true iff
+  /// the testbed quiesced. Running out of steps is the testbed-level
+  /// watchdog trip — traffic was still in flight (a fault-induced livelock)
+  /// — and counts in step_limit_hits(), which callers surface instead of
+  /// silently treating the scenario as settled. When the only remaining
+  /// traffic is parked in the delay line, the logical clock fast-forwards
+  /// to the next release horizon, so the iteration count is bounded by
+  /// actual deliveries — a long kDelay draw cannot eat the whole step
+  /// budget one idle tick at a time.
   bool run_until_quiet(int max_steps = 1000);
 
   /// Number of run_until_quiet calls that hit their step budget without

@@ -55,15 +55,12 @@ const PropertyDef& property(const std::string& id) {
   return dummy;
 }
 
-PropertyResult run_one(const ue::StackProfile& profile, const std::string& id,
-                       std::size_t max_states = 400000) {
+PropertyResult run_one(const ue::StackProfile& profile, const std::string& id) {
   const ExtractedModels& m = models_for(profile);
   cpv::LteCryptoModel::Options copts;
   copts.usim_freshness_limit = profile.sqn_freshness_limit.has_value();
   cpv::LteCryptoModel crypto(copts);
-  CegarOptions options;
-  options.max_states = max_states;
-  return check_property(m.graph, m.flat, property(id), crypto, options);
+  return check_property(m.graph, m.flat, property(id), crypto);
 }
 
 // --- Catalog shape -------------------------------------------------------------
@@ -356,14 +353,22 @@ TEST(Cegar, StatsAreRecorded) {
 // --- Budgets: exhaustion is inconclusive, never a fake verdict -----------------
 
 TEST(CegarBudget, ExhaustedStateBoundIsInconclusive) {
-  // S05 verifies on cls with the default budget; with a 3-state budget the
-  // search is truncated long before the property's reachable fragment is
-  // covered, and claiming "verified" would be unsound.
-  PropertyResult r = run_one(ue::StackProfile::cls(), "S05", /*max_states=*/3);
+  // S05 verifies on cls with the default budget; through the one-call form
+  // a 3-state budget builds a graph of 3 states, truncated long before the
+  // property's reachable fragment is covered, and claiming "verified" would
+  // be unsound. The graph form reads no state cap: its graph is the bound.
+  const ExtractedModels& m = models_for(ue::StackProfile::cls());
+  cpv::LteCryptoModel::Options copts;
+  cpv::LteCryptoModel crypto(copts);
+  CegarOptions options;
+  options.max_states = 3;
+  PropertyResult r = check_property(m.tm, m.flat, property("S05"), crypto, options);
   EXPECT_EQ(r.status, PropertyResult::Status::kInconclusive);
   EXPECT_TRUE(r.last_stats.bound_hit);
   EXPECT_TRUE(contains(r.note, "budget exhausted"));
   EXPECT_LE(r.last_stats.states_explored, 3u);
+  EXPECT_EQ(check_property(m.graph, m.flat, property("S05"), crypto, options).status,
+            PropertyResult::Status::kVerified);
 }
 
 TEST(CegarBudget, ExhaustedWallClockIsInconclusive) {

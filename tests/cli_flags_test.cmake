@@ -5,11 +5,12 @@
 # --<flag>"), a value flag with nothing after it ("missing value for
 # --<flag>") and a malformed diff side spec ("bad side spec"). A file the command cannot write (conformance --log into a
 # missing directory) is a failure, not a usage error: exit 1 and "cannot
-# write <path>" on stderr, never a "log written" claim. Run as
-#   cmake -DPROCHECKER=<path to prochecker> -P cli_flags_test.cmake
+# write <path>" on stderr, never a "log written" claim. The usage text names
+# every option of every subcommand in the option table of main.cc. Run as
+#   cmake -DPROCHECKER=<path to prochecker> -DMAIN_SOURCE=<src/cli/main.cc> -P cli_flags_test.cmake
 
-if(NOT PROCHECKER)
-  message(FATAL_ERROR "pass -DPROCHECKER=<path to the prochecker binary>")
+if(NOT PROCHECKER OR NOT MAIN_SOURCE)
+  message(FATAL_ERROR "pass -DPROCHECKER=<path to the prochecker binary> -DMAIN_SOURCE=<main.cc>")
 endif()
 
 # <subcommand and its required arguments>|<flag>|<bad value>...: each row
@@ -48,9 +49,11 @@ set(cases
   "diff profile:cls profile:oai|deadline-per-property|d|-1"
   "diff profile:cls profile:oai|retries|r|17"
   # A sign, leading whitespace or a non-finite real is malformed too: "-1"
-  # must not wrap to 2^64-1, and NaN fails every range compare.
+  # must not wrap to 2^64-1, and NaN fails every range compare. A real
+  # takes no sign, whitespace or hex either, even inside its range.
   "analyze --profile cls|max-states|-1|+5"
-  "analyze --profile cls|deadline-per-property|nan|inf"
+  "analyze --profile cls|deadline-per-property|nan|inf| 5|+5|0x1p2|-0"
+  "chaos --profile cls|intensity| 5|+5|0x1p2| 0.5|+0.5|0x1p-2|-0"
   "serve-sul --profile cls|quota-queries|-1| 7"
   "learn --profile cls|seed|-1"
   "learn --profile cls|remote|127.0.0.1:+80"
@@ -122,8 +125,46 @@ expect_exit(2 "diff;remote:127.0.0.1:1;nonsense" "bad side spec 'nonsense'")
 set(unwritable "${CMAKE_CURRENT_BINARY_DIR}/no_such_dir/conformance.log")
 expect_exit(1 "conformance;--profile;cls;--log;${unwritable}" "cannot write ${unwritable}")
 
+# The usage text (prochecker with no arguments) names every option each
+# subcommand takes, in that subcommand's block: its line and the indented
+# lines below it. The options come from the subcommand table in main(),
+# entries of the form {"name", {handler, {values...}, {switches...}}}.
+execute_process(COMMAND "${PROCHECKER}" RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE usage)
+if(NOT rc EQUAL 2)
+  list(APPEND failures "prochecker with no arguments: exit ${rc}, not 2")
+endif()
+file(READ "${MAIN_SOURCE}" source)
+string(FIND "${source}" "subcommands = {" table_begin)
+string(SUBSTRING "${source}" ${table_begin} -1 table)
+string(FIND "${table}" "\n  };" table_end)
+string(SUBSTRING "${table}" 0 ${table_end} table)
+string(REGEX MATCHALL
+  "{\"[a-z-]+\",[^{]*{[^{}]*{[^{}]*},[^{}]*{[^{}]*}}}" entries "${table}")
+list(LENGTH entries subcommand_count)
+if(subcommand_count LESS 8)
+  list(APPEND failures "found ${subcommand_count} subcommands in the table of ${MAIN_SOURCE}")
+endif()
+set(flags_checked 0)
+foreach(entry IN LISTS entries)
+  string(REGEX MATCHALL "\"[a-z-]+\"" names "${entry}")
+  list(POP_FRONT names subcommand)
+  string(REPLACE "\"" "" subcommand "${subcommand}")
+  string(REGEX MATCH "\n  ${subcommand} [^\n]*(\n   [^\n]*)*" block "${usage}")
+  if(block STREQUAL "")
+    list(APPEND failures "usage has no line for ${subcommand}")
+    continue()
+  endif()
+  foreach(name IN LISTS names)
+    string(REPLACE "\"" "" flag "${name}")
+    math(EXPR flags_checked "${flags_checked} + 1")
+    if(NOT block MATCHES "--${flag}([^a-z-]|$)")
+      list(APPEND failures "usage of ${subcommand} does not name --${flag}")
+    endif()
+  endforeach()
+endforeach()
+
 if(failures)
   list(JOIN failures "\n  " report)
   message(FATAL_ERROR "bad invocations not rejected:\n  ${report}")
 endif()
-message(STATUS "${runs} bad invocations rejected")
+message(STATUS "${runs} bad invocations rejected; usage names all ${flags_checked} options")

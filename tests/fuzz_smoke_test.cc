@@ -866,14 +866,13 @@ TEST(FuzzSmoke, MutatedAnalysisJournalsResumeOrRefuseNeverLie) {
   const fsm::Fsm flat = extractor::extract_basic(
       trace.records(), extractor::ue_signatures(ue::StackProfile::cls()), eopts);
   const threat::ThreatModel tm = checker::ProChecker::build_threat_model(flat);
-  const mc::ReachGraph graph = mc::ReachGraph::build(tm.model);  // shared by all 200 rounds
   std::vector<const checker::PropertyDef*> selected;
   for (const checker::PropertyDef& p : checker::property_catalog()) {
     if (p.id == "S01" || p.id == "S02" || p.id == "S05" || p.id == "P04") selected.push_back(&p);
   }
   ASSERT_EQ(selected.size(), 4u);
   checker::CegarOptions cegar;
-  cegar.max_states = 300;
+  cegar.max_states = 300;  // every round builds its graph: keep it small
 
   const std::string path = ::testing::TempDir() + "fuzz_analysis.journal";
   auto scrub = [&path] {
@@ -887,7 +886,7 @@ TEST(FuzzSmoke, MutatedAnalysisJournalsResumeOrRefuseNeverLie) {
     o.resume = resume;
     o.run_tag = "cls";
     o.options_hash = "0123456789abcdef";
-    return checker::run_supervised(graph, flat, selected, {}, cegar, o);
+    return checker::run_supervised(tm, flat, selected, {}, cegar, o);
   };
   scrub();
   const checker::SupervisedRun reference = supervised(false);

@@ -4,7 +4,8 @@
 //   (command, post-state) in order, against what Model::successors
 //   interprets from the guards with Expr::eval;
 // - reference_edge_never: a breadth-first never-claim over
-//   Model::successors alone;
+//   Model::successors alone, inside the states a graph built at the
+//   options' state cap holds;
 // - eager_lasso: the liveness search as it stood when it built the whole
 //   (state, pending) product before its cycle search, the byte-identity
 //   reference for the on-demand product;
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,14 +64,28 @@ inline bool is_banned(const CheckOptions& options, std::size_t command) {
   return !options.banned.empty() && options.banned[command] != 0;
 }
 
-/// A breadth-first never-claim over Model::successors alone: states keyed
-/// in a std::map, each state's enabled commands in command order, the state
-/// cap on discoveries (the initial state always counts). The reference for
-/// ReachGraph::check_edge_never on a graph built without a cap: the same
-/// first hit, trace and counts.
+/// A breadth-first never-claim over Model::successors alone, states keyed
+/// in std containers and each state's enabled commands in command order.
+/// It models a graph built at the state cap k: the first k states that a
+/// breadth-first search of the model discovers with nothing banned (the
+/// initial state always counts), then the banned search inside them, where
+/// an edge leaving them sets bound_hit. The reference for
+/// ReachGraph::check_edge_never on a graph built at k: the same first hit,
+/// trace and counts.
 inline std::optional<CounterExample> reference_edge_never(const Model& model,
                                                           const EdgeMatch& bad, CheckStats* out,
                                                           const CheckOptions& options = {}) {
+  std::set<State> kept{model.initial()};
+  std::vector<State> discovered{model.initial()};
+  for (std::size_t at = 0; at < discovered.size(); ++at) {
+    const State pre = discovered[at];  // the callback grows `discovered`
+    model.successors(pre, [&](const State& post, const Command&) {
+      if (discovered.size() < options.max_states && kept.insert(post).second) {
+        discovered.push_back(post);
+      }
+    });
+  }
+
   CheckStats stats;
   std::map<State, std::uint32_t> seen{{model.initial(), 0}};
   std::vector<State> states{model.initial()};
@@ -96,7 +112,7 @@ inline std::optional<CounterExample> reference_edge_never(const Model& model,
         return;
       }
       if (seen.count(post) > 0) return;
-      if (states.size() >= options.max_states) {
+      if (kept.count(post) == 0) {
         stats.bound_hit = true;
         return;
       }
@@ -115,8 +131,9 @@ inline std::optional<CounterExample> reference_edge_never(const Model& model,
 /// breadth-first build of the whole (state, pending) product with its
 /// pending edges stored as CSR, then the cycle DFS from every pending root
 /// in id order. The byte-identity reference for ReachGraph::check_response,
-/// reading labels off unpacked states. It honours the state cap and the ban
-/// table and polls no other budget; its stats count the whole product.
+/// reading labels off unpacked states. It honours the ban table and polls
+/// no budget, so its graph is its only state bound; its stats count the
+/// whole product.
 inline std::optional<CounterExample> eager_lasso(const ReachGraph& g, const EdgeMatch& trigger,
                                                  const EdgeMatch& response, CheckStats* out,
                                                  const CheckOptions& options = {}) {
@@ -156,10 +173,6 @@ inline std::optional<CounterExample> eager_lasso(const ReachGraph& g, const Edge
     }
     std::uint32_t& slot = node_of[state][pending ? 1 : 0];
     if (slot != kNoId) return slot;
-    if (node_state.size() >= options.max_states) {
-      stats.bound_hit = true;
-      return kNoId;
-    }
     slot = static_cast<std::uint32_t>(node_state.size());
     node_state.push_back(state);
     node_pending.push_back(pending ? 1 : 0);

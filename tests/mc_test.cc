@@ -1,11 +1,11 @@
 // Model-checker kernel tests: expression evaluation, guarded-command
 // successors, and the two property shapes of the catalog as traversals of
 // the reachable graph — edge never-claims with trace extraction and
-// response liveness (lasso detection, stutter-deadlock semantics, the state
-// cap) — plus the graph's layout, state keys and guard table. One case pins
-// the one-call mc::Checker against ReachGraph::check_edge_never, and the
-// Oracle cases check every traversal on seeded random models against the
-// references in graph_oracle.h.
+// response liveness (lasso detection, stutter-deadlock semantics, graphs
+// built at a state cap) — plus the graph's layout, state keys and guard
+// table. One case pins the one-call mc::Checker against
+// ReachGraph::check_edge_never, and the Oracle cases check every traversal
+// on seeded random models against the references in graph_oracle.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -193,8 +193,7 @@ TEST(Invariant, MaxStatesBoundsExploration) {
   CheckStats stats;
   CheckOptions options;
   options.max_states = 10;
-  auto cex = ReachGraph::build(m, options).check_edge_never(label_match(m, "inc49"), &stats,
-                                                            options);
+  auto cex = ReachGraph::build(m, options).check_edge_never(label_match(m, "inc49"), &stats);
   EXPECT_FALSE(cex.has_value());  // bound hit before the violation
   EXPECT_TRUE(stats.bound_hit);
 }
@@ -499,12 +498,11 @@ TEST(ReachGraph, SelfLoopStaysAnEdge) {
 }
 
 TEST(ReachGraph, TraversalCapReproducesATruncatedSearch) {
-  // A cap k inside the traversal of a complete graph stops exactly where a
-  // search of a graph built at k stops. The one-call mc::Checker builds at
-  // k, and its predicate sees the edge's pre- and post-states.
+  // A traversal runs at its graph's cap: on a graph built at k it stops
+  // exactly where a breadth-first search of the model that keeps k states
+  // stops. The one-call mc::Checker builds at k, and its predicate sees the
+  // edge's pre- and post-states.
   Model m = counter_model(100);
-  ReachGraph full = ReachGraph::build(m);
-  ASSERT_EQ(full.states(), 101u);
   const Checker one_call_checker(m);
   auto inc_from = [](std::int32_t c) {
     return [c](const State& pre, const Command& cmd, const State& post) {
@@ -513,17 +511,23 @@ TEST(ReachGraph, TraversalCapReproducesATruncatedSearch) {
   };
   CheckOptions capped;
   capped.max_states = 10;
-  CheckStats on_full;
-  EXPECT_FALSE(full.check_edge_never(label_match(m, "inc50"), &on_full, capped).has_value());
-  CheckStats one_call;
+  const ReachGraph small = ReachGraph::build(m, capped);
+  ASSERT_EQ(small.states(), 10u);
+  CheckStats on_small, one_call, reference;
+  EXPECT_FALSE(small.check_edge_never(label_match(m, "inc50"), &on_small).has_value());
   EXPECT_FALSE(one_call_checker.check_edge_never(inc_from(50), &one_call, capped).has_value());
-  EXPECT_TRUE(on_full.bound_hit);
-  EXPECT_TRUE(one_call.bound_hit);
-  EXPECT_EQ(on_full.states_explored, 10u);
-  EXPECT_EQ(one_call.states_explored, 10u);
-  EXPECT_EQ(on_full.edges_explored, one_call.edges_explored);
+  EXPECT_FALSE(
+      reference_edge_never(m, label_match(m, "inc50"), &reference, capped).has_value());
+  for (const CheckStats* stats : {&on_small, &one_call, &reference}) {
+    EXPECT_TRUE(stats->bound_hit);
+    EXPECT_EQ(stats->states_explored, 10u);
+    EXPECT_EQ(stats->edges_explored, 10u);  // inc0..inc9, the last one leaving the graph
+  }
 
   // Uncapped, both find the same trace; the one call adds the build's cost.
+  const ReachGraph full = ReachGraph::build(m);
+  ASSERT_EQ(full.states(), 101u);
+  CheckStats on_full;
   EdgeMatch at_fifty = label_match(m, "inc50");
   at_fifty.pre_equals = {{0, 50}};
   auto graph_cex = full.check_edge_never(at_fifty, &on_full);
@@ -539,29 +543,33 @@ TEST(ReachGraph, TraversalCapReproducesATruncatedSearch) {
 }
 
 TEST(ReachGraph, LivenessCapBoundsProductNodes) {
-  // The liveness traversal caps its (state, pending) product nodes at k.
+  // The build's cap k is the liveness traversal's only bound: its (state,
+  // pending) product holds at most two nodes per graph state, so up to 2k.
   // ring_model with trigger step0 and no response: 4 nodes over 3 states,
   // (p0, clear) and then p1, p2, p0 pending, whose cycle is the lasso.
   // request_model: (idle, clear) and (waiting, pending), with the lazy
-  // self-loop as the lasso. Below the full node count nothing verifies.
+  // self-loop as the lasso. Below the full state count the graph lacks a
+  // state the product reaches, and nothing verifies.
   struct Case {
     Model model;
     std::string trigger, response;
-    std::size_t nodes;
+    std::vector<std::size_t> nodes;  // product nodes on a graph built at k = 0, 1, ...
   };
-  const Case cases[] = {{ring_model(), "step0", "none", 4},
-                        {request_model(/*with_lazy_loop=*/true), "request", "respond", 2}};
+  const Case cases[] = {{ring_model(), "step0", "none", {1, 1, 2, 4, 4}},
+                        {request_model(/*with_lazy_loop=*/true), "request", "respond", {1, 1, 2, 2}}};
   for (const Case& c : cases) {
-    const ReachGraph g = ReachGraph::build(c.model);
-    for (std::size_t k = 0; k <= c.nodes + 1; ++k) {
+    const std::size_t states = ReachGraph::build(c.model).states();
+    for (std::size_t k = 0; k < c.nodes.size(); ++k) {
       CheckOptions cap;
       cap.max_states = k;
+      const ReachGraph g = ReachGraph::build(c.model, cap);
       CheckStats stats;
       auto cex = g.check_response(label_match(c.model, c.trigger),
-                                  label_match(c.model, c.response), &stats, cap);
-      EXPECT_EQ(stats.states_explored, std::min(k, c.nodes)) << c.trigger << " k=" << k;
-      EXPECT_EQ(stats.bound_hit, k < c.nodes) << c.trigger << " k=" << k;
-      EXPECT_EQ(cex.has_value(), k >= c.nodes) << c.trigger << " k=" << k;
+                                  label_match(c.model, c.response), &stats);
+      EXPECT_EQ(stats.states_explored, c.nodes[k]) << c.trigger << " k=" << k;
+      EXPECT_LE(stats.states_explored, 2 * g.states()) << c.trigger << " k=" << k;
+      EXPECT_EQ(stats.bound_hit, k < states) << c.trigger << " k=" << k;
+      EXPECT_EQ(cex.has_value(), k >= states) << c.trigger << " k=" << k;
       if (cex) {
         EXPECT_GE(cex->loop_start, 0) << c.trigger << " k=" << k;
       }
@@ -1022,15 +1030,22 @@ TEST(Oracle, NeverClaimsMatchABreadthFirstSearchOfTheModel) {
     const Model m = random_model(seed);
     const ReachGraph g = ReachGraph::build(m);
     ASSERT_EQ(first_edge_mismatch(g), "") << "seed " << seed;
+    // A graph built at each cap of the sweep, uncapped first.
+    std::vector<std::pair<std::size_t, ReachGraph>> graphs;
+    for (std::size_t cap : {kDefaultMaxStates, std::size_t{1}, std::size_t{3}, g.states() / 2}) {
+      CheckOptions build;
+      build.max_states = cap;
+      graphs.emplace_back(cap, ReachGraph::build(m, build));
+    }
     Draw d(seed * 7919);
     for (int check = 0; check < kChecksPerModel; ++check) {
       const EdgeMatch bad = random_match(d, m);
       CheckOptions options;
       options.banned = random_bans(d, m);
-      for (std::size_t cap : {kDefaultMaxStates, std::size_t{1}, std::size_t{3}, g.states() / 2}) {
-        options.max_states = cap;
+      for (const auto& [cap, graph] : graphs) {
+        options.max_states = cap;  // read by the reference alone
         CheckStats got, want;
-        auto found = g.check_edge_never(bad, &got, options);
+        auto found = graph.check_edge_never(bad, &got, options);
         auto reference = reference_edge_never(m, bad, &want, options);
         const std::string where = "seed " + std::to_string(seed) + " check " +
                                   std::to_string(check) + " cap " + std::to_string(cap);
@@ -1063,44 +1078,41 @@ TEST(Oracle, LivenessMatchesTheEagerLassoByteForByte) {
       CheckStats whole;
       eager_lasso(g, trigger, response, &whole, options);
       const std::size_t nodes = whole.states_explored;
-      // Uncapped, then a cap sweep both inside the traversal and at the build.
+      // Uncapped, then a sweep of graphs built at a cap.
       for (std::size_t cap : {kDefaultMaxStates, std::size_t{0}, std::size_t{1}, std::size_t{2},
                               std::size_t{3}, std::size_t{5}, nodes / 2, nodes - 1}) {
         const std::string where = "seed " + std::to_string(seed) + " check " +
                                   std::to_string(check) + " cap " + std::to_string(cap);
         CheckOptions build;
         build.max_states = cap;
-        const ReachGraph small = ReachGraph::build(m, build);
-        for (const ReachGraph* graph : {&g, &small}) {
-          CheckOptions traversal = options;
-          if (graph == &g) traversal.max_states = cap;
-          CheckStats got, want;
-          auto found = graph->check_response(trigger, response, &got, traversal);
-          auto reference = eager_lasso(*graph, trigger, response, &want, traversal);
-          ASSERT_EQ(found.has_value(), reference.has_value()) << where;
-          if (found) {
-            EXPECT_EQ(found->render(m), reference->render(m)) << where;
-            EXPECT_EQ(found->loop_start, reference->loop_start) << where;
-            EXPECT_LE(got.states_explored, want.states_explored) << where;
-            EXPECT_EQ(lasso_defect(m, trigger, response, *found, traversal), "") << where;
-            if (cap == kDefaultMaxStates) {
-              ++lassos;
-              stutters += found->steps.back().label == "(stutter)";
-            }
-          } else {
-            // Nothing found: the whole product was expanded, as before.
-            EXPECT_EQ(got.states_explored, want.states_explored) << where;
-            EXPECT_EQ(got.edges_explored, want.edges_explored) << where;
-            EXPECT_EQ(got.bound_hit, want.bound_hit) << where;
+        const ReachGraph graph = ReachGraph::build(m, build);
+        CheckStats got, want;
+        auto found = graph.check_response(trigger, response, &got, options);
+        auto reference = eager_lasso(graph, trigger, response, &want, options);
+        ASSERT_EQ(found.has_value(), reference.has_value()) << where;
+        EXPECT_LE(want.states_explored, 2 * graph.states()) << where;
+        if (found) {
+          EXPECT_EQ(found->render(m), reference->render(m)) << where;
+          EXPECT_EQ(found->loop_start, reference->loop_start) << where;
+          EXPECT_LE(got.states_explored, want.states_explored) << where;
+          EXPECT_EQ(lasso_defect(m, trigger, response, *found, options), "") << where;
+          if (cap == kDefaultMaxStates) {
+            ++lassos;
+            stutters += found->steps.back().label == "(stutter)";
           }
-          capped += want.bound_hit && found.has_value();
+        } else {
+          // Nothing found: the whole product was expanded, as before.
+          EXPECT_EQ(got.states_explored, want.states_explored) << where;
+          EXPECT_EQ(got.edges_explored, want.edges_explored) << where;
+          EXPECT_EQ(got.bound_hit, want.bound_hit) << where;
         }
+        capped += want.bound_hit && found.has_value();
       }
     }
   }
   EXPECT_GT(lassos, kOracleModels / 4);
   EXPECT_GT(stutters, 10u);  // dead ends that keep a trigger pending
-  EXPECT_GT(capped, 10u);    // lassos found inside a capped product
+  EXPECT_GT(capped, 10u);    // lassos found in a graph its cap truncated
 }
 
 TEST(Oracle, AMemoryStopNeverChangesTheLasso) {

@@ -40,7 +40,6 @@ namespace {
 struct Pipeline {
   fsm::Fsm flat;
   threat::ThreatModel tm;
-  mc::ReachGraph graph;  // of `tm`, complete at the default budget
 };
 
 const Pipeline& pipeline() {
@@ -54,7 +53,6 @@ const Pipeline& pipeline() {
     out->flat = extractor::extract_basic(trace.records(),
                                          extractor::ue_signatures(ue::StackProfile::cls()), opts);
     out->tm = ProChecker::build_threat_model(out->flat);
-    out->graph = mc::ReachGraph::build(out->tm.model);
     return out;
   }();
   return *p;
@@ -68,9 +66,11 @@ std::vector<const PropertyDef*> select(const std::set<std::string>& ids) {
   return out;
 }
 
+// Each run builds its own graph of cls at cegar's cap; a small cap keeps
+// the build cheap where a case runs many times.
 SupervisedRun run_sup(const std::vector<const PropertyDef*>& sel, const SupervisorOptions& opts,
                       const CegarOptions& cegar) {
-  return run_supervised(pipeline().graph, pipeline().flat, sel, {}, cegar, opts);
+  return run_supervised(pipeline().tm, pipeline().flat, sel, {}, cegar, opts);
 }
 
 std::string tmp_path(const std::string& name) { return ::testing::TempDir() + name; }
@@ -484,8 +484,9 @@ TEST(Supervisor, ExhaustedRetriesFallBackToStructuredInconclusive) {
 }
 
 TEST(Supervisor, DeterministicBudgetTripsAreNotRetried) {
-  // The same graph, bans and byte accounting trip a state cap or a memory
-  // ceiling at the same point on a repeat, so the first trip is final.
+  // The same graph, bans and byte accounting trip a state cap (here at the
+  // run's 3-state build) or a memory ceiling at the same point on a repeat,
+  // so the first trip is final.
   auto sel = select({"S05"});
   CegarOptions capped;
   capped.max_states = 3;
@@ -1100,6 +1101,17 @@ TEST(AnalyzeResume, OptionsHashKeepsDefaultJournalsAndRefusesRetriedOnes) {
   AnalysisOptions retried;
   retried.retries = 2;
   EXPECT_NE(analysis_options_hash(retried, ue::StackProfile::cls()), "d245bc1a5646a41b");
+}
+
+TEST(AnalyzeResume, OptionsHashRefusesJournalsOfATightCap) {
+  // A journal written while the liveness search also capped its product at
+  // a non-default --max-states may hold a lasso no search of the graph
+  // reports now, so its fingerprint (the one such a run wrote for cls at
+  // 50 000) no longer matches and it is refused once. The default cap never
+  // bound a search: those journals still resume (above).
+  AnalysisOptions capped;
+  capped.max_states = 50000;
+  EXPECT_NE(analysis_options_hash(capped, ue::StackProfile::cls()), "27babb1f063fe37f");
 }
 
 }  // namespace
