@@ -31,8 +31,8 @@
 //       transport; degraded runs end inconclusive, never hang). Runs under
 //       the learning supervisor (DESIGN.md §15): a crash-safe observation
 //       journal makes `--resume` continue byte-identically from any kill
-//       point, contradictory answers are arbitrated k-of-n, and a deadline
-//       bounds every attempt.
+//       point, contradictory answers are always arbitrated k-of-n, and a
+//       deadline bounds every attempt.
 //   diff <left> <right> [--json] [--dot] [--jobs <N>]
 //       Differential cross-implementation analysis (DESIGN.md §16): builds
 //       one FSM per side (profile:<name>, log:[<profile>:]<path>,
@@ -105,8 +105,9 @@ int usage() {
                "        [--journal <file>] [--resume <file>] [--arbitrate <k/n>]"
                " [--deadline <S>] [--retries <N>]\n"
                "        (--batch N sends up to N words per query frame, 1-64, default 16;\n"
-               "         --resume continues a killed run from its journal;"
-               " --arbitrate 0/0 disables k-of-n re-querying)\n"
+               "         --resume continues a killed run from its journal;\n"
+               "         --arbitrate k/n commits k of n fresh re-queries, n/2 < k <= n,"
+               " default 3/5)\n"
                "  diff <left> <right> [--json] [--dot] [--jobs <N>] [--psk <key>]"
                " [--batch <N>] [--seed <S>]\n"
                "       [--max-pairs <N>] [--max-states <N>]"
@@ -127,20 +128,31 @@ std::optional<std::string> read_file(const std::string& path) {
   return ss.str();
 }
 
+int unexpected_argument(const std::string& arg) {
+  std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
+  return 2;
+}
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
 
-  /// Parses a subcommand's arguments (argv[2..]): `values` are the flags it
-  /// takes a value for, `switches` the ones it takes bare. Any other
+  /// Parses a subcommand's arguments (argv[2..]): it reads at most
+  /// `positionals` non-option arguments, `values` are the flags it takes a
+  /// value for, `switches` the ones it takes bare. Any other argument or
   /// option, or a value flag with nothing after it, is a usage error: the
   /// diagnostic is printed and nullopt returned (the caller exits 2).
-  static std::optional<Args> parse(int argc, char** argv, const std::set<std::string>& values,
+  static std::optional<Args> parse(int argc, char** argv, std::size_t positionals,
+                                   const std::set<std::string>& values,
                                    const std::set<std::string>& switches) {
     Args args;
     for (int i = 2; i < argc; ++i) {
       std::string a = argv[i];
       if (!starts_with(a, "--")) {
+        if (args.positional.size() == positionals) {
+          unexpected_argument(a);
+          return std::nullopt;
+        }
         args.positional.push_back(std::move(a));
         continue;
       }
@@ -356,7 +368,7 @@ int cmd_analyze(ue::StackProfile profile, const Args& args) {
   // Budgets, the property fan-out, and the supervisor knobs (watchdogs,
   // retries, journal/resume — DESIGN.md §11).
   if (!read_flag(args, "freshness-limit", 0, kAnyCount, &freshness_limit) ||
-      !read_flag(args, "max-states", 0, kAnyCount, &options.max_states) ||
+      !read_flag(args, "max-states", 1, kAnyCount, &options.max_states) ||
       !read_flag(args, "jobs", 1, 1024, &options.jobs) ||
       !read_flag(args, "retries", 0, 16, &options.retries) ||
       !read_flag(args, "deadline-per-property", 0, kAnyReal, &options.deadline_per_property) ||
@@ -483,8 +495,8 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
     sup.resume = true;
   }
   if (args.has("arbitrate")) {
-    // "k/n": commit a cell only when k of n fresh re-queries agree ("0/0"
-    // disables arbitration — first observation wins).
+    // "k/n": commit a cell only when k of n fresh re-queries agree, a
+    // strict majority (n/2 < k <= n, which rules out n = 0).
     const std::string text = args.get("arbitrate");
     const std::size_t slash = text.find('/');
     std::optional<std::uint64_t> k, n;
@@ -492,14 +504,17 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
       k = parse_u64(text.substr(0, slash));
       n = parse_u64(text.substr(slash + 1));
     }
-    if (!k || !n || *n > 99 || (*n > 0 && (*k <= *n / 2 || *k > *n))) {
+    if (!k || !n || *n > 99 || *k <= *n / 2 || *k > *n) {
       return bad_option("arbitrate", text);
     }
     sup.arbitration_k = static_cast<int>(*k);
     sup.arbitration_n = static_cast<int>(*n);
   }
+  // --batch shapes only remote frames, but it is checked on both paths.
+  net::RemoteSulOptions ropts;
   if (!read_flag(args, "deadline", 0, kAnyReal, &sup.deadline_seconds) ||
-      !read_flag(args, "retries", 0, 16, &sup.retries)) {
+      !read_flag(args, "retries", 0, 16, &sup.retries) ||
+      !read_flag(args, "batch", 1, net::kMaxBatchWords, &ropts.max_batch_words)) {
     return 2;
   }
 
@@ -507,12 +522,10 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
   if (args.has("remote")) {
     auto ep = net::parse_endpoint(args.get("remote"));
     if (!ep) return bad_option("remote", args.get("remote"));
-    net::RemoteSulOptions ropts;
     ropts.host = ep->first;
     ropts.port = ep->second;
     ropts.psk = args.get("psk");
     ropts.heartbeat_seconds = 0.5;
-    if (!read_flag(args, "batch", 1, net::kMaxBatchWords, &ropts.max_batch_words)) return 2;
     net::RemoteUeSul sul(ropts);
     run = learner::learn_supervised(sul, sup);
     net::RemoteSulStats stats = sul.stats();
@@ -597,13 +610,12 @@ int cmd_learn(ue::StackProfile profile, const Args& args) {
   const long lookups = result.cache_hits + result.cache_prefix_hits + result.cache_misses;
   std::fprintf(stderr,
                "query cache: %ld hits, %ld prefix hits, %ld misses (%.0f%% answered),"
-               " %ld batches (%ld words)%s\n",
+               " %ld batches (%ld words)\n",
                result.cache_hits, result.cache_prefix_hits, result.cache_misses,
                lookups > 0 ? 100.0 * static_cast<double>(result.cache_hits) /
                                  static_cast<double>(lookups)
                            : 0.0,
-               result.batch_queries, result.batched_words,
-               result.nondeterministic_cached > 0 ? " [nondeterministic outputs!]" : "");
+               result.batch_queries, result.batched_words);
   return 0;
 }
 
@@ -637,10 +649,16 @@ int cmd_chaos(ue::StackProfile profile, const Args& args) {
 // divergent, 3 inconclusive (a side degraded, or the product walk tripped a
 // budget); usage errors stay 2.
 int cmd_diff(const Args& args) {
-  std::string left_spec = args.get("left");
-  std::string right_spec = args.get("right");
-  if (left_spec.empty() && !args.positional.empty()) left_spec = args.positional[0];
-  if (right_spec.empty() && args.positional.size() > 1) right_spec = args.positional[1];
+  // A side not given as --left/--right takes the next positional; one that
+  // neither side takes is a usage error.
+  std::size_t next = 0;
+  const auto side_spec = [&](const char* flag) {
+    if (args.has(flag)) return args.get(flag);
+    return next < args.positional.size() ? args.positional[next++] : std::string();
+  };
+  const std::string left_spec = side_spec("left");
+  const std::string right_spec = side_spec("right");
+  if (next < args.positional.size()) return unexpected_argument(args.positional[next]);
   if (left_spec.empty() || right_spec.empty()) return usage();
 
   diff::SourceOptions src;
@@ -698,6 +716,7 @@ int with_profile(const Args& args) {
 
 struct Subcommand {
   int (*run)(const Args&);
+  std::size_t positionals;         // non-option arguments it reads, at most
   std::set<std::string> values;    // flags that take a value
   std::set<std::string> switches;  // flags that take none
 };
@@ -705,31 +724,32 @@ struct Subcommand {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Every subcommand with the options it takes; any other option is a usage
-  // error before any work starts.
+  // Every subcommand with the positional arguments and options it takes;
+  // any other argument or option is a usage error before any work starts.
   static const std::map<std::string, Subcommand> subcommands = {
-      {"instrument", {cmd_instrument, {"header"}, {}}},
+      {"instrument", {cmd_instrument, 1, {"header"}, {}}},
       {"conformance",
-       {with_profile<cmd_conformance>, {"profile", "log", "remote", "psk"}, {}}},
-      {"extract", {with_profile<cmd_extract>, {"profile", "log"}, {"dot", "basic", "recovery"}}},
+       {with_profile<cmd_conformance>, 0, {"profile", "log", "remote", "psk"}, {}}},
+      {"extract",
+       {with_profile<cmd_extract>, 0, {"profile", "log"}, {"dot", "basic", "recovery"}}},
       {"analyze",
-       {with_profile<cmd_analyze>,
+       {with_profile<cmd_analyze>, 0,
         {"profile", "properties", "freshness-limit", "max-states", "jobs", "retries",
          "deadline-per-property", "mem-ceiling-mb", "journal", "resume"},
         {"traces", "dot-traces"}}},
-      {"chaos", {with_profile<cmd_chaos>, {"profile", "intensity", "jobs"}, {}}},
+      {"chaos", {with_profile<cmd_chaos>, 0, {"profile", "intensity", "jobs"}, {}}},
       {"serve-sul",
-       {with_profile<cmd_serve_sul>,
+       {with_profile<cmd_serve_sul>, 0,
         {"profile", "port", "bind", "psk", "max-sessions", "quota-queries", "quota-bytes",
          "quota-seconds", "idle-timeout", "drain-seconds"},
         {"stats"}}},
       {"learn",
-       {with_profile<cmd_learn>,
+       {with_profile<cmd_learn>, 0,
         {"profile", "remote", "psk", "seed", "batch", "journal", "resume", "arbitrate", "deadline",
          "retries"},
         {"dot"}}},
       {"diff",
-       {cmd_diff,
+       {cmd_diff, 2,
         {"left", "right", "psk", "batch", "seed", "max-pairs", "jobs", "max-states",
          "deadline-per-property", "retries"},
         {"json", "dot"}}},
@@ -738,6 +758,6 @@ int main(int argc, char** argv) {
   const auto it = subcommands.find(argv[1]);
   if (it == subcommands.end()) return usage();
   const Subcommand& cmd = it->second;
-  std::optional<Args> args = Args::parse(argc, argv, cmd.values, cmd.switches);
+  std::optional<Args> args = Args::parse(argc, argv, cmd.positionals, cmd.values, cmd.switches);
   return args ? cmd.run(*args) : 2;
 }

@@ -10,7 +10,6 @@
 // so parallel output is byte-identical to sequential.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -20,21 +19,6 @@
 #include <vector>
 
 namespace procheck {
-
-/// Cooperative cancellation: one sticky flag set by a supervisor/watchdog
-/// and polled in hot loops (the learn supervisor cancels its own token when
-/// it poisons the SUL, and learn_mealy polls it per round and per
-/// equivalence-oracle word). Cancellation is a request, not preemption —
-/// holders finish their current poll interval.
-class CancelToken {
- public:
-  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
-  void reset() { cancelled_.store(false, std::memory_order_relaxed); }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
 
 class ThreadPool {
  public:

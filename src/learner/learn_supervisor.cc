@@ -77,9 +77,10 @@ std::string word_text(const Word& w) {
 ///   uninterrupted run;
 ///   fresh — the word goes to the inner SUL, is validated, arbitrated
 ///   against the committed trie on conflict, and journaled.
-/// Poisoning is cooperative: the internal CancelToken is cancelled and every
-/// later query answers kSulUnavailable instantly, so the learner unwinds to
-/// a structured inconclusive without further SUL contact.
+/// Once poisoned (the stop signal, see the header), every query of the
+/// attempt answers kSulUnavailable with no SUL contact, no hook and no
+/// journal line. An arbitration override poisons too, and
+/// restart_requested() tells the supervisor to re-learn rather than fail.
 class JournaledSul final : public Sul {
  public:
   /// `adopted` are the journal records resume kept, and `trie` holds
@@ -93,8 +94,6 @@ class JournaledSul final : public Sul {
         trie_(std::move(trie)) {}
 
   // --- supervisor-facing --------------------------------------------------
-  const CancelToken* token() const { return &token_; }
-
   void begin_attempt() {
     resets_ = 0;
     steps_ = 0;
@@ -103,7 +102,6 @@ class JournaledSul final : public Sul {
     failure_ = LearnFailure::kNone;
     diag_.clear();
     pending_.clear();
-    token_.reset();
     attempt_start_ = Clock::now();
   }
 
@@ -210,7 +208,6 @@ class JournaledSul final : public Sul {
     poisoned_ = true;
     failure_ = f;
     diag_ = std::move(diag);
-    token_.cancel();
   }
 
   /// The watchdog: false, with the SUL poisoned, once the attempt's
@@ -247,15 +244,6 @@ class JournaledSul final : public Sul {
     if (!conflict) {
       commit_record(word, outs);
       return outs;
-    }
-    if (options_.arbitration_n <= 0) {
-      // Arbitration disabled: first observation wins (the pre-supervisor
-      // trie policy), but the *journal* stays internally consistent — the
-      // fresh answer is coerced onto the committed edges before recording.
-      Word canonical = outs;
-      for (std::size_t i = 0; i < known; ++i) canonical[i] = committed_prefix[i];
-      commit_record(word, canonical);
-      return canonical;
     }
     return arbitrate(word, committed_prefix, known);
   }
@@ -362,7 +350,6 @@ class JournaledSul final : public Sul {
     restart_ = true;
     poisoned_ = true;
     diag_ = "restarting from corrected journal after arbitration override";
-    token_.cancel();
     return majority;
   }
 
@@ -384,7 +371,6 @@ class JournaledSul final : public Sul {
   std::vector<LearnObservation> records_;  // journal order
   OutputTrie trie_;                        // committed edges: replay + conflict oracle
 
-  CancelToken token_;
   Word pending_;  // reset()/step() compatibility path
   Clock::time_point attempt_start_{};
 
@@ -471,7 +457,7 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
   SupervisedLearn run;
   const int k = options.arbitration_k;
   const int n = options.arbitration_n;
-  if (n < 0 || (n > 0 && (k <= n / 2 || k > n))) {
+  if (k <= n / 2 || k > n) {  // also refuses every n < 1
     run.aborted = true;
     run.abort_reason = "invalid arbitration threshold " + std::to_string(k) +
                        "-of-" + std::to_string(n) + " (need n/2 < k <= n)";
@@ -525,8 +511,6 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
   run.adopted = adopted.size();
 
   JournaledSul wrapper(sul, options, journal, std::move(adopted), std::move(vtrie));
-  LearnOptions eff = options.learn;
-  eff.cancel = wrapper.token();
 
   // Every attempt runs the configured oracle. The wrapper's trie outlives
   // the attempts, so a retry replays what earlier ones committed for free.
@@ -535,28 +519,23 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
       {options.retries, options.backoff_seconds}, [&](int) -> supervise::Attempt {
         do {
           wrapper.begin_attempt();
-          result = learn_mealy(wrapper, eff);
+          result = learn_mealy(wrapper, options.learn);
           journal.commit();
           // An arbitration override is progress, not failure: re-learn from
           // the corrected journal without consuming an attempt.
         } while (wrapper.restart_requested());
-        if (result.converged) return {};
-        if (wrapper.failure() != LearnFailure::kNone) {
-          return {wrapper.failure(), wrapper.diagnostics()};
-        }
-        if (result.inconclusive) return {LearnFailure::kUnavailable, result.note};
-        return {};  // max_rounds exhausted: honest non-convergence
+        // Only the poison fails an attempt, and it left the learn
+        // inconclusive. An unpoisoned learn converged or ran out of rounds
+        // (honest non-convergence).
+        return {wrapper.failure(), wrapper.diagnostics()};
       });
   journal.commit();  // a throwing last attempt left records queued
   std::string diag = ladder.diagnostics;
   if (ladder.failure == LearnFailure::kException) {
     diag = "worker exception: " + diag;
     result = LearnResult();
-    result.note = diag;
-  }
-  if (ladder.failure != LearnFailure::kNone) {
     result.inconclusive = true;
-    result.converged = false;
+    result.note = diag;
   }
   if (ladder.failure == LearnFailure::kContested && !diag.empty()) result.note = diag;
   result.note += ladder.exhausted_note;

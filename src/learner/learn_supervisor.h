@@ -20,11 +20,16 @@
 //     when the *committed* edge loses — and cells with no k-majority are
 //     quarantined into a structured inconclusive result instead of silently
 //     keeping the first observation;
-//   * a per-attempt wall-clock deadline poisons the SUL cooperatively
-//     (CancelToken + the structured kSulUnavailable symbol), and the shared
+//   * a per-attempt wall-clock deadline poisons the SUL, and the shared
 //     retry ladder (common/supervise.h) repeats the learn under the same
 //     equivalence oracle, replaying what earlier attempts committed —
 //     learn_supervised can never hang and never lets an exception escape.
+//
+// The poison is the learner's one stop signal: a deadline, an unavailable
+// answer or a contested cell answers the query that tripped it, and every
+// later query of the attempt, with kSulUnavailable and no SUL contact, and
+// learn_mealy stops at the first one. An arbitration override poisons too,
+// and the supervisor re-learns from the corrected journal.
 #pragma once
 
 #include <cstdint>
@@ -60,12 +65,11 @@ struct LearnSupervisorOptions {
 
   /// Nondeterminism arbitration: on contradiction, re-query the word
   /// arbitration_n times fresh and commit any symbol reaching
-  /// arbitration_k votes per position (k must satisfy n/2 < k <= n so a
-  /// majority is unique). arbitration_n = 0 disables arbitration
-  /// (first-observation-wins, the pre-supervisor behavior). At most 8
-  /// committed-edge overrides are allowed per run before the contradiction
-  /// is declared contested (each override restarts the learn from the
-  /// corrected journal, so this bounds the restart loop).
+  /// arbitration_k votes per position (k must satisfy n/2 < k <= n, so n is
+  /// at least 1 and a majority is unique). At most 8 committed-edge
+  /// overrides are allowed per run before the contradiction is declared
+  /// contested (each override restarts the learn from the corrected
+  /// journal, so this bounds the restart loop).
   int arbitration_k = 3;
   int arbitration_n = 5;
 

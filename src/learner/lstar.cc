@@ -251,18 +251,15 @@ LearnResult learn_mealy(Sul& sul, const LearnOptions& options) {
   LearnResult result;
   ObservationTable table(sul, result);
   Rng rng(options.seed);
-  const auto cancelled = [&options] {
-    return options.cancel != nullptr && options.cancel->cancelled();
-  };
 
-  for (int round = 0; round < kMaxRounds && !cancelled(); ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     result.machine = table.close_and_build();
     if (table.unavailable()) break;
     ++result.equivalence_queries;
 
     // Random-testing equivalence oracle.
     bool found_cex = false;
-    for (int t = 0; t < options.eq_test_words && !found_cex && !cancelled(); ++t) {
+    for (int t = 0; t < options.eq_test_words && !found_cex; ++t) {
       std::size_t len = 1 + rng.next_below(static_cast<std::uint64_t>(options.eq_test_max_length));
       std::vector<std::string> word;
       for (std::size_t i = 0; i < len; ++i) {
@@ -283,13 +280,9 @@ LearnResult learn_mealy(Sul& sul, const LearnOptions& options) {
   }
   if (table.unavailable()) {
     result.inconclusive = true;
-    result.converged = false;
     result.note = "sul_unavailable during membership query; learning aborted";
     const std::string why = sul.unavailable_reason();
     if (!why.empty()) result.note += " (" + why + ")";
-  } else if (!result.converged && cancelled()) {
-    result.inconclusive = true;
-    result.note = "learning cancelled";
   }
   result.sul_resets = sul.resets();
   result.sul_steps = sul.steps();
@@ -297,7 +290,6 @@ LearnResult learn_mealy(Sul& sul, const LearnOptions& options) {
   result.cache_hits = cache.hits;
   result.cache_prefix_hits = cache.prefix_hits;
   result.cache_misses = cache.misses;
-  result.nondeterministic_cached = cache.nondeterministic;
   return result;
 }
 

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "fsm/fsm.h"
 #include "learner/sul.h"
 
@@ -58,14 +57,14 @@ struct LearnResult {
   long cache_hits = 0;
   long cache_prefix_hits = 0;
   long cache_misses = 0;
-  long nondeterministic_cached = 0;  // trie inserts that contradicted an edge
   long batch_queries = 0;  // query_batch() calls issued by the table
   long batched_words = 0;  // deduplicated words shipped in those batches
   bool converged = false;  // equivalence oracle found no counterexample
   /// The SUL degraded to kSulUnavailable mid-learning (remote transport
-  /// down, circuit open): the run terminated with a structured inconclusive
-  /// result instead of learning from unanswerable queries. `machine` is the
-  /// last (possibly empty) hypothesis and must not be trusted.
+  /// down, circuit open, or the learning supervisor poisoned it): the run
+  /// terminated with a structured inconclusive result instead of learning
+  /// from unanswerable queries. `machine` is the last (possibly empty)
+  /// hypothesis and must not be trusted.
   bool inconclusive = false;
   std::string note;  // diagnostic when inconclusive
   // Nondeterminism-arbitration counters, filled by the learning supervisor
@@ -91,16 +90,14 @@ struct LearnOptions {
   int eq_test_words = 300;
   int eq_test_max_length = 8;
   std::uint64_t seed = 0xC0FFEE;
-  /// Cooperative cancellation, polled at round boundaries and per
-  /// equivalence-oracle word (the supervisor's deadline cancels through
-  /// here). A cancelled, unconverged learn returns a structured
-  /// inconclusive result — never a partial machine presented as final.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Learns a Mealy machine for the UE black box over input_alphabet(). Works
 /// against any Sul — the in-process harness or net::RemoteUeSul; an
-/// unavailable SUL yields result.inconclusive, never a hang or a throw.
+/// unavailable SUL yields result.inconclusive, never a hang or a throw. The
+/// learn stops at the first kSulUnavailable answer and never caches it: that
+/// answer is the one stop signal, and learn_supervised stops a learn by
+/// poisoning its SUL (learn_supervisor.h).
 LearnResult learn_mealy(Sul& sul, const LearnOptions& options = LearnOptions());
 
 }  // namespace procheck::learner

@@ -6,24 +6,18 @@ void OutputTrie::insert(const std::vector<std::string>& word,
                         const std::vector<std::string>& outputs) {
   if (word.size() != outputs.size()) return;  // malformed observation
   int node = 0;
-  bool added = false;
-  bool disagreed = false;
   for (std::size_t i = 0; i < word.size(); ++i) {
     auto [it, fresh] = nodes_[static_cast<std::size_t>(node)].next.try_emplace(word[i]);
     Edge& edge = it->second;
+    // An existing edge keeps its output: the first observation wins.
     if (fresh) {
       edge.child = static_cast<int>(nodes_.size());
       edge.output = outputs[i];
       nodes_.emplace_back();
-      added = true;
-    } else if (edge.output != outputs[i]) {
-      disagreed = true;  // first observation wins; see the header contract
     }
     node = edge.child;
   }
   nodes_[static_cast<std::size_t>(node)].endpoint = true;
-  if (added) ++stats_.insertions;
-  if (disagreed) ++stats_.nondeterministic;
 }
 
 int OutputTrie::walk(const std::vector<std::string>& word) const {

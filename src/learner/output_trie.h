@@ -10,10 +10,10 @@
 // that are prefixes of other words in the same batch.
 //
 // Determinism contract: the first observation of an edge wins. A later
-// insert that disagrees on an edge output does not overwrite it (the cached
-// answer stays stable run-to-run) but is counted in stats().nondeterministic
-// — flag, don't flap; settling the conflict is the learning supervisor's
-// k-of-n arbitration (DESIGN.md §15).
+// insert that disagrees on an edge output does not overwrite it, so the
+// cached answer stays stable run-to-run; the learning supervisor's k-of-n
+// arbitration settles a contradiction before the learner sees it
+// (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>
@@ -30,13 +30,11 @@ class OutputTrie {
     long hits = 0;           // lookup answered at an explicitly inserted word
     long prefix_hits = 0;    // lookup answered purely from a longer word's edges
     long misses = 0;         // lookup had an unknown edge
-    long insertions = 0;     // insert() calls that added at least one edge
-    long nondeterministic = 0;  // inserts that disagreed with a cached edge
   };
 
   /// Records outputs for word (sizes must match; mismatches are ignored).
-  /// Existing edges keep their first-observed output; disagreement is
-  /// flagged, never applied.
+  /// Existing edges keep their first-observed output; a disagreeing output
+  /// is never applied.
   void insert(const std::vector<std::string>& word, const std::vector<std::string>& outputs);
 
   /// Full output word when every edge along `word` is known; counts a hit,

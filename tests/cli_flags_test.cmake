@@ -3,7 +3,9 @@
 # error: exit 2 and "invalid value for --<flag>" on stderr, before any work
 # starts. So do an option the subcommand does not take ("unknown option
 # --<flag>"), a value flag with nothing after it ("missing value for
-# --<flag>") and a malformed diff side spec ("bad side spec"). A file the command cannot write (conformance --log into a
+# --<flag>"), a positional argument the subcommand does not read
+# ("unexpected argument '<arg>'") and a malformed diff side spec ("bad side
+# spec"). A file the command cannot write (conformance --log into a
 # missing directory) is a failure, not a usage error: exit 1 and "cannot
 # write <path>" on stderr, never a "log written" claim. The usage text names
 # every option of every subcommand in the option table of main.cc. Run as
@@ -17,7 +19,7 @@ endif()
 # below gives a malformed and an out-of-range value.
 set(cases
   "analyze --profile cls|freshness-limit|x|99999999999999999999"
-  "analyze --profile cls|max-states|1e3|99999999999999999999"
+  "analyze --profile cls|max-states|1e3|99999999999999999999|0"
   "analyze --profile cls|jobs|two|0"
   "analyze --profile cls|retries|1.5|17"
   "analyze --profile cls|deadline-per-property|soon|-0.5"
@@ -33,11 +35,13 @@ set(cases
   "serve-sul --profile cls|idle-timeout|t|-1"
   "serve-sul --profile cls|drain-seconds|d|-1"
   "learn --profile cls|seed|0xBEEF|99999999999999999999"
-  "learn --profile cls|arbitrate|3|2/5"
+  "learn --profile cls|arbitrate|3|2/5|0/0"
   "learn --profile cls|deadline|d|-1"
   "learn --profile cls|retries|r|17"
   "learn --profile cls --remote 127.0.0.1:1|batch|b|65"
   "learn --profile cls --remote 127.0.0.1:1|batch|1.5|0"
+  # --batch is checked without --remote too, where it shapes nothing.
+  "learn --profile cls|batch|zero|0|65"
   "learn --profile cls|remote|localhost|127.0.0.1:65536"
   "conformance --profile cls|remote|localhost|127.0.0.1:65536"
   "diff profile:cls profile:oai|batch|b|65"
@@ -116,6 +120,12 @@ endforeach()
 # A value flag at the end of the line with no value.
 expect_exit(2 "analyze;--profile;cls;--max-states" "missing value for --max-states")
 
+# A positional argument no subcommand reads: it must not run the default
+# (here every property), nor be dropped beside diff's two flagged sides.
+expect_exit(2 "analyze;--profile;cls;S05" "unexpected argument 'S05'")
+expect_exit(2 "diff;--left;profile:cls;--right;profile:oai;profile:srsue"
+            "unexpected argument 'profile:srsue'")
+
 # A malformed diff side spec, on either side, beside a side that degrades
 # (nothing listens on port 1).
 expect_exit(2 "diff;nonsense;remote:127.0.0.1:1" "bad side spec 'nonsense'")
@@ -149,6 +159,20 @@ foreach(entry IN LISTS entries)
   string(REGEX MATCHALL "\"[a-z-]+\"" names "${entry}")
   list(POP_FRONT names subcommand)
   string(REPLACE "\"" "" subcommand "${subcommand}")
+  # One positional more than the entry's count (after its handler) is a
+  # usage error.
+  if(NOT entry MATCHES "^{\"[a-z-]+\",[^{]*{[^,{}]*, *([0-9]+),")
+    list(APPEND failures "no positional count for ${subcommand} in ${MAIN_SOURCE}")
+    continue()
+  endif()
+  set(positionals ${CMAKE_MATCH_1})
+  set(stray_args "${subcommand}")
+  set(i 0)
+  while(i LESS positionals)
+    math(EXPR i "${i} + 1")
+    list(APPEND stray_args "arg${i}")
+  endwhile()
+  expect_exit(2 "${stray_args};stray" "unexpected argument 'stray'")
   string(REGEX MATCH "\n  ${subcommand} [^\n]*(\n   [^\n]*)*" block "${usage}")
   if(block STREQUAL "")
     list(APPEND failures "usage has no line for ${subcommand}")

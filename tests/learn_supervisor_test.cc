@@ -2,8 +2,9 @@
 // determinism, the kill-at-every-journal-byte sweep, exception injection at
 // every query probe, the deadline and the retry ladder, k-of-n
 // nondeterminism arbitration (convergence where first-observation-wins pins
-// a wrong edge, quarantine where no majority exists), and the remote
-// variants over the multi-session server — clean and under lossless chaos.
+// a wrong edge, quarantine where no majority exists), the poison as the
+// learner's one stop signal, and the remote variants over the multi-session
+// server — clean and under lossless chaos.
 //
 // Monolithic binary (one ctest entry, label "learner-chaos", folded into the
 // chaos-asan preset): the reference learn + journal are computed once and
@@ -24,6 +25,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/journal.h"
@@ -400,14 +402,18 @@ TEST(LearnSupervisor, ConcurrentLockAborts) {
 }
 
 TEST(LearnSupervisor, InvalidArbitrationThresholdAborts) {
-  LearnSupervisorOptions o;
-  o.learn = tiny_options();
-  o.arbitration_k = 2;
-  o.arbitration_n = 5;  // 2-of-5 is not a majority
-  UeSul sul(ue::StackProfile::cls());
-  const SupervisedLearn run = learn_supervised(sul, o);
-  EXPECT_TRUE(run.aborted);
-  EXPECT_NE(run.abort_reason.find("invalid arbitration"), std::string::npos);
+  // 2-of-5 is not a majority, and 0-of-0 would keep the first observation.
+  for (const auto& [k, n] : {std::pair{2, 5}, std::pair{0, 0}}) {
+    LearnSupervisorOptions o;
+    o.learn = tiny_options();
+    o.arbitration_k = k;
+    o.arbitration_n = n;
+    UeSul sul(ue::StackProfile::cls());
+    const SupervisedLearn run = learn_supervised(sul, o);
+    EXPECT_TRUE(run.aborted) << k << "-of-" << n;
+    EXPECT_NE(run.abort_reason.find("invalid arbitration"), std::string::npos)
+        << run.abort_reason;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -566,8 +572,8 @@ class FlakyOnceSul final : public Sul {
 };
 
 TEST(LearnArbitration, FirstObservationWinsPinsTheWrongEdge) {
-  // The pre-supervisor behavior this PR exists to fix: the plain learner
-  // caches the flaky answer and builds it into the machine.
+  // What arbitration replaces: the plain learner caches the flaky answer
+  // and builds it into the machine.
   FlakyOnceSul flaky;
   const LearnResult plain = learn_mealy(flaky, tiny_options());
   ASSERT_TRUE(plain.converged);
@@ -586,18 +592,6 @@ TEST(LearnArbitration, ThreeOfFiveConvergesToTheTrueMachine) {
   EXPECT_GE(run.result.arbitration_requeries, 5);
   EXPECT_GE(run.result.arbitration_overrides, 1);
   EXPECT_TRUE(run.result.quarantined.empty());
-}
-
-TEST(LearnArbitration, DisabledArbitrationKeepsFirstObservation) {
-  FlakyOnceSul flaky;
-  LearnSupervisorOptions o;
-  o.learn = tiny_options();
-  o.arbitration_n = 0;  // explicit opt-out: the old trie policy
-  const SupervisedLearn run = learn_supervised(flaky, o);
-  EXPECT_FALSE(run.aborted);
-  EXPECT_EQ(run.result.arbitrations, 0);
-  ASSERT_TRUE(run.result.converged);
-  EXPECT_NE(fsm_text(run.result), reference().fsm);  // the lie survives, by request
 }
 
 /// Answers [power_on, paging] with an alternating output at position 1 on
@@ -640,6 +634,108 @@ TEST(LearnArbitration, UnresolvedCellIsQuarantinedNeverAWrongMachine) {
   EXPECT_NE(run.result.quarantined.front().find("power_on.paging"), std::string::npos)
       << run.result.quarantined.front();
   EXPECT_NE(run.result.note.find("majority"), std::string::npos) << run.result.note;
+}
+
+// ---------------------------------------------------------------------------
+// The poison is the one stop signal
+
+/// Logs every call that reaches it ("batch", "fresh", ...) and can fail one
+/// batch call: sleep through it, or answer it all-unavailable.
+class CountingSul final : public Sul {
+ public:
+  explicit CountingSul(Sul& inner) : inner_(inner) {}
+
+  void reset() override {
+    calls.push_back("reset");
+    inner_.reset();
+  }
+  std::string step(const std::string& input) override {
+    calls.push_back("step");
+    return inner_.step(input);
+  }
+  long resets() const override { return inner_.resets(); }
+  long steps() const override { return inner_.steps(); }
+  std::string unavailable_reason() const override { return reason_; }
+
+  Word query_word(const Word& word) override {
+    calls.push_back("word");
+    return inner_.query_word(word);
+  }
+  std::vector<Word> query_batch(const std::vector<Word>& words) override {
+    const long call = static_cast<long>(calls.size());
+    calls.push_back("batch");
+    if (call == sleep_at) std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    if (call == unavailable_at) {
+      reason_ = "link down";
+      std::vector<Word> answers;
+      for (const Word& w : words) answers.emplace_back(w.size(), kSulUnavailable);
+      return answers;
+    }
+    return inner_.query_batch(words);
+  }
+  Word query_word_fresh(const Word& word) override {
+    calls.push_back("fresh");
+    return inner_.query_word_fresh(word);
+  }
+
+  std::vector<std::string> calls;
+  long sleep_at = -1;
+  long unavailable_at = -1;
+
+ private:
+  Sul& inner_;
+  std::string reason_;
+};
+
+TEST(LearnSupervisor, PoisonEndsTheAttemptWithoutSulContact) {
+  struct Case {
+    const char* name;
+    LearnFailure failure;
+    std::string diagnostic;  // what the poison says, at the start of it
+  };
+  for (const Case& c :
+       {Case{"deadline", LearnFailure::kDeadline, "attempt deadline (0.25s) exceeded"},
+        Case{"unavailable", LearnFailure::kUnavailable, "sul unavailable at word "},
+        Case{"contested", LearnFailure::kContested,
+             "no 4-of-5 majority for word power_on.paging"}}) {
+    SCOPED_TRACE(c.name);
+    UeSul clean(ue::StackProfile::cls());
+    ContestedSul contested;
+    const std::string name = c.name;
+    CountingSul sul(name == "contested" ? static_cast<Sul&>(contested) : clean);
+    LearnSupervisorOptions o;
+    o.learn = tiny_options();
+    long hooks = 0;
+    o.fault_hook = [&hooks](long) { ++hooks; };
+    // The call during which the attempt was poisoned: the deadline passes
+    // inside the first batch, the third batch is answered unavailable, and
+    // the fifth fresh sample of the contested word ends its arbitration.
+    std::size_t poisoned_in = 0;
+    if (name == "deadline") {
+      o.deadline_seconds = 0.25;
+      sul.sleep_at = 0;
+    } else if (name == "unavailable") {
+      sul.unavailable_at = 2;
+      poisoned_in = 2;
+    } else {
+      o.arbitration_k = 4;  // alternating answers can reach at most 3 of 5
+    }
+    const SupervisedLearn run = learn_supervised(sul, o);
+    if (name == "contested") {
+      ASSERT_EQ(std::count(sul.calls.begin(), sul.calls.end(), "fresh"), 5);
+      poisoned_in = static_cast<std::size_t>(
+          std::find(sul.calls.begin(), sul.calls.end(), "fresh") - sul.calls.begin()) + 4;
+    }
+    EXPECT_EQ(sul.calls.size(), poisoned_in + 1) << "the SUL was called after the poison";
+    EXPECT_EQ(hooks, 2 * static_cast<long>(sul.calls.size())) << "a hook fired after the poison";
+    EXPECT_FALSE(run.aborted);
+    EXPECT_EQ(run.attempts, 1);
+    EXPECT_EQ(run.failure, c.failure);
+    EXPECT_TRUE(run.result.inconclusive);
+    EXPECT_FALSE(run.result.converged);
+    EXPECT_EQ(run.diagnostics.rfind(c.diagnostic, 0), 0u) << run.diagnostics;
+    EXPECT_NE(run.result.note.find(run.diagnostics), std::string::npos) << run.result.note;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -101,21 +101,19 @@ TEST(OutputTrie, PrefixesOfInsertedWordsAnswerFree) {
   EXPECT_EQ(trie.stats().hits, hits_before);
 }
 
-TEST(OutputTrie, FirstObservationWinsAndDisagreementIsFlagged) {
+TEST(OutputTrie, FirstObservationWinsOnDisagreement) {
   OutputTrie trie;
   trie.insert({"a"}, {"x"});
-  // A later word disagreeing on the shared edge: flagged, never applied.
+  // A later word disagreeing on the shared edge: never applied.
   trie.insert({"a", "b"}, {"y", "z"});
-  EXPECT_EQ(trie.stats().nondeterministic, 1);
   auto got = trie.lookup({"a", "b"});
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, (std::vector<std::string>{"x", "z"}))
       << "the first-observed edge output must stay stable";
 
-  // A consistent re-insert is free of both flags and new nodes.
+  // A consistent re-insert adds no node.
   const std::size_t nodes = trie.node_count();
   trie.insert({"a", "b"}, {"x", "z"});
-  EXPECT_EQ(trie.stats().nondeterministic, 1);
   EXPECT_EQ(trie.node_count(), nodes);
 }
 
@@ -195,7 +193,51 @@ TEST(LStar, BatchedRoundsAreByteIdenticalToSequentialLearning) {
 
   // The cache did real work: prefix hits answered table cells for free.
   EXPECT_GT(batched.cache_prefix_hits, 0);
-  EXPECT_EQ(batched.nondeterministic_cached, 0);
+}
+
+/// Answers its call number `fail_at` (a batch or a single word) with
+/// kSulUnavailable and counts every call, so a test sees what the learner
+/// asks after an unanswerable query.
+class FailingSul final : public Sul {
+ public:
+  explicit FailingSul(long fail_at) : inner_(ue::StackProfile::cls()), fail_at_(fail_at) {}
+
+  void reset() override { inner_.reset(); }
+  std::string step(const std::string& input) override { return inner_.step(input); }
+  long resets() const override { return inner_.resets(); }
+  long steps() const override { return inner_.steps(); }
+
+  std::vector<std::string> query_word(const std::vector<std::string>& word) override {
+    return query_batch({word}).front();
+  }
+  std::vector<std::vector<std::string>> query_batch(
+      const std::vector<std::vector<std::string>>& words) override {
+    if (calls++ != fail_at_) return inner_.query_batch(words);
+    std::vector<std::vector<std::string>> answers;
+    for (const auto& word : words) answers.emplace_back(word.size(), kSulUnavailable);
+    return answers;
+  }
+
+  long calls = 0;
+
+ private:
+  UeSul inner_;
+  long fail_at_;
+};
+
+TEST(LStar, StopsAtTheFirstUnavailableAnswer) {
+  FailingSul clean(-1);
+  ASSERT_TRUE(learn_mealy(clean).converged);
+  // The first closure batch, a later call, and the learn's last call (an
+  // equivalence-oracle word).
+  for (const long fail_at : {0L, 2L, clean.calls - 1}) {
+    FailingSul sul(fail_at);
+    const LearnResult result = learn_mealy(sul);
+    EXPECT_EQ(sul.calls, fail_at + 1) << "the learner queried on after call " << fail_at;
+    EXPECT_TRUE(result.inconclusive) << fail_at;
+    EXPECT_FALSE(result.converged) << fail_at;
+    EXPECT_NE(result.note.find("sul_unavailable"), std::string::npos) << result.note;
+  }
 }
 
 TEST(LStar, LearnsTheUeStateMachine) {

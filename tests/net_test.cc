@@ -654,7 +654,6 @@ TEST(BatchedProtocol, LearnByteIdenticalToInProcess) {
   EXPECT_EQ(batched.membership_queries, clean.membership_queries);
   EXPECT_EQ(batched.cache_hits, clean.cache_hits);
   EXPECT_EQ(batched.cache_prefix_hits, clean.cache_prefix_hits);
-  EXPECT_EQ(batched.nondeterministic_cached, 0);
 }
 
 // The acceptance pin: under every *lossless* fault regime, remote learning

@@ -65,15 +65,6 @@ TEST(ThreadPool, DefaultParallelismIsPositive) {
   EXPECT_GE(ThreadPool::default_parallelism(), 1u);
 }
 
-TEST(CancelToken, FiresAndResets) {
-  CancelToken token;
-  EXPECT_FALSE(token.cancelled());
-  token.cancel();
-  EXPECT_TRUE(token.cancelled());
-  token.reset();
-  EXPECT_FALSE(token.cancelled());
-}
-
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(257);
   parallel_for(8, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
