@@ -536,8 +536,11 @@ SupervisedLearn learn_supervised(Sul& sul, const LearnSupervisorOptions& options
     result = LearnResult();
     result.inconclusive = true;
     result.note = diag;
+  } else if (ladder.failure != LearnFailure::kNone) {
+    // A poison (deadline, unavailable answer or contested cell) says in its
+    // own words why the learn stopped; learn_mealy saw only the symptom.
+    result.note = diag;
   }
-  if (ladder.failure == LearnFailure::kContested && !diag.empty()) result.note = diag;
   result.note += ladder.exhausted_note;
   result.arbitrations = wrapper.arbitrations();
   result.arbitration_requeries = wrapper.arbitration_requeries();

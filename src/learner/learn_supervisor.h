@@ -28,8 +28,10 @@
 // The poison is the learner's one stop signal: a deadline, an unavailable
 // answer or a contested cell answers the query that tripped it, and every
 // later query of the attempt, with kSulUnavailable and no SUL contact, and
-// learn_mealy stops at the first one. An arbitration override poisons too,
-// and the supervisor re-learns from the corrected journal.
+// learn_mealy stops at the first one. The learn's note is then the poison's
+// diagnostic (e.g. "attempt deadline (1e-06s) exceeded"), not the symptom
+// learn_mealy saw. An arbitration override poisons too, and the supervisor
+// re-learns from the corrected journal.
 #pragma once
 
 #include <cstdint>

@@ -450,8 +450,15 @@ class KeyMatch {
     if (!fits) throw std::invalid_argument("EdgeMatch does not fit the graph's model");
   }
 
+  /// Whether the table admits `command`; no command when the equalities
+  /// contradict each other.
+  bool admits(std::size_t command) const { return commands_[command] != 0 && !never_; }
+  /// Whether the equalities constrain any key bit.
+  bool keyed() const { return mask_ != 0; }
+  bool key_matches(std::uint64_t key) const { return (key & mask_) == value_; }
+
   bool operator()(const std::uint64_t* keys, std::uint32_t id, std::size_t command) const {
-    return commands_[command] != 0 && !never_ && (keys[id] & mask_) == value_;
+    return admits(command) && key_matches(keys[id]);
   }
 
  private:
@@ -467,11 +474,11 @@ class KeyMatch {
 /// search of the model itself finds, and traces stay the same whichever
 /// properties share the graph. It discovers only states the graph holds, so
 /// the build's state cap is its only one. `bad_edge(id, edge)` says what
-/// violates.
+/// violates. The deadline runs from `timer`'s start, by default the call.
 template <typename BadEdge>
 std::optional<CounterExample> bfs(const ReachGraph& g, const CheckOptions& options,
-                                  CheckStats* out, BadEdge&& bad_edge) {
-  Timer timer;
+                                  CheckStats* out, BadEdge&& bad_edge,
+                                  const Timer& timer = Timer()) {
   CheckStats stats;
   const std::vector<Command>& commands = g.model().commands();
   const std::uint8_t* banned = banned_table(g, options);
@@ -738,7 +745,8 @@ ReachGraph ReachGraph::build(const Model& model, const CheckOptions& options) {
   const KeyLayout& layout = *g.layout_;
   const GuardTable guards(model, layout);
   std::vector<KeyUpdate> updates;
-  std::size_t fixed_bytes = guards.bytes();
+  g.fired_.assign(commands.size(), 0);
+  std::size_t fixed_bytes = guards.bytes() + capacity_bytes(g.fired_);
   for (const Command& cmd : commands) {
     updates.emplace_back(cmd, layout);
     fixed_bytes += updates.back().bytes();
@@ -763,6 +771,7 @@ ReachGraph ReachGraph::build(const Model& model, const CheckOptions& options) {
       if (id == kMissing) g.stats_.bound_hit = true;
       g.targets_.push_back(id);
       g.commands_.push_back(static_cast<std::uint16_t>(j));
+      g.fired_[j] = 1;
     });
     if (g.targets_.size() > 0xFFFFFFFFu) {
       throw std::length_error("reachable graph: more than 2^32 edges");
@@ -780,7 +789,8 @@ ReachGraph ReachGraph::build(const Model& model, const CheckOptions& options) {
   g.commands_.shrink_to_fit();
   g.stats_.edges_explored = g.targets_.size();
   g.stats_.visited_bytes = capacity_bytes(g.keys_) + capacity_bytes(g.offsets_) +
-                           capacity_bytes(g.targets_) + capacity_bytes(g.commands_);
+                           capacity_bytes(g.targets_) + capacity_bytes(g.commands_) +
+                           capacity_bytes(g.fired_);
   g.stats_.seconds = timer.seconds();
   return g;
 }
@@ -803,9 +813,42 @@ std::optional<CounterExample> ReachGraph::check_edge_never(const EdgeMatch& bad,
                                                            CheckStats* stats,
                                                            const CheckOptions& options) const {
   const KeyMatch match(*model_, *layout_, bad);
-  return bfs(*this, options, stats, [&](std::uint32_t id, std::size_t edge) {
+  const std::uint8_t* banned = banned_table(*this, options);
+  auto allowed = [&](std::size_t j) { return !(banned && banned[j]); };
+  // Whether any allowed edge of the graph matches, reachable or not: the
+  // command table answers unless the match reads the pre-state, and then
+  // one scan of the stored edges does.
+  auto can_match = [&] {
+    bool candidate = false;
+    for (std::size_t j = 0; j < fired_.size() && !candidate; ++j) {
+      candidate = fired_[j] != 0 && match.admits(j) && allowed(j);
+    }
+    if (!candidate || !match.keyed()) return candidate;
+    for (std::uint32_t id = 0; id < expanded(); ++id) {
+      if (!match.key_matches(keys_[id])) continue;
+      for (std::size_t e = edge_begin(id); e < edge_end(id); ++e) {
+        if (match.admits(commands_[e]) && allowed(commands_[e])) return true;
+      }
+    }
+    return false;
+  };
+
+  // A complete graph where no allowed edge can match settles the claim
+  // without a walk (DESIGN.md §10). Like the walk, it first polls the
+  // deadline; it holds no bytes.
+  Timer timer;
+  if (!stats_.truncated()) {
+    CheckStats settled;
+    if (budget_exhausted(options, timer, 0, settled) || !can_match()) {
+      settled.seconds = timer.seconds();
+      if (stats) *stats = settled;
+      return std::nullopt;
+    }
+  }
+  auto bad_edge = [&](std::uint32_t id, std::size_t edge) {
     return match(keys_.data(), id, command(edge));
-  });
+  };
+  return bfs(*this, options, stats, bad_edge, timer);
 }
 
 std::optional<CounterExample> ReachGraph::check_response(const EdgeMatch& trigger,

@@ -44,6 +44,9 @@ struct CounterExample {
   std::string to_dot(const Model& model) const;
 };
 
+/// What a build or a traversal read. A traversal counts only what its
+/// search read: a never-claim settled without a walk reports 0 states, 0
+/// edges and 0 bytes, and a lasso counts the product nodes it created.
 struct CheckStats {
   std::size_t states_explored = 0;
   std::size_t edges_explored = 0;
@@ -156,6 +159,12 @@ class ReachGraph {
   /// "bad edge never fires" — returns a finite trace ending with the edge.
   /// Both traversals read the options' deadline, memory ceiling and bans;
   /// the graph itself is their only state bound (max_states is not read).
+  /// On a complete graph (stats() not truncated) the claim is first settled
+  /// without a walk when no allowed edge matches anywhere in the graph:
+  /// after one deadline poll, the per-command table of fired commands and,
+  /// for a match with pre-state equalities, one scan of the stored edges
+  /// decide it. A settled claim reports no counterexample with 0 states, 0
+  /// edges and 0 bytes; every other claim walks breadth-first.
   std::optional<CounterExample> check_edge_never(const EdgeMatch& bad, CheckStats* stats,
                                                  const CheckOptions& options = {}) const;
 
@@ -173,6 +182,7 @@ class ReachGraph {
   std::vector<std::uint32_t> offsets_;   // expanded() + 1 CSR offsets
   std::vector<std::uint32_t> targets_;   // per edge: state id or kMissing
   std::vector<std::uint16_t> commands_;  // per edge: command index
+  std::vector<std::uint8_t> fired_;      // per command: 1 when a stored edge carries it
   CheckStats stats_;
 };
 

@@ -7,7 +7,8 @@
 # ("unexpected argument '<arg>'") and a malformed diff side spec ("bad side
 # spec"). A file the command cannot write (conformance --log into a
 # missing directory) is a failure, not a usage error: exit 1 and "cannot
-# write <path>" on stderr, never a "log written" claim. The usage text names
+# write <path>" on stderr, never a "log written" claim. A learn past its
+# deadline is inconclusive: exit 3, naming the deadline. The usage text names
 # every option of every subcommand in the option table of main.cc. Run as
 #   cmake -DPROCHECKER=<path to prochecker> -DMAIN_SOURCE=<src/cli/main.cc> -P cli_flags_test.cmake
 
@@ -134,6 +135,11 @@ expect_exit(2 "diff;remote:127.0.0.1:1;nonsense" "bad side spec 'nonsense'")
 # A log file that cannot be written.
 set(unwritable "${CMAKE_CURRENT_BINARY_DIR}/no_such_dir/conformance.log")
 expect_exit(1 "conformance;--profile;cls;--log;${unwritable}" "cannot write ${unwritable}")
+
+# A learn whose deadline is spent before its first query is inconclusive
+# (exit 3) and says so, not that the SUL was unavailable.
+expect_exit(3 "learn;--profile;cls;--deadline;0.000001"
+            "error: learning inconclusive: attempt deadline (1e-06s) exceeded")
 
 # The usage text (prochecker with no arguments) names every option each
 # subcommand takes, in that subcommand's block: its line and the indented

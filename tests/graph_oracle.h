@@ -6,6 +6,8 @@
 // - reference_edge_never: a breadth-first never-claim over
 //   Model::successors alone, inside the states a graph built at the
 //   options' state cap holds;
+// - settles_unwalked: whether a never-claim on a graph is settled without
+//   a walk, decided edge by edge on unpacked states;
 // - eager_lasso: the liveness search as it stood when it built the whole
 //   (state, pending) product before its cycle search, the byte-identity
 //   reference for the on-demand product;
@@ -64,14 +66,28 @@ inline bool is_banned(const CheckOptions& options, std::size_t command) {
   return !options.banned.empty() && options.banned[command] != 0;
 }
 
+/// Whether ReachGraph::check_edge_never settles `bad` without a walk: `g`
+/// is complete and none of its allowed edges matches, reachable or not.
+inline bool settles_unwalked(const ReachGraph& g, const EdgeMatch& bad,
+                             const CheckOptions& options) {
+  if (g.stats().truncated()) return false;
+  for (std::uint32_t id = 0; id < g.expanded(); ++id) {
+    const State pre = g.state(id);
+    for (std::size_t e = g.edge_begin(id); e < g.edge_end(id); ++e) {
+      if (!is_banned(options, g.command(e)) && edge_matches(bad, pre, g.command(e))) return false;
+    }
+  }
+  return true;
+}
+
 /// A breadth-first never-claim over Model::successors alone, states keyed
 /// in std containers and each state's enabled commands in command order.
 /// It models a graph built at the state cap k: the first k states that a
 /// breadth-first search of the model discovers with nothing banned (the
 /// initial state always counts), then the banned search inside them, where
 /// an edge leaving them sets bound_hit. The reference for
-/// ReachGraph::check_edge_never on a graph built at k: the same first hit,
-/// trace and counts.
+/// ReachGraph::check_edge_never on a graph built at k: the same first hit
+/// and trace, and the same counts unless settles_unwalked holds.
 inline std::optional<CounterExample> reference_edge_never(const Model& model,
                                                           const EdgeMatch& bad, CheckStats* out,
                                                           const CheckOptions& options = {}) {

@@ -734,7 +734,10 @@ TEST(LearnSupervisor, PoisonEndsTheAttemptWithoutSulContact) {
     EXPECT_TRUE(run.result.inconclusive);
     EXPECT_FALSE(run.result.converged);
     EXPECT_EQ(run.diagnostics.rfind(c.diagnostic, 0), 0u) << run.diagnostics;
-    EXPECT_NE(run.result.note.find(run.diagnostics), std::string::npos) << run.result.note;
+    // The note names the poison, not the symptom learn_mealy saw.
+    EXPECT_EQ(run.result.note.rfind(run.diagnostics, 0), 0u) << run.result.note;
+    EXPECT_EQ(run.result.note.find("sul_unavailable during"), std::string::npos)
+        << run.result.note;
   }
 }
 

@@ -1,11 +1,12 @@
 // Model-checker kernel tests: expression evaluation, guarded-command
 // successors, and the two property shapes of the catalog as traversals of
-// the reachable graph — edge never-claims with trace extraction and
-// response liveness (lasso detection, stutter-deadlock semantics, graphs
-// built at a state cap) — plus the graph's layout, state keys and guard
-// table. One case pins the one-call mc::Checker against
-// ReachGraph::check_edge_never, and the Oracle cases check every traversal
-// on seeded random models against the references in graph_oracle.h.
+// the reachable graph — edge never-claims with trace extraction, settled
+// without a walk when no allowed edge matches, and response liveness (lasso
+// detection, stutter-deadlock semantics, graphs built at a state cap) —
+// plus the graph's layout, state keys and guard table. One case pins the
+// one-call mc::Checker against ReachGraph::check_edge_never, and the Oracle
+// cases check every traversal on seeded random models against the
+// references in graph_oracle.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -169,13 +170,15 @@ TEST(Model, RenderState) {
 TEST(Invariant, HoldsOnRing) {
   Model m = ring_model();
   CheckStats stats;
-  // The token never moves out of turn: step0 never fires at pos = p1.
+  // The token never moves out of turn: step0 never fires at pos = p1. No
+  // stored edge matches, so the claim is settled without a walk.
   EdgeMatch out_of_turn = label_match(m, "step0");
   out_of_turn.pre_equals = {{0, 1}};
   auto cex = ReachGraph::build(m).check_edge_never(out_of_turn, &stats);
   EXPECT_FALSE(cex.has_value());
-  EXPECT_EQ(stats.states_explored, 3u);
-  EXPECT_FALSE(stats.bound_hit);
+  EXPECT_EQ(stats.states_explored, 0u);
+  EXPECT_EQ(stats.edges_explored, 0u);
+  EXPECT_FALSE(stats.truncated());
 }
 
 TEST(Invariant, ViolationWithMinimalTrace) {
@@ -653,6 +656,108 @@ TEST(ReachGraph, TablesThatDoNotFitTheModelAreRefused) {
   }
 }
 
+// --- Never-claims settled without a walk -------------------------------------------
+//
+// On a complete graph, a never-claim that no allowed edge of the graph
+// matches holds whatever is reachable, so it is settled before any
+// breadth-first search: by the per-command table of fired commands, or,
+// when the match has pre-state equalities, by one scan of the stored edges.
+// A settled claim reads no state, so it reports 0 states and 0 edges.
+
+// counter_model(5) and a command whose guard never holds.
+Model counter_with_dead_command() {
+  Model m = counter_model(5);
+  Command dead;
+  dead.label = "dead";
+  dead.guard = Expr::constant(false);
+  dead.updates = {{0, 0}};
+  m.add_command(std::move(dead));
+  return m;
+}
+
+// Two claims no allowed edge matches: {inc3, dead} with inc3 banned (every
+// admitted command is banned or never fires, which the table decides), and
+// inc3 at c = 1 (inc3 fires only at c = 3, which the scan decides).
+struct UnmatchedClaim {
+  const char* name;
+  EdgeMatch bad;
+  CheckOptions options;
+};
+
+std::vector<UnmatchedClaim> unmatched_claims(const Model& m) {
+  UnmatchedClaim table{"by the command table", label_match(m, "inc3"), {}};
+  table.bad.commands[m.commands().back().index] = 1;  // dead
+  table.options.banned = banned_labels(m, {"inc3"});
+  UnmatchedClaim scan{"by the edge scan", label_match(m, "inc3"), {}};
+  scan.bad.pre_equals = {{0, 1}};
+  return {table, scan};
+}
+
+TEST(ReachGraph, NeverClaimsNoAllowedEdgeMatchesSettleUnwalked) {
+  const Model m = counter_with_dead_command();
+  const ReachGraph g = ReachGraph::build(m);
+  ASSERT_FALSE(g.stats().truncated());
+  for (const UnmatchedClaim& c : unmatched_claims(m)) {
+    SCOPED_TRACE(c.name);
+    CheckStats stats;
+    EXPECT_FALSE(g.check_edge_never(c.bad, &stats, c.options).has_value());
+    EXPECT_EQ(stats.states_explored, 0u);
+    EXPECT_EQ(stats.edges_explored, 0u);
+    EXPECT_EQ(stats.visited_bytes, 0u);
+    EXPECT_FALSE(stats.truncated());
+  }
+}
+
+TEST(ReachGraph, ATruncatedGraphNeverSettlesAClaim) {
+  // The same claims on a graph built at 3 of the 6 states: each walks to
+  // the edge the build rejected and reports the bound, never a verdict.
+  const Model m = counter_with_dead_command();
+  CheckOptions three;
+  three.max_states = 3;
+  const ReachGraph g = ReachGraph::build(m, three);
+  ASSERT_TRUE(g.stats().bound_hit);
+  for (const UnmatchedClaim& c : unmatched_claims(m)) {
+    SCOPED_TRACE(c.name);
+    CheckStats stats;
+    EXPECT_FALSE(g.check_edge_never(c.bad, &stats, c.options).has_value());
+    EXPECT_TRUE(stats.bound_hit);
+    EXPECT_EQ(stats.states_explored, 3u);
+    EXPECT_EQ(stats.edges_explored, 3u);  // inc0, inc1, and inc2 out of the graph
+  }
+}
+
+TEST(ReachGraph, ASpentDeadlineStopsTheSettlePath) {
+  const Model m = counter_with_dead_command();
+  const ReachGraph g = ReachGraph::build(m);
+  for (UnmatchedClaim& c : unmatched_claims(m)) {
+    SCOPED_TRACE(c.name);
+    c.options.max_seconds = 1e-9;
+    CheckStats stats;
+    EXPECT_FALSE(g.check_edge_never(c.bad, &stats, c.options).has_value());
+    EXPECT_TRUE(stats.deadline_hit);
+    EXPECT_TRUE(stats.truncated());
+    EXPECT_EQ(stats.states_explored, 0u);
+  }
+}
+
+TEST(ReachGraph, AnAllowedMatchTheBansMakeUnreachableStillWalks) {
+  // inc3 fires in the graph and is allowed, but with inc1 banned no walk
+  // reaches c = 3: the claim holds only after a search, which stops at c = 1.
+  const Model m = counter_with_dead_command();
+  const ReachGraph g = ReachGraph::build(m);
+  CheckOptions options;
+  options.banned = banned_labels(m, {"inc1"});
+  CheckStats stats, reference;
+  EXPECT_FALSE(g.check_edge_never(label_match(m, "inc3"), &stats, options).has_value());
+  EXPECT_FALSE(reference_edge_never(m, label_match(m, "inc3"), &reference, options).has_value());
+  EXPECT_EQ(stats.states_explored, 2u);  // c = 0 and c = 1
+  EXPECT_EQ(stats.edges_explored, 1u);   // inc0; the banned inc1 is not read
+  EXPECT_EQ(stats.states_explored, reference.states_explored);
+  EXPECT_EQ(stats.edges_explored, reference.edges_explored);
+  EXPECT_GT(stats.visited_bytes, 0u);
+  EXPECT_FALSE(stats.truncated());
+}
+
 // --- The state key ----------------------------------------------------------------
 //
 // The build packs each state into one 64-bit key: every variable owns
@@ -1025,7 +1130,7 @@ constexpr std::uint64_t kOracleModels = 300;
 constexpr int kChecksPerModel = 4;
 
 TEST(Oracle, NeverClaimsMatchABreadthFirstSearchOfTheModel) {
-  std::size_t hits = 0, misses = 0;
+  std::size_t hits = 0, misses = 0, settled = 0, walked_misses = 0, unreachable = 0;
   for (std::uint64_t seed = 1; seed <= kOracleModels; ++seed) {
     const Model m = random_model(seed);
     const ReachGraph g = ReachGraph::build(m);
@@ -1053,16 +1158,34 @@ TEST(Oracle, NeverClaimsMatchABreadthFirstSearchOfTheModel) {
         if (found) {
           EXPECT_EQ(found->render(m), reference->render(m)) << where;
         }
-        EXPECT_EQ(got.states_explored, want.states_explored) << where;
-        EXPECT_EQ(got.edges_explored, want.edges_explored) << where;
-        EXPECT_EQ(got.bound_hit, want.bound_hit) << where;
+        if (settles_unwalked(graph, bad, options)) {
+          // Settled without a walk: nothing read, and nothing to find.
+          EXPECT_FALSE(reference.has_value()) << where;
+          EXPECT_FALSE(want.bound_hit) << where;
+          EXPECT_EQ(got.states_explored, 0u) << where;
+          EXPECT_EQ(got.edges_explored, 0u) << where;
+          EXPECT_FALSE(got.bound_hit) << where;
+          ++settled;
+        } else {
+          EXPECT_EQ(got.states_explored, want.states_explored) << where;
+          EXPECT_EQ(got.edges_explored, want.edges_explored) << where;
+          EXPECT_EQ(got.bound_hit, want.bound_hit) << where;
+          walked_misses += !found;
+          // A complete graph: an allowed edge matches, but not where the
+          // bans let the walk reach.
+          unreachable += !found && !graph.stats().truncated();
+        }
         if (cap == kDefaultMaxStates) ++(found ? hits : misses);
       }
     }
   }
-  // Both verdicts are common, so neither side of the comparison is idle.
+  // Both verdicts are common, and so are both ways to find nothing, so no
+  // side of the comparison is idle.
   EXPECT_GT(hits, kOracleModels / 4);
   EXPECT_GT(misses, kOracleModels / 4);
+  EXPECT_GT(settled, kOracleModels / 4);
+  EXPECT_GT(walked_misses, kOracleModels / 4);
+  EXPECT_GT(unreachable, 10u);
 }
 
 TEST(Oracle, LivenessMatchesTheEagerLassoByteForByte) {
